@@ -10,13 +10,9 @@ import argparse
 import logging
 import os
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from oiekit import corpus_io, evaluate, mle, patterns, rl, tagger
 from oiekit.core import OiekitError
-from oiekit.corpus_io import ParseError
 from oiekit.mle import NonFiniteLoss, TrainConfig
 from oiekit.reward import make_sem_scorer
 from oiekit.rl import NonFiniteGradient, RLConfig
@@ -39,22 +35,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def load_config(path) -> dict[str, str]:
-    """Plain key/value configuration: one ``key = value`` per line, ``#``
-    comments, later keys win. Flags override config values."""
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ParseError("expected 'key = value'", line_no)
-            values[key.strip()] = value.strip()
-    return values
 
 
 def _pick(config: dict[str, str], key: str, cast, flag_value, default):
@@ -206,7 +186,7 @@ def _tagger_config(config: dict[str, str], seed) -> TaggerConfig:
 
 
 def cmd_pretrain(args) -> int:
-    config = load_config(args.config) if args.config else {}
+    config = corpus_io.read_key_values(args.config) if args.config else {}
     seed = _pick(config, "seed", int, args.seed, 13)
     instances = corpus_io.read_instances(args.instances)
     model = tagger.init_model(_tagger_config(config, seed), tagger.build_vocab(instances))
@@ -226,7 +206,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_rl_train(args) -> int:
-    config = load_config(args.config) if args.config else {}
+    config = corpus_io.read_key_values(args.config) if args.config else {}
     seed = _pick(config, "seed", int, args.seed, 13)
     model = tagger.load_model(args.model)
     table = _load_table(args.patterns)

@@ -7,9 +7,9 @@ All types are immutable values; every operation here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from functools import cache, cached_property
+from typing import Mapping, Optional, Sequence
 
 PREDICATE_ROLE = "P"
 ARGUMENT_ROLES = ("ARG1", "ARG2", "ARG3")
@@ -49,6 +49,13 @@ def bio_labels(roles: Sequence[str] = DEFAULT_ROLES) -> tuple[str, ...]:
 
 
 DEFAULT_LABELS = bio_labels()
+
+
+@cache
+def label_index(labels: tuple[str, ...]) -> dict[str, int]:
+    """Column of each label in a label inventory. The mapping is shared
+    by every caller with the same inventory and must not be mutated."""
+    return {label: i for i, label in enumerate(labels)}
 
 
 def label_role(label: str) -> Optional[str]:

@@ -1,13 +1,19 @@
-"""Corpus input/output: CoNLL-U parses, gold tuples, extraction files,
-tagged-instance files, and a deterministic synthetic corpus generator."""
+"""Corpus input/output and the package's plain-text formats: CoNLL-U
+parses, gold tuples (TSV), JSON-lines records, ``key = value`` files, and a
+deterministic synthetic corpus generator.
+
+JSON-lines files (extractions, tagged instances, training metrics) hold one
+JSON object per line with sorted keys; every one is written by
+:func:`write_jsonl` and read by :func:`read_jsonl`. ``key = value`` files
+(command configs and pattern tables) are read by :func:`read_key_values`.
+"""
 
 from __future__ import annotations
 
 import json
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -23,6 +29,8 @@ from oiekit.core import (
 
 log = logging.getLogger(__name__)
 
+T = TypeVar("T")
+
 # CoNLL-U column layout.
 ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC = range(10)
 
@@ -35,6 +43,50 @@ class ParseError(OiekitError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def read_key_values(path) -> dict[str, str]:
+    """Plain ``key = value`` file: one pair per line, blank lines and ``#``
+    comments skipped, keys and values stripped, later keys win."""
+    values: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ParseError("expected 'key = value'", line_no)
+            values[key.strip()] = value.strip()
+    return values
+
+
+def write_jsonl(records: Iterable[dict], path) -> None:
+    """One JSON object per line, keys sorted."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True))
+            handle.write("\n")
+
+
+def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
+    """``parse`` applied to the JSON object on each non-blank line. A line
+    that is not a JSON object, or whose object ``parse`` rejects with a
+    KeyError, TypeError or ValueError, raises :class:`ParseError`."""
+    out = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+                out.append(parse(record))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"bad record: {exc!r}", line_no) from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -228,24 +280,11 @@ def write_extractions(extractions: Iterable[Extraction], path,
     extractions = list(extractions)
     if rewards is None:
         rewards = [None] * len(extractions)
-    with open(path, "w", encoding="utf-8") as handle:
-        for extraction, reward in zip(extractions, rewards):
-            handle.write(json.dumps(extraction_to_dict(extraction, reward), sort_keys=True))
-            handle.write("\n")
+    write_jsonl((extraction_to_dict(e, r) for e, r in zip(extractions, rewards)), path)
 
 
 def read_extractions(path) -> list[Extraction]:
-    out = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                out.append(extraction_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ParseError(f"bad extraction record: {exc}", line_no)
-    return out
+    return read_jsonl(path, extraction_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -272,37 +311,22 @@ def sentence_from_dict(record: dict) -> ParsedSentence:
     )
 
 
+def _instance_from_dict(record: dict) -> TaggedInstance:
+    return TaggedInstance(
+        sentence=sentence_from_dict(record["sentence"]),
+        predicate_index=record["predicate_index"],
+        tags=TagSequence(tuple(record["labels"])),
+    )
+
+
 def write_instances(instances: Iterable[TaggedInstance], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for inst in instances:
-            record = {
-                "sentence": sentence_to_dict(inst.sentence),
-                "predicate_index": inst.predicate_index,
-                "labels": list(inst.tags.labels),
-            }
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
+    write_jsonl(({"sentence": sentence_to_dict(inst.sentence),
+                  "predicate_index": inst.predicate_index,
+                  "labels": list(inst.tags.labels)} for inst in instances), path)
 
 
 def read_instances(path) -> list[TaggedInstance]:
-    out = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                out.append(
-                    TaggedInstance(
-                        sentence=sentence_from_dict(record["sentence"]),
-                        predicate_index=record["predicate_index"],
-                        tags=TagSequence(tuple(record["labels"])),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ParseError(f"bad instance record: {exc}", line_no)
-    return out
+    return read_jsonl(path, _instance_from_dict)
 
 
 # ---------------------------------------------------------------------------

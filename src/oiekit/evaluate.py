@@ -4,9 +4,8 @@ confidence-ranked extractions, area under the curve, and best F1."""
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from oiekit.core import (
     Extraction,
@@ -18,7 +17,6 @@ from oiekit.core import (
     spans_from_tags,
 )
 from oiekit.corpus_io import GoldTuple
-from oiekit.reward import SemScorer, semantic_confidence
 
 
 class EmptyGold(OiekitError):
@@ -129,7 +127,11 @@ def pr_curve(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
     from the highest threshold down."""
     if not gold:
         raise EmptyGold("cannot sweep a precision-recall curve without gold tuples")
-    ordered, decisions = assign_matches(extractions, gold, matcher)
+    _, decisions = assign_matches(extractions, gold, matcher)
+    return _pr_points(decisions, len(gold))
+
+
+def _pr_points(decisions: Sequence[MatchDecision], num_gold: int) -> list[tuple[float, float]]:
     points = []
     true_positives = 0
     total = 0
@@ -140,7 +142,7 @@ def pr_curve(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
             i + 1 == len(decisions) or decisions[i + 1].confidence != decision.confidence
         )
         if is_last_at_threshold:
-            points.append((true_positives / len(gold), true_positives / total))
+            points.append((true_positives / num_gold, true_positives / total))
     return points
 
 
@@ -186,7 +188,7 @@ def evaluate(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
     if not gold:
         raise EmptyGold("cannot evaluate without gold tuples")
     _, decisions = assign_matches(extractions, gold, matcher)
-    points = pr_curve(extractions, gold, matcher) if extractions else []
+    points = _pr_points(decisions, len(gold))
     return EvalReport(
         pr_points=tuple(points),
         auc=auc(points),
@@ -195,34 +197,6 @@ def evaluate(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
         num_gold=len(gold),
         num_predictions=len(extractions),
     )
-
-
-def rerank(extractions: Sequence[Extraction],
-           sentences: Mapping[str, ParsedSentence],
-           scorer: SemScorer, mode: str = "combined") -> list[Extraction]:
-    """Replace confidences for the three ranking variants: ``avg-log-only``
-    keeps the input confidence, ``sem-only`` uses log semantic score, and
-    ``combined`` adds log semantic score to the input confidence."""
-    if mode not in ("avg-log-only", "sem-only", "combined"):
-        raise OiekitError(f"unknown rerank mode {mode!r}")
-    out = []
-    for extraction in extractions:
-        if mode == "avg-log-only":
-            confidence = extraction.confidence
-        else:
-            sentence = sentences[extraction.sentence_id]
-            sem = scorer.score(extraction, sentence)
-            if mode == "sem-only":
-                confidence = math.log(max(sem, 1e-12))
-            else:
-                confidence = semantic_confidence(extraction.confidence, sem)
-        out.append(Extraction(
-            sentence_id=extraction.sentence_id,
-            predicate_span=extraction.predicate_span,
-            role_spans=extraction.role_spans,
-            confidence=confidence,
-        ))
-    return out
 
 
 def gold_from_instance(instance: TaggedInstance) -> GoldTuple:
@@ -263,11 +237,6 @@ def write_report(report: EvalReport, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def read_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def write_pr_points(pr_points: Sequence[tuple[float, float]], path) -> None:

@@ -4,7 +4,6 @@ gradient-check harness for verification."""
 
 from __future__ import annotations
 
-import json
 import logging
 import warnings
 from dataclasses import dataclass
@@ -12,8 +11,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from oiekit import evaluate, nn, tagger
-from oiekit.core import OiekitError, TaggedInstance, spans_from_tags
+from oiekit import corpus_io, evaluate, nn, tagger
+from oiekit.core import OiekitError, TaggedInstance, label_index, spans_from_tags
 from oiekit.tagger import TaggerModel
 
 log = logging.getLogger(__name__)
@@ -35,9 +34,11 @@ class TrainConfig:
     rng_seed: int = 13
 
 
-def _gold_probs(model: TaggerModel, instance: TaggedInstance, probs: np.ndarray) -> np.ndarray:
-    label_index = {label: i for i, label in enumerate(model.labels)}
-    cols = np.array([label_index[label] for label in instance.tags.labels])
+def _gold_nll(model: TaggerModel, instance: TaggedInstance,
+              probs: np.ndarray) -> tuple[float, np.ndarray]:
+    """(negative log-likelihood of the instance's labels, their label columns)."""
+    index = label_index(model.labels)
+    cols = np.array([index[label] for label in instance.tags.labels])
     chosen = probs[np.arange(len(cols)), cols]
     if (chosen <= 0.0).any():
         warnings.warn(
@@ -46,13 +47,13 @@ def _gold_probs(model: TaggerModel, instance: TaggedInstance, probs: np.ndarray)
             RuntimeWarning,
         )
         chosen = np.maximum(chosen, PROB_FLOOR)
-    return chosen
+    return float(-np.log(chosen).sum()), cols
 
 
 def mle_loss(model: TaggerModel, instance: TaggedInstance) -> float:
     """Negative log-likelihood of the instance's labels, summed over tokens."""
     probs, _ = tagger.forward(instance.sentence, instance.predicate_index, model)
-    return float(-np.log(_gold_probs(model, instance, probs)).sum())
+    return _gold_nll(model, instance, probs)[0]
 
 
 def instance_grads(model: TaggerModel, instance: TaggedInstance,
@@ -60,9 +61,7 @@ def instance_grads(model: TaggerModel, instance: TaggedInstance,
     """(loss, gradients) for one instance; gradients are of ``scale *
     loss`` (callers use 1/m for token-mean aggregation)."""
     probs, cache = tagger.forward(instance.sentence, instance.predicate_index, model)
-    label_index = {label: i for i, label in enumerate(model.labels)}
-    cols = np.array([label_index[label] for label in instance.tags.labels])
-    loss = float(-np.log(_gold_probs(model, instance, probs)).sum())
+    loss, cols = _gold_nll(model, instance, probs)
     dlogits = probs.copy()
     dlogits[np.arange(len(cols)), cols] -= 1.0
     grads = tagger.backward_from_dlogits(model, cache, dlogits * scale)
@@ -145,7 +144,7 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
         for name, arr in best_params.items():
             model.params[name][...] = arr
     if metrics_path is not None:
-        write_metrics(metrics, metrics_path)
+        corpus_io.write_jsonl(metrics, metrics_path)
     return metrics
 
 
@@ -172,13 +171,6 @@ def _dev_f1(model: TaggerModel, dev: Sequence[TaggedInstance]) -> float:
     if not golds:
         return 0.0
     return evaluate.tuple_f1(preds, golds)
-
-
-def write_metrics(metrics: Sequence[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in metrics:
-            handle.write(json.dumps(row, sort_keys=True))
-            handle.write("\n")
 
 
 # ---------------------------------------------------------------------------

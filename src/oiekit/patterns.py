@@ -5,7 +5,7 @@ heads to phrase spans, and emit noisy BIO training instances."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping
 
 from oiekit.core import (
     ARGUMENT_ROLES,
@@ -16,6 +16,7 @@ from oiekit.core import (
     TagSequence,
     ValidationError,
 )
+from oiekit.corpus_io import read_key_values
 
 # Dependents with these relations are auxiliaries, not content predicates.
 AUX_DEPRELS = frozenset({"aux", "auxpass", "aux:pass", "cop"})
@@ -59,27 +60,20 @@ DEFAULT_TABLE = PatternTable()
 
 
 def load_pattern_table(path) -> PatternTable:
-    """Load a table from a plain key/value file.
+    """Load a table from a ``key = value`` file (see
+    :func:`oiekit.corpus_io.read_key_values`).
 
     Keys are ``predicate_pos`` or role names; values are comma-separated
     labels, e.g. ``ARG2 = dobj, obj, xcomp``.
     """
     role_patterns: dict[str, frozenset[str]] = {}
     predicate_pos = frozenset({"VERB"})
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValidationError(f"pattern table line {line_no}: expected 'key = values'")
-            key = key.strip()
-            values = frozenset(v.strip() for v in value.split(",") if v.strip())
-            if key == "predicate_pos":
-                predicate_pos = values
-            else:
-                role_patterns[key] = values
+    for key, value in read_key_values(path).items():
+        values = frozenset(v.strip() for v in value.split(",") if v.strip())
+        if key == "predicate_pos":
+            predicate_pos = values
+        else:
+            role_patterns[key] = values
     return PatternTable(role_patterns=role_patterns, predicate_pos=predicate_pos)
 
 

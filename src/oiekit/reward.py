@@ -4,22 +4,23 @@ semantic-augmented confidence used for ranking."""
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import threading
+import urllib.parse
+import urllib.request
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
-import requests
-
 from oiekit.core import (
-    ARGUMENT_ROLES,
     Extraction,
     ParsedSentence,
     PREDICATE_ROLE,
     ValidationError,
 )
+from oiekit.corpus_io import ParseError
 from oiekit.patterns import DEFAULT_TABLE, PatternTable
 
 log = logging.getLogger(__name__)
@@ -132,8 +133,9 @@ def sem_score_surrogate(extraction: Extraction, sentence: ParsedSentence) -> flo
 
 
 def semantic_confidence(c: float, sem: float) -> float:
-    """Ranking confidence: average-log confidence plus log semantic score
-    (the semantic score is floored to avoid -inf)."""
+    """Ranking confidence: ``c`` plus log semantic score (the semantic
+    score is floored at SEM_FLOOR to avoid -inf). ``c`` is the average-log
+    confidence, or 0.0 to rank by the semantic score alone."""
     return c + math.log(max(sem, SEM_FLOOR))
 
 
@@ -153,21 +155,32 @@ class HttpEntailmentAdapter:
     """Entailment scorer backed by an HTTP service.
 
     POSTs ``{"premise": ..., "hypothesis": ...}`` as JSON and expects
-    ``{"score": p}`` back.
+    ``{"score": p}`` back. HTTP and connection failures raise ``OSError``
+    (``urllib.error.URLError``); a reply without a numeric score in [0, 1]
+    raises ValidationError.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
+        # urllib also opens file: and ftp: URLs; only HTTP services score.
+        if urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
+            raise ValidationError(f"adapter endpoint must be an http(s) URL, got {endpoint!r}")
         self.endpoint = endpoint
         self.timeout = timeout
 
     def score(self, premise: str, hypothesis: str) -> float:
-        response = requests.post(
+        request = urllib.request.Request(
             self.endpoint,
-            json={"premise": premise, "hypothesis": hypothesis},
-            timeout=self.timeout,
+            data=json.dumps({"premise": premise, "hypothesis": hypothesis}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
         )
-        response.raise_for_status()
-        value = float(response.json()["score"])
+        with urllib.request.urlopen(request, timeout=self.timeout) as response:
+            body = response.read()
+        try:
+            value = float(json.loads(body)["score"])
+        except (KeyError, TypeError, ValueError):
+            raise ValidationError(
+                f"adapter reply has no numeric 'score': {body[:200]!r}") from None
         if not 0.0 <= value <= 1.0:
             raise ValidationError(f"adapter returned score {value} outside [0, 1]")
         return value
@@ -200,12 +213,18 @@ class SemScorer:
     def _load_cache(self):
         try:
             with open(self.cache_path, "r", encoding="utf-8") as handle:
-                for line in handle:
+                for line_no, line in enumerate(handle, start=1):
                     line = line.rstrip("\n")
                     if not line:
                         continue
-                    sid, hypothesis, value = line.split("\t")
-                    self._cache[(sid, hypothesis)] = float(value)
+                    try:
+                        sid, hypothesis, value = line.split("\t")
+                        self._cache[(sid, hypothesis)] = float(value)
+                    except ValueError:
+                        raise ParseError(
+                            f"scorer cache {self.cache_path}: expected "
+                            f"'sentence_id<TAB>hypothesis<TAB>score', got {line!r}", line_no
+                        ) from None
         except FileNotFoundError:
             pass
 
@@ -242,11 +261,3 @@ def make_sem_scorer(spec: str, cache_path=None) -> SemScorer:
         return SemScorer(mode="adapter", adapter=HttpEntailmentAdapter(endpoint),
                          cache_path=cache_path)
     raise ValidationError(f"unknown scorer spec {spec!r}")
-
-
-def score_extraction(extraction: Extraction, sentence: ParsedSentence,
-                     scorer: SemScorer, table: PatternTable = DEFAULT_TABLE) -> RewardBreakdown:
-    """Full reward for one extraction."""
-    syn = syn_score(extraction, sentence, table)
-    sem = scorer.score(extraction, sentence)
-    return combined_reward(syn, sem)

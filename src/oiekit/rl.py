@@ -4,20 +4,20 @@ syntactic-semantic reward, and apply likelihood-ratio updates."""
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from oiekit import evaluate, nn, tagger
+from oiekit import corpus_io, evaluate, nn, tagger
 from oiekit.core import (
     NoPredicateSpan,
     OiekitError,
     ParsedSentence,
     TaggedInstance,
     TagSequence,
+    label_index,
     spans_from_tags,
 )
 from oiekit.corpus_io import GoldTuple
@@ -51,10 +51,10 @@ class RLConfig:
 
 
 def _sample_sequences(distributions: np.ndarray, count: int, predicate: int,
-                      labels: Sequence[str], rng: np.random.Generator) -> list[TagSequence]:
+                      labels: tuple[str, ...], rng: np.random.Generator) -> list[TagSequence]:
     """Ancestral sampling under the decoding constraints (renormalized per
     position); duplicates are collapsed."""
-    label_index = {label: i for i, label in enumerate(labels)}
+    index = label_index(labels)
     seen = {}
     for _ in range(count):
         prev = "O"
@@ -62,14 +62,14 @@ def _sample_sequences(distributions: np.ndarray, count: int, predicate: int,
         score = 0.0
         for position in range(1, distributions.shape[0] + 1):
             options = allowed_labels(prev, position, predicate, labels)
-            weights = np.array([distributions[position - 1, label_index[o]] for o in options])
+            weights = np.array([distributions[position - 1, index[o]] for o in options])
             total = weights.sum()
             if total <= 0:
                 weights = np.ones(len(options)) / len(options)
             else:
                 weights = weights / total
             pick = options[int(rng.choice(len(options), p=weights))]
-            score += float(np.log(max(distributions[position - 1, label_index[pick]], 1e-300)))
+            score += float(np.log(max(distributions[position - 1, index[pick]], 1e-300)))
             chosen.append(pick)
             prev = pick
         seen.setdefault(tuple(chosen), score)
@@ -115,13 +115,13 @@ def _policy_dlogits(model: TaggerModel, cache, candidates: Sequence[TagSequence]
     """Logit gradient of sum_k w_k * log P(Y_k), exploiting linearity so a
     single backward pass covers every candidate."""
     probs = cache["probs"]
-    label_index = {label: i for i, label in enumerate(model.labels)}
+    index = label_index(model.labels)
     dlogits = np.zeros_like(probs)
     rows = np.arange(probs.shape[0])
     for candidate, weight in zip(candidates, weights):
         if weight == 0.0:
             continue
-        cols = np.array([label_index[label] for label in candidate.labels])
+        cols = np.array([index[label] for label in candidate.labels])
         onehot_minus_probs = -probs * weight
         onehot_minus_probs[rows, cols] += weight
         dlogits += onehot_minus_probs
@@ -153,21 +153,27 @@ def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSente
     return 0.0
 
 
+def _enumerate_with_probs(model: TaggerModel, sentence: ParsedSentence, predicate: int):
+    """(forward cache, [(sequence, P(sequence))] over every
+    constraint-satisfying sequence), by enumeration rather than decoding."""
+    probs, cache = tagger.forward(sentence, predicate, model)
+    index = label_index(model.labels)
+    weighted = []
+    for seq in tagger.enumerate_valid_sequences(len(sentence), predicate, model.labels):
+        p = 1.0
+        for position, label in enumerate(seq):
+            p *= probs[position, index[label]]
+        weighted.append((TagSequence(labels=seq), p))
+    return cache, weighted
+
+
 def exact_policy_gradient(model: TaggerModel, sentence: ParsedSentence, predicate: int,
                           reward_fn: Callable[[TagSequence], float]) -> dict:
     """Exact score-function gradient of the expected reward: the sum over
     every constraint-satisfying sequence of P(Y) R(Y) grad log P(Y)."""
-    probs, cache = tagger.forward(sentence, predicate, model)
-    label_index = {label: i for i, label in enumerate(model.labels)}
-    sequences = tagger.enumerate_valid_sequences(len(sentence), predicate, model.labels)
-    candidates = []
-    weights = []
-    for seq in sequences:
-        p = 1.0
-        for position, label in enumerate(seq):
-            p *= probs[position, label_index[label]]
-        candidates.append(TagSequence(labels=seq))
-        weights.append(p * reward_fn(TagSequence(labels=seq)))
+    cache, weighted = _enumerate_with_probs(model, sentence, predicate)
+    candidates = [seq for seq, _ in weighted]
+    weights = [p * reward_fn(seq) for seq, p in weighted]
     dlogits = _policy_dlogits(model, cache, candidates, weights)
     return tagger.backward_from_dlogits(model, cache, dlogits)
 
@@ -178,14 +184,10 @@ def expected_reward_oracle(model: TaggerModel, sentence: ParsedSentence, predica
     of P(Y) * R(Y). Enumeration-bound to short sentences."""
     if len(sentence) > 6:
         raise OiekitError("expected_reward_oracle enumerates sequences; use m <= 6")
-    probs, _ = tagger.forward(sentence, predicate, model)
-    label_index = {label: i for i, label in enumerate(model.labels)}
+    _, weighted = _enumerate_with_probs(model, sentence, predicate)
     total = 0.0
-    for seq in tagger.enumerate_valid_sequences(len(sentence), predicate, model.labels):
-        p = 1.0
-        for position, label in enumerate(seq):
-            p *= probs[position, label_index[label]]
-        total += p * reward_fn(TagSequence(labels=seq))
+    for seq, p in weighted:
+        total += p * reward_fn(seq)
     return total
 
 
@@ -245,7 +247,7 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
         metrics.append(row)
         log.info("epoch %d: mean reward %.4f dev %s", epoch, row["mean_reward"], row["dev_f1"])
     if metrics_path is not None:
-        write_metrics(metrics, metrics_path)
+        corpus_io.write_jsonl(metrics, metrics_path)
     return metrics
 
 
@@ -265,10 +267,3 @@ def _dev_mean_reward(model: TaggerModel, sentences: Sequence[ParsedSentence],
 def _looks_fresh(model: TaggerModel) -> bool:
     # Uniform [-0.1, 0.1] initialization never exceeds 0.1 in magnitude.
     return all(np.abs(arr).max() <= 0.1 for arr in model.params.values())
-
-
-def write_metrics(metrics: Sequence[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in metrics:
-            handle.write(json.dumps(row, sort_keys=True))
-            handle.write("\n")

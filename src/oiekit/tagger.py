@@ -8,10 +8,11 @@ score extractions by average log probability.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
-from typing import Callable, Optional, Protocol, Sequence
+from dataclasses import dataclass, asdict
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -27,9 +28,12 @@ from oiekit.core import (
     TagSequence,
     ValidationError,
     bio_labels,
+    label_index,
     spans_from_tags,
 )
+from oiekit.corpus_io import ParseError
 from oiekit.patterns import DEFAULT_TABLE, PatternTable, identify_predicates
+from oiekit.reward import semantic_confidence
 
 UNK = "<unk>"
 
@@ -48,7 +52,8 @@ class ContextualEmbeddingProvider(Protocol):
 class HashEmbeddingProvider:
     """Deterministic stand-in contextual embedder (for tests and demos):
     vectors are seeded pseudo-random functions of (surface, position,
-    predicate)."""
+    predicate). The seed is a BLAKE2b digest, so vectors do not depend on
+    the process (``hash()`` of a string changes with PYTHONHASHSEED)."""
 
     def __init__(self, width: int, seed: int = 0):
         self.width = width
@@ -57,7 +62,9 @@ class HashEmbeddingProvider:
     def vectors(self, tokens: Sequence[str], predicate: int) -> np.ndarray:
         out = np.empty((len(tokens), self.width))
         for pos, surface in enumerate(tokens, start=1):
-            key = hash((self.seed, surface, pos, predicate)) % (2**32)
+            digest = hashlib.blake2b(repr((self.seed, surface, pos, predicate)).encode("utf-8"),
+                                     digest_size=8).digest()
+            key = int.from_bytes(digest, "little")
             out[pos - 1] = np.random.default_rng(key).uniform(-0.1, 0.1, self.width)
         return out
 
@@ -292,7 +299,7 @@ def allowed_labels(prev: str, position: int, predicate: int,
 
 
 def beam_decode(distributions: np.ndarray, beam_size: int, predicate: int,
-                labels: Sequence[str] = bio_labels()) -> list[TagSequence]:
+                labels: tuple[str, ...] = bio_labels()) -> list[TagSequence]:
     """Top ``beam_size`` constraint-satisfying label sequences, best first.
 
     Scores are summed natural logs of the chosen per-token probabilities;
@@ -304,7 +311,7 @@ def beam_decode(distributions: np.ndarray, beam_size: int, predicate: int,
     if beam_size < 1:
         raise ValidationError("beam_size must be >= 1")
     m = distributions.shape[0]
-    label_index = {label: i for i, label in enumerate(labels)}
+    index = label_index(labels)
     with np.errstate(divide="ignore"):
         logs = np.log(distributions)
     rank = lambda item: (-item[0], item[1])
@@ -313,7 +320,7 @@ def beam_decode(distributions: np.ndarray, beam_size: int, predicate: int,
         expanded: dict[str, list[tuple[float, tuple[str, ...]]]] = {}
         for prev, entries in states.items():
             for label in allowed_labels(prev, position, predicate, labels):
-                log_p = logs[position - 1, label_index[label]]
+                log_p = logs[position - 1, index[label]]
                 bucket = expanded.setdefault(label, [])
                 for score, prefix in entries:
                     bucket.append((score + log_p, prefix + (label,)))
@@ -346,16 +353,16 @@ def enumerate_valid_sequences(m: int, predicate: int,
 
 
 def sequence_log_prob(labels_seq: Sequence[str], distributions: np.ndarray,
-                      labels: Sequence[str]) -> float:
-    label_index = {label: i for i, label in enumerate(labels)}
+                      labels: tuple[str, ...]) -> float:
+    index = label_index(labels)
     score = 0.0
     for position, label in enumerate(labels_seq):
-        score += math.log(distributions[position, label_index[label]])
+        score += math.log(distributions[position, index[label]])
     return score
 
 
 def confidence_avg_log(tags: TagSequence, distributions: np.ndarray,
-                       labels: Sequence[str] = bio_labels()) -> float:
+                       labels: tuple[str, ...] = bio_labels()) -> float:
     """Average natural-log probability of the chosen labels."""
     if len(tags) != distributions.shape[0]:
         raise ValidationError(
@@ -375,9 +382,12 @@ def extract(sentence: ParsedSentence, model: TaggerModel,
             sem_scorer=None, rerank: str = "none") -> list[Extraction]:
     """Decode one extraction per detected predicate.
 
-    ``rerank='sem'`` replaces the confidence with log semantic score;
-    ``rerank='combined'`` adds log semantic score to the average-log
-    confidence. Both need ``sem_scorer``.
+    The confidence is the average-log confidence of the decoded labels
+    (:func:`confidence_avg_log`). Reranking replaces it with
+    :func:`oiekit.reward.semantic_confidence`, ``c + log(max(sem,
+    SEM_FLOOR))``: ``rerank='sem'`` uses ``c = 0.0`` (log semantic score
+    alone) and ``rerank='combined'`` the average-log confidence. Both need
+    ``sem_scorer``.
     """
     if rerank not in ("none", "sem", "combined"):
         raise ValidationError(f"unknown rerank mode {rerank!r}")
@@ -395,9 +405,8 @@ def extract(sentence: ParsedSentence, model: TaggerModel,
             continue
         confidence = confidence_avg_log(best, probs, model.labels)
         if rerank != "none":
-            sem = sem_scorer.score(extraction, sentence)
-            log_sem = math.log(max(sem, 1e-12))
-            confidence = log_sem if rerank == "sem" else confidence + log_sem
+            confidence = semantic_confidence(0.0 if rerank == "sem" else confidence,
+                                             sem_scorer.score(extraction, sentence))
         out.append(Extraction(
             sentence_id=extraction.sentence_id,
             predicate_span=extraction.predicate_span,
@@ -433,18 +442,33 @@ def save_model(model: TaggerModel, path) -> None:
 
 
 def load_model(path, provider: Optional[ContextualEmbeddingProvider] = None) -> TaggerModel:
+    """Read a checkpoint written by :func:`save_model`. A malformed header,
+    an array cut short, or bytes after the last array raise
+    :class:`ParseError`."""
     with open(path, "rb") as handle:
-        header = json.loads(handle.readline().decode("utf-8"))
-        if header.get("format") != _FORMAT:
-            raise ValidationError(f"not a tagger checkpoint: {path}")
-        config_dict = dict(header["config"])
-        config_dict["roles"] = tuple(config_dict["roles"])
-        config = TaggerConfig(**config_dict)
+        try:
+            header = json.loads(handle.readline().decode("utf-8"))
+            if not isinstance(header, dict):
+                raise TypeError("header is not a JSON object")
+            if header.get("format") != _FORMAT:
+                raise ValidationError(f"not a tagger checkpoint: {path}")
+            config_dict = dict(header["config"])
+            config_dict["roles"] = tuple(config_dict["roles"])
+            config = TaggerConfig(**config_dict)
+            arrays = [(entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"]))
+                      for entry in header["arrays"]]
+            vocab = header["vocab"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"checkpoint {path}: bad header: {exc!r}") from None
         params = {}
-        for entry in header["arrays"]:
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(entry["shape"])
+        for name, dtype, shape in arrays:
             count = int(np.prod(shape)) if shape else 1
-            data = handle.read(count * dtype.itemsize)
-            params[entry["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-    return TaggerModel(config, header["vocab"], params, provider)
+            size = count * dtype.itemsize
+            data = handle.read(size)
+            if len(data) != size:
+                raise ParseError(f"checkpoint {path}: array {name!r} has "
+                                 f"{len(data)} of {size} bytes")
+            params[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        if handle.read(1):
+            raise ParseError(f"checkpoint {path}: trailing bytes after the last array")
+    return TaggerModel(config, vocab, params, provider)

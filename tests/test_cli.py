@@ -1,0 +1,92 @@
+"""End-to-end runs of the command-line surface and its exit codes."""
+
+import pytest
+
+from oiekit import cli
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """synth -> label -> pretrain -> rl-train -> extract -> eval on 30
+    synthetic sentences; returns the work directory and each exit code."""
+    work = tmp_path_factory.mktemp("cli")
+    path = lambda name: str(work / name)  # noqa: E731
+    (work / "pretrain.cfg").write_text(
+        "# small and fast\n"
+        "embedding_dim = 16\nindicator_dim = 2\nhidden_dim = 16\n"
+        "num_encoder_layers = 1\nbatch_size = 4\nstep_size = 0.05\nepochs = 2\n",
+        encoding="utf-8")
+    (work / "patterns.txt").write_text(
+        "predicate_pos = VERB\nARG1 = nsubj\nARG2 = obj, dobj\nARG3 = iobj\n",
+        encoding="utf-8")
+    codes = {
+        "synth": cli.main(["synth", "--n", "30", "--seed", "4",
+                           "--out-conllu", path("train.conllu"), "--out-gold", path("train.gold"),
+                           "--dev-conllu", path("dev.conllu"), "--dev-gold", path("dev.gold")]),
+        "label": cli.main(["label", "--conllu", path("train.conllu"),
+                           "--out", path("train.inst")]),
+        "pretrain": cli.main(["pretrain", "--instances", path("train.inst"),
+                              "--config", path("pretrain.cfg"), "--out", path("mle.ckpt")]),
+        "rl-train": cli.main(["rl-train", "--model", path("mle.ckpt"),
+                              "--conllu", path("train.conllu"), "--scorer", "surrogate",
+                              "--epochs", "1", "--beam", "2", "--out", path("rl.ckpt")]),
+        "extract": cli.main(["extract", "--model", path("rl.ckpt"), "--conllu", path("dev.conllu"),
+                             "--patterns", path("patterns.txt"), "--rerank", "combined",
+                             "--scorer", "surrogate", "--out", path("out.jsonl")]),
+        "eval": cli.main(["eval", "--extractions", path("out.jsonl"), "--gold", path("dev.gold"),
+                          "--report", path("report.json"), "--pr-out", path("pr.tsv")]),
+    }
+    return work, codes
+
+
+def test_pipeline_exits_ok(pipeline):
+    work, codes = pipeline
+    assert codes == dict.fromkeys(codes, cli.EXIT_OK)
+    assert (work / "out.jsonl").read_text(encoding="utf-8").strip()
+    assert (work / "mle.ckpt.metrics.jsonl").read_text(encoding="utf-8").count("\n") == 2
+    assert (work / "rl.ckpt.metrics.jsonl").read_text(encoding="utf-8").count("\n") == 1
+
+
+def test_missing_required_flag_is_a_usage_error(pipeline):
+    work, _ = pipeline
+    assert cli.main(["label", "--conllu", str(work / "train.conllu")]) == cli.EXIT_USAGE
+
+
+def test_config_line_without_equals_is_a_data_error(pipeline, capsys):
+    work, _ = pipeline
+    (work / "bad.cfg").write_text("epochs = 1\nhidden_dim 4\n", encoding="utf-8")
+    code = cli.main(["pretrain", "--instances", str(work / "train.inst"),
+                     "--config", str(work / "bad.cfg"), "--out", str(work / "bad.ckpt")])
+    assert code == cli.EXIT_DATA
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_pattern_line_without_equals_is_a_data_error(pipeline, capsys):
+    work, _ = pipeline
+    (work / "bad.patterns").write_text("ARG1 nsubj\n", encoding="utf-8")
+    code = cli.main(["label", "--conllu", str(work / "train.conllu"),
+                     "--patterns", str(work / "bad.patterns"), "--out", str(work / "bad.inst")])
+    assert code == cli.EXIT_DATA
+    assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--extractions", "list.jsonl", "--gold", "dev.gold",
+     "--report", "r.json", "--pr-out", "p.tsv"],
+    ["pretrain", "--instances", "list.jsonl", "--out", "bad.ckpt"],
+])
+def test_non_object_json_line_is_a_data_error(pipeline, argv):
+    work, _ = pipeline
+    (work / "list.jsonl").write_text("[1, 2]\n", encoding="utf-8")
+    argv = [arg if arg.startswith("-") or arg == argv[0] else str(work / arg) for arg in argv]
+    assert cli.main(argv) == cli.EXIT_DATA
+
+
+def test_truncated_checkpoint_is_a_data_error(pipeline, capsys):
+    work, _ = pipeline
+    data = (work / "rl.ckpt").read_bytes()
+    (work / "cut.ckpt").write_bytes(data[: len(data) - 5])
+    code = cli.main(["extract", "--model", str(work / "cut.ckpt"),
+                     "--conllu", str(work / "dev.conllu"), "--out", str(work / "cut.jsonl")])
+    assert code == cli.EXIT_DATA
+    assert "checkpoint" in capsys.readouterr().err

@@ -1,0 +1,72 @@
+"""Import hygiene of the package, checked from the syntax tree: every
+imported name is used, and nothing outside the standard library, numpy and
+oiekit itself is imported (numpy is the only runtime dependency)."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oiekit"
+ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "oiekit"}
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def import_problems(source: str) -> list[str]:
+    """Unused imported names and imports of modules outside
+    ALLOWED_TOP_LEVEL."""
+    tree = ast.parse(source)
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            parts = (_dotted(node) or "").split(".")
+            used.update(".".join(parts[: i + 1]) for i in range(len(parts)))
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+            bound = [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            modules = [node.module] if node.level == 0 else []
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] not in ALLOWED_TOP_LEVEL:
+                problems.append(f"line {node.lineno}: imports {module}")
+        for name in bound:
+            if name not in used:
+                problems.append(f"line {node.lineno}: {name} is never used")
+    return problems
+
+
+def test_checker_finds_unused_and_foreign_imports():
+    source = ("import os\nimport urllib.parse\nimport urllib.request\n"
+              "import requests\nfrom typing import Optional\n"
+              "urllib.request.urlopen\nrequests.post\n")
+    assert import_problems(source) == [
+        "line 1: os is never used",
+        "line 2: urllib.parse is never used",
+        "line 4: imports requests",
+        "line 5: Optional is never used",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+def test_module_imports_are_clean(module):
+    # __init__.py is left out: its imports are the package's re-exports.
+    assert import_problems((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -1,10 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from oiekit.core import bio_labels, spans_from_tags, validate_bio, TagSequence, ValidationError
+from oiekit.corpus_io import ParseError
+from oiekit.reward import make_sem_scorer, sem_score_surrogate
 from oiekit.tagger import (
     EXTERNAL_CONTEXTUAL,
     HashEmbeddingProvider,
@@ -118,6 +123,21 @@ class TestEmbed:
         x = embed(sentence, 2, model)
         assert x.shape == (3, 9)
         assert np.array_equal(x, embed(sentence, 2, model))
+
+    def test_hash_provider_is_the_same_in_every_process(self):
+        script = ("from oiekit.tagger import HashEmbeddingProvider; "
+                  "print(HashEmbeddingProvider(width=4, seed=1)"
+                  ".vectors(['the', 'farmer'], 2).tolist())")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                          capture_output=True, text=True,
+                                          check=True).stdout)
+        assert outputs[0] == outputs[1]
+        here = HashEmbeddingProvider(width=4, seed=1).vectors(["the", "farmer"], 2)
+        assert outputs[0].strip() == str(here.tolist())
 
     def test_provider_width_mismatch_rejected(self):
         sentence = flat_sentence(3)
@@ -272,6 +292,23 @@ class TestDeterminismAndSerialization:
         for name in model.params:
             assert loaded.params[name].tobytes() == model.params[name].tobytes()
 
+    @pytest.mark.parametrize("damage", ["truncate", "append", "list header", "no arrays"])
+    def test_damaged_checkpoint_raises_parse_error(self, tmp_path, damage):
+        path = tmp_path / "model.ckpt"
+        save_model(tiny_model(flat_sentence(4)), path)
+        header, arrays = path.read_bytes().split(b"\n", 1)
+        if damage == "truncate":
+            arrays = arrays[:-3]
+        elif damage == "append":
+            arrays += b"\0"
+        elif damage == "list header":
+            header = b"[1, 2]"
+        else:
+            header = header.replace(b'"arrays"', b'"arrayz"')
+        path.write_bytes(header + b"\n" + arrays)
+        with pytest.raises(ParseError):
+            load_model(path)
+
     def test_loaded_model_decodes_identically(self, tmp_path):
         sentence = flat_sentence(4)
         model = tiny_model(sentence)
@@ -298,3 +335,22 @@ class TestExtract:
         model = init_model(TINY, build_vocab([parragon]))
         with pytest.raises(ValidationError):
             extract(parragon, model, rerank="combined")
+
+    def test_rerank_confidences_follow_the_formula(self, parragon, ditrans):
+        scorer = make_sem_scorer("surrogate")
+        for sentence in (parragon, ditrans):
+            model = init_model(TINY, build_vocab([sentence]))
+            # Favour B-P so that every predicate decodes to an extraction.
+            model.params["cls.b"][model.labels.index("B-P")] += 5.0
+            plain = extract(sentence, model)
+            sem_only = extract(sentence, model, sem_scorer=scorer, rerank="sem")
+            combined = extract(sentence, model, sem_scorer=scorer, rerank="combined")
+            assert plain
+            assert len(sem_only) == len(combined) == len(plain)
+            for base, by_sem, by_both in zip(plain, sem_only, combined):
+                log_sem = math.log(max(sem_score_surrogate(base, sentence), 1e-12))
+                assert by_sem.confidence == log_sem
+                assert by_both.confidence == base.confidence + log_sem
+                for reranked in (by_sem, by_both):
+                    assert reranked.predicate_span == base.predicate_span
+                    assert reranked.role_spans == base.role_spans
