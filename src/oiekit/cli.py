@@ -2,6 +2,10 @@
 
 Commands: synth, label, pretrain, rl-train, extract, eval. Exit codes:
 0 success, 1 usage error, 2 data error, 3 numeric failure.
+
+pretrain and rl-train take an optional ``key = value`` config file. Flags
+win over it, keys it leaves out keep the defaults of TaggerConfig,
+TrainConfig and RLConfig, and a key the command does not read is a data error.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import sys
 
 from oiekit import corpus_io, evaluate, mle, patterns, rl, tagger
 from oiekit.core import OiekitError
+from oiekit.corpus_io import ParseError
 from oiekit.mle import NonFiniteLoss, TrainConfig
 from oiekit.reward import make_sem_scorer
 from oiekit.rl import NonFiniteGradient, RLConfig
@@ -37,13 +42,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _pick(config: dict[str, str], key: str, cast, flag_value, default):
-    """Flag beats config file beats default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return cast(config[key])
-    return default
+# Config-file keys per config dataclass, each with the cast of its value.
+# ``seed`` is read by every command and sets each rng_seed.
+_TAGGER_KEYS = {"embedding_dim": int, "indicator_dim": int, "hidden_dim": int,
+                "num_encoder_layers": int,
+                "use_indicator": lambda value: value.lower() != "false"}
+_TRAIN_KEYS = {"epochs": int, "batch_size": int, "step_size": float,
+               "dev_fraction": float, "patience": int}
+_RL_KEYS = {"epochs": int, "beam_size": int, "baseline": str, "step_size": float}
+_FIELD_NAMES = {"seed": "rng_seed", "baseline": "baseline_mode"}
+
+
+def _settings(path, keys: dict, flags: dict) -> dict:
+    """The config file at ``path`` (if any) cast by ``keys`` and ``seed``,
+    then every flag that was given; an unknown key is a ParseError."""
+    keys = {"seed": int, **keys}
+    config = corpus_io.read_key_values(path) if path else {}
+    for key in config:
+        if key not in keys:
+            raise ParseError(f"config {path}: unknown key {key!r} "
+                             f"(known: {', '.join(sorted(keys))})")
+    values = {key: keys[key](value) for key, value in config.items()}
+    values.update((key, value) for key, value in flags.items() if value is not None)
+    return values
+
+
+def _fields(values: dict, keys: dict) -> dict:
+    """The seed and the ``keys`` entries of ``values``, by dataclass field name."""
+    return {_FIELD_NAMES.get(key, key): value for key, value in values.items()
+            if key in keys or key == "seed"}
 
 
 def _load_table(path):
@@ -118,7 +145,6 @@ def build_parser() -> _Parser:
     p.add_argument("--patterns")
     p.add_argument("--scorer")
     p.add_argument("--scorer-cache")
-    p.add_argument("--beam", type=int)
 
     p = sub.add_parser("eval", help="score extractions against gold tuples")
     p.add_argument("--extractions", required=True)
@@ -173,31 +199,13 @@ def cmd_label(args) -> int:
     return EXIT_OK
 
 
-def _tagger_config(config: dict[str, str], seed) -> TaggerConfig:
-    return TaggerConfig(
-        embedding_dim=int(config.get("embedding_dim", 32)),
-        indicator_dim=int(config.get("indicator_dim", 8)),
-        hidden_dim=int(config.get("hidden_dim", 64)),
-        num_encoder_layers=int(config.get("num_encoder_layers", 2)),
-        beam_size=int(config.get("beam_size", 3)),
-        rng_seed=seed,
-        use_indicator=config.get("use_indicator", "true").lower() != "false",
-    )
-
-
 def cmd_pretrain(args) -> int:
-    config = corpus_io.read_key_values(args.config) if args.config else {}
-    seed = _pick(config, "seed", int, args.seed, 13)
+    values = _settings(args.config, {**_TAGGER_KEYS, **_TRAIN_KEYS},
+                       {"seed": args.seed, "epochs": args.epochs})
     instances = corpus_io.read_instances(args.instances)
-    model = tagger.init_model(_tagger_config(config, seed), tagger.build_vocab(instances))
-    train_config = TrainConfig(
-        epochs=_pick(config, "epochs", int, args.epochs, 30),
-        batch_size=int(config.get("batch_size", 16)),
-        step_size=float(config.get("step_size", 1e-3)),
-        dev_fraction=float(config.get("dev_fraction", 0.1)),
-        patience=int(config.get("patience", 3)),
-        rng_seed=seed,
-    )
+    model = tagger.init_model(TaggerConfig(**_fields(values, _TAGGER_KEYS)),
+                              tagger.build_vocab(instances))
+    train_config = TrainConfig(**_fields(values, _TRAIN_KEYS))
     metrics_path = args.metrics or f"{args.out}.metrics.jsonl"
     metrics = mle.pretrain(model, instances, train_config, metrics_path=metrics_path)
     tagger.save_model(model, args.out)
@@ -206,20 +214,15 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_rl_train(args) -> int:
-    config = corpus_io.read_key_values(args.config) if args.config else {}
-    seed = _pick(config, "seed", int, args.seed, 13)
+    values = _settings(args.config, _RL_KEYS,
+                       {"seed": args.seed, "epochs": args.epochs, "beam_size": args.beam,
+                        "baseline": args.baseline, "step_size": args.step_size})
     model = tagger.load_model(args.model)
     table = _load_table(args.patterns)
     scorer = _resolve_scorer(args.scorer, args.scorer_cache)
     sentences = corpus_io.read_conllu(args.conllu)
-    rl_config = RLConfig(
-        epochs=_pick(config, "epochs", int, args.epochs, 10),
-        beam_size=_pick(config, "beam_size", int, args.beam, 3),
-        baseline_mode=_pick(config, "baseline", str, args.baseline, "mean"),
-        step_size=_pick(config, "step_size", float, args.step_size, 1e-3),
-        explore_mode="sample" if args.sample else "beam",
-        rng_seed=seed,
-    )
+    rl_config = RLConfig(**_fields(values, _RL_KEYS),
+                         explore_mode="sample" if args.sample else "beam")
     dev = None
     if args.dev_conllu:
         dev_sentences = corpus_io.read_conllu(args.dev_conllu)
@@ -247,8 +250,7 @@ def cmd_extract(args) -> int:
     extractions = []
     for sentence in sentences:
         extractions.extend(
-            tagger.extract(sentence, model, table, beam_size=args.beam,
-                           sem_scorer=scorer, rerank=args.rerank)
+            tagger.extract(sentence, model, table, sem_scorer=scorer, rerank=args.rerank)
         )
     if scorer is not None:
         scorer.save_cache()

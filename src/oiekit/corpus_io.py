@@ -6,12 +6,17 @@ JSON-lines files (extractions, tagged instances, training metrics) hold one
 JSON object per line with sorted keys; every one is written by
 :func:`write_jsonl` and read by :func:`read_jsonl`. ``key = value`` files
 (command configs and pattern tables) are read by :func:`read_key_values`.
+Every file the package writes goes through :func:`atomic_write`, so an
+interrupted write leaves the previous file in place.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
@@ -61,9 +66,32 @@ def read_key_values(path) -> dict[str, str]:
     return values
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Handle on a temporary file beside ``path`` that replaces it when the
+    block ends; if the block raises, ``path`` keeps its old contents and the
+    temporary file is removed. Links are followed; a path that exists but
+    is not a regular file (``/dev/null``, a pipe) is written in place."""
+    target = os.path.realpath(path)
+    encoding = None if "b" in mode else "utf-8"
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, mode, encoding=encoding) as handle:
+            yield handle
+        return
+    temporary = f"{target}.{uuid.uuid4().hex[:12]}.tmp"
+    try:
+        with open(temporary, mode.replace("w", "x"), encoding=encoding) as handle:
+            yield handle
+        os.replace(temporary, target)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
+        raise
+
+
 def write_jsonl(records: Iterable[dict], path) -> None:
     """One JSON object per line, keys sorted."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True))
             handle.write("\n")
@@ -71,8 +99,9 @@ def write_jsonl(records: Iterable[dict], path) -> None:
 
 def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
     """``parse`` applied to the JSON object on each non-blank line. A line
-    that is not a JSON object, or whose object ``parse`` rejects with a
-    KeyError, TypeError or ValueError, raises :class:`ParseError`."""
+    that is not a JSON object, or whose object ``parse`` rejects (a
+    KeyError, TypeError, ValueError or :class:`OiekitError`), raises
+    :class:`ParseError` with its line number."""
     out = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -84,7 +113,7 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
                 if not isinstance(record, dict):
                     raise TypeError(f"expected a JSON object, got {type(record).__name__}")
                 out.append(parse(record))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OiekitError) as exc:
                 raise ParseError(f"bad record: {exc!r}", line_no) from None
     return out
 
@@ -175,7 +204,7 @@ def read_conllu(path) -> list[ParsedSentence]:
 
 
 def write_conllu(sentences: Iterable[ParsedSentence], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for sent in sentences:
             handle.write(f"# sent_id = {sent.sentence_id}\n")
             handle.write(f"# text = {sent.text}\n")
@@ -240,7 +269,7 @@ def read_gold(path, sentences: Optional[Mapping[str, ParsedSentence]] = None) ->
 
 
 def write_gold(golds: Iterable[GoldTuple], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for gold in golds:
             for role, head in gold.role_heads.items():
                 surface = gold.surfaces.get(role, "")

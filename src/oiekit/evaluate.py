@@ -16,7 +16,7 @@ from oiekit.core import (
     span_head,
     spans_from_tags,
 )
-from oiekit.corpus_io import GoldTuple
+from oiekit.corpus_io import GoldTuple, atomic_write
 
 
 class EmptyGold(OiekitError):
@@ -121,16 +121,6 @@ def assign_matches(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
     return ordered, decisions
 
 
-def pr_curve(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
-             matcher=match) -> list[tuple[float, float]]:
-    """(recall, precision) at every distinct confidence threshold, swept
-    from the highest threshold down."""
-    if not gold:
-        raise EmptyGold("cannot sweep a precision-recall curve without gold tuples")
-    _, decisions = assign_matches(extractions, gold, matcher)
-    return _pr_points(decisions, len(gold))
-
-
 def _pr_points(decisions: Sequence[MatchDecision], num_gold: int) -> list[tuple[float, float]]:
     points = []
     true_positives = 0
@@ -169,18 +159,11 @@ def best_f1(pr_points: Sequence[tuple[float, float]]) -> float:
 
 def tuple_f1(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
              matcher=match) -> float:
-    """F1 of the full prediction set (no threshold sweep)."""
+    """F1 of the full prediction set: the last point of the sweep."""
     if not gold:
         raise EmptyGold("cannot compute F1 without gold tuples")
-    if not extractions:
-        return 0.0
     _, decisions = assign_matches(extractions, gold, matcher)
-    true_positives = sum(d.matched for d in decisions)
-    precision = true_positives / len(decisions)
-    recall = true_positives / len(gold)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+    return best_f1(_pr_points(decisions, len(gold))[-1:])
 
 
 def evaluate(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
@@ -234,14 +217,14 @@ def write_report(report: EvalReport, path) -> None:
             for d in report.decisions
         ],
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
 def write_pr_points(pr_points: Sequence[tuple[float, float]], path) -> None:
     """Two-column recall/precision file for plotting tools."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         handle.write("recall\tprecision\n")
         for recall, precision in pr_points:
             handle.write(f"{recall!r}\t{precision!r}\n")

@@ -123,10 +123,7 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
         train_loss = epoch_loss / len(train)
         dev_loss = dev_f1 = None
         if dev:
-            dev_loss = float(np.mean([
-                mle_loss(model, inst) / len(inst.tags) for inst in dev
-            ]))
-            dev_f1 = _dev_f1(model, dev)
+            dev_loss, dev_f1 = _dev_metrics(model, dev)
         row = {"epoch": epoch, "train_loss": train_loss,
                "dev_loss": dev_loss, "dev_f1": dev_f1}
         metrics.append(row)
@@ -148,17 +145,20 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
     return metrics
 
 
-def _dev_f1(model: TaggerModel, dev: Sequence[TaggedInstance]) -> float:
-    """Headword F1 of top-1 decodes against the tuples implied by the dev
-    instances' own labels."""
+def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance]) -> tuple[float, float]:
+    """(mean token-level NLL of the dev instances, headword F1 of their top-1
+    decodes against the tuples implied by their own labels), from one
+    forward pass per instance."""
+    losses = []
     golds = []
     preds = []
     for instance in dev:
+        probs, _ = tagger.forward(instance.sentence, instance.predicate_index, model)
+        losses.append(_gold_nll(model, instance, probs)[0] / len(instance.tags))
         try:
             golds.append(evaluate.gold_from_instance(instance))
         except OiekitError:
             continue
-        probs, _ = tagger.forward(instance.sentence, instance.predicate_index, model)
         best = tagger.beam_decode(probs, 1, instance.predicate_index, model.labels)[0]
         try:
             extraction = spans_from_tags(
@@ -168,9 +168,7 @@ def _dev_f1(model: TaggerModel, dev: Sequence[TaggedInstance]) -> float:
         except OiekitError:
             continue
         preds.append(extraction)
-    if not golds:
-        return 0.0
-    return evaluate.tuple_f1(preds, golds)
+    return float(np.mean(losses)), evaluate.tuple_f1(preds, golds) if golds else 0.0
 
 
 # ---------------------------------------------------------------------------

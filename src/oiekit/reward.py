@@ -20,7 +20,7 @@ from oiekit.core import (
     PREDICATE_ROLE,
     ValidationError,
 )
-from oiekit.corpus_io import ParseError
+from oiekit.corpus_io import ParseError, atomic_write
 from oiekit.patterns import DEFAULT_TABLE, PatternTable
 
 log = logging.getLogger(__name__)
@@ -231,7 +231,7 @@ class SemScorer:
     def save_cache(self):
         if self.cache_path is None:
             return
-        with self._lock, open(self.cache_path, "w", encoding="utf-8") as handle:
+        with self._lock, atomic_write(self.cache_path) as handle:
             for (sid, hypothesis), value in sorted(self._cache.items()):
                 handle.write(f"{sid}\t{hypothesis}\t{value!r}\n")
 

@@ -1,6 +1,8 @@
 """Policy-gradient generalization of a pretrained tagger: explore label
 sequences with constrained beam search, score each candidate with the
-syntactic-semantic reward, and apply likelihood-ratio updates."""
+syntactic-semantic reward, and apply likelihood-ratio updates. The update
+is taken on the P(Y|x) that produced the candidates, so :func:`explore`
+and :func:`reinforce_step` share one forward pass per step."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import numpy as np
 
 from oiekit import corpus_io, evaluate, nn, tagger
 from oiekit.core import (
+    Extraction,
     NoPredicateSpan,
     OiekitError,
     ParsedSentence,
@@ -76,17 +79,17 @@ def _sample_sequences(distributions: np.ndarray, count: int, predicate: int,
     return [TagSequence(labels=seq, log_prob=score) for seq, score in seen.items()]
 
 
-def explore(model: TaggerModel, sentence: ParsedSentence, predicate: int,
+def explore(probs: np.ndarray, predicate: int, labels: tuple[str, ...],
             beam_size: int, mode: str = "beam",
             rng: Optional[np.random.Generator] = None) -> list[TagSequence]:
-    """Candidate label sequences for one predicate: the top-``beam_size``
-    constrained beam, or i.i.d. constrained samples in sampling mode."""
-    probs, _ = tagger.forward(sentence, predicate, model)
+    """Candidate label sequences decoded from one forward pass's ``probs``:
+    the top-``beam_size`` constrained beam, or i.i.d. constrained samples in
+    sampling mode."""
     if mode == "beam":
-        return tagger.beam_decode(probs, beam_size, predicate, model.labels)
+        return tagger.beam_decode(probs, beam_size, predicate, labels)
     if rng is None:
         raise OiekitError("sampling exploration needs a random generator")
-    return _sample_sequences(probs, beam_size, predicate, model.labels, rng)
+    return _sample_sequences(probs, beam_size, predicate, labels, rng)
 
 
 def candidate_reward(candidate: TagSequence, sentence: ParsedSentence, predicate: int,
@@ -97,17 +100,13 @@ def candidate_reward(candidate: TagSequence, sentence: ParsedSentence, predicate
         extraction = spans_from_tags(TaggedInstance(sentence, predicate, candidate))
     except NoPredicateSpan:
         return combined_reward(-1, 0.0)
-    syn = syn_score(extraction, sentence, table)
-    sem = scorer.score(extraction, sentence)
-    return combined_reward(syn, sem)
+    return _extraction_reward(extraction, sentence, scorer, table)
 
 
-def _advantages(rewards: Sequence[float], baseline_mode: str) -> list[float]:
-    if baseline_mode == "mean":
-        baseline = sum(rewards) / len(rewards)
-    else:
-        baseline = 0.0
-    return [r - baseline for r in rewards]
+def _extraction_reward(extraction: Extraction, sentence: ParsedSentence,
+                       scorer: SemScorer, table: PatternTable) -> RewardBreakdown:
+    return combined_reward(syn_score(extraction, sentence, table),
+                           scorer.score(extraction, sentence))
 
 
 def _policy_dlogits(model: TaggerModel, cache, candidates: Sequence[TagSequence],
@@ -129,18 +128,18 @@ def _policy_dlogits(model: TaggerModel, cache, candidates: Sequence[TagSequence]
 
 
 def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSentence,
-                   predicate: int, candidates: Sequence[TagSequence],
+                   cache: dict, candidates: Sequence[TagSequence],
                    rewards: Sequence[float], baseline_mode: str = "mean") -> float:
-    """One likelihood-ratio update: ascend sum_k (R_k - b) grad log P(Y_k).
+    """One likelihood-ratio update: ascend sum_k (R_k - b) grad log P(Y_k),
+    through the cache of the forward pass the candidates were decoded from.
 
     Returns the squared gradient norm (0.0 means the parameters were left
     untouched, as with a single candidate under the mean baseline).
     """
     if not candidates or len(candidates) != len(rewards):
         raise OiekitError("need equally many candidates and rewards, at least one each")
-    _, cache = tagger.forward(sentence, predicate, model)
-    advantages = _advantages(list(rewards), baseline_mode)
-    dlogits = _policy_dlogits(model, cache, candidates, advantages)
+    baseline = sum(rewards) / len(rewards) if baseline_mode == "mean" else 0.0
+    dlogits = _policy_dlogits(model, cache, candidates, [r - baseline for r in rewards])
     if not np.all(dlogits == 0.0):
         ascent = tagger.backward_from_dlogits(model, cache, dlogits)
         if not nn.grads_finite(ascent):
@@ -198,8 +197,8 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
     """Reward-driven fine-tuning over every (sentence, predicate) pair.
 
     Logs per epoch: mean candidate reward and its syntactic/semantic parts,
-    plus the mean top-1 reward and headword F1 on the dev split when one is
-    supplied. Deterministic for a fixed seed.
+    plus the mean top-1 reward and best headword F1 on the dev split when
+    one is supplied (F1 only with dev gold). Deterministic for a fixed seed.
     """
     if not corpus:
         raise OiekitError("reinforcement learning needs a non-empty corpus")
@@ -216,12 +215,13 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
         for idx in order:
             sentence = corpus[idx]
             for predicate in identify_predicates(sentence, table):
-                candidates = explore(model, sentence, predicate, config.beam_size,
+                probs, cache = tagger.forward(sentence, predicate, model)
+                candidates = explore(probs, predicate, model.labels, config.beam_size,
                                      mode=config.explore_mode, rng=rng)
                 breakdowns = [
                     candidate_reward(c, sentence, predicate, scorer, table) for c in candidates
                 ]
-                reinforce_step(model, optimizer, sentence, predicate, candidates,
+                reinforce_step(model, optimizer, sentence, cache, candidates,
                                [b.total for b in breakdowns], config.baseline_mode)
                 for b in breakdowns:
                     reward_sum += b.total
@@ -237,13 +237,7 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
             "dev_f1": None,
         }
         if dev is not None:
-            dev_sentences, dev_gold = dev
-            row["dev_mean_reward"] = _dev_mean_reward(model, dev_sentences, scorer, table)
-            if dev_gold:
-                preds = []
-                for sentence in dev_sentences:
-                    preds.extend(tagger.extract(sentence, model, table))
-                row["dev_f1"] = evaluate.best_f1(evaluate.pr_curve(preds, dev_gold))
+            row["dev_mean_reward"], row["dev_f1"] = _dev_metrics(model, *dev, scorer, table)
         metrics.append(row)
         log.info("epoch %d: mean reward %.4f dev %s", epoch, row["mean_reward"], row["dev_f1"])
     if metrics_path is not None:
@@ -251,17 +245,23 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
     return metrics
 
 
-def _dev_mean_reward(model: TaggerModel, sentences: Sequence[ParsedSentence],
-                     scorer: SemScorer, table: PatternTable) -> float:
+def _dev_metrics(model: TaggerModel, sentences: Sequence[ParsedSentence],
+                 gold: Optional[Sequence[GoldTuple]], scorer: SemScorer,
+                 table: PatternTable) -> tuple[float, Optional[float]]:
+    """(mean top-1 reward over every dev predicate, best F1 against the dev
+    gold or None), from one :func:`tagger.extract` pass. A predicate that
+    extract drops counts with reward 0, as syn = -1 times sem = 0."""
+    preds = []
     total = 0.0
     count = 0
     for sentence in sentences:
-        for predicate in identify_predicates(sentence, table):
-            probs, _ = tagger.forward(sentence, predicate, model)
-            best = tagger.beam_decode(probs, 1, predicate, model.labels)[0]
-            total += candidate_reward(best, sentence, predicate, scorer, table).total
-            count += 1
-    return total / count if count else 0.0
+        extractions = tagger.extract(sentence, model, table)
+        for extraction in extractions:
+            total += _extraction_reward(extraction, sentence, scorer, table).total
+        count += len(identify_predicates(sentence, table))
+        preds.extend(extractions)
+    f1 = evaluate.evaluate(preds, gold).best_f1 if gold else None
+    return (total / count if count else 0.0), f1
 
 
 def _looks_fresh(model: TaggerModel) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ from oiekit.core import (
     label_index,
     spans_from_tags,
 )
-from oiekit.corpus_io import ParseError
+from oiekit.corpus_io import ParseError, atomic_write
 from oiekit.patterns import DEFAULT_TABLE, PatternTable, identify_predicates
 from oiekit.reward import semantic_confidence
 
@@ -76,7 +76,6 @@ class TaggerConfig:
     hidden_dim: int = 64
     num_encoder_layers: int = 2
     roles: tuple[str, ...] = DEFAULT_ROLES
-    beam_size: int = 3
     rng_seed: int = 13
     embedder_kind: str = STATIC_LOOKUP
     use_indicator: bool = True
@@ -86,8 +85,6 @@ class TaggerConfig:
         for name in ("embedding_dim", "indicator_dim", "hidden_dim", "num_encoder_layers"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        if self.beam_size < 1:
-            raise ValidationError("beam_size must be >= 1")
         if self.embedder_kind not in (STATIC_LOOKUP, EXTERNAL_CONTEXTUAL):
             raise ValidationError(f"unknown embedder_kind {self.embedder_kind!r}")
 
@@ -175,6 +172,12 @@ def init_model(config: TaggerConfig, vocab: Sequence[str],
 def embed(sentence: ParsedSentence, predicate: int, model: TaggerModel) -> np.ndarray:
     """Per-token input vectors: word embedding (or provider vector)
     concatenated with the predicate-indicator embedding."""
+    return _embed(sentence, predicate, model)[0]
+
+
+def _embed(sentence: ParsedSentence, predicate: int, model: TaggerModel):
+    """(input vectors, word ids, indicator flags); ids and flags are None
+    where the model has no table for them to index."""
     cfg = model.config
     if not 1 <= predicate <= len(sentence):
         raise ValidationError(f"predicate {predicate} outside sentence of length {len(sentence)}")
@@ -189,19 +192,20 @@ def embed(sentence: ParsedSentence, predicate: int, model: TaggerModel) -> np.nd
                 f"provider returned shape {word_vecs.shape}, expected "
                 f"{(len(sentence), cfg.embedding_dim)}"
             )
+        ids = None
     else:
-        ids = [model.token_id(t.surface) for t in sentence.tokens]
+        ids = np.array([model.token_id(t.surface) for t in sentence.tokens])
         word_vecs = model.params["embed.word"][ids]
     if not cfg.use_indicator:
-        return word_vecs
+        return word_vecs, ids, None
     flags = np.array([1 if t.index == predicate else 0 for t in sentence.tokens])
-    return np.concatenate([word_vecs, model.params["embed.indicator"][flags]], axis=1)
+    x0 = np.concatenate([word_vecs, model.params["embed.indicator"][flags]], axis=1)
+    return x0, ids, flags
 
 
 def encode(embeddings: np.ndarray, model: TaggerModel) -> np.ndarray:
     """Hidden states, one per token."""
-    _, cache = _encode_with_cache(embeddings, model)
-    return cache["h_top"]
+    return _encode_with_cache(embeddings, model)[0]
 
 
 def _encode_with_cache(x0: np.ndarray, model: TaggerModel):
@@ -211,14 +215,10 @@ def _encode_with_cache(x0: np.ndarray, model: TaggerModel):
     for layer in range(model.config.num_encoder_layers):
         prefix = f"enc.{layer}"
         core, caches = nn.bilstm_forward(x, params, prefix)
-        if layer > 0:
-            out, gate = nn.highway_forward(x, core, params, prefix)
-            layers.append({"x": x, "core": core, "gate": gate, "caches": caches})
-        else:
-            out = core
-            layers.append({"x": x, "core": core, "gate": None, "caches": caches})
+        out, gate = nn.highway_forward(x, core, params, prefix) if layer > 0 else (core, None)
+        layers.append({"x": x, "core": core, "gate": gate, "caches": caches})
         x = out
-    return layers, {"h_top": x, "layers": layers}
+    return x, layers
 
 
 def label_distribution(hidden: np.ndarray, model: TaggerModel) -> np.ndarray:
@@ -229,15 +229,10 @@ def label_distribution(hidden: np.ndarray, model: TaggerModel) -> np.ndarray:
 
 def forward(sentence: ParsedSentence, predicate: int, model: TaggerModel):
     """Full pass returning (per-token label distributions, backprop cache)."""
-    x0 = embed(sentence, predicate, model)
-    layers, enc = _encode_with_cache(x0, model)
-    h_top = enc["h_top"]
+    x0, ids, flags = _embed(sentence, predicate, model)
+    h_top, layers = _encode_with_cache(x0, model)
     probs = label_distribution(h_top, model)
-    flags = np.array([1 if t.index == predicate else 0 for t in sentence.tokens])
-    ids = None
-    if model.config.embedder_kind == STATIC_LOOKUP:
-        ids = np.array([model.token_id(t.surface) for t in sentence.tokens])
-    cache = {"x0": x0, "layers": layers, "h_top": h_top, "probs": probs,
+    cache = {"layers": layers, "h_top": h_top, "probs": probs,
              "token_ids": ids, "indicator_flags": flags}
     return probs, cache
 
@@ -352,15 +347,6 @@ def enumerate_valid_sequences(m: int, predicate: int,
     return out
 
 
-def sequence_log_prob(labels_seq: Sequence[str], distributions: np.ndarray,
-                      labels: tuple[str, ...]) -> float:
-    index = label_index(labels)
-    score = 0.0
-    for position, label in enumerate(labels_seq):
-        score += math.log(distributions[position, index[label]])
-    return score
-
-
 def confidence_avg_log(tags: TagSequence, distributions: np.ndarray,
                        labels: tuple[str, ...] = bio_labels()) -> float:
     """Average natural-log probability of the chosen labels."""
@@ -368,7 +354,11 @@ def confidence_avg_log(tags: TagSequence, distributions: np.ndarray,
         raise ValidationError(
             f"{len(tags)} tags vs {distributions.shape[0]} token distributions"
         )
-    return sequence_log_prob(tags.labels, distributions, labels) / len(tags)
+    index = label_index(labels)
+    score = 0.0
+    for position, label in enumerate(tags.labels):
+        score += math.log(distributions[position, index[label]])
+    return score / len(tags)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +368,10 @@ def confidence_avg_log(tags: TagSequence, distributions: np.ndarray,
 
 def extract(sentence: ParsedSentence, model: TaggerModel,
             table: PatternTable = DEFAULT_TABLE,
-            beam_size: Optional[int] = None,
             sem_scorer=None, rerank: str = "none") -> list[Extraction]:
-    """Decode one extraction per detected predicate.
+    """Decode one extraction per detected predicate (dropped when its best
+    sequence has no predicate span). The decode keeps only the best
+    sequence, and :func:`beam_decode` is exact, so it runs at width 1.
 
     The confidence is the average-log confidence of the decoded labels
     (:func:`confidence_avg_log`). Reranking replaces it with
@@ -393,11 +384,10 @@ def extract(sentence: ParsedSentence, model: TaggerModel,
         raise ValidationError(f"unknown rerank mode {rerank!r}")
     if rerank != "none" and sem_scorer is None:
         raise ValidationError(f"rerank mode {rerank!r} requires a semantic scorer")
-    beam = beam_size if beam_size is not None else model.config.beam_size
     out = []
     for predicate in identify_predicates(sentence, table):
         probs, _ = forward(sentence, predicate, model)
-        best = beam_decode(probs, beam, predicate, model.labels)[0]
+        best = beam_decode(probs, 1, predicate, model.labels)[0]
         instance = TaggedInstance(sentence=sentence, predicate_index=predicate, tags=best)
         try:
             extraction = spans_from_tags(instance)
@@ -407,12 +397,7 @@ def extract(sentence: ParsedSentence, model: TaggerModel,
         if rerank != "none":
             confidence = semantic_confidence(0.0 if rerank == "sem" else confidence,
                                              sem_scorer.score(extraction, sentence))
-        out.append(Extraction(
-            sentence_id=extraction.sentence_id,
-            predicate_span=extraction.predicate_span,
-            role_spans=extraction.role_spans,
-            confidence=confidence,
-        ))
+        out.append(replace(extraction, confidence=confidence))
     return out
 
 
@@ -434,7 +419,7 @@ def save_model(model: TaggerModel, path) -> None:
         "vocab": model.vocab,
         "arrays": manifest,
     }
-    with open(path, "wb") as handle:
+    with atomic_write(path, "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         handle.write(b"\n")
         for arr in model.params.values():
@@ -454,6 +439,8 @@ def load_model(path, provider: Optional[ContextualEmbeddingProvider] = None) -> 
                 raise ValidationError(f"not a tagger checkpoint: {path}")
             config_dict = dict(header["config"])
             config_dict["roles"] = tuple(config_dict["roles"])
+            # Written before the decoder width left TaggerConfig; nothing reads it.
+            config_dict.pop("beam_size", None)
             config = TaggerConfig(**config_dict)
             arrays = [(entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"]))
                       for entry in header["arrays"]]

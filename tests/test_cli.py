@@ -1,5 +1,7 @@
 """End-to-end runs of the command-line surface and its exit codes."""
 
+import json
+
 import pytest
 
 from oiekit import cli
@@ -80,6 +82,35 @@ def test_non_object_json_line_is_a_data_error(pipeline, argv):
     (work / "list.jsonl").write_text("[1, 2]\n", encoding="utf-8")
     argv = [arg if arg.startswith("-") or arg == argv[0] else str(work / arg) for arg in argv]
     assert cli.main(argv) == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("command,key", [("pretrain", "hidden_dimm"), ("pretrain", "beam_size"),
+                                         ("rl-train", "hidden_dim")])
+def test_unknown_config_key_is_a_data_error(pipeline, capsys, command, key):
+    work, _ = pipeline
+    (work / "typo.cfg").write_text(f"epochs = 1\n{key} = 4\n", encoding="utf-8")
+    inputs = {"pretrain": ["--instances", str(work / "train.inst")],
+              "rl-train": ["--model", str(work / "mle.ckpt"),
+                           "--conllu", str(work / "train.conllu")]}
+    code = cli.main([command, *inputs[command], "--config", str(work / "typo.cfg"),
+                     "--out", str(work / "typo.ckpt")])
+    assert code == cli.EXIT_DATA
+    assert repr(key) in capsys.readouterr().err
+    assert not (work / "typo.ckpt").exists()
+
+
+def test_instance_breaking_an_invariant_names_its_line(pipeline, capsys):
+    work, _ = pipeline
+    token = {"index": 1, "surface": "runs", "upos": "VERB", "head": 0, "deprel": "root"}
+    record = {"sentence": {"sentence_id": "x", "text": "runs", "tokens": [token]},
+              "predicate_index": 1, "labels": ["B-P", "O"]}
+    (work / "long.inst").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code = cli.main(["pretrain", "--instances", str(work / "long.inst"),
+                     "--out", str(work / "long.ckpt")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "line 1" in err
+    assert "2 tags for 1 tokens" in err
 
 
 def test_truncated_checkpoint_is_a_data_error(pipeline, capsys):

@@ -1,3 +1,7 @@
+import os
+import stat
+import threading
+
 import pytest
 
 from oiekit.core import Extraction, NonTreeParse
@@ -11,6 +15,7 @@ from oiekit.corpus_io import (
     read_instances,
     template_of,
     write_conllu,
+    write_jsonl,
     write_extractions,
     write_gold,
     write_instances,
@@ -133,6 +138,39 @@ class TestExtractionFiles:
         path.write_text("not json\n", encoding="utf-8")
         with pytest.raises(ParseError):
             read_extractions(path)
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_jsonl([{"a": 1}], path)
+
+        def interrupted():
+            yield {"a": 2}
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            write_jsonl(interrupted(), path)
+        assert path.read_text(encoding="utf-8") == '{"a": 1}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_symbolic_link_is_followed(self, tmp_path):
+        (tmp_path / "real.jsonl").write_text("old\n", encoding="utf-8")
+        (tmp_path / "link.jsonl").symlink_to("real.jsonl")
+        write_jsonl([{"a": 1}], tmp_path / "link.jsonl")
+        assert (tmp_path / "link.jsonl").is_symlink()
+        assert (tmp_path / "real.jsonl").read_text(encoding="utf-8") == '{"a": 1}\n'
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        write_jsonl([{"a": 1}], fifo)
+        reader.join(timeout=5)
+        assert received == ['{"a": 1}\n']
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 class TestInstanceFiles:

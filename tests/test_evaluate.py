@@ -2,7 +2,7 @@ import pytest
 
 from oiekit.core import Extraction
 from oiekit.corpus_io import GoldTuple
-from oiekit.evaluate import EmptyGold, MatchDecision, auc, best_f1, evaluate, pr_curve
+from oiekit.evaluate import EmptyGold, MatchDecision, auc, best_f1, evaluate
 
 GOLD = [
     GoldTuple("s1", 2, {"ARG1": 1, "ARG2": 3}),
@@ -38,7 +38,7 @@ class TestEvaluate:
 
     def test_report_agrees_with_public_helpers(self):
         report = evaluate(PREDICTIONS, GOLD)
-        points = pr_curve(PREDICTIONS, GOLD)
+        points = evaluate(list(reversed(PREDICTIONS)), GOLD).pr_points
         assert tuple(points) == report.pr_points
         assert auc(points) == report.auc
         assert best_f1(points) == report.best_f1
@@ -54,4 +54,4 @@ class TestEvaluate:
         with pytest.raises(EmptyGold):
             evaluate(PREDICTIONS, [])
         with pytest.raises(EmptyGold):
-            pr_curve(PREDICTIONS, [])
+            evaluate([], [])

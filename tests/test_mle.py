@@ -5,7 +5,7 @@ import pytest
 
 from oiekit.core import TaggedInstance, TagSequence
 from oiekit.corpus_io import gen_synthetic
-from oiekit.evaluate import best_f1, pr_curve
+from oiekit.evaluate import evaluate
 from oiekit.mle import (
     NonFiniteLoss,
     TrainConfig,
@@ -145,4 +145,4 @@ class TestPretrain:
         model = init_model(TaggerConfig(rng_seed=13), build_vocab(corpus))
         pretrain(model, corpus, TrainConfig(epochs=15, rng_seed=13))
         preds = [e for s in dev_sentences for e in extract(s, model)]
-        assert best_f1(pr_curve(preds, dev_gold)) >= 0.9
+        assert evaluate(preds, dev_gold).best_f1 >= 0.9

@@ -1,12 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from oiekit import nn
+from oiekit import nn, tagger
 from oiekit.core import TagSequence, validate_bio
 from oiekit.corpus_io import gen_synthetic
+from oiekit.evaluate import evaluate
 from oiekit.mle import relative_error
+from oiekit.patterns import identify_predicates
 from oiekit.reward import SemScorer
 from oiekit.rl import (
     RLConfig,
@@ -21,6 +24,7 @@ from oiekit.tagger import (
     TaggerConfig,
     beam_decode,
     build_vocab,
+    extract,
     forward,
     init_model,
 )
@@ -55,20 +59,22 @@ class TestExplore:
         sentence = flat_sentence(4)
         model = init_model(TINY, build_vocab([sentence]))
         probs, _ = forward(sentence, 2, model)
-        assert explore(model, sentence, 2, 3) == beam_decode(probs, 3, 2, model.labels)
+        assert explore(probs, 2, model.labels, 3) == beam_decode(probs, 3, 2, model.labels)
 
     def test_sampling_mode_yields_valid_sequences(self):
         sentence = flat_sentence(5)
         model = init_model(TINY, build_vocab([sentence]))
         rng = np.random.default_rng(4)
-        for seq in explore(model, sentence, 3, 4, mode="sample", rng=rng):
+        probs, _ = forward(sentence, 3, model)
+        for seq in explore(probs, 3, model.labels, 4, mode="sample", rng=rng):
             assert validate_bio(seq.labels) == []
 
     def test_sampling_deterministic_per_seed(self):
         sentence = flat_sentence(5)
         model = init_model(TINY, build_vocab([sentence]))
-        a = explore(model, sentence, 3, 4, mode="sample", rng=np.random.default_rng(4))
-        b = explore(model, sentence, 3, 4, mode="sample", rng=np.random.default_rng(4))
+        probs, _ = forward(sentence, 3, model)
+        a = explore(probs, 3, model.labels, 4, mode="sample", rng=np.random.default_rng(4))
+        b = explore(probs, 3, model.labels, 4, mode="sample", rng=np.random.default_rng(4))
         assert a == b
 
 
@@ -78,8 +84,9 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        candidates = explore(model, sentence, 2, 1)
-        norm = reinforce_step(model, optimizer, sentence, 2, candidates, [0.0],
+        probs, cache = forward(sentence, 2, model)
+        candidates = explore(probs, 2, model.labels, 1)
+        norm = reinforce_step(model, optimizer, sentence, cache, candidates, [0.0],
                               baseline_mode="off")
         assert norm == 0.0
         assert params_equal(before, model.params)
@@ -89,8 +96,9 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        candidates = explore(model, sentence, 2, 2)
-        norm = reinforce_step(model, optimizer, sentence, 2, candidates, [0.7, 0.7],
+        probs, cache = forward(sentence, 2, model)
+        candidates = explore(probs, 2, model.labels, 2)
+        norm = reinforce_step(model, optimizer, sentence, cache, candidates, [0.7, 0.7],
                               baseline_mode="mean")
         assert norm == 0.0
         assert params_equal(before, model.params)
@@ -100,8 +108,9 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        candidates = explore(model, sentence, 2, 1)
-        reinforce_step(model, optimizer, sentence, 2, candidates, [0.9],
+        probs, cache = forward(sentence, 2, model)
+        candidates = explore(probs, 2, model.labels, 1)
+        reinforce_step(model, optimizer, sentence, cache, candidates, [0.9],
                        baseline_mode="mean")
         assert params_equal(before, model.params)
 
@@ -110,8 +119,9 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        candidates = explore(model, sentence, 2, 2)
-        norm = reinforce_step(model, optimizer, sentence, 2, candidates, [1.0, -1.0],
+        probs, cache = forward(sentence, 2, model)
+        candidates = explore(probs, 2, model.labels, 2)
+        norm = reinforce_step(model, optimizer, sentence, cache, candidates, [1.0, -1.0],
                               baseline_mode="mean")
         assert norm > 0.0
         assert not params_equal(before, model.params)
@@ -223,6 +233,77 @@ class TestTrainRl:
                            dev=(dev_sentences, dev_gold))
         assert metrics[0]["dev_mean_reward"] is not None
         assert metrics[0]["dev_f1"] is not None
+
+    @pytest.mark.parametrize("with_dev", [False, True])
+    def test_one_forward_per_sentence_and_predicate(self, monkeypatch, with_dev):
+        model, sentences = self.small_pretrained()
+        dev_sentences, dev_gold = gen_synthetic(("svo", "coord_vp"), 8, seed=77)
+        calls = Counter()
+        real_forward = tagger.forward
+
+        def counting_forward(sentence, predicate, model):
+            calls[sentence.sentence_id, predicate] += 1
+            return real_forward(sentence, predicate, model)
+
+        monkeypatch.setattr(tagger, "forward", counting_forward)
+        train_rl(model, sentences, SemScorer(), RLConfig(epochs=2, rng_seed=3),
+                 dev=(dev_sentences, dev_gold) if with_dev else None)
+        expected = Counter()
+        for sentence in sentences + (dev_sentences if with_dev else []):
+            for predicate in identify_predicates(sentence):
+                expected[sentence.sentence_id, predicate] += 2  # once per epoch
+        assert calls == expected
+
+    def test_epoch_matches_two_forward_reference(self):
+        config = RLConfig(epochs=1, baseline_mode="off", rng_seed=3)
+        dev_sentences, dev_gold = gen_synthetic(("svo", "coord_vp"), 8, seed=77)
+        model, sentences = self.small_pretrained()
+        metrics = train_rl(model, sentences, SemScorer(), config,
+                           dev=(dev_sentences, dev_gold))
+        reference, ref_sentences = self.small_pretrained()
+        ref_row = reference_epoch(reference, ref_sentences, SemScorer(), config,
+                                  dev_sentences, dev_gold)
+        assert metrics == [ref_row]
+        assert reference.params.keys() == model.params.keys()
+        for name, arr in model.params.items():
+            assert arr.tobytes() == reference.params[name].tobytes(), name
+
+
+def reference_epoch(model, sentences, scorer, config, dev_sentences, dev_gold):
+    """One epoch of policy-gradient training written out step by step, with
+    a forward pass for exploration and another for the update, and a dev
+    reward from a forward pass of its own per dev predicate."""
+    rng = np.random.default_rng(config.rng_seed)
+    optimizer = nn.Adam(model.params, step_size=config.step_size)
+    rewards = []
+    for idx in rng.permutation(len(sentences)):
+        sentence = sentences[idx]
+        for predicate in identify_predicates(sentence):
+            probs, _ = forward(sentence, predicate, model)
+            candidates = beam_decode(probs, config.beam_size, predicate, model.labels)
+            breakdowns = [candidate_reward(c, sentence, predicate, scorer) for c in candidates]
+            _, cache = forward(sentence, predicate, model)
+            reinforce_step(model, optimizer, sentence, cache, candidates,
+                           [b.total for b in breakdowns], config.baseline_mode)
+            rewards.extend(breakdowns)
+    dev_total = 0.0
+    dev_count = 0
+    for sentence in dev_sentences:
+        for predicate in identify_predicates(sentence):
+            probs, _ = forward(sentence, predicate, model)
+            best = beam_decode(probs, 3, predicate, model.labels)[0]
+            dev_total += candidate_reward(best, sentence, predicate, scorer).total
+            dev_count += 1
+    preds = [e for sentence in dev_sentences for e in extract(sentence, model)]
+    mean = lambda values: sum(values, 0.0) / len(values)  # noqa: E731
+    return {
+        "epoch": 1,
+        "mean_reward": mean([b.total for b in rewards]),
+        "mean_syn": mean([b.syn for b in rewards]),
+        "mean_sem": mean([b.sem for b in rewards]),
+        "dev_mean_reward": dev_total / dev_count,
+        "dev_f1": evaluate(preds, dev_gold).best_f1,
+    }
 
 
 def test_candidate_without_predicate_span_gets_zero_reward(parragon):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -226,6 +227,8 @@ class TestBeamDecode:
             oracle = oracle_rank(table, predicate, labels)[:3]
             result = beam_decode(table, 3, predicate, labels)
             assert [r.labels for r in result] == [seq for _, seq in oracle], f"trial {trial}"
+            # extract decodes at width 1: its top-1 is the top-1 of any width.
+            assert beam_decode(table, 1, predicate, labels)[0].labels == oracle[0][1]
 
     def test_every_beam_sequence_is_bio_valid(self):
         labels = bio_labels()
@@ -308,6 +311,19 @@ class TestDeterminismAndSerialization:
         path.write_bytes(header + b"\n" + arrays)
         with pytest.raises(ParseError):
             load_model(path)
+
+    def test_checkpoint_with_stored_beam_size_loads(self, tmp_path):
+        model = tiny_model(flat_sentence(4))
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        header, arrays = path.read_bytes().split(b"\n", 1)
+        old_header = json.loads(header)
+        old_header["config"]["beam_size"] = 3
+        path.write_bytes(json.dumps(old_header, sort_keys=True).encode("utf-8") + b"\n" + arrays)
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        for name in model.params:
+            assert loaded.params[name].tobytes() == model.params[name].tobytes()
 
     def test_loaded_model_decodes_identically(self, tmp_path):
         sentence = flat_sentence(4)
