@@ -55,14 +55,20 @@ _FIELD_NAMES = {"seed": "rng_seed", "baseline": "baseline_mode"}
 
 def _settings(path, keys: dict, flags: dict) -> dict:
     """The config file at ``path`` (if any) cast by ``keys`` and ``seed``,
-    then every flag that was given; an unknown key is a ParseError."""
+    then every flag that was given; an unknown key or a value its cast
+    rejects is a ParseError."""
     keys = {"seed": int, **keys}
     config = corpus_io.read_key_values(path) if path else {}
     for key in config:
         if key not in keys:
             raise ParseError(f"config {path}: unknown key {key!r} "
                              f"(known: {', '.join(sorted(keys))})")
-    values = {key: keys[key](value) for key, value in config.items()}
+    values = {}
+    for key, value in config.items():
+        try:
+            values[key] = keys[key](value)
+        except ValueError:
+            raise ParseError(f"config {path}: bad value {value!r} for key {key!r}") from None
     values.update((key, value) for key, value in flags.items() if value is not None)
     return values
 

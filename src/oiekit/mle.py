@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from oiekit import corpus_io, evaluate, nn, tagger
-from oiekit.core import OiekitError, TaggedInstance, label_index, spans_from_tags
+from oiekit.core import (OiekitError, TaggedInstance, ValidationError, label_index,
+                         spans_from_tags)
 from oiekit.tagger import TaggerModel
 
 log = logging.getLogger(__name__)
@@ -32,6 +33,10 @@ class TrainConfig:
     dev_fraction: float = 0.1
     patience: int = 3
     rng_seed: int = 13
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValidationError("batch_size must be >= 1")
 
 
 def _gold_nll(model: TaggerModel, instance: TaggedInstance,
@@ -56,24 +61,48 @@ def mle_loss(model: TaggerModel, instance: TaggedInstance) -> float:
     return _gold_nll(model, instance, probs)[0]
 
 
+def _nll_grad(model: TaggerModel, instance: TaggedInstance, probs: np.ndarray,
+              scale: float) -> tuple[float, np.ndarray]:
+    """(negative log-likelihood of the instance's labels, gradient of
+    ``scale * loss`` on its logits)."""
+    loss, cols = _gold_nll(model, instance, probs)
+    dlogits = probs.copy()
+    dlogits[np.arange(len(cols)), cols] -= 1.0
+    return loss, dlogits * scale
+
+
 def instance_grads(model: TaggerModel, instance: TaggedInstance,
                    scale: float = 1.0) -> tuple[float, dict[str, np.ndarray]]:
     """(loss, gradients) for one instance; gradients are of ``scale *
     loss`` (callers use 1/m for token-mean aggregation)."""
     probs, cache = tagger.forward(instance.sentence, instance.predicate_index, model)
-    loss, cols = _gold_nll(model, instance, probs)
-    dlogits = probs.copy()
-    dlogits[np.arange(len(cols)), cols] -= 1.0
-    grads = tagger.backward_from_dlogits(model, cache, dlogits * scale)
-    return loss, grads
+    loss, dlogits = _nll_grad(model, instance, probs, scale)
+    return loss, tagger.backward_from_dlogits(model, cache, dlogits)
 
 
-def _accumulate(total: Optional[dict], grads: dict) -> dict:
-    if total is None:
-        return grads
-    for name, grad in grads.items():
-        total[name] += grad
-    return total
+def _items(instances: Sequence[TaggedInstance]) -> list[tuple]:
+    return [(instance.sentence, instance.predicate_index) for instance in instances]
+
+
+def _batch_grads(model: TaggerModel, batch: Sequence[TaggedInstance],
+                 epoch: int) -> tuple[list[float], dict[str, np.ndarray]]:
+    """(each instance's token-mean loss, gradient of their mean), from one
+    batched forward and backward pass. The forward cache is freed on
+    return, before the caller's next batch builds its own."""
+    probs, cache = tagger.forward_batch(_items(batch), model)
+    dlogits = np.zeros_like(probs)
+    losses = []
+    for b, instance in enumerate(batch):
+        m = len(instance.tags)
+        loss, dlogits[:m, b] = _nll_grad(model, instance, probs[:m, b], 1.0 / m)
+        if not np.isfinite(loss):
+            raise NonFiniteLoss(f"non-finite loss at epoch {epoch}, sentence "
+                                f"{instance.sentence.sentence_id!r}")
+        losses.append(loss / m)
+    grads = tagger.backward_from_dlogits(model, cache, dlogits)
+    for name in grads:
+        grads[name] /= len(batch)
+    return losses, grads
 
 
 def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
@@ -81,7 +110,15 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
              dev: Optional[Sequence[TaggedInstance]] = None,
              metrics_path=None) -> list[dict]:
     """Minimize mean token-level NLL with Adam; early-stops on dev loss and
-    restores the best parameters. Returns the per-epoch metrics rows."""
+    restores the best parameters. Returns the per-epoch metrics rows.
+
+    Each mini-batch of B instances is one :func:`tagger.forward_batch` pass
+    over the (m, B, ·) batch, right-padded to its longest sentence m, and
+    one backward pass. Instance ``b`` gets the logit gradient of its own
+    token-mean loss divided by B in rows ``[:len(b), b]`` and zero rows at
+    its padding, so the step follows the mean of the token means. Dev
+    metrics run in chunks of ``batch_size`` the same way.
+    """
     if not corpus:
         raise OiekitError("pretraining needs a non-empty corpus")
     rng = np.random.default_rng(config.rng_seed)
@@ -105,25 +142,16 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
         epoch_loss = 0.0
         for start in range(0, len(train), config.batch_size):
             batch = [train[i] for i in order[start : start + config.batch_size]]
-            total = None
-            for instance in batch:
-                loss, grads = instance_grads(model, instance, scale=1.0 / len(instance.tags))
-                if not np.isfinite(loss):
-                    raise NonFiniteLoss(
-                        f"non-finite loss at epoch {epoch}, sentence "
-                        f"{instance.sentence.sentence_id!r}"
-                    )
-                epoch_loss += loss / len(instance.tags)
-                total = _accumulate(total, grads)
-            for name in total:
-                total[name] /= len(batch)
-            if not nn.grads_finite(total):
+            losses, grads = _batch_grads(model, batch, epoch)
+            for loss in losses:
+                epoch_loss += loss
+            if not nn.grads_finite(grads):
                 raise NonFiniteLoss(f"non-finite gradient at epoch {epoch}")
-            optimizer.step(total)
+            optimizer.step(grads)
         train_loss = epoch_loss / len(train)
         dev_loss = dev_f1 = None
         if dev:
-            dev_loss, dev_f1 = _dev_metrics(model, dev)
+            dev_loss, dev_f1 = _dev_metrics(model, dev, config.batch_size)
         row = {"epoch": epoch, "train_loss": train_loss,
                "dev_loss": dev_loss, "dev_f1": dev_f1}
         metrics.append(row)
@@ -145,15 +173,15 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
     return metrics
 
 
-def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance]) -> tuple[float, float]:
+def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance],
+                 batch_size: int) -> tuple[float, float]:
     """(mean token-level NLL of the dev instances, headword F1 of their top-1
     decodes against the tuples implied by their own labels), from one
-    forward pass per instance."""
+    batched forward pass per ``batch_size`` instances."""
     losses = []
     golds = []
     preds = []
-    for instance in dev:
-        probs, _ = tagger.forward(instance.sentence, instance.predicate_index, model)
+    for instance, probs in _batched_probs(model, dev, batch_size):
         losses.append(_gold_nll(model, instance, probs)[0] / len(instance.tags))
         try:
             golds.append(evaluate.gold_from_instance(instance))
@@ -169,6 +197,16 @@ def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance]) -> tuple[flo
             continue
         preds.append(extraction)
     return float(np.mean(losses)), evaluate.tuple_f1(preds, golds) if golds else 0.0
+
+
+def _batched_probs(model: TaggerModel, instances: Sequence[TaggedInstance], batch_size: int):
+    """(instance, its (m, L) label distributions), one forward pass per
+    ``batch_size`` instances."""
+    for start in range(0, len(instances), batch_size):
+        chunk = instances[start : start + batch_size]
+        probs = tagger.forward_batch(_items(chunk), model)[0]
+        for b, instance in enumerate(chunk):
+            yield instance, probs[: len(instance.tags), b]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
 """Plain-numpy building blocks for the tagger: LSTM cells, bidirectional
 stacking with highway gates between layers, a softmax classifier, and Adam.
 
-Everything runs in float64. Forward helpers return the caches their
-backward counterparts need; correctness is pinned by finite-difference
-gradient checks in the test suite.
+Everything runs in float64. Sequences are batched time-major: the LSTM
+helpers take (m, B, ·) arrays of B right-padded items, and highway, the
+classifier and the softmax take their (m·B, ·) rows. No mask is needed.
+Padding comes after every valid position in both directions, so it cannot
+change a valid output, and a caller that gives padded rows zero logit
+gradients gets gradients in which padding contributes exactly 0.
+
+Forward helpers return the caches their backward counterparts need;
+correctness is pinned by finite-difference gradient checks and by a
+per-item reference LSTM in the test suite.
 """
 
 from __future__ import annotations
@@ -24,74 +31,82 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# LSTM (single direction)
+# LSTM (single direction), time-major over a batch
 # ---------------------------------------------------------------------------
 
 
 def lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
-    """Run an LSTM over ``x`` of shape (m, in_dim); returns (h, cache).
+    """Run an LSTM over ``x`` of shape (m, B, in_dim); returns (h, cache)
+    with ``h`` of shape (m, B, H). Each step is one (B, H) @ ``wh`` product.
 
     Gate layout within the 4H axis: input, forget, output (sigmoid block),
     then cell candidate (tanh).
     """
-    m = x.shape[0]
+    m, batch, in_dim = x.shape
     h_dim = wh.shape[0]
-    xw = x @ wx + b
-    sig_all = np.empty((m, 3 * h_dim))
-    g_all = np.empty((m, h_dim))
-    c_all = np.empty((m, h_dim))
-    tc_all = np.empty((m, h_dim))
-    h_all = np.empty((m, h_dim))
-    h = np.zeros(h_dim)
-    c = np.zeros(h_dim)
+    xw = (x.reshape(m * batch, in_dim) @ wx + b).reshape(m, batch, 4 * h_dim)
+    sig_all = np.empty((m, batch, 3 * h_dim))
+    g_all = np.empty((m, batch, h_dim))
+    c_all = np.empty((m, batch, h_dim))
+    h_all = np.empty((m, batch, h_dim))
+    h = np.zeros((batch, h_dim))
+    c = np.zeros((batch, h_dim))
     for t in range(m):
         z = xw[t] + h @ wh
-        sig = sigmoid(z[: 3 * h_dim])
-        g = np.tanh(z[3 * h_dim :])
-        i = sig[:h_dim]
-        f = sig[h_dim : 2 * h_dim]
-        o = sig[2 * h_dim :]
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        sig_all[t], g_all[t] = sig, g
-        c_all[t], tc_all[t], h_all[t] = c, tc, h
-    cache = (x, wx, wh, sig_all, g_all, c_all, tc_all, h_all)
+        sig = sig_all[t]
+        sig[...] = sigmoid(z[:, : 3 * h_dim])
+        i = sig[:, :h_dim]
+        f = sig[:, h_dim : 2 * h_dim]
+        o = sig[:, 2 * h_dim :]
+        # Written straight into the caches: no per-step copy.
+        g = np.tanh(z[:, 3 * h_dim :], out=g_all[t])
+        c = np.add(f * c, i * g, out=c_all[t])
+        h = np.multiply(o, np.tanh(c), out=h_all[t])
+    cache = (x, wx, wh, sig_all, g_all, c_all, h_all)
     return h_all, cache
 
 
 def lstm_backward(dh_out: np.ndarray, cache):
-    """Backpropagate gradients on the hidden outputs; returns
-    (dx, dwx, dwh, db). Per-step work is kept to the recurrence; weight
-    gradients are two matmuls over the collected gate gradients."""
-    x, wx, wh, sig_all, g_all, c_all, tc_all, h_all = cache
-    m, h_dim = dh_out.shape
-    dz_all = np.empty((m, 4 * h_dim))
-    dh_next = np.zeros(h_dim)
-    dc_next = np.zeros(h_dim)
-    zeros = np.zeros(h_dim)
+    """Backpropagate gradients on the hidden outputs, shape (m, B, H);
+    returns (dx, dwx, dwh, db). Per-step work is kept to the recurrence;
+    weight gradients are two matmuls over the collected gate gradients.
+    ``tanh(c)`` is recomputed rather than cached."""
+    x, wx, wh, sig_all, g_all, c_all, h_all = cache
+    m, batch, h_dim = dh_out.shape
+    dz_all = np.empty((m, batch, 4 * h_dim))
+    dh_next = np.zeros((batch, h_dim))
+    dc_next = np.zeros((batch, h_dim))
+    zeros = np.zeros((batch, h_dim))
+    # The tanh derivatives do not depend on the recurrence: computed for all
+    # steps at once (elementwise, so the same bits as per step).
+    tc_all = np.tanh(c_all)
+    dtc_all = 1.0 - tc_all * tc_all
+    dg_all = 1.0 - g_all * g_all
     for t in range(m - 1, -1, -1):
         dh = dh_out[t] + dh_next
         sig = sig_all[t]
-        i = sig[:h_dim]
-        f = sig[h_dim : 2 * h_dim]
-        o = sig[2 * h_dim :]
+        i = sig[:, :h_dim]
+        f = sig[:, h_dim : 2 * h_dim]
+        o = sig[:, 2 * h_dim :]
         g = g_all[t]
         tc = tc_all[t]
-        dc = dh * o * (1.0 - tc * tc) + dc_next
+        dc = dh * o * dtc_all[t] + dc_next
         c_prev = c_all[t - 1] if t > 0 else zeros
         dz = dz_all[t]
-        dz[:h_dim] = dc * g * i * (1.0 - i)
-        dz[h_dim : 2 * h_dim] = dc * c_prev * f * (1.0 - f)
-        dz[2 * h_dim : 3 * h_dim] = dh * tc * o * (1.0 - o)
-        dz[3 * h_dim :] = dc * i * (1.0 - g * g)
+        dz[:, :h_dim] = dc * g * i * (1.0 - i)
+        dz[:, h_dim : 2 * h_dim] = dc * c_prev * f * (1.0 - f)
+        dz[:, 2 * h_dim : 3 * h_dim] = dh * tc * o * (1.0 - o)
+        dz[:, 3 * h_dim :] = dc * i * dg_all[t]
         dc_next = dc * f
-        dh_next = wh @ dz
-    h_prevs = np.vstack([zeros[None, :], h_all[:-1]])
-    dwx = x.T @ dz_all
-    dwh = h_prevs.T @ dz_all
-    db = dz_all.sum(axis=0)
-    dx = dz_all @ wx.T
+        dh_next = dz @ wh.T
+    rows = m * batch
+    dz_rows = dz_all.reshape(rows, 4 * h_dim)
+    x_rows = x.reshape(rows, x.shape[2])
+    h_prevs = np.concatenate([zeros[None], h_all[:-1]]).reshape(rows, h_dim)
+    dwx = x_rows.T @ dz_rows
+    dwh = h_prevs.T @ dz_rows
+    db = dz_rows.sum(axis=0)
+    dx = (dz_rows @ wx.T).reshape(x.shape)
     return dx, dwx, dwh, db
 
 
@@ -100,31 +115,48 @@ def lstm_backward(dh_out: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 
 
-def bilstm_forward(x: np.ndarray, params: dict, prefix: str):
+def _reverse_index(m: int, lengths):
+    """Index that reverses each item of a right-padded (m, B, ·) batch
+    within its own length and leaves its padding in place; it is its own
+    inverse. Without padding it is the plain reversal, which makes a view."""
+    if all(length == m for length in lengths):
+        return slice(None, None, -1)
+    lengths = np.asarray(lengths)
+    steps = np.arange(m)[:, None]
+    return np.where(steps < lengths, lengths - 1 - steps, steps), np.arange(len(lengths))
+
+
+def bilstm_forward(x: np.ndarray, lengths, params: dict, prefix: str):
+    """Both directions over a right-padded (m, B, in_dim) batch whose items
+    have the given lengths; returns the (m, B, 2H) outputs and the caches.
+    Padding follows every valid position in both directions, so it cannot
+    change a valid output."""
+    rev = _reverse_index(x.shape[0], lengths)
     h_fw, cache_fw = lstm_forward(x, params[f"{prefix}.fw.wx"], params[f"{prefix}.fw.wh"],
                                   params[f"{prefix}.fw.b"])
-    h_bw_rev, cache_bw = lstm_forward(x[::-1], params[f"{prefix}.bw.wx"],
+    h_bw_rev, cache_bw = lstm_forward(x[rev], params[f"{prefix}.bw.wx"],
                                       params[f"{prefix}.bw.wh"], params[f"{prefix}.bw.b"])
-    h = np.concatenate([h_fw, h_bw_rev[::-1]], axis=1)
-    return h, (cache_fw, cache_bw)
+    h = np.concatenate([h_fw, h_bw_rev[rev]], axis=2)
+    return h, (cache_fw, cache_bw, rev)
 
 
 def bilstm_backward(dh: np.ndarray, caches, grads: dict, prefix: str):
-    h_dim = dh.shape[1] // 2
-    cache_fw, cache_bw = caches
-    dx_fw, dwx, dwh, db = lstm_backward(dh[:, :h_dim], cache_fw)
+    h_dim = dh.shape[2] // 2
+    cache_fw, cache_bw, rev = caches
+    dx_fw, dwx, dwh, db = lstm_backward(dh[:, :, :h_dim], cache_fw)
     grads[f"{prefix}.fw.wx"] = dwx
     grads[f"{prefix}.fw.wh"] = dwh
     grads[f"{prefix}.fw.b"] = db
-    dx_bw_rev, dwx, dwh, db = lstm_backward(np.ascontiguousarray(dh[:, h_dim:][::-1]), cache_bw)
+    dx_bw_rev, dwx, dwh, db = lstm_backward(dh[:, :, h_dim:][rev], cache_bw)
     grads[f"{prefix}.bw.wx"] = dwx
     grads[f"{prefix}.bw.wh"] = dwh
     grads[f"{prefix}.bw.b"] = db
-    return dx_fw + dx_bw_rev[::-1]
+    return dx_fw + dx_bw_rev[rev]
 
 
 def highway_forward(x: np.ndarray, core: np.ndarray, params: dict, prefix: str):
-    """out = gate * core + (1 - gate) * x with a learned sigmoid gate."""
+    """out = gate * core + (1 - gate) * x with a learned sigmoid gate, over
+    (rows, width) inputs."""
     gate = sigmoid(x @ params[f"{prefix}.hw.w"] + params[f"{prefix}.hw.b"])
     out = gate * core + (1.0 - gate) * x
     return out, gate

@@ -9,7 +9,6 @@ import logging
 import math
 import threading
 import urllib.parse
-import urllib.request
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Protocol
@@ -168,6 +167,10 @@ class HttpEntailmentAdapter:
         self.timeout = timeout
 
     def score(self, premise: str, hypothesis: str) -> float:
+        # Imported here: it loads http.client, ssl and email, which only
+        # this adapter needs.
+        import urllib.request
+
         request = urllib.request.Request(
             self.endpoint,
             data=json.dumps({"premise": premise, "hypothesis": hypothesis}).encode("utf-8"),

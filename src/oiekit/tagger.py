@@ -3,7 +3,9 @@
 Per predicate: embed tokens with a predicate-indicator channel, encode with
 stacked bidirectional LSTM layers joined by highway gates, classify each
 token over the BIO label set, decode with a constrained beam search, and
-score extractions by average log probability.
+score extractions by average log probability. :func:`forward_batch` runs
+many (sentence, predicate) items as one right-padded, time-major batch;
+:func:`forward` is its batch of one.
 """
 
 from __future__ import annotations
@@ -204,18 +206,26 @@ def _embed(sentence: ParsedSentence, predicate: int, model: TaggerModel):
 
 
 def encode(embeddings: np.ndarray, model: TaggerModel) -> np.ndarray:
-    """Hidden states, one per token."""
-    return _encode_with_cache(embeddings, model)[0]
+    """Hidden states of one item's (m, in_dim) embeddings, one per token."""
+    return _encode_with_cache(embeddings[:, None], [len(embeddings)], model)[0][:, 0]
 
 
-def _encode_with_cache(x0: np.ndarray, model: TaggerModel):
+def _rows(x: np.ndarray) -> np.ndarray:
+    """The (m·B, width) rows of an (m, B, width) array."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def _encode_with_cache(x0: np.ndarray, lengths, model: TaggerModel):
     params = model.params
     layers = []
     x = x0
     for layer in range(model.config.num_encoder_layers):
         prefix = f"enc.{layer}"
-        core, caches = nn.bilstm_forward(x, params, prefix)
-        out, gate = nn.highway_forward(x, core, params, prefix) if layer > 0 else (core, None)
+        core, caches = nn.bilstm_forward(x, lengths, params, prefix)
+        out, gate = core, None
+        if layer > 0:
+            out, gate = nn.highway_forward(_rows(x), _rows(core), params, prefix)
+            out = out.reshape(core.shape)
         layers.append({"x": x, "core": core, "gate": gate, "caches": caches})
         x = out
     return x, layers
@@ -227,42 +237,76 @@ def label_distribution(hidden: np.ndarray, model: TaggerModel) -> np.ndarray:
     return nn.softmax_rows(logits)
 
 
-def forward(sentence: ParsedSentence, predicate: int, model: TaggerModel):
-    """Full pass returning (per-token label distributions, backprop cache)."""
-    x0, ids, flags = _embed(sentence, predicate, model)
-    h_top, layers = _encode_with_cache(x0, model)
-    probs = label_distribution(h_top, model)
+def _pad(arrays: list, m: int) -> Optional[np.ndarray]:
+    """Per-item arrays right-padded with zeros and stacked time-major into
+    (m, B, ...); None when the items have none. A single item is a view."""
+    if arrays[0] is None:
+        return None
+    if len(arrays) == 1:
+        return arrays[0][:, None]
+    out = np.zeros((m, len(arrays)) + arrays[0].shape[1:], dtype=arrays[0].dtype)
+    for b, arr in enumerate(arrays):
+        out[: len(arr), b] = arr
+    return out
+
+
+def forward_batch(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel):
+    """Full pass over (sentence, predicate) items, right-padded to the
+    longest sentence m and run as one time-major batch of B items: returns
+    ((m, B, L) label distributions, backprop cache). Item ``b`` owns rows
+    ``[:len(sentence), b]``; its values do not depend on the other items
+    beyond float rounding. The distributions at padded positions mean
+    nothing, and their logit gradients must be zero."""
+    embedded = [_embed(sentence, predicate, model) for sentence, predicate in items]
+    lengths = [len(x) for x, _, _ in embedded]
+    m = max(lengths)
+    x0, ids, flags = (_pad(list(parts), m) for parts in zip(*embedded))
+    h_top, layers = _encode_with_cache(x0, lengths, model)
+    probs = label_distribution(_rows(h_top), model).reshape(m, len(items), -1)
     cache = {"layers": layers, "h_top": h_top, "probs": probs,
              "token_ids": ids, "indicator_flags": flags}
     return probs, cache
 
 
+def forward(sentence: ParsedSentence, predicate: int, model: TaggerModel):
+    """One item's pass, as a batch of one: returns ((m, L) per-token label
+    distributions, backprop cache)."""
+    probs, cache = forward_batch([(sentence, predicate)], model)
+    cache["probs"] = probs = probs[:, 0]
+    return probs, cache
+
+
 def backward_from_dlogits(model: TaggerModel, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar with the given logit gradient, for every
-    trainable parameter. Softmax-based callers supply ``probs - onehot``
-    style gradients directly."""
+    trainable parameter. ``dlogits`` has the shape of the pass's
+    probabilities: (m, L) after :func:`forward`, (m, B, L) after
+    :func:`forward_batch`, with zero rows at padded positions so that
+    padding contributes nothing. Softmax-based callers supply ``probs -
+    onehot`` style gradients directly."""
     params = model.params
     grads: dict[str, np.ndarray] = {}
     h_top = cache["h_top"]
-    grads["cls.w"] = h_top.T @ dlogits
+    dlogits = dlogits.reshape(-1, dlogits.shape[-1])
+    grads["cls.w"] = _rows(h_top).T @ dlogits
     grads["cls.b"] = dlogits.sum(axis=0)
-    dx = dlogits @ params["cls.w"].T
+    dx = (dlogits @ params["cls.w"].T).reshape(h_top.shape)
     for layer in range(model.config.num_encoder_layers - 1, -1, -1):
         prefix = f"enc.{layer}"
         entry = cache["layers"][layer]
         if entry["gate"] is not None:
-            dx, dcore = nn.highway_backward(dx, entry["x"], entry["core"], entry["gate"],
-                                            params, grads, prefix)
-            dx = dx + nn.bilstm_backward(dcore, entry["caches"], grads, prefix)
+            dx, dcore = nn.highway_backward(_rows(dx), _rows(entry["x"]), _rows(entry["core"]),
+                                            entry["gate"], params, grads, prefix)
+            dx = dx.reshape(entry["x"].shape) + nn.bilstm_backward(
+                dcore.reshape(entry["core"].shape), entry["caches"], grads, prefix)
         else:
             dx = nn.bilstm_backward(dx, entry["caches"], grads, prefix)
     cfg = model.config
     if cfg.embedder_kind == STATIC_LOOKUP:
         grads["embed.word"] = np.zeros_like(params["embed.word"])
-        np.add.at(grads["embed.word"], cache["token_ids"], dx[:, : cfg.embedding_dim])
+        np.add.at(grads["embed.word"], cache["token_ids"], dx[..., : cfg.embedding_dim])
     if cfg.use_indicator:
         grads["embed.indicator"] = np.zeros_like(params["embed.indicator"])
-        np.add.at(grads["embed.indicator"], cache["indicator_flags"], dx[:, cfg.embedding_dim :])
+        np.add.at(grads["embed.indicator"], cache["indicator_flags"], dx[..., cfg.embedding_dim :])
     return grads
 
 

@@ -1,0 +1,285 @@
+"""The batched encoder pinned to the per-item path it replaced.
+
+The reference below is the unbatched LSTM: one item at a time, vector
+state, ``x[::-1]`` for the backward direction. At B = 1 the batched
+functions must give the same bits. For a mixed-length batch each item must
+match its own B = 1 pass, and the batch gradient the sum of the per-item
+gradients, to float tolerance (a (B, H) matrix product rounds differently
+from a vector product).
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from oiekit import nn
+from oiekit.core import TaggedInstance, TagSequence
+from oiekit.mle import TrainConfig, instance_grads, pretrain
+from oiekit.tagger import (
+    EXTERNAL_CONTEXTUAL,
+    HashEmbeddingProvider,
+    TaggerConfig,
+    backward_from_dlogits,
+    build_vocab,
+    embed,
+    forward,
+    forward_batch,
+    init_model,
+    label_distribution,
+)
+
+from conftest import build_sentence
+
+TOLERANCE = 1e-12
+
+
+# -- reference: the per-item, vector-state LSTM -----------------------------
+
+
+def ref_lstm_forward(x, wx, wh, b):
+    m = x.shape[0]
+    h_dim = wh.shape[0]
+    xw = x @ wx + b
+    sig_all = np.empty((m, 3 * h_dim))
+    g_all = np.empty((m, h_dim))
+    c_all = np.empty((m, h_dim))
+    tc_all = np.empty((m, h_dim))
+    h_all = np.empty((m, h_dim))
+    h = np.zeros(h_dim)
+    c = np.zeros(h_dim)
+    for t in range(m):
+        z = xw[t] + h @ wh
+        sig = nn.sigmoid(z[: 3 * h_dim])
+        g = np.tanh(z[3 * h_dim :])
+        i = sig[:h_dim]
+        f = sig[h_dim : 2 * h_dim]
+        o = sig[2 * h_dim :]
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        sig_all[t], g_all[t] = sig, g
+        c_all[t], tc_all[t], h_all[t] = c, tc, h
+    return h_all, (x, wx, wh, sig_all, g_all, c_all, tc_all, h_all)
+
+
+def ref_lstm_backward(dh_out, cache):
+    x, wx, wh, sig_all, g_all, c_all, tc_all, h_all = cache
+    m, h_dim = dh_out.shape
+    dz_all = np.empty((m, 4 * h_dim))
+    dh_next = np.zeros(h_dim)
+    dc_next = np.zeros(h_dim)
+    zeros = np.zeros(h_dim)
+    for t in range(m - 1, -1, -1):
+        dh = dh_out[t] + dh_next
+        sig = sig_all[t]
+        i = sig[:h_dim]
+        f = sig[h_dim : 2 * h_dim]
+        o = sig[2 * h_dim :]
+        g = g_all[t]
+        tc = tc_all[t]
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        c_prev = c_all[t - 1] if t > 0 else zeros
+        dz = dz_all[t]
+        dz[:h_dim] = dc * g * i * (1.0 - i)
+        dz[h_dim : 2 * h_dim] = dc * c_prev * f * (1.0 - f)
+        dz[2 * h_dim : 3 * h_dim] = dh * tc * o * (1.0 - o)
+        dz[3 * h_dim :] = dc * i * (1.0 - g * g)
+        dc_next = dc * f
+        dh_next = wh @ dz
+    h_prevs = np.vstack([zeros[None, :], h_all[:-1]])
+    return dz_all @ wx.T, x.T @ dz_all, h_prevs.T @ dz_all, dz_all.sum(axis=0)
+
+
+def ref_bilstm_forward(x, params, prefix):
+    h_fw, cache_fw = ref_lstm_forward(x, params[f"{prefix}.fw.wx"], params[f"{prefix}.fw.wh"],
+                                      params[f"{prefix}.fw.b"])
+    h_bw_rev, cache_bw = ref_lstm_forward(x[::-1], params[f"{prefix}.bw.wx"],
+                                          params[f"{prefix}.bw.wh"], params[f"{prefix}.bw.b"])
+    return np.concatenate([h_fw, h_bw_rev[::-1]], axis=1), (cache_fw, cache_bw)
+
+
+def ref_bilstm_backward(dh, caches, grads, prefix):
+    h_dim = dh.shape[1] // 2
+    cache_fw, cache_bw = caches
+    dx_fw, *fw = ref_lstm_backward(dh[:, :h_dim], cache_fw)
+    dx_bw_rev, *bw = ref_lstm_backward(np.ascontiguousarray(dh[:, h_dim:][::-1]), cache_bw)
+    for direction, (dwx, dwh, db) in (("fw", fw), ("bw", bw)):
+        grads[f"{prefix}.{direction}.wx"] = dwx
+        grads[f"{prefix}.{direction}.wh"] = dwh
+        grads[f"{prefix}.{direction}.b"] = db
+    return dx_fw + dx_bw_rev[::-1]
+
+
+def ref_forward(sentence, predicate, model):
+    x = embed(sentence, predicate, model)
+    layers = []
+    for layer in range(model.config.num_encoder_layers):
+        prefix = f"enc.{layer}"
+        core, caches = ref_bilstm_forward(x, model.params, prefix)
+        out, gate = (nn.highway_forward(x, core, model.params, prefix) if layer > 0
+                     else (core, None))
+        layers.append((x, core, gate, caches))
+        x = out
+    return label_distribution(x, model), (sentence, predicate, layers, x)
+
+
+def ref_backward(model, cache, dlogits):
+    sentence, predicate, layers, h_top = cache
+    params = model.params
+    grads = {"cls.w": h_top.T @ dlogits, "cls.b": dlogits.sum(axis=0)}
+    dx = dlogits @ params["cls.w"].T
+    for layer in range(len(layers) - 1, -1, -1):
+        prefix = f"enc.{layer}"
+        x, core, gate, caches = layers[layer]
+        if gate is not None:
+            dx, dcore = nn.highway_backward(dx, x, core, gate, params, grads, prefix)
+            dx = dx + ref_bilstm_backward(dcore, caches, grads, prefix)
+        else:
+            dx = ref_bilstm_backward(dx, caches, grads, prefix)
+    cfg = model.config
+    if cfg.embedder_kind != EXTERNAL_CONTEXTUAL:
+        ids = np.array([model.token_id(t.surface) for t in sentence.tokens])
+        grads["embed.word"] = np.zeros_like(params["embed.word"])
+        np.add.at(grads["embed.word"], ids, dx[:, : cfg.embedding_dim])
+    flags = np.array([1 if t.index == predicate else 0 for t in sentence.tokens])
+    grads["embed.indicator"] = np.zeros_like(params["embed.indicator"])
+    np.add.at(grads["embed.indicator"], flags, dx[:, cfg.embedding_dim :])
+    return grads
+
+
+# -- fixtures ---------------------------------------------------------------
+
+
+SMALL = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
+                     num_encoder_layers=2, rng_seed=3)
+DEFAULT = TaggerConfig(rng_seed=7)
+
+
+def sentence_of(m, tag):
+    rows = [(f"{tag}w1", "NOUN", 0, "root")]
+    rows += [(f"{tag}w{i}", "NOUN", 1, "dep") for i in range(2, m + 1)]
+    return build_sentence(f"s{tag}", rows)
+
+
+def items_of(lengths):
+    """(sentence, predicate) items of the given lengths, predicate inside each."""
+    return [(sentence_of(m, k), 1 + (k * 3) % m) for k, m in enumerate(lengths)]
+
+
+def model_for(kind, items, config=SMALL):
+    if kind == "static":
+        return init_model(config, build_vocab([s for s, _ in items] + [sentence_of(3, "x")]))
+    return init_model(replace(config, embedder_kind=EXTERNAL_CONTEXTUAL), [],
+                      provider=HashEmbeddingProvider(config.embedding_dim, seed=2))
+
+
+def relative_error(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+# -- B = 1: the same bits as the reference ----------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 13])
+@pytest.mark.parametrize("in_dim,h_dim", [(9, 5), (40, 64), (128, 64)])
+def test_lstm_batch_of_one_is_bit_identical_to_reference(m, in_dim, h_dim):
+    rng = np.random.default_rng(m * 100 + h_dim)
+    x = rng.normal(size=(m, in_dim))
+    wx = rng.uniform(-0.1, 0.1, (in_dim, 4 * h_dim))
+    wh = rng.uniform(-0.1, 0.1, (h_dim, 4 * h_dim))
+    b = rng.uniform(-0.1, 0.1, 4 * h_dim)
+    dh = rng.normal(size=(m, h_dim))
+    ref_h, ref_cache = ref_lstm_forward(x, wx, wh, b)
+    h, cache = nn.lstm_forward(x[:, None], wx, wh, b)
+    assert h.shape == (m, 1, h_dim)
+    assert np.array_equal(h[:, 0], ref_h)
+    ref_grads = ref_lstm_backward(dh, ref_cache)
+    dx, dwx, dwh, db = nn.lstm_backward(dh[:, None], cache)
+    assert np.array_equal(dx[:, 0], ref_grads[0])
+    for got, want in zip((dwx, dwh, db), ref_grads[1:]):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["static", "hash"])
+@pytest.mark.parametrize("config", [SMALL, DEFAULT], ids=["small", "default"])
+def test_tagger_batch_of_one_is_bit_identical_to_reference(kind, config):
+    rng = np.random.default_rng(4)
+    items = items_of([6, 1, 11])
+    model = model_for(kind, items, config)
+    for sentence, predicate in items:
+        probs, cache = forward(sentence, predicate, model)
+        ref_probs, ref_cache = ref_forward(sentence, predicate, model)
+        assert np.array_equal(probs, ref_probs)
+        dlogits = rng.normal(size=(len(sentence), len(model.labels)))
+        grads = backward_from_dlogits(model, cache, dlogits)
+        ref_grads = ref_backward(model, ref_cache, dlogits)
+        assert set(grads) == set(ref_grads) == set(model.params)
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+# -- mixed lengths: each item as if alone, gradients add up -----------------
+
+
+@pytest.mark.parametrize("kind", ["static", "hash"])
+def test_mixed_length_batch_matches_items_run_alone(kind):
+    rng = np.random.default_rng(9)
+    items = items_of([1, 4, 9])
+    model = model_for(kind, items)
+    probs, cache = forward_batch(items, model)
+    n_labels = len(model.labels)
+    assert probs.shape == (9, 3, n_labels)
+    dlogits = np.zeros_like(probs)
+    summed = {}
+    for b, (sentence, predicate) in enumerate(items):
+        m = len(sentence)
+        alone, alone_cache = forward(sentence, predicate, model)
+        assert relative_error(probs[:m, b], alone) <= TOLERANCE
+        dlogits[:m, b] = rng.normal(size=(m, n_labels))
+        for name, grad in backward_from_dlogits(model, alone_cache, dlogits[:m, b]).items():
+            summed[name] = summed.get(name, 0.0) + grad
+    grads = backward_from_dlogits(model, cache, dlogits)
+    assert set(grads) == set(summed)
+    for name in grads:
+        assert relative_error(grads[name], summed[name]) <= TOLERANCE, name
+
+
+@pytest.mark.parametrize("kind", ["static", "hash"])
+def test_longer_item_leaves_the_others_unchanged(kind):
+    items = items_of([1, 4, 9])
+    longer = items_of([2, 2, 2, 12])[3]
+    model = model_for(kind, items + [longer])
+    before, _ = forward_batch(items, model)
+    after, _ = forward_batch([items[0], longer] + items[1:], model)
+    for b, (sentence, _) in enumerate(items):
+        m = len(sentence)
+        column = b if b == 0 else b + 1
+        assert relative_error(after[:m, column], before[:m, b]) <= TOLERANCE
+
+
+def test_pretrain_step_is_the_mean_of_token_mean_instance_gradients(monkeypatch):
+    items = items_of([3, 5, 2, 8])
+    labels = {3: ("B-P", "O", "B-ARG1"), 5: ("B-ARG1", "I-ARG1", "B-P", "O", "O"),
+              2: ("B-P", "B-ARG2"), 8: ("O",) * 5 + ("B-P", "B-ARG2", "I-ARG2")}
+    corpus = [TaggedInstance(sentence, labels[len(sentence)].index("B-P") + 1,
+                             TagSequence(labels[len(sentence)]))
+              for sentence, _ in items]
+    model = model_for("static", items)
+    expected = {}
+    for instance in corpus:
+        _, grads = instance_grads(model, instance, scale=1.0 / len(instance.tags))
+        for name, grad in grads.items():
+            expected[name] = expected.get(name, 0.0) + grad / len(corpus)
+    steps = []
+    original = nn.Adam.step
+
+    def recording_step(self, grads):
+        steps.append({name: grad.copy() for name, grad in grads.items()})
+        original(self, grads)
+
+    monkeypatch.setattr(nn.Adam, "step", recording_step)
+    pretrain(model, corpus, TrainConfig(epochs=1, batch_size=len(corpus)), dev=corpus[:1])
+    assert len(steps) == 1
+    for name in expected:
+        assert relative_error(steps[0][name], expected[name]) <= TOLERANCE, name

@@ -99,6 +99,35 @@ def test_unknown_config_key_is_a_data_error(pipeline, capsys, command, key):
     assert not (work / "typo.ckpt").exists()
 
 
+@pytest.mark.parametrize("line", ["batch_size = -4", "batch_size = 0"])
+def test_batch_size_below_one_is_a_data_error(pipeline, capsys, line):
+    work, _ = pipeline
+    (work / "batch.cfg").write_text(f"epochs = 1\n{line}\n", encoding="utf-8")
+    code = cli.main(["pretrain", "--instances", str(work / "train.inst"),
+                     "--config", str(work / "batch.cfg"), "--out", str(work / "batch.ckpt")])
+    assert code == cli.EXIT_DATA
+    assert "batch_size must be >= 1" in capsys.readouterr().err
+    assert not (work / "batch.ckpt").exists()
+
+
+@pytest.mark.parametrize("command,line", [("pretrain", "hidden_dim = abc"),
+                                          ("pretrain", "step_size = fast"),
+                                          ("rl-train", "beam_size = 2.5")])
+def test_config_value_that_does_not_cast_names_its_key(pipeline, capsys, command, line):
+    work, _ = pipeline
+    (work / "cast.cfg").write_text(f"epochs = 1\n{line}\n", encoding="utf-8")
+    inputs = {"pretrain": ["--instances", str(work / "train.inst")],
+              "rl-train": ["--model", str(work / "mle.ckpt"),
+                           "--conllu", str(work / "train.conllu")]}
+    code = cli.main([command, *inputs[command], "--config", str(work / "cast.cfg"),
+                     "--out", str(work / "cast.ckpt")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert repr(line.split(" = ")[0]) in err
+    assert "cast.cfg" in err
+    assert not (work / "cast.ckpt").exists()
+
+
 def test_instance_breaking_an_invariant_names_its_line(pipeline, capsys):
     work, _ = pipeline
     token = {"index": 1, "surface": "runs", "upos": "VERB", "head": 0, "deprel": "root"}

@@ -1,8 +1,11 @@
 """Import hygiene of the package, checked from the syntax tree: every
 imported name is used, and nothing outside the standard library, numpy and
-oiekit itself is imported (numpy is the only runtime dependency)."""
+oiekit itself is imported (numpy is the only runtime dependency). Also: the
+CLI does not load the HTTP stack that only the entailment adapter uses."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +73,12 @@ def test_checker_finds_unused_and_foreign_imports():
 def test_module_imports_are_clean(module):
     # __init__.py is left out: its imports are the package's re-exports.
     assert import_problems((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_the_http_stack_unloaded():
+    script = ("import sys, oiekit.cli; "
+              "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -135,8 +135,16 @@ class TestPretrain:
         corpus = self.small_corpus()
         model = init_model(TINY, build_vocab(corpus))
         model.params["cls.w"][0, 0] = float("nan")
-        with pytest.raises(NonFiniteLoss):
+        with pytest.raises(NonFiniteLoss, match="epoch 1, sentence '"):
             pretrain(model, corpus, TrainConfig(epochs=1))
+
+    def test_zero_probability_warning_names_the_sentence(self):
+        sentence = flat_sentence(2, sentence_id="clamped")
+        model = zeroed_classifier(init_model(TINY, build_vocab([sentence])))
+        model.params["cls.b"][0] = 1000.0
+        instance = TaggedInstance(sentence, 2, TagSequence(("O", "B-P")))
+        with pytest.warns(RuntimeWarning, match="sentence 'clamped'"):
+            pretrain(model, [instance], TrainConfig(epochs=1), dev=[instance])
 
     def test_training_reaches_high_heldout_f1_in_pattern(self):
         train_sentences, _ = gen_synthetic(("svo", "svo_pp", "ditrans"), 300, seed=11)
