@@ -253,11 +253,7 @@ def cmd_extract(args) -> int:
     if args.rerank != "none":
         scorer = _resolve_scorer(args.scorer, args.scorer_cache)
     sentences = corpus_io.read_conllu(args.conllu)
-    extractions = []
-    for sentence in sentences:
-        extractions.extend(
-            tagger.extract(sentence, model, table, sem_scorer=scorer, rerank=args.rerank)
-        )
+    extractions = tagger.extract(sentences, model, table, sem_scorer=scorer, rerank=args.rerank)
     if scorer is not None:
         scorer.save_cache()
     corpus_io.write_extractions(extractions, args.out)

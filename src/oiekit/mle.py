@@ -57,7 +57,7 @@ def _gold_nll(model: TaggerModel, instance: TaggedInstance,
 
 def mle_loss(model: TaggerModel, instance: TaggedInstance) -> float:
     """Negative log-likelihood of the instance's labels, summed over tokens."""
-    probs, _ = tagger.forward(instance.sentence, instance.predicate_index, model)
+    probs, _ = tagger.forward_one(instance.sentence, instance.predicate_index, model)
     return _gold_nll(model, instance, probs)[0]
 
 
@@ -75,7 +75,7 @@ def instance_grads(model: TaggerModel, instance: TaggedInstance,
                    scale: float = 1.0) -> tuple[float, dict[str, np.ndarray]]:
     """(loss, gradients) for one instance; gradients are of ``scale *
     loss`` (callers use 1/m for token-mean aggregation)."""
-    probs, cache = tagger.forward(instance.sentence, instance.predicate_index, model)
+    probs, cache = tagger.forward_one(instance.sentence, instance.predicate_index, model)
     loss, dlogits = _nll_grad(model, instance, probs, scale)
     return loss, tagger.backward_from_dlogits(model, cache, dlogits)
 
@@ -89,7 +89,7 @@ def _batch_grads(model: TaggerModel, batch: Sequence[TaggedInstance],
     """(each instance's token-mean loss, gradient of their mean), from one
     batched forward and backward pass. The forward cache is freed on
     return, before the caller's next batch builds its own."""
-    probs, cache = tagger.forward_batch(_items(batch), model)
+    probs, cache = tagger.forward(_items(batch), model)
     dlogits = np.zeros_like(probs)
     losses = []
     for b, instance in enumerate(batch):
@@ -112,7 +112,7 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
     """Minimize mean token-level NLL with Adam; early-stops on dev loss and
     restores the best parameters. Returns the per-epoch metrics rows.
 
-    Each mini-batch of B instances is one :func:`tagger.forward_batch` pass
+    Each mini-batch of B instances is one :func:`tagger.forward` pass
     over the (m, B, ·) batch, right-padded to its longest sentence m, and
     one backward pass. Instance ``b`` gets the logit gradient of its own
     token-mean loss divided by B in rows ``[:len(b), b]`` and zero rows at
@@ -177,36 +177,33 @@ def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance],
                  batch_size: int) -> tuple[float, float]:
     """(mean token-level NLL of the dev instances, headword F1 of their top-1
     decodes against the tuples implied by their own labels), from one
-    batched forward pass per ``batch_size`` instances."""
+    batched forward pass and one batched decode per ``batch_size``
+    instances."""
     losses = []
     golds = []
     preds = []
-    for instance, probs in _batched_probs(model, dev, batch_size):
-        losses.append(_gold_nll(model, instance, probs)[0] / len(instance.tags))
-        try:
-            golds.append(evaluate.gold_from_instance(instance))
-        except OiekitError:
-            continue
-        best = tagger.beam_decode(probs, 1, instance.predicate_index, model.labels)[0]
-        try:
-            extraction = spans_from_tags(
-                TaggedInstance(instance.sentence, instance.predicate_index, best),
-                confidence=tagger.confidence_avg_log(best, probs, model.labels),
-            )
-        except OiekitError:
-            continue
-        preds.append(extraction)
+    for start in range(0, len(dev), batch_size):
+        chunk = dev[start : start + batch_size]
+        probs = tagger.forward(_items(chunk), model)[0]
+        decoded = tagger.beam_decode(probs, [len(instance.tags) for instance in chunk],
+                                     [instance.predicate_index for instance in chunk], 1,
+                                     model.labels)
+        for b, (instance, (best,)) in enumerate(zip(chunk, decoded)):
+            item_probs = probs[: len(instance.tags), b]
+            losses.append(_gold_nll(model, instance, item_probs)[0] / len(instance.tags))
+            try:
+                golds.append(evaluate.gold_from_instance(instance))
+            except OiekitError:
+                continue
+            try:
+                extraction = spans_from_tags(
+                    TaggedInstance(instance.sentence, instance.predicate_index, best),
+                    confidence=tagger.confidence_avg_log(best, item_probs, model.labels),
+                )
+            except OiekitError:
+                continue
+            preds.append(extraction)
     return float(np.mean(losses)), evaluate.tuple_f1(preds, golds) if golds else 0.0
-
-
-def _batched_probs(model: TaggerModel, instances: Sequence[TaggedInstance], batch_size: int):
-    """(instance, its (m, L) label distributions), one forward pass per
-    ``batch_size`` instances."""
-    for start in range(0, len(instances), batch_size):
-        chunk = instances[start : start + batch_size]
-        probs = tagger.forward_batch(_items(chunk), model)[0]
-        for b, instance in enumerate(chunk):
-            yield instance, probs[: len(instance.tags), b]
 
 
 # ---------------------------------------------------------------------------

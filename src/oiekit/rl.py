@@ -86,7 +86,7 @@ def explore(probs: np.ndarray, predicate: int, labels: tuple[str, ...],
     the top-``beam_size`` constrained beam, or i.i.d. constrained samples in
     sampling mode."""
     if mode == "beam":
-        return tagger.beam_decode(probs, beam_size, predicate, labels)
+        return tagger.beam_decode_one(probs, beam_size, predicate, labels)
     if rng is None:
         raise OiekitError("sampling exploration needs a random generator")
     return _sample_sequences(probs, beam_size, predicate, labels, rng)
@@ -155,7 +155,7 @@ def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSente
 def _enumerate_with_probs(model: TaggerModel, sentence: ParsedSentence, predicate: int):
     """(forward cache, [(sequence, P(sequence))] over every
     constraint-satisfying sequence), by enumeration rather than decoding."""
-    probs, cache = tagger.forward(sentence, predicate, model)
+    probs, cache = tagger.forward_one(sentence, predicate, model)
     index = label_index(model.labels)
     weighted = []
     for seq in tagger.enumerate_valid_sequences(len(sentence), predicate, model.labels):
@@ -207,6 +207,8 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
     rng = np.random.default_rng(config.rng_seed)
     optimizer = nn.Adam(model.params, step_size=config.step_size)
     corpus = list(corpus)
+    if dev is not None:
+        dev_predicates = sum(len(identify_predicates(sentence, table)) for sentence in dev[0])
     metrics: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(corpus))
@@ -215,7 +217,7 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
         for idx in order:
             sentence = corpus[idx]
             for predicate in identify_predicates(sentence, table):
-                probs, cache = tagger.forward(sentence, predicate, model)
+                probs, cache = tagger.forward_one(sentence, predicate, model)
                 candidates = explore(probs, predicate, model.labels, config.beam_size,
                                      mode=config.explore_mode, rng=rng)
                 breakdowns = [
@@ -237,7 +239,8 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
             "dev_f1": None,
         }
         if dev is not None:
-            row["dev_mean_reward"], row["dev_f1"] = _dev_metrics(model, *dev, scorer, table)
+            row["dev_mean_reward"], row["dev_f1"] = _dev_metrics(model, *dev, scorer, table,
+                                                                 dev_predicates)
         metrics.append(row)
         log.info("epoch %d: mean reward %.4f dev %s", epoch, row["mean_reward"], row["dev_f1"])
     if metrics_path is not None:
@@ -247,21 +250,21 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
 
 def _dev_metrics(model: TaggerModel, sentences: Sequence[ParsedSentence],
                  gold: Optional[Sequence[GoldTuple]], scorer: SemScorer,
-                 table: PatternTable) -> tuple[float, Optional[float]]:
-    """(mean top-1 reward over every dev predicate, best F1 against the dev
-    gold or None), from one :func:`tagger.extract` pass. A predicate that
-    extract drops counts with reward 0, as syn = -1 times sem = 0."""
+                 table: PatternTable, predicate_count: int) -> tuple[float, Optional[float]]:
+    """(mean top-1 reward over the ``predicate_count`` dev predicates, best
+    F1 against the dev gold or None), from one :func:`tagger.extract` call
+    per dev sentence, so each extraction is scored with its own sentence. A
+    predicate that extract drops counts with reward 0, as syn = -1 times
+    sem = 0."""
     preds = []
     total = 0.0
-    count = 0
     for sentence in sentences:
-        extractions = tagger.extract(sentence, model, table)
+        extractions = tagger.extract([sentence], model, table)
         for extraction in extractions:
             total += _extraction_reward(extraction, sentence, scorer, table).total
-        count += len(identify_predicates(sentence, table))
         preds.extend(extractions)
     f1 = evaluate.evaluate(preds, gold).best_f1 if gold else None
-    return (total / count if count else 0.0), f1
+    return (total / predicate_count if predicate_count else 0.0), f1
 
 
 def _looks_fresh(model: TaggerModel) -> bool:

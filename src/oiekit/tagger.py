@@ -3,9 +3,12 @@
 Per predicate: embed tokens with a predicate-indicator channel, encode with
 stacked bidirectional LSTM layers joined by highway gates, classify each
 token over the BIO label set, decode with a constrained beam search, and
-score extractions by average log probability. :func:`forward_batch` runs
-many (sentence, predicate) items as one right-padded, time-major batch;
-:func:`forward` is its batch of one.
+score extractions by average log probability. :func:`forward` runs many
+(sentence, predicate) items as one right-padded, time-major batch;
+:func:`forward_one` is its batch of one. :func:`beam_decode` decodes such a
+batch in one vectorised k-best pass; :func:`beam_decode_one` is its batch
+of one. :func:`extract` runs its items ``EXTRACT_BATCH`` at a time through
+both.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, asdict, replace
+from functools import cache
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -38,6 +42,13 @@ from oiekit.patterns import DEFAULT_TABLE, PatternTable, identify_predicates
 from oiekit.reward import semantic_confidence
 
 UNK = "<unk>"
+
+# (sentence, predicate) items per extract pass. Peak RSS grows with the
+# batch, since each pass holds its full forward cache: on the benchmark's
+# extract workload (500 sentences) it measured 56.3 MB at 16 against 55.3 MB
+# one item at a time, 62.5 MB at 32 and 79.7 MB at 64, for 10-12% more
+# throughput than at 16.
+EXTRACT_BATCH = 16
 
 STATIC_LOOKUP = "static-lookup"
 EXTERNAL_CONTEXTUAL = "external-contextual"
@@ -250,7 +261,7 @@ def _pad(arrays: list, m: int) -> Optional[np.ndarray]:
     return out
 
 
-def forward_batch(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel):
+def forward(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel):
     """Full pass over (sentence, predicate) items, right-padded to the
     longest sentence m and run as one time-major batch of B items: returns
     ((m, B, L) label distributions, backprop cache). Item ``b`` owns rows
@@ -268,10 +279,10 @@ def forward_batch(items: Sequence[tuple[ParsedSentence, int]], model: TaggerMode
     return probs, cache
 
 
-def forward(sentence: ParsedSentence, predicate: int, model: TaggerModel):
+def forward_one(sentence: ParsedSentence, predicate: int, model: TaggerModel):
     """One item's pass, as a batch of one: returns ((m, L) per-token label
     distributions, backprop cache)."""
-    probs, cache = forward_batch([(sentence, predicate)], model)
+    probs, cache = forward([(sentence, predicate)], model)
     cache["probs"] = probs = probs[:, 0]
     return probs, cache
 
@@ -279,8 +290,8 @@ def forward(sentence: ParsedSentence, predicate: int, model: TaggerModel):
 def backward_from_dlogits(model: TaggerModel, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar with the given logit gradient, for every
     trainable parameter. ``dlogits`` has the shape of the pass's
-    probabilities: (m, L) after :func:`forward`, (m, B, L) after
-    :func:`forward_batch`, with zero rows at padded positions so that
+    probabilities: (m, L) after :func:`forward_one`, (m, B, L) after
+    :func:`forward`, with zero rows at padded positions so that
     padding contributes nothing. Softmax-based callers supply ``probs -
     onehot`` style gradients directly."""
     params = model.params
@@ -337,39 +348,108 @@ def allowed_labels(prev: str, position: int, predicate: int,
     return out
 
 
-def beam_decode(distributions: np.ndarray, beam_size: int, predicate: int,
-                labels: tuple[str, ...] = bio_labels()) -> list[TagSequence]:
-    """Top ``beam_size`` constraint-satisfying label sequences, best first.
+@cache
+def _transitions(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(follow, lex_rank) over label ids, read from :func:`allowed_labels`
+    and shared by every caller with the same inventory (read-only).
+    ``follow[0][i, j]`` says label j may follow label i away from the
+    predicate, ``follow[1][i, j]`` at the predicate position; they differ
+    only in the B-P column. ``lex_rank[j]`` is label j's place in string
+    order."""
+    index = label_index(labels)
+    follow = np.zeros((2, len(labels), len(labels)), dtype=bool)
+    for i, prev in enumerate(labels):
+        for at_predicate, position in ((0, 2), (1, 1)):  # the predicate at position 1
+            for label in allowed_labels(prev, position, 1, labels):
+                follow[at_predicate, i, index[label]] = True
+    lex_rank = np.empty(len(labels), dtype=np.intp)
+    lex_rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    follow.flags.writeable = lex_rank.flags.writeable = False
+    return follow, lex_rank
+
+
+def beam_decode(probs: np.ndarray, lengths: Sequence[int], predicates: Sequence[int],
+                beam_size: int, labels: tuple[str, ...] = bio_labels()
+                ) -> list[list[TagSequence]]:
+    """Top ``beam_size`` constraint-satisfying label sequences of each item
+    of a right-padded, time-major (m, B, L) batch of label distributions,
+    best first. Item ``b`` is decoded from rows ``[:lengths[b], b]`` with
+    its predicate at ``predicates[b]``; padding is never read into a result.
 
     Scores are summed natural logs of the chosen per-token probabilities;
-    ties are broken by lexicographic label order. Hypotheses are grouped by
-    their last label (the only state the transition constraints see), with
-    a per-group beam, so the result is the exact top-``beam_size`` of the
-    full constrained sequence space.
+    ties are broken by lexicographic label order. This is k-best Viterbi:
+    hypotheses are grouped by their last label (the only state the
+    transition constraints see) with a per-group beam, so the result is the
+    exact top-``beam_size`` of the full constrained sequence space.
+
+    Each item's hypotheses sit in a flat row of L·k slots kept in
+    lexicographic order of their prefixes, with a validity mask beside the
+    scores (a zero probability gives a valid hypothesis scored ``-inf``).
+    Extending every slot by a label keeps that order within each next
+    label, so a stable sort on score alone breaks ties by prefix; the
+    survivors are then put back in prefix order (parent slot, then the new
+    label's string rank). Items past their length keep their slots frozen.
     """
     if beam_size < 1:
         raise ValidationError("beam_size must be >= 1")
-    m = distributions.shape[0]
-    index = label_index(labels)
+    m, batch, num_labels = probs.shape
+    follow, lex_rank = _transitions(labels)
+    lengths = np.asarray(lengths)
+    width = num_labels * beam_size
+    # Before reordering, slot r·L + j holds the r-th best new prefix ending in label j.
+    slot_label = np.arange(width) % num_labels
+    slot_rank = lex_rank[slot_label]
+    at_predicate = (np.asarray(predicates)[None, :] == np.arange(1, m + 1)[:, None]).astype(np.intp)
+    rows = np.arange(batch)[:, None]
     with np.errstate(divide="ignore"):
-        logs = np.log(distributions)
-    rank = lambda item: (-item[0], item[1])
-    states: dict[str, list[tuple[float, tuple[str, ...]]]] = {OUTSIDE: [(0.0, ())]}
+        logs = np.log(probs)
+    score = np.zeros((batch, width))
+    valid = np.zeros((batch, width), dtype=bool)
+    valid[:, 0] = True
+    last = np.full((batch, width), label_index(labels)[OUTSIDE])
+    back_steps, label_steps = [], []
     for position in range(1, m + 1):
-        expanded: dict[str, list[tuple[float, tuple[str, ...]]]] = {}
-        for prev, entries in states.items():
-            for label in allowed_labels(prev, position, predicate, labels):
-                log_p = logs[position - 1, index[label]]
-                bucket = expanded.setdefault(label, [])
-                for score, prefix in entries:
-                    bucket.append((score + log_p, prefix + (label,)))
-        for bucket in expanded.values():
-            bucket.sort(key=rank)
-            del bucket[beam_size:]
-        states = expanded
-    final = [entry for bucket in states.values() for entry in bucket]
-    final.sort(key=rank)
-    return [TagSequence(labels=prefix, log_prob=score) for score, prefix in final[:beam_size]]
+        allowed = follow[at_predicate[position - 1][:, None], last] & valid[:, :, None]
+        extended = score[:, :, None] + logs[position - 1][:, None, :]  # (B, slot, next label)
+        # NaN sorts last; the stable sort keeps prefix order among equal scores.
+        ranked = np.argsort(np.where(allowed, -extended, np.nan), axis=1, kind="stable")
+        parent = ranked[:, :beam_size].reshape(batch, width)
+        # Back to prefix order: parent slot first, then the new label. Only
+        # valid slots need distinct keys; invalid ones may land anywhere.
+        order = np.argsort(parent * num_labels + slot_rank, axis=1)
+        parent, new_label = parent[rows, order], slot_label[order]
+        picked = parent * num_labels + new_label
+        new_score = extended.reshape(batch, -1)[rows, picked]
+        new_valid = allowed.reshape(batch, -1)[rows, picked]
+        done = (lengths < position)[:, None]
+        score = np.where(done, score, new_score)
+        valid = np.where(done, valid, new_valid)
+        last = np.where(done, last, new_label)
+        back_steps.append(parent)
+        label_steps.append(last)
+    best = np.argsort(np.where(valid, -score, np.nan), axis=1, kind="stable")[:, :beam_size]
+    best_score, best_valid = score[rows, best], valid[rows, best]
+    chosen = np.zeros((m, batch, beam_size), dtype=np.intp)
+    slot = best
+    for position in range(m, 0, -1):
+        chosen[position - 1] = label_steps[position - 1][rows, slot]
+        back = back_steps[position - 1][rows, slot]
+        slot = np.where((lengths >= position)[:, None], back, slot)
+    names = np.array(labels, dtype=object)
+    return [
+        [TagSequence(labels=tuple(names[chosen[: lengths[b], b, r]]), log_prob=best_score[b, r])
+         for r in range(beam_size) if best_valid[b, r]]
+        for b in range(batch)
+    ]
+
+
+def beam_decode_one(distributions: np.ndarray, beam_size: int, predicate: int,
+                    labels: tuple[str, ...] = bio_labels()) -> list[TagSequence]:
+    """Top ``beam_size`` constraint-satisfying label sequences of one
+    item's (m, L) distributions, best first: :func:`beam_decode` on
+    a batch of one."""
+    return beam_decode(distributions[:, None], [distributions.shape[0]], [predicate],
+                       beam_size, labels)[0]
 
 
 def enumerate_valid_sequences(m: int, predicate: int,
@@ -410,12 +490,18 @@ def confidence_avg_log(tags: TagSequence, distributions: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def extract(sentence: ParsedSentence, model: TaggerModel,
+def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
             table: PatternTable = DEFAULT_TABLE,
             sem_scorer=None, rerank: str = "none") -> list[Extraction]:
-    """Decode one extraction per detected predicate (dropped when its best
-    sequence has no predicate span). The decode keeps only the best
-    sequence, and :func:`beam_decode` is exact, so it runs at width 1.
+    """Decode one extraction per detected predicate of each sentence, in
+    sentence order (dropped when its best sequence has no predicate span).
+
+    The (sentence, predicate) items run through :func:`forward` in
+    chunks of ``EXTRACT_BATCH`` (16; larger chunks raise peak memory, see
+    the constant) and each chunk is decoded by one
+    :func:`beam_decode` call. Only the best sequence is kept, and the
+    decoder is exact, so it runs at width 1. An item's distributions, and so
+    its confidence, match a batch of one up to float rounding.
 
     The confidence is the average-log confidence of the decoded labels
     (:func:`confidence_avg_log`). Reranking replaces it with
@@ -428,20 +514,26 @@ def extract(sentence: ParsedSentence, model: TaggerModel,
         raise ValidationError(f"unknown rerank mode {rerank!r}")
     if rerank != "none" and sem_scorer is None:
         raise ValidationError(f"rerank mode {rerank!r} requires a semantic scorer")
+    items = [(sentence, predicate) for sentence in sentences
+             for predicate in identify_predicates(sentence, table)]
     out = []
-    for predicate in identify_predicates(sentence, table):
-        probs, _ = forward(sentence, predicate, model)
-        best = beam_decode(probs, 1, predicate, model.labels)[0]
-        instance = TaggedInstance(sentence=sentence, predicate_index=predicate, tags=best)
-        try:
-            extraction = spans_from_tags(instance)
-        except NoPredicateSpan:
-            continue
-        confidence = confidence_avg_log(best, probs, model.labels)
-        if rerank != "none":
-            confidence = semantic_confidence(0.0 if rerank == "sem" else confidence,
-                                             sem_scorer.score(extraction, sentence))
-        out.append(replace(extraction, confidence=confidence))
+    for start in range(0, len(items), EXTRACT_BATCH):
+        chunk = items[start : start + EXTRACT_BATCH]
+        probs, _ = forward(chunk, model)
+        lengths = [len(sentence) for sentence, _ in chunk]
+        decoded = beam_decode(probs, lengths, [predicate for _, predicate in chunk], 1,
+                              model.labels)
+        for b, ((sentence, predicate), (best,)) in enumerate(zip(chunk, decoded)):
+            instance = TaggedInstance(sentence=sentence, predicate_index=predicate, tags=best)
+            try:
+                extraction = spans_from_tags(instance)
+            except NoPredicateSpan:
+                continue
+            confidence = confidence_avg_log(best, probs[: lengths[b], b], model.labels)
+            if rerank != "none":
+                confidence = semantic_confidence(0.0 if rerank == "sem" else confidence,
+                                                 sem_scorer.score(extraction, sentence))
+            out.append(replace(extraction, confidence=confidence))
     return out
 
 

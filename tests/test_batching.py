@@ -24,7 +24,7 @@ from oiekit.tagger import (
     build_vocab,
     embed,
     forward,
-    forward_batch,
+    forward_one,
     init_model,
     label_distribution,
 )
@@ -208,7 +208,7 @@ def test_tagger_batch_of_one_is_bit_identical_to_reference(kind, config):
     items = items_of([6, 1, 11])
     model = model_for(kind, items, config)
     for sentence, predicate in items:
-        probs, cache = forward(sentence, predicate, model)
+        probs, cache = forward_one(sentence, predicate, model)
         ref_probs, ref_cache = ref_forward(sentence, predicate, model)
         assert np.array_equal(probs, ref_probs)
         dlogits = rng.normal(size=(len(sentence), len(model.labels)))
@@ -227,14 +227,14 @@ def test_mixed_length_batch_matches_items_run_alone(kind):
     rng = np.random.default_rng(9)
     items = items_of([1, 4, 9])
     model = model_for(kind, items)
-    probs, cache = forward_batch(items, model)
+    probs, cache = forward(items, model)
     n_labels = len(model.labels)
     assert probs.shape == (9, 3, n_labels)
     dlogits = np.zeros_like(probs)
     summed = {}
     for b, (sentence, predicate) in enumerate(items):
         m = len(sentence)
-        alone, alone_cache = forward(sentence, predicate, model)
+        alone, alone_cache = forward_one(sentence, predicate, model)
         assert relative_error(probs[:m, b], alone) <= TOLERANCE
         dlogits[:m, b] = rng.normal(size=(m, n_labels))
         for name, grad in backward_from_dlogits(model, alone_cache, dlogits[:m, b]).items():
@@ -250,8 +250,8 @@ def test_longer_item_leaves_the_others_unchanged(kind):
     items = items_of([1, 4, 9])
     longer = items_of([2, 2, 2, 12])[3]
     model = model_for(kind, items + [longer])
-    before, _ = forward_batch(items, model)
-    after, _ = forward_batch([items[0], longer] + items[1:], model)
+    before, _ = forward(items, model)
+    after, _ = forward([items[0], longer] + items[1:], model)
     for b, (sentence, _) in enumerate(items):
         m = len(sentence)
         column = b if b == 0 else b + 1

@@ -1,10 +1,12 @@
 """The benchmark traces oiekit from outside: bench/tracing.py patches the
 functions and methods it names, and bench/selftest.py checks that names
 imported with ``from ... import`` are patched too. A refactor that renames
-or stops sharing one of them fails here instead of in a traced run."""
+or stops sharing one of them, or that routes work around them, fails here
+instead of in a traced run."""
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,28 @@ def test_every_traced_method_exists(tracing):
 ])
 def test_imported_names_are_the_traced_functions(holder, owner, name):
     assert getattr(oiekit_module(holder), name) is getattr(oiekit_module(owner), name)
+
+
+def test_every_encoder_pass_and_decode_is_traced(tracing):
+    # Extraction runs EXTRACT_BATCH items per call and a single item is a
+    # batch of one, so both must reach the spanned tagger functions.
+    from oiekit.corpus_io import gen_synthetic
+    from oiekit.patterns import identify_predicates
+    from oiekit.tagger import EXTRACT_BATCH, TaggerConfig, build_vocab, init_model
+    tagger = oiekit_module("tagger")
+    sentences, _ = gen_synthetic(n=20, seed=5)
+    model = init_model(TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
+                                    num_encoder_layers=2, rng_seed=3), build_vocab(sentences))
+    items = sum(len(identify_predicates(sentence)) for sentence in sentences)
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        tagger.extract(sentences, model)
+        probs, _ = tagger.forward_one(sentences[0], identify_predicates(sentences[0])[0], model)
+        tagger.beam_decode_one(probs, 3, identify_predicates(sentences[0])[0], model.labels)
+    finally:
+        tracing.remove(patches)
+    calls = Counter(span[0] for span in tracer.spans)
+    chunks = -(-items // EXTRACT_BATCH)
+    assert chunks > 1
+    assert calls["tagger.forward"] == calls["tagger.beam_decode"] == chunks + 1

@@ -152,5 +152,5 @@ class TestPretrain:
         corpus = [inst for s in train_sentences for inst in generate_instances(s)]
         model = init_model(TaggerConfig(rng_seed=13), build_vocab(corpus))
         pretrain(model, corpus, TrainConfig(epochs=15, rng_seed=13))
-        preds = [e for s in dev_sentences for e in extract(s, model)]
+        preds = [e for s in dev_sentences for e in extract([s], model)]
         assert evaluate(preds, dev_gold).best_f1 >= 0.9

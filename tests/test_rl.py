@@ -22,10 +22,10 @@ from oiekit.rl import (
 )
 from oiekit.tagger import (
     TaggerConfig,
-    beam_decode,
+    beam_decode_one,
     build_vocab,
     extract,
-    forward,
+    forward_one,
     init_model,
 )
 
@@ -58,21 +58,21 @@ class TestExplore:
     def test_beam_mode_equals_beam_decode(self):
         sentence = flat_sentence(4)
         model = init_model(TINY, build_vocab([sentence]))
-        probs, _ = forward(sentence, 2, model)
-        assert explore(probs, 2, model.labels, 3) == beam_decode(probs, 3, 2, model.labels)
+        probs, _ = forward_one(sentence, 2, model)
+        assert explore(probs, 2, model.labels, 3) == beam_decode_one(probs, 3, 2, model.labels)
 
     def test_sampling_mode_yields_valid_sequences(self):
         sentence = flat_sentence(5)
         model = init_model(TINY, build_vocab([sentence]))
         rng = np.random.default_rng(4)
-        probs, _ = forward(sentence, 3, model)
+        probs, _ = forward_one(sentence, 3, model)
         for seq in explore(probs, 3, model.labels, 4, mode="sample", rng=rng):
             assert validate_bio(seq.labels) == []
 
     def test_sampling_deterministic_per_seed(self):
         sentence = flat_sentence(5)
         model = init_model(TINY, build_vocab([sentence]))
-        probs, _ = forward(sentence, 3, model)
+        probs, _ = forward_one(sentence, 3, model)
         a = explore(probs, 3, model.labels, 4, mode="sample", rng=np.random.default_rng(4))
         b = explore(probs, 3, model.labels, 4, mode="sample", rng=np.random.default_rng(4))
         assert a == b
@@ -84,7 +84,7 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        probs, cache = forward(sentence, 2, model)
+        probs, cache = forward_one(sentence, 2, model)
         candidates = explore(probs, 2, model.labels, 1)
         norm = reinforce_step(model, optimizer, sentence, cache, candidates, [0.0],
                               baseline_mode="off")
@@ -96,7 +96,7 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        probs, cache = forward(sentence, 2, model)
+        probs, cache = forward_one(sentence, 2, model)
         candidates = explore(probs, 2, model.labels, 2)
         norm = reinforce_step(model, optimizer, sentence, cache, candidates, [0.7, 0.7],
                               baseline_mode="mean")
@@ -108,7 +108,7 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        probs, cache = forward(sentence, 2, model)
+        probs, cache = forward_one(sentence, 2, model)
         candidates = explore(probs, 2, model.labels, 1)
         reinforce_step(model, optimizer, sentence, cache, candidates, [0.9],
                        baseline_mode="mean")
@@ -119,7 +119,7 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        probs, cache = forward(sentence, 2, model)
+        probs, cache = forward_one(sentence, 2, model)
         candidates = explore(probs, 2, model.labels, 2)
         norm = reinforce_step(model, optimizer, sentence, cache, candidates, [1.0, -1.0],
                               baseline_mode="mean")
@@ -241,10 +241,12 @@ class TestTrainRl:
         calls = Counter()
         real_forward = tagger.forward
 
-        def counting_forward(sentence, predicate, model):
-            calls[sentence.sentence_id, predicate] += 1
-            return real_forward(sentence, predicate, model)
+        def counting_forward(items, model):
+            for sentence, predicate in items:
+                calls[sentence.sentence_id, predicate] += 1
+            return real_forward(items, model)
 
+        # tagger.forward_one is a batch of one, so this counts every encoded item.
         monkeypatch.setattr(tagger, "forward", counting_forward)
         train_rl(model, sentences, SemScorer(), RLConfig(epochs=2, rng_seed=3),
                  dev=(dev_sentences, dev_gold) if with_dev else None)
@@ -279,10 +281,10 @@ def reference_epoch(model, sentences, scorer, config, dev_sentences, dev_gold):
     for idx in rng.permutation(len(sentences)):
         sentence = sentences[idx]
         for predicate in identify_predicates(sentence):
-            probs, _ = forward(sentence, predicate, model)
-            candidates = beam_decode(probs, config.beam_size, predicate, model.labels)
+            probs, _ = forward_one(sentence, predicate, model)
+            candidates = beam_decode_one(probs, config.beam_size, predicate, model.labels)
             breakdowns = [candidate_reward(c, sentence, predicate, scorer) for c in candidates]
-            _, cache = forward(sentence, predicate, model)
+            _, cache = forward_one(sentence, predicate, model)
             reinforce_step(model, optimizer, sentence, cache, candidates,
                            [b.total for b in breakdowns], config.baseline_mode)
             rewards.extend(breakdowns)
@@ -290,11 +292,11 @@ def reference_epoch(model, sentences, scorer, config, dev_sentences, dev_gold):
     dev_count = 0
     for sentence in dev_sentences:
         for predicate in identify_predicates(sentence):
-            probs, _ = forward(sentence, predicate, model)
-            best = beam_decode(probs, 3, predicate, model.labels)[0]
+            probs, _ = forward_one(sentence, predicate, model)
+            best = beam_decode_one(probs, 3, predicate, model.labels)[0]
             dev_total += candidate_reward(best, sentence, predicate, scorer).total
             dev_count += 1
-    preds = [e for sentence in dev_sentences for e in extract(sentence, model)]
+    preds = [e for sentence in dev_sentences for e in extract([sentence], model)]
     mean = lambda values: sum(values, 0.0) / len(values)  # noqa: E731
     return {
         "epoch": 1,

@@ -9,20 +9,20 @@ import numpy as np
 import pytest
 
 from oiekit.core import bio_labels, spans_from_tags, validate_bio, TagSequence, ValidationError
-from oiekit.corpus_io import ParseError
+from oiekit.corpus_io import ParseError, gen_synthetic
 from oiekit.reward import make_sem_scorer, sem_score_surrogate
 from oiekit.tagger import (
     EXTERNAL_CONTEXTUAL,
     HashEmbeddingProvider,
     TaggerConfig,
-    beam_decode,
+    beam_decode_one,
     build_vocab,
     confidence_avg_log,
     embed,
     encode,
     enumerate_valid_sequences,
     extract,
-    forward,
+    forward_one,
     init_model,
     label_distribution,
     load_model,
@@ -156,7 +156,7 @@ class TestLabelDistribution:
         model = tiny_model(sentence)
         model.params["cls.w"][...] = 0.0
         model.params["cls.b"][...] = 0.0
-        probs, _ = forward(sentence, 1, model)
+        probs, _ = forward_one(sentence, 1, model)
         assert np.allclose(probs, 1.0 / len(model.labels))
 
     def test_large_bias_dominates(self):
@@ -165,14 +165,14 @@ class TestLabelDistribution:
         model.params["cls.w"][...] = 0.0
         model.params["cls.b"][...] = 0.0
         model.params["cls.b"][0] = 10.0
-        probs, _ = forward(sentence, 1, model)
+        probs, _ = forward_one(sentence, 1, model)
         # softmax(10 vs eight 0s): e^10 / (e^10 + 8) > 0.999
         assert (probs[:, 0] > 0.999).all()
 
     def test_rows_sum_to_one(self):
         sentence = flat_sentence(5)
         model = tiny_model(sentence)
-        probs, _ = forward(sentence, 3, model)
+        probs, _ = forward_one(sentence, 3, model)
         assert np.all(probs >= 0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -191,7 +191,7 @@ class TestBeamDecode:
         table = np.zeros((2, len(labels)))
         table[0, labels.index("B-ARG1")] = 1.0
         table[1, labels.index("B-P")] = 1.0
-        result = beam_decode(table, 1, predicate=2, labels=labels)
+        result = beam_decode_one(table, 1, predicate=2, labels=labels)
         assert len(result) == 1
         assert result[0].labels == ("B-ARG1", "B-P")
         assert result[0].log_prob == 0.0
@@ -199,7 +199,7 @@ class TestBeamDecode:
     def test_uniform_restricted_labels_returns_every_valid_sequence(self):
         labels = bio_labels(("P",))  # O, B-P, I-P
         table = np.full((3, 3), 1.0 / 3.0)
-        result = beam_decode(table, 27, predicate=1, labels=labels)
+        result = beam_decode_one(table, 27, predicate=1, labels=labels)
         expected = {("O", "O", "O"), ("B-P", "O", "O"),
                     ("B-P", "I-P", "O"), ("B-P", "I-P", "I-P")}
         assert {r.labels for r in result} == expected
@@ -212,7 +212,7 @@ class TestBeamDecode:
         rng = np.random.default_rng(100 + m + predicate)
         table = random_table(rng, m, len(labels))
         oracle = oracle_rank(table, predicate, labels)
-        result = beam_decode(table, len(oracle), predicate, labels)
+        result = beam_decode_one(table, len(oracle), predicate, labels)
         assert [r.labels for r in result] == [seq for _, seq in oracle]
         for r, (score, _) in zip(result, oracle):
             assert r.log_prob == pytest.approx(score, abs=1e-9)
@@ -225,16 +225,16 @@ class TestBeamDecode:
             predicate = int(rng.integers(1, m + 1))
             table = random_table(rng, m, len(labels))
             oracle = oracle_rank(table, predicate, labels)[:3]
-            result = beam_decode(table, 3, predicate, labels)
+            result = beam_decode_one(table, 3, predicate, labels)
             assert [r.labels for r in result] == [seq for _, seq in oracle], f"trial {trial}"
             # extract decodes at width 1: its top-1 is the top-1 of any width.
-            assert beam_decode(table, 1, predicate, labels)[0].labels == oracle[0][1]
+            assert beam_decode_one(table, 1, predicate, labels)[0].labels == oracle[0][1]
 
     def test_every_beam_sequence_is_bio_valid(self):
         labels = bio_labels()
         rng = np.random.default_rng(7)
         table = random_table(rng, 5, len(labels))
-        for r in beam_decode(table, 10, predicate=3, labels=labels):
+        for r in beam_decode_one(table, 10, predicate=3, labels=labels):
             assert validate_bio(r.labels) == []
             assert oracle_valid(r.labels, 3)
 
@@ -331,15 +331,15 @@ class TestDeterminismAndSerialization:
         path = tmp_path / "model.ckpt"
         save_model(model, path)
         loaded = load_model(path)
-        probs_a, _ = forward(sentence, 2, model)
-        probs_b, _ = forward(sentence, 2, loaded)
+        probs_a, _ = forward_one(sentence, 2, model)
+        probs_b, _ = forward_one(sentence, 2, loaded)
         assert np.array_equal(probs_a, probs_b)
 
 
 class TestExtract:
     def test_extractions_respect_core_invariants(self, parragon):
         model = init_model(TINY, build_vocab([parragon]))
-        extractions = extract(parragon, model)
+        extractions = extract([parragon], model)
         assert len(extractions) <= 2
         for e in extractions:
             assert e.sentence_id == "parragon"
@@ -347,10 +347,26 @@ class TestExtract:
             for start, end in spans:
                 assert 1 <= start <= end <= len(parragon)
 
+    @pytest.mark.parametrize("rerank", ["none", "combined"])
+    def test_batched_pass_matches_one_call_per_sentence(self, rerank):
+        # 40 sentences of several templates: more than one chunk, mixed lengths.
+        sentences, _ = gen_synthetic(n=40, seed=5)
+        model = init_model(TINY, build_vocab(sentences))
+        model.params["cls.b"][model.labels.index("B-P")] += 2.0
+        scorer = make_sem_scorer("surrogate") if rerank != "none" else None
+        batched = extract(sentences, model, sem_scorer=scorer, rerank=rerank)
+        single = [e for s in sentences for e in extract([s], model, sem_scorer=scorer,
+                                                        rerank=rerank)]
+        key = lambda e: (e.sentence_id, e.predicate_span, e.role_spans)  # noqa: E731
+        assert len(single) > 16
+        assert [key(e) for e in batched] == [key(e) for e in single]
+        for a, b in zip(batched, single):
+            assert abs(a.confidence - b.confidence) <= 1e-12
+
     def test_rerank_needs_scorer(self, parragon):
         model = init_model(TINY, build_vocab([parragon]))
         with pytest.raises(ValidationError):
-            extract(parragon, model, rerank="combined")
+            extract([parragon], model, rerank="combined")
 
     def test_rerank_confidences_follow_the_formula(self, parragon, ditrans):
         scorer = make_sem_scorer("surrogate")
@@ -358,9 +374,9 @@ class TestExtract:
             model = init_model(TINY, build_vocab([sentence]))
             # Favour B-P so that every predicate decodes to an extraction.
             model.params["cls.b"][model.labels.index("B-P")] += 5.0
-            plain = extract(sentence, model)
-            sem_only = extract(sentence, model, sem_scorer=scorer, rerank="sem")
-            combined = extract(sentence, model, sem_scorer=scorer, rerank="combined")
+            plain = extract([sentence], model)
+            sem_only = extract([sentence], model, sem_scorer=scorer, rerank="sem")
+            combined = extract([sentence], model, sem_scorer=scorer, rerank="combined")
             assert plain
             assert len(sem_only) == len(combined) == len(plain)
             for base, by_sem, by_both in zip(plain, sem_only, combined):
