@@ -170,6 +170,8 @@ def _resolve_scorer(flag_value, cache_path=None):
 
 
 def cmd_synth(args) -> int:
+    if not 0.0 <= args.dev_fraction < 1.0:
+        raise _UsageError(f"--dev-fraction must be in [0, 1), got {args.dev_fraction}")
     sentences, gold = corpus_io.gen_synthetic(_parse_templates(args.templates), args.n, args.seed)
     if args.dev_conllu:
         if not args.dev_gold:

@@ -18,7 +18,7 @@ import os
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Optional, TypeVar
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from oiekit.core import (
     TaggedInstance,
     TagSequence,
     Token,
+    ValidationError,
 )
 
 log = logging.getLogger(__name__)
@@ -203,16 +204,27 @@ def read_conllu(path) -> list[ParsedSentence]:
     return sentences
 
 
+def _conllu_block(sent: ParsedSentence) -> str:
+    """The sentence's lines; ValidationError unless :func:`read_conllu`
+    would read them back as written."""
+    lines = [f"# sent_id = {sent.sentence_id}", f"# text = {sent.text}"] + [
+        f"{tok.index}\t{tok.surface}\t_\t{tok.upos}\t_\t_\t{tok.head}\t{tok.deprel}\t_\t_"
+        for tok in sent.tokens]
+    block = "\n".join(lines) + "\n\n"
+    if ("\r" in block or block.count("\n") != len(lines) + 1
+            or block.count("\t") != 9 * len(sent.tokens)
+            or sent.sentence_id != sent.sentence_id.strip() or sent.text != sent.text.strip()):
+        raise ValidationError(f"sentence {sent.sentence_id!r} would not read back as written")
+    return block
+
+
 def write_conllu(sentences: Iterable[ParsedSentence], path) -> None:
+    """Raises ValidationError, before anything is written, on a sentence
+    with a tab or line break in any field or whitespace around its id or
+    text, so that :func:`read_conllu` reads back what was written."""
+    blocks = [_conllu_block(sent) for sent in sentences]
     with atomic_write(path) as handle:
-        for sent in sentences:
-            handle.write(f"# sent_id = {sent.sentence_id}\n")
-            handle.write(f"# text = {sent.text}\n")
-            for tok in sent.tokens:
-                handle.write(
-                    f"{tok.index}\t{tok.surface}\t_\t{tok.upos}\t_\t_\t{tok.head}\t{tok.deprel}\t_\t_\n"
-                )
-            handle.write("\n")
+        handle.writelines(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +281,23 @@ def read_gold(path, sentences: Optional[Mapping[str, ParsedSentence]] = None) ->
 
 
 def write_gold(golds: Iterable[GoldTuple], path) -> None:
+    """One row per role head, with its surface when non-empty (the file
+    keeps no other surfaces). A tuple that :func:`read_gold` would not read
+    back raises ValidationError before anything is written: a tab or line
+    break in a field, a sentence id starting with ``#`` (a comment), no
+    roles, or the (sentence id, predicate head) of an earlier tuple."""
+    blocks, seen = [], set()
+    for gold in golds:
+        key, rows = (gold.sentence_id, gold.predicate_head), len(gold.role_heads)
+        block = "".join(f"{key[0]}\t{key[1]}\t{role}\t{head}\t{gold.surfaces.get(role, '')}\n"
+                        for role, head in gold.role_heads.items())
+        if ("\r" in block or block.count("\n") != rows or block.count("\t") != 4 * rows
+                or not rows or key in seen or gold.sentence_id.startswith("#")):
+            raise ValidationError(f"gold tuple {key} would not read back as written")
+        seen.add(key)
+        blocks.append(block)
     with atomic_write(path) as handle:
-        for gold in golds:
-            for role, head in gold.role_heads.items():
-                surface = gold.surfaces.get(role, "")
-                handle.write(f"{gold.sentence_id}\t{gold.predicate_head}\t{role}\t{head}\t{surface}\n")
+        handle.writelines(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +305,13 @@ def write_gold(golds: Iterable[GoldTuple], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def extraction_to_dict(extraction: Extraction, reward: Optional[dict] = None) -> dict:
-    record = {
+def extraction_to_dict(extraction: Extraction) -> dict:
+    return {
         "sentence_id": extraction.sentence_id,
         "predicate_span": list(extraction.predicate_span),
         "role_spans": {role: list(span) for role, span in sorted(extraction.role_spans.items())},
         "confidence": extraction.confidence,
     }
-    if reward is not None:
-        record["reward"] = reward
-    return record
 
 
 def extraction_from_dict(record: dict) -> Extraction:
@@ -302,14 +323,8 @@ def extraction_from_dict(record: dict) -> Extraction:
     )
 
 
-def write_extractions(extractions: Iterable[Extraction], path,
-                      rewards: Optional[Sequence[Optional[dict]]] = None) -> None:
-    """Write one JSON record per line; ``rewards`` optionally attaches a
-    reward breakdown dict to each extraction."""
-    extractions = list(extractions)
-    if rewards is None:
-        rewards = [None] * len(extractions)
-    write_jsonl((extraction_to_dict(e, r) for e, r in zip(extractions, rewards)), path)
+def write_extractions(extractions: Iterable[Extraction], path) -> None:
+    write_jsonl((extraction_to_dict(e) for e in extractions), path)
 
 
 def read_extractions(path) -> list[Extraction]:

@@ -35,8 +35,14 @@ class TrainConfig:
     rng_seed: int = 13
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValidationError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValidationError(f"step_size must be finite and positive, got {self.step_size}")
+        if not 0.0 <= self.dev_fraction < 1.0:
+            raise ValidationError(f"dev_fraction must be in [0, 1), got {self.dev_fraction}")
 
 
 def _gold_nll(model: TaggerModel, instance: TaggedInstance,
@@ -189,8 +195,8 @@ def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance],
                                      [instance.predicate_index for instance in chunk], 1,
                                      model.labels)
         for b, (instance, (best,)) in enumerate(zip(chunk, decoded)):
-            item_probs = probs[: len(instance.tags), b]
-            losses.append(_gold_nll(model, instance, item_probs)[0] / len(instance.tags))
+            m = len(instance.tags)
+            losses.append(_gold_nll(model, instance, probs[:m, b])[0] / m)
             try:
                 golds.append(evaluate.gold_from_instance(instance))
             except OiekitError:
@@ -198,7 +204,7 @@ def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance],
             try:
                 extraction = spans_from_tags(
                     TaggedInstance(instance.sentence, instance.predicate_index, best),
-                    confidence=tagger.confidence_avg_log(best, item_probs, model.labels),
+                    confidence=best.log_prob / len(best),
                 )
             except OiekitError:
                 continue

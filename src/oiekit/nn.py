@@ -181,29 +181,27 @@ def highway_backward(dout, x, core, gate, params, grads, prefix):
 class Adam:
     """Adam over a named-parameter dict, updated in place."""
 
-    def __init__(self, params: dict, step_size: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, step_size: float = 1e-3):
         self.params = params
         self.step_size = step_size
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(value) for name, value in params.items()}
         self.v = {name: np.zeros_like(value) for name, value in params.items()}
 
     def step(self, grads: dict) -> None:
         self.t += 1
-        bias1 = 1.0 - self.beta1 ** self.t
-        bias2 = 1.0 - self.beta2 ** self.t
+        bias1 = 1.0 - self.BETA1 ** self.t
+        bias2 = 1.0 - self.BETA2 ** self.t
         for name, grad in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * grad
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * grad * grad
+            update = (m / bias1) / (np.sqrt(v / bias2) + self.EPS)
             self.params[name] -= self.step_size * update
 
 

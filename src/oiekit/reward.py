@@ -192,20 +192,13 @@ class HttpEntailmentAdapter:
 class SemScorer:
     """Semantic-consistency scorer for extractions.
 
-    Mode ``surrogate`` uses the deterministic containment x completeness
-    formula; mode ``adapter`` verbalizes the tuple and asks an external
-    :class:`EntailmentScorer`, caching results by (sentence id,
+    Without an ``adapter`` it is the deterministic containment x
+    completeness surrogate. With one, it verbalizes the tuple and asks the
+    external :class:`EntailmentScorer`, caching results by (sentence id,
     verbalized tuple). The cache persists as a tab-separated file.
     """
 
-    def __init__(self, mode: str = "surrogate",
-                 adapter: Optional[EntailmentScorer] = None,
-                 cache_path=None):
-        if mode not in ("surrogate", "adapter"):
-            raise ValidationError(f"unknown scorer mode {mode!r}")
-        if mode == "adapter" and adapter is None:
-            raise ValidationError("adapter mode requires an EntailmentScorer")
-        self.mode = mode
+    def __init__(self, adapter: Optional[EntailmentScorer] = None, cache_path=None):
         self.adapter = adapter
         self.cache_path = cache_path
         self._cache: dict[tuple[str, str], float] = {}
@@ -239,7 +232,7 @@ class SemScorer:
                 handle.write(f"{sid}\t{hypothesis}\t{value!r}\n")
 
     def score(self, extraction: Extraction, sentence: ParsedSentence) -> float:
-        if self.mode == "surrogate":
+        if self.adapter is None:
             return sem_score_surrogate(extraction, sentence)
         hypothesis = verbalize(extraction, sentence)
         key = (sentence.sentence_id, hypothesis)
@@ -256,11 +249,10 @@ def make_sem_scorer(spec: str, cache_path=None) -> SemScorer:
     """Build a scorer from a CLI-style spec: ``surrogate`` or
     ``adapter:<endpoint-url>``."""
     if spec == "surrogate":
-        return SemScorer(mode="surrogate")
+        return SemScorer()
     if spec.startswith("adapter:"):
         endpoint = spec[len("adapter:"):]
         if not endpoint:
             raise ValidationError("adapter scorer needs an endpoint, e.g. adapter:http://host/score")
-        return SemScorer(mode="adapter", adapter=HttpEntailmentAdapter(endpoint),
-                         cache_path=cache_path)
+        return SemScorer(HttpEntailmentAdapter(endpoint), cache_path=cache_path)
     raise ValidationError(f"unknown scorer spec {spec!r}")

@@ -45,6 +45,10 @@ class RLConfig:
     rng_seed: int = 13
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise OiekitError("epochs must be >= 1")
+        if not 0.0 < self.step_size < np.inf:
+            raise OiekitError(f"step_size must be finite and positive, got {self.step_size}")
         if self.baseline_mode not in ("mean", "off"):
             raise OiekitError(f"unknown baseline mode {self.baseline_mode!r}")
         if self.explore_mode not in ("beam", "sample"):

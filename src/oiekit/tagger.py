@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, asdict, replace
 from functools import cache
 from typing import Optional, Protocol, Sequence
@@ -144,12 +143,10 @@ def build_vocab(instances_or_sentences) -> list[str]:
 
 
 def init_model(config: TaggerConfig, vocab: Sequence[str],
-               rng: Optional[np.random.Generator] = None,
                provider: Optional[ContextualEmbeddingProvider] = None) -> TaggerModel:
-    """Initialize all parameters uniformly in [-0.1, 0.1] from the seeded
-    generator (``config.rng_seed`` when ``rng`` is not given)."""
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
+    """Initialize all parameters uniformly in [-0.1, 0.1] from a generator
+    seeded with ``config.rng_seed``."""
+    rng = np.random.default_rng(config.rng_seed)
     h = config.hidden_dim
     in_dim = config.embedding_dim + (config.indicator_dim if config.use_indicator else 0)
     params: dict[str, np.ndarray] = {}
@@ -214,11 +211,6 @@ def _embed(sentence: ParsedSentence, predicate: int, model: TaggerModel):
     flags = np.array([1 if t.index == predicate else 0 for t in sentence.tokens])
     x0 = np.concatenate([word_vecs, model.params["embed.indicator"][flags]], axis=1)
     return x0, ids, flags
-
-
-def encode(embeddings: np.ndarray, model: TaggerModel) -> np.ndarray:
-    """Hidden states of one item's (m, in_dim) embeddings, one per token."""
-    return _encode_with_cache(embeddings[:, None], [len(embeddings)], model)[0][:, 0]
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -471,20 +463,6 @@ def enumerate_valid_sequences(m: int, predicate: int,
     return out
 
 
-def confidence_avg_log(tags: TagSequence, distributions: np.ndarray,
-                       labels: tuple[str, ...] = bio_labels()) -> float:
-    """Average natural-log probability of the chosen labels."""
-    if len(tags) != distributions.shape[0]:
-        raise ValidationError(
-            f"{len(tags)} tags vs {distributions.shape[0]} token distributions"
-        )
-    index = label_index(labels)
-    score = 0.0
-    for position, label in enumerate(tags.labels):
-        score += math.log(distributions[position, index[label]])
-    return score / len(tags)
-
-
 # ---------------------------------------------------------------------------
 # Extraction
 # ---------------------------------------------------------------------------
@@ -503,8 +481,9 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
     decoder is exact, so it runs at width 1. An item's distributions, and so
     its confidence, match a batch of one up to float rounding.
 
-    The confidence is the average-log confidence of the decoded labels
-    (:func:`confidence_avg_log`). Reranking replaces it with
+    The confidence is the average-log confidence of the decoded labels: the
+    decoder's summed log probability divided by the sentence length.
+    Reranking replaces it with
     :func:`oiekit.reward.semantic_confidence`, ``c + log(max(sem,
     SEM_FLOOR))``: ``rerank='sem'`` uses ``c = 0.0`` (log semantic score
     alone) and ``rerank='combined'`` the average-log confidence. Both need
@@ -523,13 +502,13 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
         lengths = [len(sentence) for sentence, _ in chunk]
         decoded = beam_decode(probs, lengths, [predicate for _, predicate in chunk], 1,
                               model.labels)
-        for b, ((sentence, predicate), (best,)) in enumerate(zip(chunk, decoded)):
+        for (sentence, predicate), (best,) in zip(chunk, decoded):
             instance = TaggedInstance(sentence=sentence, predicate_index=predicate, tags=best)
             try:
                 extraction = spans_from_tags(instance)
             except NoPredicateSpan:
                 continue
-            confidence = confidence_avg_log(best, probs[: lengths[b], b], model.labels)
+            confidence = best.log_prob / len(best)
             if rerank != "none":
                 confidence = semantic_confidence(0.0 if rerank == "sem" else confidence,
                                                  sem_scorer.score(extraction, sentence))
@@ -564,8 +543,8 @@ def save_model(model: TaggerModel, path) -> None:
 
 def load_model(path, provider: Optional[ContextualEmbeddingProvider] = None) -> TaggerModel:
     """Read a checkpoint written by :func:`save_model`. A malformed header,
-    an array cut short, or bytes after the last array raise
-    :class:`ParseError`."""
+    an array whose dtype is not float64 (the only one written), an array
+    cut short, or bytes after the last array raise :class:`ParseError`."""
     with open(path, "rb") as handle:
         try:
             header = json.loads(handle.readline().decode("utf-8"))
@@ -585,6 +564,9 @@ def load_model(path, provider: Optional[ContextualEmbeddingProvider] = None) -> 
             raise ParseError(f"checkpoint {path}: bad header: {exc!r}") from None
         params = {}
         for name, dtype, shape in arrays:
+            if dtype != np.float64:
+                raise ParseError(f"checkpoint {path}: array {name!r} has dtype {dtype}, "
+                                 "not float64")
             count = int(np.prod(shape)) if shape else 1
             size = count * dtype.itemsize
             data = handle.read(size)

@@ -150,3 +150,55 @@ def test_truncated_checkpoint_is_a_data_error(pipeline, capsys):
                      "--conllu", str(work / "dev.conllu"), "--out", str(work / "cut.jsonl")])
     assert code == cli.EXIT_DATA
     assert "checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["extract", "rl-train"])
+@pytest.mark.parametrize("dtype", ["<U2", "object", "int64"])
+def test_checkpoint_dtype_other_than_float64_is_a_data_error(pipeline, capsys, command, dtype):
+    work, _ = pipeline
+    header, arrays = (work / "rl.ckpt").read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    for entry in header["arrays"]:
+        entry["dtype"] = dtype
+    (work / "dtype.ckpt").write_bytes(json.dumps(header).encode("utf-8") + b"\n" + arrays)
+    out = work / f"dtype-{command}.out"
+    code = cli.main([command, "--model", str(work / "dtype.ckpt"),
+                     "--conllu", str(work / "dev.conllu"), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert "not float64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["epochs = -2", "epochs = 0", "step_size = -0.1",
+                                  "step_size = 0", "step_size = nan", "step_size = inf",
+                                  "dev_fraction = 1.0", "dev_fraction = -0.5"])
+def test_out_of_range_pretrain_setting_is_a_data_error(pipeline, capsys, line):
+    work, _ = pipeline
+    (work / "range.cfg").write_text(f"{line}\n", encoding="utf-8")
+    code = cli.main(["pretrain", "--instances", str(work / "train.inst"),
+                     "--config", str(work / "range.cfg"), "--out", str(work / "range.ckpt")])
+    assert code == cli.EXIT_DATA
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not (work / "range.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--epochs", "-2"), ("--epochs", "0"),
+                                        ("--step-size", "-0.1"), ("--step-size", "nan")])
+def test_out_of_range_rl_setting_is_a_data_error(pipeline, capsys, flag, value):
+    work, _ = pipeline
+    code = cli.main(["rl-train", "--model", str(work / "mle.ckpt"),
+                     "--conllu", str(work / "train.conllu"), flag, value,
+                     "--out", str(work / "range-rl.ckpt")])
+    assert code == cli.EXIT_DATA
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (work / "range-rl.ckpt").exists()
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "1.0", "-0.5"])
+def test_synth_dev_fraction_outside_unit_interval_is_a_usage_error(tmp_path, fraction):
+    outputs = {"--out-conllu": "t.conllu", "--out-gold": "t.gold",
+               "--dev-conllu": "d.conllu", "--dev-gold": "d.gold"}
+    code = cli.main(["synth", "--n", "5", "--dev-fraction", fraction,
+                     *(arg for flag, name in outputs.items() for arg in (flag, str(tmp_path / name)))])
+    assert code == cli.EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []

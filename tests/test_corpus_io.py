@@ -1,10 +1,13 @@
 import os
 import stat
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oiekit.core import Extraction, NonTreeParse
+from oiekit.core import Extraction, NonTreeParse, ParsedSentence, Token, ValidationError
 from oiekit.corpus_io import (
     GoldTuple,
     ParseError,
@@ -21,8 +24,6 @@ from oiekit.corpus_io import (
     write_instances,
 )
 from oiekit.patterns import generate_instances
-
-from conftest import build_sentence, PARRAGON_ROWS
 
 PARRAGON_CONLLU = """\
 # sent_id = parragon
@@ -124,15 +125,6 @@ class TestExtractionFiles:
         write_extractions(extractions, path)
         assert read_extractions(path) == extractions
 
-    def test_reward_breakdown_is_optional(self, tmp_path):
-        path = tmp_path / "ex.jsonl"
-        write_extractions(
-            [Extraction("s1", (1, 1), {})], path,
-            rewards=[{"syn": 1, "sem": 0.5, "total": 0.5}],
-        )
-        assert read_extractions(path)[0].sentence_id == "s1"
-        assert '"reward"' in path.read_text(encoding="utf-8")
-
     def test_bad_record(self, tmp_path):
         path = tmp_path / "ex.jsonl"
         path.write_text("not json\n", encoding="utf-8")
@@ -229,3 +221,129 @@ class TestGenSynthetic:
     def test_all_parses_are_valid_trees(self):
         sentences, _ = gen_synthetic(("svo", "svo_pp", "ditrans", "coord_vp"), 100, seed=9)
         assert all(len(s) >= 5 for s in sentences)
+
+
+# -- Writers and readers agree: what a writer accepts reads back as written --
+
+# Characters the formats give a meaning (tab, line breaks, '#', '=', the
+# whitespace that readers strip) and a few plain ones.
+SPECIAL = "\t\n\r\x0b\x0c\x1c\x85\xa0\u2028 #=_aé"
+ANY_FIELD = st.text(st.sampled_from(SPECIAL), max_size=4)
+# Fields every writer accepts: no tab or line break, no surrounding space.
+SAFE_FIELD = st.builds("{}{}{}".format, st.sampled_from("#=_aé"),
+                       st.text(st.sampled_from(SPECIAL[3:]), max_size=3), st.sampled_from("=_aé"))
+ROUND_TRIPS = settings(max_examples=50, deadline=None)
+
+
+@st.composite
+def parsed_sentences(draw, field):
+    """A sentence whose tokens each hang off an earlier one: always a tree."""
+    tokens = [Token(index=i, surface=draw(field), upos=draw(field),
+                    head=draw(st.integers(1, i - 1)) if i > 1 else 0, deprel=draw(field))
+              for i in range(1, draw(st.integers(1, 4)) + 1)]
+    return ParsedSentence(draw(field), tuple(tokens), draw(st.just("") | field))
+
+
+@st.composite
+def gold_tuples(draw, field, sentence_id):
+    roles = draw(st.dictionaries(field, st.integers(-5, 50), min_size=1, max_size=3))
+    surfaces = draw(st.dictionaries(st.sampled_from(sorted(roles)) | field, field, max_size=3))
+    return GoldTuple(draw(sentence_id), draw(st.integers(0, 50)), roles, surfaces)
+
+
+@st.composite
+def extractions(draw):
+    roles = draw(st.lists(st.text(max_size=4), unique=True, max_size=3))
+    spans, start = [], 1
+    for _ in range(len(roles) + 1):
+        length, gap = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        spans.append((start, start + length - 1))
+        start += length + gap
+    return Extraction(draw(st.text(max_size=6)), spans[0], dict(zip(roles, spans[1:])),
+                      draw(st.floats(allow_nan=False)))
+
+
+def _written_or_refused(write, read, values):
+    """Write ``values`` over a file; return what reads back, or None when
+    the writer refuses them, in which case the old file must be untouched."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        path.write_text("old\n", encoding="utf-8")
+        try:
+            write(values, path)
+        except ValidationError:
+            assert path.read_text(encoding="utf-8") == "old\n"
+            assert [p.name for p in Path(tmp).iterdir()] == ["out"]
+            return None
+        return read(path)
+
+
+def _as_stored(gold):
+    """The gold tuple as the file stores it: non-empty surfaces of its roles."""
+    surfaces = {r: s for r, s in gold.surfaces.items() if r in gold.role_heads and s}
+    return GoldTuple(gold.sentence_id, gold.predicate_head, gold.role_heads, surfaces)
+
+
+def _unique_keys(golds):
+    return len({(g.sentence_id, g.predicate_head) for g in golds}) == len(golds)
+
+
+class TestRoundTrips:
+    @given(st.lists(parsed_sentences(SAFE_FIELD), max_size=3))
+    @ROUND_TRIPS
+    def test_conllu_round_trip(self, sentences):
+        assert _written_or_refused(write_conllu, read_conllu, sentences) == sentences
+
+    @given(st.lists(parsed_sentences(ANY_FIELD), max_size=3))
+    @ROUND_TRIPS
+    def test_conllu_writer_refuses_what_would_not_read_back(self, sentences):
+        back = _written_or_refused(write_conllu, read_conllu, sentences)
+        assert back is None or back == sentences
+
+    @given(st.lists(gold_tuples(SAFE_FIELD, SAFE_FIELD.map("s{}".format)), max_size=3)
+           .filter(_unique_keys))
+    @ROUND_TRIPS
+    def test_gold_round_trip(self, golds):
+        assert (_written_or_refused(write_gold, read_gold, golds)
+                == [_as_stored(gold) for gold in golds])
+
+    @given(st.lists(gold_tuples(ANY_FIELD, ANY_FIELD), max_size=3))
+    @ROUND_TRIPS
+    def test_gold_writer_refuses_what_would_not_read_back(self, golds):
+        back = _written_or_refused(write_gold, read_gold, golds)
+        assert back is None or back == [_as_stored(gold) for gold in golds]
+
+    @given(st.lists(extractions(), max_size=3))
+    @ROUND_TRIPS
+    def test_extraction_round_trip(self, records):
+        assert _written_or_refused(write_extractions, read_extractions, records) == records
+
+
+class TestWriterRefusals:
+    @pytest.mark.parametrize("surface", ["a\tb", "a\nb", "a\rb"])
+    def test_conllu_surface_with_tab_or_line_break(self, tmp_path, parragon, surface):
+        path = tmp_path / "out.conllu"
+        write_conllu([parragon], path)
+        before = path.read_bytes()
+        tokens = (Token(1, surface, "NOUN", 2, "nsubj"),) + parragon.tokens[1:]
+        with pytest.raises(ValidationError):
+            write_conllu([parragon, ParsedSentence("bad", tokens)], path)
+        assert path.read_bytes() == before
+        assert read_conllu(path) == [parragon]
+
+    @pytest.mark.parametrize("sentence_id", ["#s1", "# s1"])
+    def test_gold_sentence_id_starting_with_a_comment_mark(self, tmp_path, sentence_id):
+        path = tmp_path / "gold.tsv"
+        with pytest.raises(ValidationError):
+            write_gold([GoldTuple("s0", 1, {"ARG1": 2}), GoldTuple(sentence_id, 2, {"ARG1": 1})],
+                       path)
+        assert not path.exists()
+
+    def test_gold_tuples_sharing_a_predicate(self, tmp_path):
+        with pytest.raises(ValidationError):
+            write_gold([GoldTuple("s1", 2, {"ARG1": 1}), GoldTuple("s1", 2, {"ARG2": 3})],
+                       tmp_path / "gold.tsv")
+
+    def test_gold_tuple_without_roles(self, tmp_path):
+        with pytest.raises(ValidationError):
+            write_gold([GoldTuple("s1", 2, {})], tmp_path / "gold.tsv")

@@ -182,7 +182,7 @@ class TestSemanticConfidence:
 class TestScorerPlumbing:
     def test_surrogate_spec(self):
         scorer = make_sem_scorer("surrogate")
-        assert scorer.mode == "surrogate"
+        assert scorer.adapter is None
 
     def test_adapter_spec_requires_endpoint(self):
         with pytest.raises(ValidationError):

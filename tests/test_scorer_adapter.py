@@ -80,9 +80,7 @@ def test_adapter_scores_are_cached(scorer_server, parragon, tmp_path):
     assert cache_path.read_text(encoding="utf-8") == "parragon\thas 10 offices\t0.75\n"
 
     # A fresh scorer warm-starts from the persisted cache: no new calls.
-    reloaded = SemScorer(mode="adapter",
-                         adapter=HttpEntailmentAdapter(scorer_server),
-                         cache_path=cache_path)
+    reloaded = SemScorer(HttpEntailmentAdapter(scorer_server), cache_path=cache_path)
     assert reloaded.score(extraction, parragon) == 0.75
     assert len(_ScorerHandler.calls) == 1
 
@@ -131,5 +129,4 @@ def test_torn_cache_line_names_the_line(tmp_path):
     cache_path = tmp_path / "sem-cache.tsv"
     cache_path.write_text("s1\ta b\t0.5\ns2\tc d\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 2"):
-        SemScorer(mode="adapter", adapter=HttpEntailmentAdapter("http://127.0.0.1:9"),
-                  cache_path=cache_path)
+        SemScorer(HttpEntailmentAdapter("http://127.0.0.1:9"), cache_path=cache_path)

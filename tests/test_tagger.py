@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from oiekit.core import bio_labels, spans_from_tags, validate_bio, TagSequence, ValidationError
+from oiekit.core import bio_labels, validate_bio, ValidationError
 from oiekit.corpus_io import ParseError, gen_synthetic
 from oiekit.reward import make_sem_scorer, sem_score_surrogate
 from oiekit.tagger import (
@@ -17,9 +17,7 @@ from oiekit.tagger import (
     TaggerConfig,
     beam_decode_one,
     build_vocab,
-    confidence_avg_log,
     embed,
-    encode,
     enumerate_valid_sequences,
     extract,
     forward_one,
@@ -179,7 +177,7 @@ class TestLabelDistribution:
     def test_single_hidden_vector(self):
         sentence = flat_sentence(2)
         model = tiny_model(sentence)
-        h = encode(embed(sentence, 1, model), model)
+        h = forward_one(sentence, 1, model)[1]["h_top"][:, 0]
         dist = label_distribution(h[0], model)
         assert dist.shape == (len(model.labels),)
         assert abs(dist.sum() - 1.0) < 1e-9
@@ -244,34 +242,47 @@ class TestBeamDecode:
 
 
 class TestConfidence:
+    """The extraction confidence is the width-1 decode's summed log
+    probability over the sentence length; each table makes the listed tags
+    the top-1."""
+
+    @staticmethod
+    def confidence(table, predicate, labels):
+        best = beam_decode_one(table, 1, predicate, labels)[0]
+        return best.labels, best.log_prob / table.shape[0]
+
     def test_probability_one_gives_zero(self):
         labels = bio_labels()
         table = np.zeros((2, len(labels)))
         table[0, labels.index("B-ARG1")] = 1.0
         table[1, labels.index("B-P")] = 1.0
-        tags = TagSequence(("B-ARG1", "B-P"))
-        assert confidence_avg_log(tags, table, labels) == 0.0
+        assert self.confidence(table, 2, labels) == (("B-ARG1", "B-P"), 0.0)
 
     def test_two_halves(self):
-        labels = bio_labels(("P",))
-        table = np.full((2, 3), 0.5)
-        tags = TagSequence(("B-P", "I-P"))
-        assert confidence_avg_log(tags, table, labels) == pytest.approx(math.log(0.5), abs=1e-12)
+        labels = bio_labels(("P",))  # O, B-P, I-P
+        table = np.array([[0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
+        tags, conf = self.confidence(table, 1, labels)
+        assert tags == ("B-P", "I-P")
+        assert conf == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_mixed_probabilities(self):
         labels = bio_labels(("P",))
+        # B-P has probability 0 at the predicate, and away from it only O may
+        # follow O: O O O is the one sequence of finite score.
         table = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
-        tags = TagSequence(("O", "O", "O"))
+        tags, conf = self.confidence(table, 1, labels)
         expected = (0.0 + math.log(0.5) + math.log(0.25)) / 3
-        assert confidence_avg_log(tags, table, labels) == pytest.approx(expected, abs=1e-12)
+        assert tags == ("O", "O", "O")
+        assert conf == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(-0.6931471805599453, abs=1e-9)
 
     def test_length_invariance_at_equal_probability(self):
         labels = bio_labels(("P",))
         for m in (2, 5, 9):
-            table = np.full((m, 3), 0.5)
-            tags = TagSequence(tuple(["O"] * m))
-            assert confidence_avg_log(tags, table, labels) == pytest.approx(math.log(0.5))
+            table = np.tile([0.5, 0.25, 0.25], (m, 1))
+            tags, conf = self.confidence(table, 1, labels)
+            assert tags == ("O",) * m
+            assert conf == pytest.approx(math.log(0.5))
 
 
 class TestDeterminismAndSerialization:
@@ -362,6 +373,21 @@ class TestExtract:
         assert [key(e) for e in batched] == [key(e) for e in single]
         for a, b in zip(batched, single):
             assert abs(a.confidence - b.confidence) <= 1e-12
+
+    def test_confidence_is_the_mean_log_probability_of_the_decoded_labels(self):
+        sentences, _ = gen_synthetic(n=20, seed=6)
+        model = init_model(TINY, build_vocab(sentences))
+        model.params["cls.b"][model.labels.index("B-P")] += 2.0
+        by_id = {s.sentence_id: s for s in sentences}
+        extractions = extract(sentences, model)
+        assert len(extractions) > 16
+        for e in extractions:
+            sentence, predicate = by_id[e.sentence_id], e.predicate_span[0]
+            probs, _ = forward_one(sentence, predicate, model)
+            best = beam_decode_one(probs, 1, predicate, model.labels)[0]
+            logs = [math.log(probs[i, model.labels.index(label)])
+                    for i, label in enumerate(best.labels)]
+            assert abs(e.confidence - sum(logs) / len(logs)) <= 1e-12
 
     def test_rerank_needs_scorer(self, parragon):
         model = init_model(TINY, build_vocab([parragon]))
