@@ -81,7 +81,8 @@ def instance_grads(model: TaggerModel, instance: TaggedInstance,
                    scale: float = 1.0) -> tuple[float, dict[str, np.ndarray]]:
     """(loss, gradients) for one instance; gradients are of ``scale *
     loss`` (callers use 1/m for token-mean aggregation)."""
-    probs, cache = tagger.forward_one(instance.sentence, instance.predicate_index, model)
+    probs, cache = tagger.forward_one(instance.sentence, instance.predicate_index, model,
+                                      backprop=True)
     loss, dlogits = _nll_grad(model, instance, probs, scale)
     return loss, tagger.backward_from_dlogits(model, cache, dlogits)
 
@@ -95,7 +96,7 @@ def _batch_grads(model: TaggerModel, batch: Sequence[TaggedInstance],
     """(each instance's token-mean loss, gradient of their mean), from one
     batched forward and backward pass. The forward cache is freed on
     return, before the caller's next batch builds its own."""
-    probs, cache = tagger.forward(_items(batch), model)
+    probs, cache = tagger.forward(_items(batch), model, backprop=True)
     dlogits = np.zeros_like(probs)
     losses = []
     for b, instance in enumerate(batch):
@@ -183,8 +184,8 @@ def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance],
                  batch_size: int) -> tuple[float, float]:
     """(mean token-level NLL of the dev instances, headword F1 of their top-1
     decodes against the tuples implied by their own labels), from one
-    batched forward pass and one batched decode per ``batch_size``
-    instances."""
+    batched inference pass (no backprop cache) and one batched decode per
+    ``batch_size`` instances."""
     losses = []
     golds = []
     preds = []

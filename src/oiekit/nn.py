@@ -8,9 +8,10 @@ Padding comes after every valid position in both directions, so it cannot
 change a valid output, and a caller that gives padded rows zero logit
 gradients gets gradients in which padding contributes exactly 0.
 
-Forward helpers return the caches their backward counterparts need;
-correctness is pinned by finite-difference gradient checks and by a
-per-item reference LSTM in the test suite.
+Forward helpers return the caches their backward counterparts need, or
+keep none when called with ``backprop=False`` (inference); correctness is
+pinned by finite-difference gradient checks and by a per-item reference
+LSTM in the test suite.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp overflow saturates to exactly 0.0 or 1.0, which is what we want.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    # exp overflow saturates to exactly 0.0 or 1.0, which is what we want;
+    # callers enter np.errstate(over="ignore") once around their loops.
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -35,33 +36,46 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
+def lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
+                 backprop: bool = True):
     """Run an LSTM over ``x`` of shape (m, B, in_dim); returns (h, cache)
     with ``h`` of shape (m, B, H). Each step is one (B, H) @ ``wh`` product.
+    With ``backprop=False`` the cache is None and the gate, candidate and
+    cell arrays are one step's scratch rows, reused by every step; the
+    arithmetic, and so every bit of ``h``, is the same.
 
     Gate layout within the 4H axis: input, forget, output (sigmoid block),
     then cell candidate (tanh).
     """
     m, batch, in_dim = x.shape
     h_dim = wh.shape[0]
-    xw = (x.reshape(m * batch, in_dim) @ wx + b).reshape(m, batch, 4 * h_dim)
-    sig_all = np.empty((m, batch, 3 * h_dim))
-    g_all = np.empty((m, batch, h_dim))
-    c_all = np.empty((m, batch, h_dim))
+    xw = x.reshape(m * batch, in_dim) @ wx
+    xw += b  # in place: no second (m·B, 4H) array
+    xw = xw.reshape(m, batch, 4 * h_dim)
+    kept = m if backprop else 1
+    sig_all = np.empty((kept, batch, 3 * h_dim))
+    g_all = np.empty((kept, batch, h_dim))
+    c_all = np.empty((kept, batch, h_dim))
     h_all = np.empty((m, batch, h_dim))
     h = np.zeros((batch, h_dim))
     c = np.zeros((batch, h_dim))
-    for t in range(m):
-        z = xw[t] + h @ wh
-        sig = sig_all[t]
-        sig[...] = sigmoid(z[:, : 3 * h_dim])
-        i = sig[:, :h_dim]
-        f = sig[:, h_dim : 2 * h_dim]
-        o = sig[:, 2 * h_dim :]
-        # Written straight into the caches: no per-step copy.
-        g = np.tanh(z[:, 3 * h_dim :], out=g_all[t])
-        c = np.add(f * c, i * g, out=c_all[t])
-        h = np.multiply(o, np.tanh(c), out=h_all[t])
+    with np.errstate(over="ignore"):
+        for t in range(m):
+            s = t if backprop else 0
+            z = xw[t] + h @ wh
+            sig = sig_all[s]
+            sig[...] = sigmoid(z[:, : 3 * h_dim])
+            i = sig[:, :h_dim]
+            f = sig[:, h_dim : 2 * h_dim]
+            o = sig[:, 2 * h_dim :]
+            # Written straight into the caches (or the scratch rows): no
+            # per-step copy. ``f * c`` is evaluated before ``c``'s row is
+            # overwritten.
+            g = np.tanh(z[:, 3 * h_dim :], out=g_all[s])
+            c = np.add(f * c, i * g, out=c_all[s])
+            h = np.multiply(o, np.tanh(c), out=h_all[t])
+    if not backprop:
+        return h_all, None
     cache = (x, wx, wh, sig_all, g_all, c_all, h_all)
     return h_all, cache
 
@@ -126,18 +140,19 @@ def _reverse_index(m: int, lengths):
     return np.where(steps < lengths, lengths - 1 - steps, steps), np.arange(len(lengths))
 
 
-def bilstm_forward(x: np.ndarray, lengths, params: dict, prefix: str):
+def bilstm_forward(x: np.ndarray, lengths, params: dict, prefix: str, backprop: bool):
     """Both directions over a right-padded (m, B, in_dim) batch whose items
-    have the given lengths; returns the (m, B, 2H) outputs and the caches.
-    Padding follows every valid position in both directions, so it cannot
-    change a valid output."""
+    have the given lengths; returns the (m, B, 2H) outputs and the caches
+    (None with ``backprop=False``). Padding follows every valid position in
+    both directions, so it cannot change a valid output."""
     rev = _reverse_index(x.shape[0], lengths)
     h_fw, cache_fw = lstm_forward(x, params[f"{prefix}.fw.wx"], params[f"{prefix}.fw.wh"],
-                                  params[f"{prefix}.fw.b"])
+                                  params[f"{prefix}.fw.b"], backprop)
     h_bw_rev, cache_bw = lstm_forward(x[rev], params[f"{prefix}.bw.wx"],
-                                      params[f"{prefix}.bw.wh"], params[f"{prefix}.bw.b"])
+                                      params[f"{prefix}.bw.wh"], params[f"{prefix}.bw.b"],
+                                      backprop)
     h = np.concatenate([h_fw, h_bw_rev[rev]], axis=2)
-    return h, (cache_fw, cache_bw, rev)
+    return h, (cache_fw, cache_bw, rev) if backprop else None
 
 
 def bilstm_backward(dh: np.ndarray, caches, grads: dict, prefix: str):
@@ -157,7 +172,8 @@ def bilstm_backward(dh: np.ndarray, caches, grads: dict, prefix: str):
 def highway_forward(x: np.ndarray, core: np.ndarray, params: dict, prefix: str):
     """out = gate * core + (1 - gate) * x with a learned sigmoid gate, over
     (rows, width) inputs."""
-    gate = sigmoid(x @ params[f"{prefix}.hw.w"] + params[f"{prefix}.hw.b"])
+    with np.errstate(over="ignore"):
+        gate = sigmoid(x @ params[f"{prefix}.hw.w"] + params[f"{prefix}.hw.b"])
     out = gate * core + (1.0 - gate) * x
     return out, gate
 

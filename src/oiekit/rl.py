@@ -159,7 +159,7 @@ def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSente
 def _enumerate_with_probs(model: TaggerModel, sentence: ParsedSentence, predicate: int):
     """(forward cache, [(sequence, P(sequence))] over every
     constraint-satisfying sequence), by enumeration rather than decoding."""
-    probs, cache = tagger.forward_one(sentence, predicate, model)
+    probs, cache = tagger.forward_one(sentence, predicate, model, backprop=True)
     index = label_index(model.labels)
     weighted = []
     for seq in tagger.enumerate_valid_sequences(len(sentence), predicate, model.labels):
@@ -221,7 +221,7 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
         for idx in order:
             sentence = corpus[idx]
             for predicate in identify_predicates(sentence, table):
-                probs, cache = tagger.forward_one(sentence, predicate, model)
+                probs, cache = tagger.forward_one(sentence, predicate, model, backprop=True)
                 candidates = explore(probs, predicate, model.labels, config.beam_size,
                                      mode=config.explore_mode, rng=rng)
                 breakdowns = [

@@ -5,10 +5,11 @@ stacked bidirectional LSTM layers joined by highway gates, classify each
 token over the BIO label set, decode with a constrained beam search, and
 score extractions by average log probability. :func:`forward` runs many
 (sentence, predicate) items as one right-padded, time-major batch;
-:func:`forward_one` is its batch of one. :func:`beam_decode` decodes such a
-batch in one vectorised k-best pass; :func:`beam_decode_one` is its batch
-of one. :func:`extract` runs its items ``EXTRACT_BATCH`` at a time through
-both.
+:func:`forward_one` is its batch of one. Only training asks them for the
+backprop cache (``backprop=True``); inference keeps none. :func:`beam_decode`
+decodes such a batch in one vectorised k-best pass; :func:`beam_decode_one`
+is its batch of one. :func:`extract` sorts its items by sentence length and
+runs them ``EXTRACT_BATCH`` at a time through both, without the cache.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ from oiekit.reward import semantic_confidence
 
 UNK = "<unk>"
 
-# (sentence, predicate) items per extract pass. Peak RSS grows with the
-# batch, since each pass holds its full forward cache: on the benchmark's
-# extract workload (500 sentences) it measured 56.3 MB at 16 against 55.3 MB
-# one item at a time, 62.5 MB at 32 and 79.7 MB at 64, for 10-12% more
-# throughput than at 16.
-EXTRACT_BATCH = 16
+# (sentence, predicate) items per extract pass. The pass keeps no backprop
+# cache, so a chunk holds a few (m·B, 4H) arrays at a time. On the
+# benchmark's extract workload (seed 1: 500 sentences, 617 items, m <= 13)
+# a pass at 64 peaks 5.1 MB above its inputs, against 7.7 MB for the
+# caching pass at 16. Against 16 without the cache, 64 gave 14-20% more
+# throughput at seeds 1-3; 128 gave no more, and peak RSS rose about 9%.
+EXTRACT_BATCH = 64
 
 STATIC_LOOKUP = "static-lookup"
 EXTERNAL_CONTEXTUAL = "external-contextual"
@@ -142,34 +144,36 @@ def build_vocab(instances_or_sentences) -> list[str]:
     return [UNK] + words
 
 
+def _param_shapes(config: TaggerConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter array, in checkpoint order."""
+    h = config.hidden_dim
+    shapes: dict[str, tuple[int, ...]] = {}
+    if config.embedder_kind == STATIC_LOOKUP:
+        shapes["embed.word"] = (vocab_size, config.embedding_dim)
+    if config.use_indicator:
+        shapes["embed.indicator"] = (2, config.indicator_dim)
+    layer_in = config.embedding_dim + (config.indicator_dim if config.use_indicator else 0)
+    for layer in range(config.num_encoder_layers):
+        for direction in ("fw", "bw"):
+            shapes[f"enc.{layer}.{direction}.wx"] = (layer_in, 4 * h)
+            shapes[f"enc.{layer}.{direction}.wh"] = (h, 4 * h)
+            shapes[f"enc.{layer}.{direction}.b"] = (4 * h,)
+        if layer > 0:
+            shapes[f"enc.{layer}.hw.w"] = (2 * h, 2 * h)
+            shapes[f"enc.{layer}.hw.b"] = (2 * h,)
+        layer_in = 2 * h
+    shapes["cls.w"] = (2 * h, len(config.labels))
+    shapes["cls.b"] = (len(config.labels),)
+    return shapes
+
+
 def init_model(config: TaggerConfig, vocab: Sequence[str],
                provider: Optional[ContextualEmbeddingProvider] = None) -> TaggerModel:
     """Initialize all parameters uniformly in [-0.1, 0.1] from a generator
     seeded with ``config.rng_seed``."""
     rng = np.random.default_rng(config.rng_seed)
-    h = config.hidden_dim
-    in_dim = config.embedding_dim + (config.indicator_dim if config.use_indicator else 0)
-    params: dict[str, np.ndarray] = {}
-
-    def uniform(shape):
-        return rng.uniform(-0.1, 0.1, shape)
-
-    if config.embedder_kind == STATIC_LOOKUP:
-        params["embed.word"] = uniform((len(vocab), config.embedding_dim))
-    if config.use_indicator:
-        params["embed.indicator"] = uniform((2, config.indicator_dim))
-    layer_in = in_dim
-    for layer in range(config.num_encoder_layers):
-        for direction in ("fw", "bw"):
-            params[f"enc.{layer}.{direction}.wx"] = uniform((layer_in, 4 * h))
-            params[f"enc.{layer}.{direction}.wh"] = uniform((h, 4 * h))
-            params[f"enc.{layer}.{direction}.b"] = uniform(4 * h)
-        if layer > 0:
-            params[f"enc.{layer}.hw.w"] = uniform((2 * h, 2 * h))
-            params[f"enc.{layer}.hw.b"] = uniform(2 * h)
-        layer_in = 2 * h
-    params["cls.w"] = uniform((2 * h, len(config.labels)))
-    params["cls.b"] = uniform(len(config.labels))
+    params = {name: rng.uniform(-0.1, 0.1, shape)
+              for name, shape in _param_shapes(config, len(vocab)).items()}
     return TaggerModel(config, vocab if config.embedder_kind == STATIC_LOOKUP else [UNK],
                        params, provider)
 
@@ -218,18 +222,22 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
-def _encode_with_cache(x0: np.ndarray, lengths, model: TaggerModel):
+def _encode(x0: np.ndarray, lengths, model: TaggerModel, backprop: bool):
+    """Top-layer hidden states and, with ``backprop``, each layer's input,
+    BiLSTM output, highway gate and LSTM caches (None otherwise, so each
+    layer's arrays are freed once the next layer has read them)."""
     params = model.params
-    layers = []
+    layers = [] if backprop else None
     x = x0
     for layer in range(model.config.num_encoder_layers):
         prefix = f"enc.{layer}"
-        core, caches = nn.bilstm_forward(x, lengths, params, prefix)
+        core, caches = nn.bilstm_forward(x, lengths, params, prefix, backprop)
         out, gate = core, None
         if layer > 0:
             out, gate = nn.highway_forward(_rows(x), _rows(core), params, prefix)
             out = out.reshape(core.shape)
-        layers.append({"x": x, "core": core, "gate": gate, "caches": caches})
+        if backprop:
+            layers.append({"x": x, "core": core, "gate": gate, "caches": caches})
         x = out
     return x, layers
 
@@ -253,39 +261,49 @@ def _pad(arrays: list, m: int) -> Optional[np.ndarray]:
     return out
 
 
-def forward(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel):
-    """Full pass over (sentence, predicate) items, right-padded to the
-    longest sentence m and run as one time-major batch of B items: returns
-    ((m, B, L) label distributions, backprop cache). Item ``b`` owns rows
+def forward(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel, *,
+            backprop: bool = False):
+    """Pass over (sentence, predicate) items, right-padded to the longest
+    sentence m and run as one time-major batch of B items: returns ((m, B,
+    L) label distributions, backprop cache). Item ``b`` owns rows
     ``[:len(sentence), b]``; its values do not depend on the other items
     beyond float rounding. The distributions at padded positions mean
-    nothing, and their logit gradients must be zero."""
+    nothing, and their logit gradients must be zero.
+
+    Only training needs the cache: without ``backprop`` it is None and the
+    pass keeps no per-layer or per-step arrays, with bit-identical
+    distributions."""
     embedded = [_embed(sentence, predicate, model) for sentence, predicate in items]
     lengths = [len(x) for x, _, _ in embedded]
     m = max(lengths)
     x0, ids, flags = (_pad(list(parts), m) for parts in zip(*embedded))
-    h_top, layers = _encode_with_cache(x0, lengths, model)
+    h_top, layers = _encode(x0, lengths, model, backprop)
     probs = label_distribution(_rows(h_top), model).reshape(m, len(items), -1)
+    if not backprop:
+        return probs, None
     cache = {"layers": layers, "h_top": h_top, "probs": probs,
              "token_ids": ids, "indicator_flags": flags}
     return probs, cache
 
 
-def forward_one(sentence: ParsedSentence, predicate: int, model: TaggerModel):
+def forward_one(sentence: ParsedSentence, predicate: int, model: TaggerModel, *,
+                backprop: bool = False):
     """One item's pass, as a batch of one: returns ((m, L) per-token label
-    distributions, backprop cache)."""
-    probs, cache = forward([(sentence, predicate)], model)
-    cache["probs"] = probs = probs[:, 0]
+    distributions, backprop cache or None)."""
+    probs, cache = forward([(sentence, predicate)], model, backprop=backprop)
+    probs = probs[:, 0]
+    if cache is not None:
+        cache["probs"] = probs
     return probs, cache
 
 
 def backward_from_dlogits(model: TaggerModel, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar with the given logit gradient, for every
-    trainable parameter. ``dlogits`` has the shape of the pass's
-    probabilities: (m, L) after :func:`forward_one`, (m, B, L) after
-    :func:`forward`, with zero rows at padded positions so that
-    padding contributes nothing. Softmax-based callers supply ``probs -
-    onehot`` style gradients directly."""
+    trainable parameter, through the cache of a ``backprop=True`` pass.
+    ``dlogits`` has the shape of the pass's probabilities: (m, L) after
+    :func:`forward_one`, (m, B, L) after :func:`forward`, with zero rows
+    at padded positions so that padding contributes nothing. Softmax-based
+    callers supply ``probs - onehot`` style gradients directly."""
     params = model.params
     grads: dict[str, np.ndarray] = {}
     h_top = cache["h_top"]
@@ -474,12 +492,13 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
     """Decode one extraction per detected predicate of each sentence, in
     sentence order (dropped when its best sequence has no predicate span).
 
-    The (sentence, predicate) items run through :func:`forward` in
-    chunks of ``EXTRACT_BATCH`` (16; larger chunks raise peak memory, see
-    the constant) and each chunk is decoded by one
+    The (sentence, predicate) items are sorted by sentence length (a
+    stable sort) and run through :func:`forward`, without the backprop
+    cache, in chunks of ``EXTRACT_BATCH``, so each chunk is padded to
+    little more than its own items. Each chunk is decoded by one
     :func:`beam_decode` call. Only the best sequence is kept, and the
-    decoder is exact, so it runs at width 1. An item's distributions, and so
-    its confidence, match a batch of one up to float rounding.
+    decoder is exact, so it runs at width 1. An item's distributions, and
+    so its confidence, match a batch of one up to float rounding.
 
     The confidence is the average-log confidence of the decoded labels: the
     decoder's summed log probability divided by the sentence length.
@@ -495,24 +514,34 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
         raise ValidationError(f"rerank mode {rerank!r} requires a semantic scorer")
     items = [(sentence, predicate) for sentence in sentences
              for predicate in identify_predicates(sentence, table)]
-    out = []
-    for start in range(0, len(items), EXTRACT_BATCH):
-        chunk = items[start : start + EXTRACT_BATCH]
+    # Chunks of similar lengths waste little on padding; stable, so equal
+    # lengths keep their sentence order.
+    order = sorted(range(len(items)), key=lambda i: len(items[i][0]))
+    found: list[Optional[Extraction]] = [None] * len(items)
+    for start in range(0, len(order), EXTRACT_BATCH):
+        picked = order[start : start + EXTRACT_BATCH]
+        chunk = [items[i] for i in picked]
         probs, _ = forward(chunk, model)
         lengths = [len(sentence) for sentence, _ in chunk]
         decoded = beam_decode(probs, lengths, [predicate for _, predicate in chunk], 1,
                               model.labels)
-        for (sentence, predicate), (best,) in zip(chunk, decoded):
+        for i, (sentence, predicate), (best,) in zip(picked, chunk, decoded):
             instance = TaggedInstance(sentence=sentence, predicate_index=predicate, tags=best)
             try:
-                extraction = spans_from_tags(instance)
+                found[i] = spans_from_tags(instance, confidence=best.log_prob / len(best))
             except NoPredicateSpan:
-                continue
-            confidence = best.log_prob / len(best)
-            if rerank != "none":
-                confidence = semantic_confidence(0.0 if rerank == "sem" else confidence,
-                                                 sem_scorer.score(extraction, sentence))
-            out.append(replace(extraction, confidence=confidence))
+                pass
+    out = []
+    # Reranked in sentence order: an external scorer is queried in corpus
+    # order whatever the chunking.
+    for (sentence, _), extraction in zip(items, found):
+        if extraction is None:
+            continue
+        if rerank != "none":
+            confidence = 0.0 if rerank == "sem" else extraction.confidence
+            extraction = replace(extraction, confidence=semantic_confidence(
+                confidence, sem_scorer.score(extraction, sentence)))
+        out.append(extraction)
     return out
 
 
@@ -543,8 +572,10 @@ def save_model(model: TaggerModel, path) -> None:
 
 def load_model(path, provider: Optional[ContextualEmbeddingProvider] = None) -> TaggerModel:
     """Read a checkpoint written by :func:`save_model`. A malformed header,
-    an array whose dtype is not float64 (the only one written), an array
-    cut short, or bytes after the last array raise :class:`ParseError`."""
+    an array set or shape other than the one :func:`init_model` builds for
+    the header's config and vocabulary, an array whose dtype is not float64
+    (the only one written), an array cut short, or bytes after the last
+    array raise :class:`ParseError`."""
     with open(path, "rb") as handle:
         try:
             header = json.loads(handle.readline().decode("utf-8"))
@@ -560,20 +591,27 @@ def load_model(path, provider: Optional[ContextualEmbeddingProvider] = None) -> 
             arrays = [(entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"]))
                       for entry in header["arrays"]]
             vocab = header["vocab"]
+            expected = _param_shapes(config, len(vocab))
+            names = [name for name, _, _ in arrays]
+            if len(names) != len(expected) or set(names) != set(expected):
+                raise ValueError(f"arrays {names}, expected {list(expected)} for its config")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"checkpoint {path}: bad header: {exc!r}") from None
         params = {}
         for name, dtype, shape in arrays:
+            if shape != expected[name]:
+                raise ParseError(f"checkpoint {path}: array {name!r} has shape {list(shape)}, "
+                                 f"expected {list(expected[name])} for its config and "
+                                 "vocabulary")
             if dtype != np.float64:
                 raise ParseError(f"checkpoint {path}: array {name!r} has dtype {dtype}, "
                                  "not float64")
-            count = int(np.prod(shape)) if shape else 1
-            size = count * dtype.itemsize
+            size = int(np.prod(expected[name])) * dtype.itemsize
             data = handle.read(size)
             if len(data) != size:
                 raise ParseError(f"checkpoint {path}: array {name!r} has "
                                  f"{len(data)} of {size} bytes")
-            params[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+            params[name] = np.frombuffer(data, dtype=dtype).reshape(expected[name]).copy()
         if handle.read(1):
             raise ParseError(f"checkpoint {path}: trailing bytes after the last array")
     return TaggerModel(config, vocab, params, provider)

@@ -208,7 +208,7 @@ def test_tagger_batch_of_one_is_bit_identical_to_reference(kind, config):
     items = items_of([6, 1, 11])
     model = model_for(kind, items, config)
     for sentence, predicate in items:
-        probs, cache = forward_one(sentence, predicate, model)
+        probs, cache = forward_one(sentence, predicate, model, backprop=True)
         ref_probs, ref_cache = ref_forward(sentence, predicate, model)
         assert np.array_equal(probs, ref_probs)
         dlogits = rng.normal(size=(len(sentence), len(model.labels)))
@@ -227,14 +227,14 @@ def test_mixed_length_batch_matches_items_run_alone(kind):
     rng = np.random.default_rng(9)
     items = items_of([1, 4, 9])
     model = model_for(kind, items)
-    probs, cache = forward(items, model)
+    probs, cache = forward(items, model, backprop=True)
     n_labels = len(model.labels)
     assert probs.shape == (9, 3, n_labels)
     dlogits = np.zeros_like(probs)
     summed = {}
     for b, (sentence, predicate) in enumerate(items):
         m = len(sentence)
-        alone, alone_cache = forward_one(sentence, predicate, model)
+        alone, alone_cache = forward_one(sentence, predicate, model, backprop=True)
         assert relative_error(probs[:m, b], alone) <= TOLERANCE
         dlogits[:m, b] = rng.normal(size=(m, n_labels))
         for name, grad in backward_from_dlogits(model, alone_cache, dlogits[:m, b]).items():
@@ -256,6 +256,20 @@ def test_longer_item_leaves_the_others_unchanged(kind):
         m = len(sentence)
         column = b if b == 0 else b + 1
         assert relative_error(after[:m, column], before[:m, b]) <= TOLERANCE
+
+
+# -- inference: no cache, the same bits as a training pass ------------------
+
+
+@pytest.mark.parametrize("kind", ["static", "hash"])
+@pytest.mark.parametrize("lengths", [[7], [1, 4, 9, 4]], ids=["B1", "B4"])
+def test_inference_pass_is_bit_identical_to_backprop_pass(kind, lengths):
+    items = items_of(lengths)
+    model = model_for(kind, items, DEFAULT)
+    probs, cache = forward(items, model)
+    trained, trained_cache = forward(items, model, backprop=True)
+    assert cache is None and trained_cache is not None
+    assert np.array_equal(probs, trained)
 
 
 def test_pretrain_step_is_the_mean_of_token_mean_instance_gradients(monkeypatch):

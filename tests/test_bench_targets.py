@@ -54,7 +54,7 @@ def test_every_encoder_pass_and_decode_is_traced(tracing):
     from oiekit.patterns import identify_predicates
     from oiekit.tagger import EXTRACT_BATCH, TaggerConfig, build_vocab, init_model
     tagger = oiekit_module("tagger")
-    sentences, _ = gen_synthetic(n=20, seed=5)
+    sentences, _ = gen_synthetic(n=EXTRACT_BATCH + 4, seed=5)
     model = init_model(TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
                                     num_encoder_layers=2, rng_seed=3), build_vocab(sentences))
     items = sum(len(identify_predicates(sentence)) for sentence in sentences)

@@ -169,6 +169,46 @@ def test_checkpoint_dtype_other_than_float64_is_a_data_error(pipeline, capsys, c
     assert not out.exists()
 
 
+def _word_shape(shape):
+    def edit(header):
+        entry = next(e for e in header["arrays"] if e["name"] == "embed.word")
+        entry["shape"] = shape(entry["shape"])
+    return edit
+
+
+def _hidden_dim(header):
+    header["config"]["hidden_dim"] *= 2
+
+
+def _short_vocab(header):
+    header["vocab"] = header["vocab"][:5]
+
+
+def _renamed_array(header):
+    header["arrays"][0]["name"] += "s"
+
+
+@pytest.mark.parametrize("command", ["extract", "rl-train"])
+@pytest.mark.parametrize("edit", [_word_shape(lambda shape: shape[::-1]),
+                                  _word_shape(lambda shape: ["a", 2]), _hidden_dim, _short_vocab,
+                                  _renamed_array],
+                         ids=["swapped-word-shape", "non-integer-shape", "hidden-dim",
+                              "short-vocab", "renamed-array"])
+def test_checkpoint_shape_disagreeing_with_its_config_is_a_data_error(pipeline, capsys,
+                                                                      command, edit):
+    work, _ = pipeline
+    header, arrays = (work / "rl.ckpt").read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    edit(header)
+    (work / "shape.ckpt").write_bytes(json.dumps(header).encode("utf-8") + b"\n" + arrays)
+    out = work / f"shape-{command}.out"
+    code = cli.main([command, "--model", str(work / "shape.ckpt"),
+                     "--conllu", str(work / "dev.conllu"), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert "expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["epochs = -2", "epochs = 0", "step_size = -0.1",
                                   "step_size = 0", "step_size = nan", "step_size = inf",
                                   "dev_fraction = 1.0", "dev_fraction = -0.5"])

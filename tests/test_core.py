@@ -5,7 +5,6 @@ from oiekit.core import (
     Extraction,
     NonTreeParse,
     NoPredicateSpan,
-    ParsedSentence,
     SpanOutOfBounds,
     TaggedInstance,
     TagSequence,
@@ -17,7 +16,7 @@ from oiekit.core import (
     validate_bio,
 )
 
-from conftest import build_sentence, flat_sentence, PARRAGON_ROWS
+from conftest import build_sentence, flat_sentence
 
 
 class TestValidateBio:

@@ -1,7 +1,9 @@
-"""Import hygiene of the package, checked from the syntax tree: every
-imported name is used, and nothing outside the standard library, numpy and
-oiekit itself is imported (numpy is the only runtime dependency). Also: the
-CLI does not load the HTTP stack that only the entailment adapter uses."""
+"""Import hygiene, checked from the syntax tree: every imported name is
+used, in the package and in its tests, and the package imports nothing
+outside the standard library, numpy and oiekit itself (numpy is the only
+runtime dependency; the tests also import pytest and hypothesis). Also:
+the CLI does not load the HTTP stack that only the entailment adapter
+uses."""
 
 import ast
 import os
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oiekit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "oiekit"
 ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "oiekit"}
 
 
@@ -26,9 +29,9 @@ def _dotted(node):
     return None
 
 
-def import_problems(source: str) -> list[str]:
-    """Unused imported names and imports of modules outside
-    ALLOWED_TOP_LEVEL."""
+def import_problems(source: str, check_modules: bool = True) -> list[str]:
+    """Unused imported names and, with ``check_modules``, imports of
+    modules outside ALLOWED_TOP_LEVEL."""
     tree = ast.parse(source)
     used = set()
     for node in ast.walk(tree):
@@ -47,7 +50,7 @@ def import_problems(source: str) -> list[str]:
             bound = [alias.asname or alias.name for alias in node.names]
         else:
             continue
-        for module in modules:
+        for module in modules if check_modules else ():
             if module.split(".")[0] not in ALLOWED_TOP_LEVEL:
                 problems.append(f"line {node.lineno}: imports {module}")
         for name in bound:
@@ -66,6 +69,11 @@ def test_checker_finds_unused_and_foreign_imports():
         "line 4: imports requests",
         "line 5: Optional is never used",
     ]
+    assert import_problems(source, check_modules=False) == [
+        "line 1: os is never used",
+        "line 2: urllib.parse is never used",
+        "line 5: Optional is never used",
+    ]
 
 
 @pytest.mark.parametrize("module", sorted(
@@ -73,6 +81,12 @@ def test_checker_finds_unused_and_foreign_imports():
 def test_module_imports_are_clean(module):
     # __init__.py is left out: its imports are the package's re-exports.
     assert import_problems((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_test_imports_are_used(module):
+    assert import_problems((TESTS / module).read_text(encoding="utf-8"),
+                           check_modules=False) == []
 
 
 def test_cli_import_leaves_the_http_stack_unloaded():

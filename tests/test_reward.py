@@ -8,7 +8,6 @@ from oiekit.core import Extraction, ValidationError, spans_from_tags
 from oiekit.corpus_io import gen_synthetic
 from oiekit.patterns import generate_instances
 from oiekit.reward import (
-    RewardBreakdown,
     SemScorer,
     combined_reward,
     containment,

@@ -84,7 +84,7 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        probs, cache = forward_one(sentence, 2, model)
+        probs, cache = forward_one(sentence, 2, model, backprop=True)
         candidates = explore(probs, 2, model.labels, 1)
         norm = reinforce_step(model, optimizer, sentence, cache, candidates, [0.0],
                               baseline_mode="off")
@@ -96,7 +96,7 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        probs, cache = forward_one(sentence, 2, model)
+        probs, cache = forward_one(sentence, 2, model, backprop=True)
         candidates = explore(probs, 2, model.labels, 2)
         norm = reinforce_step(model, optimizer, sentence, cache, candidates, [0.7, 0.7],
                               baseline_mode="mean")
@@ -108,7 +108,7 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        probs, cache = forward_one(sentence, 2, model)
+        probs, cache = forward_one(sentence, 2, model, backprop=True)
         candidates = explore(probs, 2, model.labels, 1)
         reinforce_step(model, optimizer, sentence, cache, candidates, [0.9],
                        baseline_mode="mean")
@@ -119,7 +119,7 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        probs, cache = forward_one(sentence, 2, model)
+        probs, cache = forward_one(sentence, 2, model, backprop=True)
         candidates = explore(probs, 2, model.labels, 2)
         norm = reinforce_step(model, optimizer, sentence, cache, candidates, [1.0, -1.0],
                               baseline_mode="mean")
@@ -241,10 +241,10 @@ class TestTrainRl:
         calls = Counter()
         real_forward = tagger.forward
 
-        def counting_forward(items, model):
+        def counting_forward(items, model, **kwargs):
             for sentence, predicate in items:
                 calls[sentence.sentence_id, predicate] += 1
-            return real_forward(items, model)
+            return real_forward(items, model, **kwargs)
 
         # tagger.forward_one is a batch of one, so this counts every encoded item.
         monkeypatch.setattr(tagger, "forward", counting_forward)
@@ -284,7 +284,7 @@ def reference_epoch(model, sentences, scorer, config, dev_sentences, dev_gold):
             probs, _ = forward_one(sentence, predicate, model)
             candidates = beam_decode_one(probs, config.beam_size, predicate, model.labels)
             breakdowns = [candidate_reward(c, sentence, predicate, scorer) for c in candidates]
-            _, cache = forward_one(sentence, predicate, model)
+            _, cache = forward_one(sentence, predicate, model, backprop=True)
             reinforce_step(model, optimizer, sentence, cache, candidates,
                            [b.total for b in breakdowns], config.baseline_mode)
             rewards.extend(breakdowns)

@@ -10,8 +10,10 @@ import pytest
 
 from oiekit.core import bio_labels, validate_bio, ValidationError
 from oiekit.corpus_io import ParseError, gen_synthetic
+from oiekit.patterns import identify_predicates
 from oiekit.reward import make_sem_scorer, sem_score_surrogate
 from oiekit.tagger import (
+    EXTRACT_BATCH,
     EXTERNAL_CONTEXTUAL,
     HashEmbeddingProvider,
     TaggerConfig,
@@ -177,7 +179,7 @@ class TestLabelDistribution:
     def test_single_hidden_vector(self):
         sentence = flat_sentence(2)
         model = tiny_model(sentence)
-        h = forward_one(sentence, 1, model)[1]["h_top"][:, 0]
+        h = forward_one(sentence, 1, model, backprop=True)[1]["h_top"][:, 0]
         dist = label_distribution(h[0], model)
         assert dist.shape == (len(model.labels),)
         assert abs(dist.sum() - 1.0) < 1e-9
@@ -360,8 +362,13 @@ class TestExtract:
 
     @pytest.mark.parametrize("rerank", ["none", "combined"])
     def test_batched_pass_matches_one_call_per_sentence(self, rerank):
-        # 40 sentences of several templates: more than one chunk, mixed lengths.
-        sentences, _ = gen_synthetic(n=40, seed=5)
+        # Sentences of several templates, in no length order: more than two
+        # length-sorted chunks, each returned to sentence order.
+        sentences, _ = gen_synthetic(n=2 * EXTRACT_BATCH + 1, seed=5)
+        items = sum(len(identify_predicates(sentence)) for sentence in sentences)
+        lengths = [len(sentence) for sentence in sentences]
+        assert items > 2 * EXTRACT_BATCH
+        assert lengths != sorted(lengths)
         model = init_model(TINY, build_vocab(sentences))
         model.params["cls.b"][model.labels.index("B-P")] += 2.0
         scorer = make_sem_scorer("surrogate") if rerank != "none" else None
