@@ -45,8 +45,7 @@ class _Parser(argparse.ArgumentParser):
 # Config-file keys per config dataclass, each with the cast of its value.
 # ``seed`` is read by every command and sets each rng_seed.
 _TAGGER_KEYS = {"embedding_dim": int, "indicator_dim": int, "hidden_dim": int,
-                "num_encoder_layers": int,
-                "use_indicator": lambda value: value.lower() != "false"}
+                "num_encoder_layers": int}
 _TRAIN_KEYS = {"epochs": int, "batch_size": int, "step_size": float,
                "dev_fraction": float, "patience": int}
 _RL_KEYS = {"epochs": int, "beam_size": int, "baseline": str, "step_size": float}
@@ -231,6 +230,8 @@ def cmd_rl_train(args) -> int:
     sentences = corpus_io.read_conllu(args.conllu)
     rl_config = RLConfig(**_fields(values, _RL_KEYS),
                          explore_mode="sample" if args.sample else "beam")
+    if args.dev_gold and not args.dev_conllu:
+        raise _UsageError("--dev-gold requires --dev-conllu")
     dev = None
     if args.dev_conllu:
         dev_sentences = corpus_io.read_conllu(args.dev_conllu)

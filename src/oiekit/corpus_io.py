@@ -73,12 +73,13 @@ def atomic_write(path, mode: str = "w"):
     block ends; if the block raises, ``path`` keeps its old contents and the
     temporary file is removed. Links are followed; a path that exists but
     is not a regular file (``/dev/null``, a pipe) is written in place."""
-    target = os.path.realpath(path)
     encoding = None if "b" in mode else "utf-8"
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, mode, encoding=encoding) as handle:
+    # Tested on the path as given: the real path of a pipe is "pipe:[N]".
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, encoding=encoding) as handle:
             yield handle
         return
+    target = os.path.realpath(path)
     temporary = f"{target}.{uuid.uuid4().hex[:12]}.tmp"
     try:
         with open(temporary, mode.replace("w", "x"), encoding=encoding) as handle:

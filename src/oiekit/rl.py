@@ -143,16 +143,16 @@ def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSente
     if not candidates or len(candidates) != len(rewards):
         raise OiekitError("need equally many candidates and rewards, at least one each")
     baseline = sum(rewards) / len(rewards) if baseline_mode == "mean" else 0.0
-    dlogits = _policy_dlogits(model, cache, candidates, [r - baseline for r in rewards])
+    # Weights b - R_k give the descent gradient directly (negation is exact).
+    dlogits = _policy_dlogits(model, cache, candidates, [baseline - r for r in rewards])
     if not np.all(dlogits == 0.0):
-        ascent = tagger.backward_from_dlogits(model, cache, dlogits)
-        if not nn.grads_finite(ascent):
+        descent = tagger.backward_from_dlogits(model, cache, dlogits)
+        if not nn.grads_finite(descent):
             raise NonFiniteGradient(
                 f"non-finite policy gradient on {sentence.sentence_id!r}"
             )
-        descent = {name: -grad for name, grad in ascent.items()}
         optimizer.step(descent)
-        return float(sum((g * g).sum() for g in ascent.values()))
+        return float(sum((g * g).sum() for g in descent.values()))
     return 0.0
 
 
@@ -257,16 +257,14 @@ def _dev_metrics(model: TaggerModel, sentences: Sequence[ParsedSentence],
                  table: PatternTable, predicate_count: int) -> tuple[float, Optional[float]]:
     """(mean top-1 reward over the ``predicate_count`` dev predicates, best
     F1 against the dev gold or None), from one :func:`tagger.extract` call
-    per dev sentence, so each extraction is scored with its own sentence. A
-    predicate that extract drops counts with reward 0, as syn = -1 times
-    sem = 0."""
-    preds = []
+    over the dev sentences; each extraction is scored with its sentence,
+    found by ``sentence_id``. A predicate that extract drops counts with
+    reward 0, as syn = -1 times sem = 0."""
+    by_id = {sentence.sentence_id: sentence for sentence in sentences}
+    preds = tagger.extract(sentences, model, table)
     total = 0.0
-    for sentence in sentences:
-        extractions = tagger.extract([sentence], model, table)
-        for extraction in extractions:
-            total += _extraction_reward(extraction, sentence, scorer, table).total
-        preds.extend(extractions)
+    for e in preds:
+        total += _extraction_reward(e, by_id[e.sentence_id], scorer, table).total
     f1 = evaluate.evaluate(preds, gold).best_f1 if gold else None
     return (total / predicate_count if predicate_count else 0.0), f1
 

@@ -1,6 +1,7 @@
 """Predicate-conditioned neural sequence tagger.
 
-Per predicate: embed tokens with a predicate-indicator channel, encode with
+Per predicate: embed each token as its word vector concatenated with a
+predicate-indicator vector (1 at the predicate, 0 elsewhere), encode with
 stacked bidirectional LSTM layers joined by highway gates, classify each
 token over the BIO label set, decode with a constrained beam search, and
 score extractions by average log probability. :func:`forward` runs many
@@ -14,11 +15,10 @@ runs them ``EXTRACT_BATCH`` at a time through both, without the cache.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, asdict, replace
 from functools import cache
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,38 +51,6 @@ UNK = "<unk>"
 # throughput at seeds 1-3; 128 gave no more, and peak RSS rose about 9%.
 EXTRACT_BATCH = 64
 
-STATIC_LOOKUP = "static-lookup"
-EXTERNAL_CONTEXTUAL = "external-contextual"
-
-
-class ContextualEmbeddingProvider(Protocol):
-    """Contract for pluggable contextual embedders: given the sentence
-    tokens and the predicate index, return one fixed-width vector per
-    token as an (m, width) array."""
-
-    def vectors(self, tokens: Sequence[str], predicate: int) -> np.ndarray: ...
-
-
-class HashEmbeddingProvider:
-    """Deterministic stand-in contextual embedder (for tests and demos):
-    vectors are seeded pseudo-random functions of (surface, position,
-    predicate). The seed is a BLAKE2b digest, so vectors do not depend on
-    the process (``hash()`` of a string changes with PYTHONHASHSEED)."""
-
-    def __init__(self, width: int, seed: int = 0):
-        self.width = width
-        self.seed = seed
-
-    def vectors(self, tokens: Sequence[str], predicate: int) -> np.ndarray:
-        out = np.empty((len(tokens), self.width))
-        for pos, surface in enumerate(tokens, start=1):
-            digest = hashlib.blake2b(repr((self.seed, surface, pos, predicate)).encode("utf-8"),
-                                     digest_size=8).digest()
-            key = int.from_bytes(digest, "little")
-            out[pos - 1] = np.random.default_rng(key).uniform(-0.1, 0.1, self.width)
-        return out
-
-
 @dataclass(frozen=True)
 class TaggerConfig:
     embedding_dim: int = 32
@@ -91,16 +59,12 @@ class TaggerConfig:
     num_encoder_layers: int = 2
     roles: tuple[str, ...] = DEFAULT_ROLES
     rng_seed: int = 13
-    embedder_kind: str = STATIC_LOOKUP
-    use_indicator: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "roles", tuple(self.roles))
         for name in ("embedding_dim", "indicator_dim", "hidden_dim", "num_encoder_layers"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        if self.embedder_kind not in (STATIC_LOOKUP, EXTERNAL_CONTEXTUAL):
-            raise ValidationError(f"unknown embedder_kind {self.embedder_kind!r}")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -108,20 +72,16 @@ class TaggerConfig:
 
 
 class TaggerModel:
-    """Named-parameter container plus the vocabulary it was built over.
-
-    ``provider`` carries the contextual embedder in external-contextual
-    mode; it is supplied at load/construction time and never serialized.
-    """
+    """Named-parameter container plus the vocabulary it was built over:
+    ``embed.word`` has one row per vocabulary entry (row 0 for unknown
+    words) and ``embed.indicator`` two rows (off, on the predicate)."""
 
     def __init__(self, config: TaggerConfig, vocab: Sequence[str],
-                 params: dict[str, np.ndarray],
-                 provider: Optional[ContextualEmbeddingProvider] = None):
+                 params: dict[str, np.ndarray]):
         self.config = config
         self.vocab = list(vocab)
         self.word_ids = {word: i for i, word in enumerate(self.vocab)}
         self.params = params
-        self.provider = provider
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -147,12 +107,11 @@ def build_vocab(instances_or_sentences) -> list[str]:
 def _param_shapes(config: TaggerConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter array, in checkpoint order."""
     h = config.hidden_dim
-    shapes: dict[str, tuple[int, ...]] = {}
-    if config.embedder_kind == STATIC_LOOKUP:
-        shapes["embed.word"] = (vocab_size, config.embedding_dim)
-    if config.use_indicator:
-        shapes["embed.indicator"] = (2, config.indicator_dim)
-    layer_in = config.embedding_dim + (config.indicator_dim if config.use_indicator else 0)
+    shapes: dict[str, tuple[int, ...]] = {
+        "embed.word": (vocab_size, config.embedding_dim),
+        "embed.indicator": (2, config.indicator_dim),
+    }
+    layer_in = config.embedding_dim + config.indicator_dim
     for layer in range(config.num_encoder_layers):
         for direction in ("fw", "bw"):
             shapes[f"enc.{layer}.{direction}.wx"] = (layer_in, 4 * h)
@@ -167,15 +126,13 @@ def _param_shapes(config: TaggerConfig, vocab_size: int) -> dict[str, tuple[int,
     return shapes
 
 
-def init_model(config: TaggerConfig, vocab: Sequence[str],
-               provider: Optional[ContextualEmbeddingProvider] = None) -> TaggerModel:
+def init_model(config: TaggerConfig, vocab: Sequence[str]) -> TaggerModel:
     """Initialize all parameters uniformly in [-0.1, 0.1] from a generator
     seeded with ``config.rng_seed``."""
     rng = np.random.default_rng(config.rng_seed)
     params = {name: rng.uniform(-0.1, 0.1, shape)
               for name, shape in _param_shapes(config, len(vocab)).items()}
-    return TaggerModel(config, vocab if config.embedder_kind == STATIC_LOOKUP else [UNK],
-                       params, provider)
+    return TaggerModel(config, vocab, params)
 
 
 # ---------------------------------------------------------------------------
@@ -184,36 +141,20 @@ def init_model(config: TaggerConfig, vocab: Sequence[str],
 
 
 def embed(sentence: ParsedSentence, predicate: int, model: TaggerModel) -> np.ndarray:
-    """Per-token input vectors: word embedding (or provider vector)
-    concatenated with the predicate-indicator embedding."""
+    """Per-token input vectors, (m, embedding_dim + indicator_dim): each
+    token's word embedding concatenated with the indicator embedding of
+    whether it is the predicate."""
     return _embed(sentence, predicate, model)[0]
 
 
 def _embed(sentence: ParsedSentence, predicate: int, model: TaggerModel):
-    """(input vectors, word ids, indicator flags); ids and flags are None
-    where the model has no table for them to index."""
-    cfg = model.config
+    """(input vectors, word ids, indicator flags)."""
     if not 1 <= predicate <= len(sentence):
         raise ValidationError(f"predicate {predicate} outside sentence of length {len(sentence)}")
-    if cfg.embedder_kind == EXTERNAL_CONTEXTUAL:
-        if model.provider is None:
-            raise ValidationError("external-contextual model has no embedding provider attached")
-        word_vecs = np.asarray(
-            model.provider.vectors([t.surface for t in sentence.tokens], predicate), dtype=float
-        )
-        if word_vecs.shape != (len(sentence), cfg.embedding_dim):
-            raise ValidationError(
-                f"provider returned shape {word_vecs.shape}, expected "
-                f"{(len(sentence), cfg.embedding_dim)}"
-            )
-        ids = None
-    else:
-        ids = np.array([model.token_id(t.surface) for t in sentence.tokens])
-        word_vecs = model.params["embed.word"][ids]
-    if not cfg.use_indicator:
-        return word_vecs, ids, None
+    ids = np.array([model.token_id(t.surface) for t in sentence.tokens])
     flags = np.array([1 if t.index == predicate else 0 for t in sentence.tokens])
-    x0 = np.concatenate([word_vecs, model.params["embed.indicator"][flags]], axis=1)
+    x0 = np.concatenate([model.params["embed.word"][ids], model.params["embed.indicator"][flags]],
+                        axis=1)
     return x0, ids, flags
 
 
@@ -248,11 +189,9 @@ def label_distribution(hidden: np.ndarray, model: TaggerModel) -> np.ndarray:
     return nn.softmax_rows(logits)
 
 
-def _pad(arrays: list, m: int) -> Optional[np.ndarray]:
+def _pad(arrays: list, m: int) -> np.ndarray:
     """Per-item arrays right-padded with zeros and stacked time-major into
-    (m, B, ...); None when the items have none. A single item is a view."""
-    if arrays[0] is None:
-        return None
+    (m, B, ...). A single item is a view."""
     if len(arrays) == 1:
         return arrays[0][:, None]
     out = np.zeros((m, len(arrays)) + arrays[0].shape[1:], dtype=arrays[0].dtype)
@@ -321,13 +260,11 @@ def backward_from_dlogits(model: TaggerModel, cache, dlogits: np.ndarray) -> dic
                 dcore.reshape(entry["core"].shape), entry["caches"], grads, prefix)
         else:
             dx = nn.bilstm_backward(dx, entry["caches"], grads, prefix)
-    cfg = model.config
-    if cfg.embedder_kind == STATIC_LOOKUP:
-        grads["embed.word"] = np.zeros_like(params["embed.word"])
-        np.add.at(grads["embed.word"], cache["token_ids"], dx[..., : cfg.embedding_dim])
-    if cfg.use_indicator:
-        grads["embed.indicator"] = np.zeros_like(params["embed.indicator"])
-        np.add.at(grads["embed.indicator"], cache["indicator_flags"], dx[..., cfg.embedding_dim :])
+    width = model.config.embedding_dim
+    grads["embed.word"] = np.zeros_like(params["embed.word"])
+    np.add.at(grads["embed.word"], cache["token_ids"], dx[..., :width])
+    grads["embed.indicator"] = np.zeros_like(params["embed.indicator"])
+    np.add.at(grads["embed.indicator"], cache["indicator_flags"], dx[..., width:])
     return grads
 
 
@@ -551,6 +488,9 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
 
 _FORMAT = "oiekit-checkpoint-1"
 
+# Input-layer keys of older headers, with the value naming the one layer built here.
+_LEGACY_INPUT_KEYS = {"embedder_kind": "static-lookup", "use_indicator": True}
+
 
 def save_model(model: TaggerModel, path) -> None:
     manifest = [
@@ -570,12 +510,13 @@ def save_model(model: TaggerModel, path) -> None:
             handle.write(np.ascontiguousarray(arr).tobytes())
 
 
-def load_model(path, provider: Optional[ContextualEmbeddingProvider] = None) -> TaggerModel:
+def load_model(path) -> TaggerModel:
     """Read a checkpoint written by :func:`save_model`. A malformed header,
-    an array set or shape other than the one :func:`init_model` builds for
-    the header's config and vocabulary, an array whose dtype is not float64
-    (the only one written), an array cut short, or bytes after the last
-    array raise :class:`ParseError`."""
+    a legacy input-layer key naming another input layer, an array set or
+    shape other than the one :func:`init_model` builds for the header's
+    config and vocabulary, an array whose dtype is not float64 (the only
+    one written), an array cut short, or bytes after the last array raise
+    :class:`ParseError`."""
     with open(path, "rb") as handle:
         try:
             header = json.loads(handle.readline().decode("utf-8"))
@@ -587,6 +528,11 @@ def load_model(path, provider: Optional[ContextualEmbeddingProvider] = None) -> 
             config_dict["roles"] = tuple(config_dict["roles"])
             # Written before the decoder width left TaggerConfig; nothing reads it.
             config_dict.pop("beam_size", None)
+            for key, value in _LEGACY_INPUT_KEYS.items():
+                found = config_dict.pop(key, value)
+                if found != value:
+                    raise ParseError(f"checkpoint {path}: config key {key!r} is "
+                                     f"{json.dumps(found)}; only {json.dumps(value)} loads")
             config = TaggerConfig(**config_dict)
             arrays = [(entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"]))
                       for entry in header["arrays"]]
@@ -614,4 +560,4 @@ def load_model(path, provider: Optional[ContextualEmbeddingProvider] = None) -> 
             params[name] = np.frombuffer(data, dtype=dtype).reshape(expected[name]).copy()
         if handle.read(1):
             raise ParseError(f"checkpoint {path}: trailing bytes after the last array")
-    return TaggerModel(config, vocab, params, provider)
+    return TaggerModel(config, vocab, params)

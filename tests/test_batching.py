@@ -8,8 +8,6 @@ gradients, to float tolerance (a (B, H) matrix product rounds differently
 from a vector product).
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -17,8 +15,6 @@ from oiekit import nn
 from oiekit.core import TaggedInstance, TagSequence
 from oiekit.mle import TrainConfig, instance_grads, pretrain
 from oiekit.tagger import (
-    EXTERNAL_CONTEXTUAL,
-    HashEmbeddingProvider,
     TaggerConfig,
     backward_from_dlogits,
     build_vocab,
@@ -138,10 +134,9 @@ def ref_backward(model, cache, dlogits):
         else:
             dx = ref_bilstm_backward(dx, caches, grads, prefix)
     cfg = model.config
-    if cfg.embedder_kind != EXTERNAL_CONTEXTUAL:
-        ids = np.array([model.token_id(t.surface) for t in sentence.tokens])
-        grads["embed.word"] = np.zeros_like(params["embed.word"])
-        np.add.at(grads["embed.word"], ids, dx[:, : cfg.embedding_dim])
+    ids = np.array([model.token_id(t.surface) for t in sentence.tokens])
+    grads["embed.word"] = np.zeros_like(params["embed.word"])
+    np.add.at(grads["embed.word"], ids, dx[:, : cfg.embedding_dim])
     flags = np.array([1 if t.index == predicate else 0 for t in sentence.tokens])
     grads["embed.indicator"] = np.zeros_like(params["embed.indicator"])
     np.add.at(grads["embed.indicator"], flags, dx[:, cfg.embedding_dim :])
@@ -167,11 +162,12 @@ def items_of(lengths):
     return [(sentence_of(m, k), 1 + (k * 3) % m) for k, m in enumerate(lengths)]
 
 
-def model_for(kind, items, config=SMALL):
-    if kind == "static":
-        return init_model(config, build_vocab([s for s, _ in items] + [sentence_of(3, "x")]))
-    return init_model(replace(config, embedder_kind=EXTERNAL_CONTEXTUAL), [],
-                      provider=HashEmbeddingProvider(config.embedding_dim, seed=2))
+def model_for(items, config=SMALL):
+    return init_model(config, build_vocab([s for s, _ in items] + [sentence_of(3, "x")]))
+
+
+# "static" names the tagger's word-lookup input layer in the test ids below.
+INPUT_LAYER = pytest.mark.parametrize("kind", ["static"])
 
 
 def relative_error(a, b):
@@ -201,12 +197,12 @@ def test_lstm_batch_of_one_is_bit_identical_to_reference(m, in_dim, h_dim):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("kind", ["static", "hash"])
+@INPUT_LAYER
 @pytest.mark.parametrize("config", [SMALL, DEFAULT], ids=["small", "default"])
 def test_tagger_batch_of_one_is_bit_identical_to_reference(kind, config):
     rng = np.random.default_rng(4)
     items = items_of([6, 1, 11])
-    model = model_for(kind, items, config)
+    model = model_for(items, config)
     for sentence, predicate in items:
         probs, cache = forward_one(sentence, predicate, model, backprop=True)
         ref_probs, ref_cache = ref_forward(sentence, predicate, model)
@@ -222,11 +218,11 @@ def test_tagger_batch_of_one_is_bit_identical_to_reference(kind, config):
 # -- mixed lengths: each item as if alone, gradients add up -----------------
 
 
-@pytest.mark.parametrize("kind", ["static", "hash"])
+@INPUT_LAYER
 def test_mixed_length_batch_matches_items_run_alone(kind):
     rng = np.random.default_rng(9)
     items = items_of([1, 4, 9])
-    model = model_for(kind, items)
+    model = model_for(items)
     probs, cache = forward(items, model, backprop=True)
     n_labels = len(model.labels)
     assert probs.shape == (9, 3, n_labels)
@@ -245,11 +241,11 @@ def test_mixed_length_batch_matches_items_run_alone(kind):
         assert relative_error(grads[name], summed[name]) <= TOLERANCE, name
 
 
-@pytest.mark.parametrize("kind", ["static", "hash"])
+@INPUT_LAYER
 def test_longer_item_leaves_the_others_unchanged(kind):
     items = items_of([1, 4, 9])
     longer = items_of([2, 2, 2, 12])[3]
-    model = model_for(kind, items + [longer])
+    model = model_for(items + [longer])
     before, _ = forward(items, model)
     after, _ = forward([items[0], longer] + items[1:], model)
     for b, (sentence, _) in enumerate(items):
@@ -261,11 +257,11 @@ def test_longer_item_leaves_the_others_unchanged(kind):
 # -- inference: no cache, the same bits as a training pass ------------------
 
 
-@pytest.mark.parametrize("kind", ["static", "hash"])
+@INPUT_LAYER
 @pytest.mark.parametrize("lengths", [[7], [1, 4, 9, 4]], ids=["B1", "B4"])
 def test_inference_pass_is_bit_identical_to_backprop_pass(kind, lengths):
     items = items_of(lengths)
-    model = model_for(kind, items, DEFAULT)
+    model = model_for(items, DEFAULT)
     probs, cache = forward(items, model)
     trained, trained_cache = forward(items, model, backprop=True)
     assert cache is None and trained_cache is not None
@@ -279,7 +275,7 @@ def test_pretrain_step_is_the_mean_of_token_mean_instance_gradients(monkeypatch)
     corpus = [TaggedInstance(sentence, labels[len(sentence)].index("B-P") + 1,
                              TagSequence(labels[len(sentence)]))
               for sentence, _ in items]
-    model = model_for("static", items)
+    model = model_for(items)
     expected = {}
     for instance in corpus:
         _, grads = instance_grads(model, instance, scale=1.0 / len(instance.tags))

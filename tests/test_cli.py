@@ -1,6 +1,9 @@
 """End-to-end runs of the command-line surface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -85,10 +88,12 @@ def test_non_object_json_line_is_a_data_error(pipeline, argv):
 
 
 @pytest.mark.parametrize("command,key", [("pretrain", "hidden_dimm"), ("pretrain", "beam_size"),
+                                         ("pretrain", "use_indicator"),
                                          ("rl-train", "hidden_dim")])
 def test_unknown_config_key_is_a_data_error(pipeline, capsys, command, key):
     work, _ = pipeline
-    (work / "typo.cfg").write_text(f"epochs = 1\n{key} = 4\n", encoding="utf-8")
+    value = "false" if key == "use_indicator" else "4"
+    (work / "typo.cfg").write_text(f"epochs = 1\n{key} = {value}\n", encoding="utf-8")
     inputs = {"pretrain": ["--instances", str(work / "train.inst")],
               "rl-train": ["--model", str(work / "mle.ckpt"),
                            "--conllu", str(work / "train.conllu")]}
@@ -209,6 +214,47 @@ def test_checkpoint_shape_disagreeing_with_its_config_is_a_data_error(pipeline, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("use_indicator", False),
+                                       ("embedder_kind", "external-contextual")])
+def test_checkpoint_naming_another_input_layer_is_a_data_error(pipeline, capsys, key, value):
+    work, _ = pipeline
+    header, arrays = (work / "rl.ckpt").read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    header["config"][key] = value
+    (work / "layer.ckpt").write_bytes(json.dumps(header).encode("utf-8") + b"\n" + arrays)
+    out = work / "layer.jsonl"
+    code = cli.main(["extract", "--model", str(work / "layer.ckpt"),
+                     "--conllu", str(work / "dev.conllu"), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_with_the_legacy_input_layer_keys_extracts_the_same(pipeline):
+    work, _ = pipeline
+    header, arrays = (work / "rl.ckpt").read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    header["config"].update(embedder_kind="static-lookup", use_indicator=True)
+    (work / "legacy.ckpt").write_bytes(
+        json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + arrays)
+    code = cli.main(["extract", "--model", str(work / "legacy.ckpt"),
+                     "--conllu", str(work / "dev.conllu"), "--patterns", str(work / "patterns.txt"),
+                     "--rerank", "combined", "--scorer", "surrogate",
+                     "--out", str(work / "legacy.jsonl")])
+    assert code == cli.EXIT_OK
+    assert (work / "legacy.jsonl").read_bytes() == (work / "out.jsonl").read_bytes()
+
+
+def test_rl_dev_gold_without_dev_conllu_is_a_usage_error(pipeline, capsys):
+    work, _ = pipeline
+    code = cli.main(["rl-train", "--model", str(work / "mle.ckpt"),
+                     "--conllu", str(work / "train.conllu"), "--dev-gold", str(work / "dev.gold"),
+                     "--out", str(work / "gold-only.ckpt")])
+    assert code == cli.EXIT_USAGE
+    assert "--dev-gold requires --dev-conllu" in capsys.readouterr().err
+    assert not (work / "gold-only.ckpt").exists()
+
+
 @pytest.mark.parametrize("line", ["epochs = -2", "epochs = 0", "step_size = -0.1",
                                   "step_size = 0", "step_size = nan", "step_size = inf",
                                   "dev_fraction = 1.0", "dev_fraction = -0.5"])
@@ -242,3 +288,33 @@ def test_synth_dev_fraction_outside_unit_interval_is_a_usage_error(tmp_path, fra
                      *(arg for flag, name in outputs.items() for arg in (flag, str(tmp_path / name)))])
     assert code == cli.EXIT_USAGE
     assert list(tmp_path.iterdir()) == []
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
+    script = ("import json, sys\nfrom oiekit import cli\n"
+              "sys.exit(any(cli.main(argv) for argv in json.loads(sys.argv[1])))\n")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        work = tmp_path / hash_seed
+        work.mkdir()
+        path = lambda name: str(work / name)  # noqa: E731
+        (work / "small.cfg").write_text("embedding_dim = 8\nhidden_dim = 8\nindicator_dim = 4\n"
+                                        "epochs = 2\nbatch_size = 4\nstep_size = 0.05\n",
+                                        encoding="utf-8")
+        steps = [
+            ["synth", "--n", "40", "--seed", "5", "--out-conllu", path("train.conllu"),
+             "--out-gold", path("train.gold")],
+            ["label", "--conllu", path("train.conllu"), "--out", path("train.inst")],
+            ["pretrain", "--instances", path("train.inst"), "--config", path("small.cfg"),
+             "--out", path("mle.ckpt")],
+            ["rl-train", "--model", path("mle.ckpt"), "--conllu", path("train.conllu"),
+             "--scorer", "surrogate", "--epochs", "1", "--out", path("rl.ckpt")],
+            ["extract", "--model", path("rl.ckpt"), "--conllu", path("train.conllu"),
+             "--rerank", "combined", "--scorer", "surrogate", "--out", path("out.jsonl")],
+        ]
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", script, json.dumps(steps)], env=env,
+                       capture_output=True, check=True)
+        outputs.append([(work / name).read_bytes() for name in ("mle.ckpt", "rl.ckpt", "out.jsonl")])
+    assert outputs[0][2].count(b"\n") > 10
+    assert outputs[0] == outputs[1]

@@ -164,6 +164,16 @@ class TestAtomicWrite:
         assert received == ['{"a": 1}\n']
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
+    def test_anonymous_pipe_is_written_in_place(self):
+        # The real path of /dev/fd/<n> on a pipe is "pipe:[N]", which names no file.
+        read_end, write_end = os.pipe()
+        try:
+            write_jsonl([{"a": 1}], f"/dev/fd/{write_end}")
+            assert os.read(read_end, 100) == b'{"a": 1}\n'
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
 
 class TestInstanceFiles:
     def test_round_trip(self, tmp_path, parragon):

@@ -1,7 +1,8 @@
 """Import hygiene, checked from the syntax tree: every imported name is
-used, in the package and in its tests, and the package imports nothing
-outside the standard library, numpy and oiekit itself (numpy is the only
-runtime dependency; the tests also import pytest and hypothesis). Also:
+used, in the package, its tests and the benchmark scripts, and the
+package imports nothing outside the standard library, numpy and oiekit
+itself (numpy is the only runtime dependency; the tests also import
+pytest and hypothesis). Also:
 the CLI does not load the HTTP stack that only the entailment adapter
 uses."""
 
@@ -15,6 +16,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "oiekit"
+BENCH = TESTS.parent / "bench"
 ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "oiekit"}
 
 
@@ -86,6 +88,12 @@ def test_module_imports_are_clean(module):
 @pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
 def test_test_imports_are_used(module):
     assert import_problems((TESTS / module).read_text(encoding="utf-8"),
+                           check_modules=False) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in BENCH.glob("*.py")))
+def test_bench_imports_are_used(module):
+    assert import_problems((BENCH / module).read_text(encoding="utf-8"),
                            check_modules=False) == []
 
 

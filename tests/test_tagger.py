@@ -1,9 +1,6 @@
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -14,8 +11,6 @@ from oiekit.patterns import identify_predicates
 from oiekit.reward import make_sem_scorer, sem_score_surrogate
 from oiekit.tagger import (
     EXTRACT_BATCH,
-    EXTERNAL_CONTEXTUAL,
-    HashEmbeddingProvider,
     TaggerConfig,
     beam_decode_one,
     build_vocab,
@@ -100,54 +95,12 @@ class TestEmbed:
         assert np.array_equal(a[:, :6], b[:, :6])
         assert not np.array_equal(a[:, 6:], b[:, 6:])
 
-    def test_indicator_ablation_makes_predicates_indistinguishable(self):
-        sentence = flat_sentence(4)
-        config = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
-                              num_encoder_layers=1, rng_seed=3, use_indicator=False)
-        model = tiny_model(sentence, config)
-        assert np.array_equal(embed(sentence, 1, model), embed(sentence, 3, model))
-
     def test_unknown_word_uses_reserved_vector(self):
         model = tiny_model(flat_sentence(2))
         other = flat_sentence(2)
         unseen = flat_sentence(3)  # w3 not in the 2-token vocab
         x = embed(unseen, 1, model)
         assert np.array_equal(x[2, :6], model.params["embed.word"][0])
-
-    def test_external_contextual_provider(self):
-        sentence = flat_sentence(3)
-        config = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
-                              num_encoder_layers=1, rng_seed=3,
-                              embedder_kind=EXTERNAL_CONTEXTUAL)
-        provider = HashEmbeddingProvider(width=6, seed=1)
-        model = init_model(config, [], provider=provider)
-        x = embed(sentence, 2, model)
-        assert x.shape == (3, 9)
-        assert np.array_equal(x, embed(sentence, 2, model))
-
-    def test_hash_provider_is_the_same_in_every_process(self):
-        script = ("from oiekit.tagger import HashEmbeddingProvider; "
-                  "print(HashEmbeddingProvider(width=4, seed=1)"
-                  ".vectors(['the', 'farmer'], 2).tolist())")
-        outputs = []
-        for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                       PYTHONPATH=os.pathsep.join(sys.path))
-            outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
-                                          capture_output=True, text=True,
-                                          check=True).stdout)
-        assert outputs[0] == outputs[1]
-        here = HashEmbeddingProvider(width=4, seed=1).vectors(["the", "farmer"], 2)
-        assert outputs[0].strip() == str(here.tolist())
-
-    def test_provider_width_mismatch_rejected(self):
-        sentence = flat_sentence(3)
-        config = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
-                              num_encoder_layers=1, rng_seed=3,
-                              embedder_kind=EXTERNAL_CONTEXTUAL)
-        model = init_model(config, [], provider=HashEmbeddingProvider(width=4))
-        with pytest.raises(ValidationError):
-            embed(sentence, 1, model)
 
 
 class TestLabelDistribution:
