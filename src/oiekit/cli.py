@@ -1,7 +1,9 @@
 """Command-line surface binding the pipeline stages into reproducible runs.
 
 Commands: synth, label, pretrain, rl-train, extract, eval. Exit codes:
-0 success, 1 usage error, 2 data error, 3 numeric failure.
+0 success, 1 usage error, 2 data error, 3 numeric failure. An output pipe
+whose reader has gone (``| head``) ends the command quietly with 0, as it
+ends when the output fits before the reader goes.
 
 pretrain and rl-train take an optional ``key = value`` config file. Flags
 win over it, keys it leaves out keep the defaults of TaggerConfig,
@@ -99,7 +101,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic parsed corpus with gold tuples")
-    p.add_argument("--templates", default="svo,svo_pp,ditrans,coord_vp",
+    p.add_argument("--templates", default=",".join(corpus_io.TEMPLATE_NAMES),
                    help="comma-separated template names, optionally name:weight")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -274,7 +276,7 @@ def cmd_eval(args) -> int:
         sentences = {s.sentence_id: s for s in corpus_io.read_conllu(args.conllu)}
         threshold = args.overlap_threshold
 
-        def matcher(pred, gold, sentence=None):
+        def matcher(pred, gold):
             return evaluate.lexical_overlap_match(
                 pred, gold, sentences[pred.sentence_id], threshold)
 
@@ -309,6 +311,8 @@ def main(argv=None) -> int:
     except (NonFiniteLoss, NonFiniteGradient) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        return EXIT_OK
     except (OiekitError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

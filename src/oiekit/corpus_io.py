@@ -147,9 +147,13 @@ def read_conllu(path) -> list[ParsedSentence]:
 
     Uses the ID, FORM, UPOS, HEAD and DEPREL columns. Multiword-token
     ranges (IDs like ``3-4``) and empty nodes (IDs like ``3.1``) are
-    skipped. ``# sent_id = ...`` comments name the sentence when present.
+    skipped. ``# sent_id = ...`` comments name the sentence when present;
+    the n-th sentence without one is named ``s{n}``. A sentence id that an
+    earlier sentence already has, given or generated, raises
+    :class:`ParseError` at the line that ends the second sentence.
     """
     sentences = []
+    ends: dict[str, int] = {}  # sentence id -> line that ended it
     tokens: list[Token] = []
     sent_id: Optional[str] = None
     text = ""
@@ -159,6 +163,10 @@ def read_conllu(path) -> list[ParsedSentence]:
         if not tokens:
             return
         sid = sent_id if sent_id is not None else f"s{len(sentences) + 1}"
+        if sid in ends:
+            raise ParseError(f"sentence id {sid!r} repeats the sentence ending at line "
+                             f"{ends[sid]}", line_no)
+        ends[sid] = line_no
         try:
             sentences.append(ParsedSentence(sentence_id=sid, tokens=tuple(tokens), text=text))
         except OiekitError as exc:
@@ -222,8 +230,14 @@ def _conllu_block(sent: ParsedSentence) -> str:
 def write_conllu(sentences: Iterable[ParsedSentence], path) -> None:
     """Raises ValidationError, before anything is written, on a sentence
     with a tab or line break in any field or whitespace around its id or
-    text, so that :func:`read_conllu` reads back what was written."""
-    blocks = [_conllu_block(sent) for sent in sentences]
+    text, or with the id of an earlier sentence, so that
+    :func:`read_conllu` reads back what was written."""
+    blocks, seen = [], set()
+    for sent in sentences:
+        if sent.sentence_id in seen:
+            raise ValidationError(f"sentence id {sent.sentence_id!r} repeats an earlier one")
+        seen.add(sent.sentence_id)
+        blocks.append(_conllu_block(sent))
     with atomic_write(path) as handle:
         handle.writelines(blocks)
 
@@ -393,8 +407,6 @@ _ADJECTIVES = ("old", "young", "tall", "small", "happy", "clever", "tired", "bus
 _PLACES = ("barn", "park", "school", "yard", "hall", "field", "cafe", "tower")
 _PREPOSITIONS = ("in", "near", "behind", "beside")
 
-TEMPLATE_NAMES = ("svo", "svo_pp", "ditrans", "coord_vp")
-
 
 class _Node:
     __slots__ = ("surface", "upos", "deprel", "parent", "index")
@@ -511,18 +523,17 @@ _BUILDERS = {
     "coord_vp": _build_coord_vp,
 }
 
+TEMPLATE_NAMES = tuple(_BUILDERS)
+
 
 def _normalize_templates(template_set) -> tuple[list[str], list[float]]:
-    if isinstance(template_set, Mapping):
-        items = list(template_set.items())
-    else:
-        items = []
-        for entry in template_set:
-            if isinstance(entry, str):
-                items.append((entry, 1.0))
-            else:
-                name, weight = entry
-                items.append((name, float(weight)))
+    items = []
+    for entry in template_set:
+        if isinstance(entry, str):
+            items.append((entry, 1.0))
+        else:
+            name, weight = entry
+            items.append((name, float(weight)))
     names = [name for name, _ in items]
     weights = [weight for _, weight in items]
     for name in names:
@@ -537,8 +548,8 @@ def _normalize_templates(template_set) -> tuple[list[str], list[float]]:
 def gen_synthetic(template_set=TEMPLATE_NAMES, n: int = 100, seed: int = 0):
     """Generate ``n`` parsed sentences plus gold tuples known by construction.
 
-    ``template_set`` is a sequence of template names, (name, weight) pairs,
-    or a name-to-weight mapping. Output is deterministic for a fixed seed.
+    ``template_set`` is a sequence of template names or (name, weight)
+    pairs. Output is deterministic for a fixed seed.
     """
     names, weights = _normalize_templates(template_set)
     rng = np.random.default_rng(seed)

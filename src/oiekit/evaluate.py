@@ -42,8 +42,7 @@ class EvalReport:
     num_predictions: int
 
 
-def match(pred: Extraction, gold: GoldTuple,
-          sentence: Optional[ParsedSentence] = None) -> bool:
+def match(pred: Extraction, gold: GoldTuple) -> bool:
     """Headword criterion: the predicate span contains the gold predicate
     head and, for every gold role head, the predicted span for that role
     exists and contains it. Extra predicted roles are ignored."""
@@ -91,19 +90,18 @@ def _sorted_predictions(extractions: Sequence[Extraction]) -> list[Extraction]:
 
 
 def assign_matches(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
-                   matcher=match) -> tuple[list[Extraction], list[MatchDecision]]:
+                   matcher=match) -> list[MatchDecision]:
     """Greedy one-to-one assignment by descending confidence.
 
     Each prediction may consume at most one still-unmatched gold tuple from
-    its sentence; returns predictions in assignment order plus decisions.
+    its sentence; returns one decision per prediction, in assignment order.
     """
     by_sentence: dict[str, list[int]] = {}
     for idx, g in enumerate(gold):
         by_sentence.setdefault(g.sentence_id, []).append(idx)
     taken = [False] * len(gold)
-    ordered = _sorted_predictions(extractions)
     decisions = []
-    for pred in ordered:
+    for pred in _sorted_predictions(extractions):
         matched_idx = None
         for idx in by_sentence.get(pred.sentence_id, ()):
             if not taken[idx] and matcher(pred, gold[idx]):
@@ -118,7 +116,7 @@ def assign_matches(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
             matched=matched_idx is not None,
             gold_predicate_head=gold[matched_idx].predicate_head if matched_idx is not None else None,
         ))
-    return ordered, decisions
+    return decisions
 
 
 def _pr_points(decisions: Sequence[MatchDecision], num_gold: int) -> list[tuple[float, float]]:
@@ -162,7 +160,7 @@ def tuple_f1(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
     """F1 of the full prediction set: the last point of the sweep."""
     if not gold:
         raise EmptyGold("cannot compute F1 without gold tuples")
-    _, decisions = assign_matches(extractions, gold, matcher)
+    decisions = assign_matches(extractions, gold, matcher)
     return best_f1(_pr_points(decisions, len(gold))[-1:])
 
 
@@ -170,7 +168,7 @@ def evaluate(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
              matcher=match) -> EvalReport:
     if not gold:
         raise EmptyGold("cannot evaluate without gold tuples")
-    _, decisions = assign_matches(extractions, gold, matcher)
+    decisions = assign_matches(extractions, gold, matcher)
     points = _pr_points(decisions, len(gold))
     return EvalReport(
         pr_points=tuple(points),

@@ -63,8 +63,8 @@ def _gold_nll(model: TaggerModel, instance: TaggedInstance,
 
 def mle_loss(model: TaggerModel, instance: TaggedInstance) -> float:
     """Negative log-likelihood of the instance's labels, summed over tokens."""
-    probs, _ = tagger.forward_one(instance.sentence, instance.predicate_index, model)
-    return _gold_nll(model, instance, probs)[0]
+    probs, _ = tagger.forward(_items([instance]), model)
+    return _gold_nll(model, instance, probs[:, 0])[0]
 
 
 def _nll_grad(model: TaggerModel, instance: TaggedInstance, probs: np.ndarray,
@@ -81,10 +81,9 @@ def instance_grads(model: TaggerModel, instance: TaggedInstance,
                    scale: float = 1.0) -> tuple[float, dict[str, np.ndarray]]:
     """(loss, gradients) for one instance; gradients are of ``scale *
     loss`` (callers use 1/m for token-mean aggregation)."""
-    probs, cache = tagger.forward_one(instance.sentence, instance.predicate_index, model,
-                                      backprop=True)
-    loss, dlogits = _nll_grad(model, instance, probs, scale)
-    return loss, tagger.backward_from_dlogits(model, cache, dlogits)
+    probs, cache = tagger.forward(_items([instance]), model, backprop=True)
+    loss, dlogits = _nll_grad(model, instance, probs[:, 0], scale)
+    return loss, tagger.backward_from_dlogits(model, cache, dlogits[:, None])
 
 
 def _items(instances: Sequence[TaggedInstance]) -> list[tuple]:
@@ -119,6 +118,11 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
     """Minimize mean token-level NLL with Adam; early-stops on dev loss and
     restores the best parameters. Returns the per-epoch metrics rows.
 
+    Without ``dev``, a ``config.dev_fraction`` share of the shuffled corpus
+    (at least one instance, when there are two or more) is held out as
+    dev. A fraction of 0 holds out nothing: every instance trains, nothing
+    stops early, and the rows carry ``dev_loss`` and ``dev_f1`` None.
+
     Each mini-batch of B instances is one :func:`tagger.forward` pass
     over the (m, B, ·) batch, right-padded to its longest sentence m, and
     one backward pass. Instance ``b`` gets the logit gradient of its own
@@ -132,9 +136,11 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
     corpus = list(corpus)
     if dev is None:
         permuted = [corpus[i] for i in rng.permutation(len(corpus))]
-        dev_count = max(1, int(len(permuted) * config.dev_fraction)) if len(permuted) > 1 else 0
+        dev_count = 0
+        if config.dev_fraction > 0 and len(permuted) > 1:
+            dev_count = max(1, int(len(permuted) * config.dev_fraction))
         dev = permuted[len(permuted) - dev_count :]
-        train = permuted[: len(permuted) - dev_count] or permuted
+        train = permuted[: len(permuted) - dev_count]
     else:
         train = corpus
         dev = list(dev)

@@ -86,11 +86,12 @@ def _sample_sequences(distributions: np.ndarray, count: int, predicate: int,
 def explore(probs: np.ndarray, predicate: int, labels: tuple[str, ...],
             beam_size: int, mode: str = "beam",
             rng: Optional[np.random.Generator] = None) -> list[TagSequence]:
-    """Candidate label sequences decoded from one forward pass's ``probs``:
+    """Candidate label sequences decoded from one item's (m, L) ``probs``:
     the top-``beam_size`` constrained beam, or i.i.d. constrained samples in
     sampling mode."""
     if mode == "beam":
-        return tagger.beam_decode_one(probs, beam_size, predicate, labels)
+        return tagger.beam_decode(probs[:, None], [len(probs)], [predicate], beam_size,
+                                  labels)[0]
     if rng is None:
         raise OiekitError("sampling exploration needs a random generator")
     return _sample_sequences(probs, beam_size, predicate, labels, rng)
@@ -115,9 +116,10 @@ def _extraction_reward(extraction: Extraction, sentence: ParsedSentence,
 
 def _policy_dlogits(model: TaggerModel, cache, candidates: Sequence[TagSequence],
                     weights: Sequence[float]) -> np.ndarray:
-    """Logit gradient of sum_k w_k * log P(Y_k), exploiting linearity so a
-    single backward pass covers every candidate."""
-    probs = cache["probs"]
+    """(m, 1, L) logit gradient of sum_k w_k * log P(Y_k) for the one item
+    of a cached pass, exploiting linearity so a single backward pass covers
+    every candidate."""
+    probs = cache["probs"][:, 0]
     index = label_index(model.labels)
     dlogits = np.zeros_like(probs)
     rows = np.arange(probs.shape[0])
@@ -128,7 +130,7 @@ def _policy_dlogits(model: TaggerModel, cache, candidates: Sequence[TagSequence]
         onehot_minus_probs = -probs * weight
         onehot_minus_probs[rows, cols] += weight
         dlogits += onehot_minus_probs
-    return dlogits
+    return dlogits[:, None]
 
 
 def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSentence,
@@ -159,13 +161,13 @@ def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSente
 def _enumerate_with_probs(model: TaggerModel, sentence: ParsedSentence, predicate: int):
     """(forward cache, [(sequence, P(sequence))] over every
     constraint-satisfying sequence), by enumeration rather than decoding."""
-    probs, cache = tagger.forward_one(sentence, predicate, model, backprop=True)
+    probs, cache = tagger.forward([(sentence, predicate)], model, backprop=True)
     index = label_index(model.labels)
     weighted = []
     for seq in tagger.enumerate_valid_sequences(len(sentence), predicate, model.labels):
         p = 1.0
         for position, label in enumerate(seq):
-            p *= probs[position, index[label]]
+            p *= probs[position, 0, index[label]]
         weighted.append((TagSequence(labels=seq), p))
     return cache, weighted
 
@@ -221,8 +223,8 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
         for idx in order:
             sentence = corpus[idx]
             for predicate in identify_predicates(sentence, table):
-                probs, cache = tagger.forward_one(sentence, predicate, model, backprop=True)
-                candidates = explore(probs, predicate, model.labels, config.beam_size,
+                probs, cache = tagger.forward([(sentence, predicate)], model, backprop=True)
+                candidates = explore(probs[:, 0], predicate, model.labels, config.beam_size,
                                      mode=config.explore_mode, rng=rng)
                 breakdowns = [
                     candidate_reward(c, sentence, predicate, scorer, table) for c in candidates

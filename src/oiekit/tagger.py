@@ -4,13 +4,13 @@ Per predicate: embed each token as its word vector concatenated with a
 predicate-indicator vector (1 at the predicate, 0 elsewhere), encode with
 stacked bidirectional LSTM layers joined by highway gates, classify each
 token over the BIO label set, decode with a constrained beam search, and
-score extractions by average log probability. :func:`forward` runs many
-(sentence, predicate) items as one right-padded, time-major batch;
-:func:`forward_one` is its batch of one. Only training asks them for the
-backprop cache (``backprop=True``); inference keeps none. :func:`beam_decode`
-decodes such a batch in one vectorised k-best pass; :func:`beam_decode_one`
-is its batch of one. :func:`extract` sorts its items by sentence length and
-runs them ``EXTRACT_BATCH`` at a time through both, without the cache.
+score extractions by average log probability. :func:`forward` is the one
+encoder: it runs (sentence, predicate) items as one right-padded,
+time-major batch, and one item is a batch of one. Only training asks it
+for the backprop cache (``backprop=True``); inference keeps none.
+:func:`beam_decode` is the one decoder: it decodes such a batch in one
+vectorised k-best pass. :func:`extract` sorts its items by sentence length
+and runs them ``EXTRACT_BATCH`` at a time through both, without the cache.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ UNK = "<unk>"
 # (sentence, predicate) items per extract pass. The pass keeps no backprop
 # cache, so a chunk holds a few (m·B, 4H) arrays at a time. On the
 # benchmark's extract workload (seed 1: 500 sentences, 617 items, m <= 13)
-# a pass at 64 peaks 5.1 MB above its inputs, against 7.7 MB for the
-# caching pass at 16. Against 16 without the cache, 64 gave 14-20% more
-# throughput at seeds 1-3; 128 gave no more, and peak RSS rose about 9%.
+# a pass at 64 peaks 5.1 MB above its inputs. Against 16, 64 gave 14-20%
+# more throughput at seeds 1-3; 128 gave no more, and peak RSS rose about 9%.
 EXTRACT_BATCH = 64
 
 @dataclass(frozen=True)
@@ -183,12 +182,6 @@ def _encode(x0: np.ndarray, lengths, model: TaggerModel, backprop: bool):
     return x, layers
 
 
-def label_distribution(hidden: np.ndarray, model: TaggerModel) -> np.ndarray:
-    """Softmax over labels for one hidden vector or a stack of them."""
-    logits = hidden @ model.params["cls.w"] + model.params["cls.b"]
-    return nn.softmax_rows(logits)
-
-
 def _pad(arrays: list, m: int) -> np.ndarray:
     """Per-item arrays right-padded with zeros and stacked time-major into
     (m, B, ...). A single item is a view."""
@@ -217,7 +210,8 @@ def forward(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel, *,
     m = max(lengths)
     x0, ids, flags = (_pad(list(parts), m) for parts in zip(*embedded))
     h_top, layers = _encode(x0, lengths, model, backprop)
-    probs = label_distribution(_rows(h_top), model).reshape(m, len(items), -1)
+    logits = _rows(h_top) @ model.params["cls.w"] + model.params["cls.b"]
+    probs = nn.softmax_rows(logits).reshape(m, len(items), -1)
     if not backprop:
         return probs, None
     cache = {"layers": layers, "h_top": h_top, "probs": probs,
@@ -225,24 +219,13 @@ def forward(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel, *,
     return probs, cache
 
 
-def forward_one(sentence: ParsedSentence, predicate: int, model: TaggerModel, *,
-                backprop: bool = False):
-    """One item's pass, as a batch of one: returns ((m, L) per-token label
-    distributions, backprop cache or None)."""
-    probs, cache = forward([(sentence, predicate)], model, backprop=backprop)
-    probs = probs[:, 0]
-    if cache is not None:
-        cache["probs"] = probs
-    return probs, cache
-
-
 def backward_from_dlogits(model: TaggerModel, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar with the given logit gradient, for every
-    trainable parameter, through the cache of a ``backprop=True`` pass.
-    ``dlogits`` has the shape of the pass's probabilities: (m, L) after
-    :func:`forward_one`, (m, B, L) after :func:`forward`, with zero rows
-    at padded positions so that padding contributes nothing. Softmax-based
-    callers supply ``probs - onehot`` style gradients directly."""
+    trainable parameter, through the cache of a ``backprop=True``
+    :func:`forward` pass. ``dlogits`` has the shape of that pass's
+    probabilities, (m, B, L), with zero rows at padded positions so that
+    padding contributes nothing. Softmax-based callers supply ``probs -
+    onehot`` style gradients directly."""
     params = model.params
     grads: dict[str, np.ndarray] = {}
     h_top = cache["h_top"]
@@ -388,15 +371,6 @@ def beam_decode(probs: np.ndarray, lengths: Sequence[int], predicates: Sequence[
          for r in range(beam_size) if best_valid[b, r]]
         for b in range(batch)
     ]
-
-
-def beam_decode_one(distributions: np.ndarray, beam_size: int, predicate: int,
-                    labels: tuple[str, ...] = bio_labels()) -> list[TagSequence]:
-    """Top ``beam_size`` constraint-satisfying label sequences of one
-    item's (m, L) distributions, best first: :func:`beam_decode` on
-    a batch of one."""
-    return beam_decode(distributions[:, None], [distributions.shape[0]], [predicate],
-                       beam_size, labels)[0]
 
 
 def enumerate_valid_sequences(m: int, predicate: int,

@@ -1,6 +1,7 @@
 import pytest
 
 from oiekit.core import ParsedSentence, Token
+from oiekit.tagger import beam_decode
 
 
 def build_sentence(sentence_id, rows):
@@ -78,3 +79,8 @@ def flat_sentence(m, sentence_id="flat"):
     rows = [("w1", "NOUN", 0, "root")]
     rows += [(f"w{i}", "NOUN", 1, "dep") for i in range(2, m + 1)]
     return build_sentence(sentence_id, rows)
+
+
+def decode_alone(table, beam_size, predicate, labels):
+    """One item's (m, L) table decoded by :func:`beam_decode` as a batch of one."""
+    return beam_decode(table[:, None], [len(table)], [predicate], beam_size, labels)[0]

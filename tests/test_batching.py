@@ -20,9 +20,7 @@ from oiekit.tagger import (
     build_vocab,
     embed,
     forward,
-    forward_one,
     init_model,
-    label_distribution,
 )
 
 from conftest import build_sentence
@@ -117,7 +115,8 @@ def ref_forward(sentence, predicate, model):
                      else (core, None))
         layers.append((x, core, gate, caches))
         x = out
-    return label_distribution(x, model), (sentence, predicate, layers, x)
+    logits = x @ model.params["cls.w"] + model.params["cls.b"]
+    return nn.softmax_rows(logits), (sentence, predicate, layers, x)
 
 
 def ref_backward(model, cache, dlogits):
@@ -204,11 +203,11 @@ def test_tagger_batch_of_one_is_bit_identical_to_reference(kind, config):
     items = items_of([6, 1, 11])
     model = model_for(items, config)
     for sentence, predicate in items:
-        probs, cache = forward_one(sentence, predicate, model, backprop=True)
+        probs, cache = forward([(sentence, predicate)], model, backprop=True)
         ref_probs, ref_cache = ref_forward(sentence, predicate, model)
-        assert np.array_equal(probs, ref_probs)
+        assert np.array_equal(probs[:, 0], ref_probs)
         dlogits = rng.normal(size=(len(sentence), len(model.labels)))
-        grads = backward_from_dlogits(model, cache, dlogits)
+        grads = backward_from_dlogits(model, cache, dlogits[:, None])
         ref_grads = ref_backward(model, ref_cache, dlogits)
         assert set(grads) == set(ref_grads) == set(model.params)
         for name in grads:
@@ -230,10 +229,10 @@ def test_mixed_length_batch_matches_items_run_alone(kind):
     summed = {}
     for b, (sentence, predicate) in enumerate(items):
         m = len(sentence)
-        alone, alone_cache = forward_one(sentence, predicate, model, backprop=True)
-        assert relative_error(probs[:m, b], alone) <= TOLERANCE
+        alone, alone_cache = forward([(sentence, predicate)], model, backprop=True)
+        assert relative_error(probs[:m, b], alone[:, 0]) <= TOLERANCE
         dlogits[:m, b] = rng.normal(size=(m, n_labels))
-        for name, grad in backward_from_dlogits(model, alone_cache, dlogits[:m, b]).items():
+        for name, grad in backward_from_dlogits(model, alone_cache, dlogits[:m, b, None]).items():
             summed[name] = summed.get(name, 0.0) + grad
     grads = backward_from_dlogits(model, cache, dlogits)
     assert set(grads) == set(summed)

@@ -62,8 +62,9 @@ def test_every_encoder_pass_and_decode_is_traced(tracing):
     patches = tracing.install(tracer)
     try:
         tagger.extract(sentences, model)
-        probs, _ = tagger.forward_one(sentences[0], identify_predicates(sentences[0])[0], model)
-        tagger.beam_decode_one(probs, 3, identify_predicates(sentences[0])[0], model.labels)
+        predicate = identify_predicates(sentences[0])[0]
+        probs, _ = tagger.forward([(sentences[0], predicate)], model)
+        tagger.beam_decode(probs, [len(sentences[0])], [predicate], 3, model.labels)
     finally:
         tracing.remove(patches)
     calls = Counter(span[0] for span in tracer.spans)

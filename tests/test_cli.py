@@ -245,6 +245,32 @@ def test_checkpoint_with_the_legacy_input_layer_keys_extracts_the_same(pipeline)
     assert (work / "legacy.jsonl").read_bytes() == (work / "out.jsonl").read_bytes()
 
 
+def test_repeated_sentence_id_is_a_data_error(pipeline, capsys):
+    work, _ = pipeline
+    first = (work / "dev.conllu").read_text(encoding="utf-8").split("\n\n")[0]
+    (work / "twice.conllu").write_text(f"{first}\n\n{first}\n", encoding="utf-8")
+    code = cli.main(["extract", "--model", str(work / "rl.ckpt"),
+                     "--conllu", str(work / "twice.conllu"), "--out", str(work / "twice.jsonl")])
+    assert code == cli.EXIT_DATA
+    assert "repeats" in capsys.readouterr().err
+    assert not (work / "twice.jsonl").exists()
+
+
+def test_closed_output_pipe_ends_quietly(pipeline, capsys):
+    # The report goes to a pipe whose reader has gone, as with `| head`.
+    work, _ = pipeline
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code = cli.main(["eval", "--extractions", str(work / "out.jsonl"),
+                         "--gold", str(work / "dev.gold"), "--report", f"/dev/fd/{write_end}",
+                         "--pr-out", str(work / "closed.tsv")])
+    finally:
+        os.close(write_end)
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_rl_dev_gold_without_dev_conllu_is_a_usage_error(pipeline, capsys):
     work, _ = pipeline
     code = cli.main(["rl-train", "--model", str(work / "mle.ckpt"),

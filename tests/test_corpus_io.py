@@ -91,6 +91,21 @@ class TestReadConllu:
         back = read_conllu(path)
         assert back == [parragon]
 
+    # The second sentence repeats the first one's id, given or generated
+    # (the second sentence without a sent_id comment is named "s2"). The
+    # first sentence ends at line 3, the second at the last line.
+    @pytest.mark.parametrize("first,second,last", [("# sent_id = a\n", "# sent_id = a\n", 5),
+                                                   ("# sent_id = s2\n", "", 4)],
+                             ids=["given", "generated"])
+    def test_repeated_sentence_id(self, tmp_path, first, second, last):
+        path = tmp_path / "twice.conllu"
+        token = "1\tx\t_\tNOUN\t_\t_\t0\troot\t_\t_\n"
+        path.write_text(first + token + "\n" + second + token, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_conllu(path)
+        assert err.value.line == last
+        assert "ending at line 3" in str(err.value)
+
 
 class TestGold:
     def test_round_trip_and_grouping(self, tmp_path):
@@ -299,7 +314,8 @@ def _unique_keys(golds):
 
 
 class TestRoundTrips:
-    @given(st.lists(parsed_sentences(SAFE_FIELD), max_size=3))
+    @given(st.lists(parsed_sentences(SAFE_FIELD), max_size=3,
+                    unique_by=lambda sentence: sentence.sentence_id))
     @ROUND_TRIPS
     def test_conllu_round_trip(self, sentences):
         assert _written_or_refused(write_conllu, read_conllu, sentences) == sentences
@@ -330,6 +346,14 @@ class TestRoundTrips:
 
 
 class TestWriterRefusals:
+    def test_conllu_repeated_sentence_id(self, tmp_path, parragon):
+        path = tmp_path / "out.conllu"
+        write_conllu([parragon], path)
+        before = path.read_bytes()
+        with pytest.raises(ValidationError, match="repeats"):
+            write_conllu([parragon, parragon], path)
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize("surface", ["a\tb", "a\nb", "a\rb"])
     def test_conllu_surface_with_tab_or_line_break(self, tmp_path, parragon, surface):
         path = tmp_path / "out.conllu"

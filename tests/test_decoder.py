@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oiekit.core import DEFAULT_ROLES, OUTSIDE, TagSequence, ValidationError, bio_labels, label_index
-from oiekit.tagger import allowed_labels, beam_decode, beam_decode_one
+from oiekit.tagger import allowed_labels, beam_decode
+
+from conftest import decode_alone
 
 
 def reference_beam_decode(distributions: np.ndarray, beam_size: int, predicate: int,
@@ -87,7 +89,7 @@ def test_batch_decode_equals_reference_per_item(batch):
         expected = reference_beam_decode(table, beam_size, predicate, labels)
         assert [s.labels for s in got] == [s.labels for s in expected]
         assert [s.log_prob for s in got] == [s.log_prob for s in expected]
-        assert beam_decode_one(table, beam_size, predicate, labels) == got
+        assert decode_alone(table, beam_size, predicate, labels) == got
 
 
 def test_beam_size_below_one_rejected():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oiekit import nn
 from oiekit.core import TaggedInstance, TagSequence
 from oiekit.corpus_io import gen_synthetic
 from oiekit.evaluate import evaluate
@@ -125,6 +126,23 @@ class TestPretrain:
             metrics = pretrain(model, corpus, TrainConfig(epochs=2, rng_seed=seed))
             losses.append([row["train_loss"] for row in metrics])
         assert losses[0] != losses[1]
+
+    def test_zero_dev_fraction_trains_on_every_instance(self, monkeypatch, svo_instance):
+        other = TaggedInstance(flat_sentence(3, "other"), 1, TagSequence(("B-P", "O", "O")))
+        corpus = [svo_instance, other]
+        steps = []
+        real_step = nn.Adam.step
+
+        def counting_step(optimizer, grads):
+            steps.append(optimizer.t)
+            real_step(optimizer, grads)
+
+        monkeypatch.setattr(nn.Adam, "step", counting_step)
+        model = init_model(TINY, build_vocab(corpus))
+        metrics = pretrain(model, corpus, TrainConfig(epochs=1, batch_size=1, dev_fraction=0.0))
+        assert len(steps) == 2
+        assert metrics[0]["dev_loss"] is None
+        assert metrics[0]["dev_f1"] is None
 
     def test_empty_corpus_rejected(self):
         model = init_model(TINY, ["<unk>"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oiekit import nn, tagger
-from oiekit.core import TagSequence, validate_bio
+from oiekit.core import DEFAULT_ROLES, TagSequence, bio_labels, validate_bio
 from oiekit.corpus_io import gen_synthetic
 from oiekit.evaluate import evaluate
 from oiekit.mle import relative_error
@@ -13,6 +13,7 @@ from oiekit.patterns import identify_predicates
 from oiekit.reward import SemScorer
 from oiekit.rl import (
     RLConfig,
+    _sample_sequences,
     candidate_reward,
     exact_policy_gradient,
     expected_reward_oracle,
@@ -22,14 +23,15 @@ from oiekit.rl import (
 )
 from oiekit.tagger import (
     TaggerConfig,
-    beam_decode_one,
+    allowed_labels,
     build_vocab,
+    enumerate_valid_sequences,
     extract,
-    forward_one,
+    forward,
     init_model,
 )
 
-from conftest import flat_sentence
+from conftest import decode_alone, flat_sentence
 
 TINY = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
                     num_encoder_layers=2, rng_seed=3)
@@ -58,24 +60,49 @@ class TestExplore:
     def test_beam_mode_equals_beam_decode(self):
         sentence = flat_sentence(4)
         model = init_model(TINY, build_vocab([sentence]))
-        probs, _ = forward_one(sentence, 2, model)
-        assert explore(probs, 2, model.labels, 3) == beam_decode_one(probs, 3, 2, model.labels)
+        probs = forward([(sentence, 2)], model)[0][:, 0]
+        assert explore(probs, 2, model.labels, 3) == decode_alone(probs, 3, 2, model.labels)
 
     def test_sampling_mode_yields_valid_sequences(self):
         sentence = flat_sentence(5)
         model = init_model(TINY, build_vocab([sentence]))
         rng = np.random.default_rng(4)
-        probs, _ = forward_one(sentence, 3, model)
+        probs = forward([(sentence, 3)], model)[0][:, 0]
         for seq in explore(probs, 3, model.labels, 4, mode="sample", rng=rng):
             assert validate_bio(seq.labels) == []
 
     def test_sampling_deterministic_per_seed(self):
         sentence = flat_sentence(5)
         model = init_model(TINY, build_vocab([sentence]))
-        probs, _ = forward_one(sentence, 3, model)
+        probs = forward([(sentence, 3)], model)[0][:, 0]
         a = explore(probs, 3, model.labels, 4, mode="sample", rng=np.random.default_rng(4))
         b = explore(probs, 3, model.labels, 4, mode="sample", rng=np.random.default_rng(4))
         assert a == b
+
+
+@pytest.mark.parametrize("roles", [("P",), DEFAULT_ROLES], ids=["p_only", "all_roles"])
+def test_sampler_follows_the_locally_renormalised_distribution(roles):
+    # Each position draws from the table's row renormalised over the labels
+    # the constraints allow after the previous one.
+    labels = bio_labels(roles)
+    m, predicate = 3, 2
+    table = np.random.default_rng(0).uniform(0.05, 1.0, (m, len(labels)))
+    table /= table.sum(axis=1, keepdims=True)
+    expected = {}
+    for seq in enumerate_valid_sequences(m, predicate, labels):
+        p, prev = 1.0, "O"
+        for position, label in enumerate(seq, start=1):
+            allowed = [labels.index(a) for a in allowed_labels(prev, position, predicate, labels)]
+            p *= table[position - 1, labels.index(label)] / table[position - 1, allowed].sum()
+            prev = label
+        expected[seq] = p
+    assert sum(expected.values()) == pytest.approx(1.0, abs=1e-12)
+    rng = np.random.default_rng(7)
+    draws = 4000
+    counts = Counter(seq.labels for _ in range(draws)
+                     for seq in _sample_sequences(table, 1, predicate, labels, rng))
+    assert set(counts) <= set(expected)
+    assert max(abs(counts[seq] / draws - p) for seq, p in expected.items()) <= 0.03
 
 
 class TestReinforceStep:
@@ -84,8 +111,8 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        probs, cache = forward_one(sentence, 2, model, backprop=True)
-        candidates = explore(probs, 2, model.labels, 1)
+        probs, cache = forward([(sentence, 2)], model, backprop=True)
+        candidates = explore(probs[:, 0], 2, model.labels, 1)
         norm = reinforce_step(model, optimizer, sentence, cache, candidates, [0.0],
                               baseline_mode="off")
         assert norm == 0.0
@@ -96,8 +123,8 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        probs, cache = forward_one(sentence, 2, model, backprop=True)
-        candidates = explore(probs, 2, model.labels, 2)
+        probs, cache = forward([(sentence, 2)], model, backprop=True)
+        candidates = explore(probs[:, 0], 2, model.labels, 2)
         norm = reinforce_step(model, optimizer, sentence, cache, candidates, [0.7, 0.7],
                               baseline_mode="mean")
         assert norm == 0.0
@@ -108,8 +135,8 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        probs, cache = forward_one(sentence, 2, model, backprop=True)
-        candidates = explore(probs, 2, model.labels, 1)
+        probs, cache = forward([(sentence, 2)], model, backprop=True)
+        candidates = explore(probs[:, 0], 2, model.labels, 1)
         reinforce_step(model, optimizer, sentence, cache, candidates, [0.9],
                        baseline_mode="mean")
         assert params_equal(before, model.params)
@@ -119,8 +146,8 @@ class TestReinforceStep:
         model = init_model(TINY, build_vocab([sentence]))
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
-        probs, cache = forward_one(sentence, 2, model, backprop=True)
-        candidates = explore(probs, 2, model.labels, 2)
+        probs, cache = forward([(sentence, 2)], model, backprop=True)
+        candidates = explore(probs[:, 0], 2, model.labels, 2)
         norm = reinforce_step(model, optimizer, sentence, cache, candidates, [1.0, -1.0],
                               baseline_mode="mean")
         assert norm > 0.0
@@ -246,7 +273,7 @@ class TestTrainRl:
                 calls[sentence.sentence_id, predicate] += 1
             return real_forward(items, model, **kwargs)
 
-        # tagger.forward_one is a batch of one, so this counts every encoded item.
+        # train_rl runs each item as a batch of one, so this counts every encoded item.
         monkeypatch.setattr(tagger, "forward", counting_forward)
         train_rl(model, sentences, SemScorer(), RLConfig(epochs=2, rng_seed=3),
                  dev=(dev_sentences, dev_gold) if with_dev else None)
@@ -281,10 +308,10 @@ def reference_epoch(model, sentences, scorer, config, dev_sentences, dev_gold):
     for idx in rng.permutation(len(sentences)):
         sentence = sentences[idx]
         for predicate in identify_predicates(sentence):
-            probs, _ = forward_one(sentence, predicate, model)
-            candidates = beam_decode_one(probs, config.beam_size, predicate, model.labels)
+            probs = forward([(sentence, predicate)], model)[0][:, 0]
+            candidates = decode_alone(probs, config.beam_size, predicate, model.labels)
             breakdowns = [candidate_reward(c, sentence, predicate, scorer) for c in candidates]
-            _, cache = forward_one(sentence, predicate, model, backprop=True)
+            _, cache = forward([(sentence, predicate)], model, backprop=True)
             reinforce_step(model, optimizer, sentence, cache, candidates,
                            [b.total for b in breakdowns], config.baseline_mode)
             rewards.extend(breakdowns)
@@ -292,8 +319,8 @@ def reference_epoch(model, sentences, scorer, config, dev_sentences, dev_gold):
     dev_count = 0
     for sentence in dev_sentences:
         for predicate in identify_predicates(sentence):
-            probs, _ = forward_one(sentence, predicate, model)
-            best = beam_decode_one(probs, 3, predicate, model.labels)[0]
+            probs = forward([(sentence, predicate)], model)[0][:, 0]
+            best = decode_alone(probs, 3, predicate, model.labels)[0]
             dev_total += candidate_reward(best, sentence, predicate, scorer).total
             dev_count += 1
     preds = [e for sentence in dev_sentences for e in extract([sentence], model)]

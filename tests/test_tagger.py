@@ -12,19 +12,17 @@ from oiekit.reward import make_sem_scorer, sem_score_surrogate
 from oiekit.tagger import (
     EXTRACT_BATCH,
     TaggerConfig,
-    beam_decode_one,
     build_vocab,
     embed,
     enumerate_valid_sequences,
     extract,
-    forward_one,
+    forward,
     init_model,
-    label_distribution,
     load_model,
     save_model,
 )
 
-from conftest import flat_sentence
+from conftest import decode_alone, flat_sentence
 
 TINY = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
                     num_encoder_layers=2, rng_seed=3)
@@ -109,7 +107,7 @@ class TestLabelDistribution:
         model = tiny_model(sentence)
         model.params["cls.w"][...] = 0.0
         model.params["cls.b"][...] = 0.0
-        probs, _ = forward_one(sentence, 1, model)
+        probs, _ = forward([(sentence, 1)], model)
         assert np.allclose(probs, 1.0 / len(model.labels))
 
     def test_large_bias_dominates(self):
@@ -118,24 +116,16 @@ class TestLabelDistribution:
         model.params["cls.w"][...] = 0.0
         model.params["cls.b"][...] = 0.0
         model.params["cls.b"][0] = 10.0
-        probs, _ = forward_one(sentence, 1, model)
+        probs, _ = forward([(sentence, 1)], model)
         # softmax(10 vs eight 0s): e^10 / (e^10 + 8) > 0.999
-        assert (probs[:, 0] > 0.999).all()
+        assert (probs[..., 0] > 0.999).all()
 
     def test_rows_sum_to_one(self):
         sentence = flat_sentence(5)
         model = tiny_model(sentence)
-        probs, _ = forward_one(sentence, 3, model)
+        probs, _ = forward([(sentence, 3)], model)
         assert np.all(probs >= 0)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
-
-    def test_single_hidden_vector(self):
-        sentence = flat_sentence(2)
-        model = tiny_model(sentence)
-        h = forward_one(sentence, 1, model, backprop=True)[1]["h_top"][:, 0]
-        dist = label_distribution(h[0], model)
-        assert dist.shape == (len(model.labels),)
-        assert abs(dist.sum() - 1.0) < 1e-9
+        assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
 
 class TestBeamDecode:
@@ -144,7 +134,7 @@ class TestBeamDecode:
         table = np.zeros((2, len(labels)))
         table[0, labels.index("B-ARG1")] = 1.0
         table[1, labels.index("B-P")] = 1.0
-        result = beam_decode_one(table, 1, predicate=2, labels=labels)
+        result = decode_alone(table, 1, predicate=2, labels=labels)
         assert len(result) == 1
         assert result[0].labels == ("B-ARG1", "B-P")
         assert result[0].log_prob == 0.0
@@ -152,7 +142,7 @@ class TestBeamDecode:
     def test_uniform_restricted_labels_returns_every_valid_sequence(self):
         labels = bio_labels(("P",))  # O, B-P, I-P
         table = np.full((3, 3), 1.0 / 3.0)
-        result = beam_decode_one(table, 27, predicate=1, labels=labels)
+        result = decode_alone(table, 27, predicate=1, labels=labels)
         expected = {("O", "O", "O"), ("B-P", "O", "O"),
                     ("B-P", "I-P", "O"), ("B-P", "I-P", "I-P")}
         assert {r.labels for r in result} == expected
@@ -165,7 +155,7 @@ class TestBeamDecode:
         rng = np.random.default_rng(100 + m + predicate)
         table = random_table(rng, m, len(labels))
         oracle = oracle_rank(table, predicate, labels)
-        result = beam_decode_one(table, len(oracle), predicate, labels)
+        result = decode_alone(table, len(oracle), predicate, labels)
         assert [r.labels for r in result] == [seq for _, seq in oracle]
         for r, (score, _) in zip(result, oracle):
             assert r.log_prob == pytest.approx(score, abs=1e-9)
@@ -178,16 +168,16 @@ class TestBeamDecode:
             predicate = int(rng.integers(1, m + 1))
             table = random_table(rng, m, len(labels))
             oracle = oracle_rank(table, predicate, labels)[:3]
-            result = beam_decode_one(table, 3, predicate, labels)
+            result = decode_alone(table, 3, predicate, labels)
             assert [r.labels for r in result] == [seq for _, seq in oracle], f"trial {trial}"
             # extract decodes at width 1: its top-1 is the top-1 of any width.
-            assert beam_decode_one(table, 1, predicate, labels)[0].labels == oracle[0][1]
+            assert decode_alone(table, 1, predicate, labels)[0].labels == oracle[0][1]
 
     def test_every_beam_sequence_is_bio_valid(self):
         labels = bio_labels()
         rng = np.random.default_rng(7)
         table = random_table(rng, 5, len(labels))
-        for r in beam_decode_one(table, 10, predicate=3, labels=labels):
+        for r in decode_alone(table, 10, predicate=3, labels=labels):
             assert validate_bio(r.labels) == []
             assert oracle_valid(r.labels, 3)
 
@@ -203,7 +193,7 @@ class TestConfidence:
 
     @staticmethod
     def confidence(table, predicate, labels):
-        best = beam_decode_one(table, 1, predicate, labels)[0]
+        best = decode_alone(table, 1, predicate, labels)[0]
         return best.labels, best.log_prob / table.shape[0]
 
     def test_probability_one_gives_zero(self):
@@ -297,8 +287,8 @@ class TestDeterminismAndSerialization:
         path = tmp_path / "model.ckpt"
         save_model(model, path)
         loaded = load_model(path)
-        probs_a, _ = forward_one(sentence, 2, model)
-        probs_b, _ = forward_one(sentence, 2, loaded)
+        probs_a, _ = forward([(sentence, 2)], model)
+        probs_b, _ = forward([(sentence, 2)], loaded)
         assert np.array_equal(probs_a, probs_b)
 
 
@@ -343,8 +333,8 @@ class TestExtract:
         assert len(extractions) > 16
         for e in extractions:
             sentence, predicate = by_id[e.sentence_id], e.predicate_span[0]
-            probs, _ = forward_one(sentence, predicate, model)
-            best = beam_decode_one(probs, 1, predicate, model.labels)[0]
+            probs = forward([(sentence, predicate)], model)[0][:, 0]
+            best = decode_alone(probs, 1, predicate, model.labels)[0]
             logs = [math.log(probs[i, model.labels.index(label)])
                     for i, label in enumerate(best.labels)]
             assert abs(e.confidence - sum(logs) / len(logs)) <= 1e-12
