@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -85,14 +86,22 @@ def _load_table(path):
 
 
 def _parse_templates(spec: str):
-    """``name:weight,name:weight`` or comma-separated names."""
+    """``name:weight,name:weight`` or comma-separated names. A weight that
+    is not a finite, non-negative number is a usage error naming its entry."""
     entries = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        name, sep, weight = chunk.partition(":")
-        entries.append((name.strip(), float(weight) if sep else 1.0))
+        name, sep, text = chunk.partition(":")
+        try:
+            weight = float(text) if sep else 1.0
+        except ValueError:
+            raise _UsageError(f"--templates entry {chunk!r}: weight is not a number") from None
+        if not 0.0 <= weight < math.inf:
+            raise _UsageError(f"--templates entry {chunk!r}: weight must be finite and "
+                              "non-negative")
+        entries.append((name.strip(), weight))
     return entries
 
 

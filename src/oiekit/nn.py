@@ -1,9 +1,12 @@
 """Plain-numpy building blocks for the tagger: LSTM cells, bidirectional
 stacking with highway gates between layers, a softmax classifier, and Adam.
 
-Everything runs in float64. Sequences are batched time-major: the LSTM
-helpers take (m, B, ·) arrays of B right-padded items, and highway, the
-classifier and the softmax take their (m·B, ·) rows. No mask is needed.
+Training and the pretraining dev pass run in float64. The helpers compute
+in the dtype of their inputs, so ``tagger.extract`` runs the encoder (LSTMs
+and highway gates) in float32 with the same code; its classifier and
+softmax stay float64. Sequences are batched time-major: the LSTM helpers
+take (m, B, ·) arrays of B right-padded items, and highway, the classifier
+and the softmax take their (m·B, ·) rows. No mask is needed.
 Padding comes after every valid position in both directions, so it cannot
 change a valid output, and a caller that gives padded rows zero logit
 gradients gets gradients in which padding contributes exactly 0.
@@ -42,7 +45,9 @@ def lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
     with ``h`` of shape (m, B, H). Each step is one (B, H) @ ``wh`` product.
     With ``backprop=False`` the cache is None and the gate, candidate and
     cell arrays are one step's scratch rows, reused by every step; the
-    arithmetic, and so every bit of ``h``, is the same.
+    arithmetic, and so every bit of ``h``, is the same. Every array is in
+    the dtype of ``x @ wx``: float64 parameters keep the pass in float64,
+    float32 input and parameters run it in float32.
 
     Gate layout within the 4H axis: input, forget, output (sigmoid block),
     then cell candidate (tanh).
@@ -53,12 +58,13 @@ def lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
     xw += b  # in place: no second (m·B, 4H) array
     xw = xw.reshape(m, batch, 4 * h_dim)
     kept = m if backprop else 1
-    sig_all = np.empty((kept, batch, 3 * h_dim))
-    g_all = np.empty((kept, batch, h_dim))
-    c_all = np.empty((kept, batch, h_dim))
-    h_all = np.empty((m, batch, h_dim))
-    h = np.zeros((batch, h_dim))
-    c = np.zeros((batch, h_dim))
+    dtype = xw.dtype
+    sig_all = np.empty((kept, batch, 3 * h_dim), dtype)
+    g_all = np.empty((kept, batch, h_dim), dtype)
+    c_all = np.empty((kept, batch, h_dim), dtype)
+    h_all = np.empty((m, batch, h_dim), dtype)
+    h = np.zeros((batch, h_dim), dtype)
+    c = np.zeros((batch, h_dim), dtype)
     with np.errstate(over="ignore"):
         for t in range(m):
             s = t if backprop else 0

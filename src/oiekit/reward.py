@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import threading
 import urllib.parse
 from collections import Counter
 from dataclasses import dataclass
@@ -195,14 +194,14 @@ class SemScorer:
     Without an ``adapter`` it is the deterministic containment x
     completeness surrogate. With one, it verbalizes the tuple and asks the
     external :class:`EntailmentScorer`, caching results by (sentence id,
-    verbalized tuple). The cache persists as a tab-separated file.
+    verbalized tuple). The cache persists as a tab-separated file. It is
+    not guarded by a lock: oiekit scores on one thread.
     """
 
     def __init__(self, adapter: Optional[EntailmentScorer] = None, cache_path=None):
         self.adapter = adapter
         self.cache_path = cache_path
         self._cache: dict[tuple[str, str], float] = {}
-        self._lock = threading.Lock()
         if cache_path is not None:
             self._load_cache()
 
@@ -227,7 +226,7 @@ class SemScorer:
     def save_cache(self):
         if self.cache_path is None:
             return
-        with self._lock, atomic_write(self.cache_path) as handle:
+        with atomic_write(self.cache_path) as handle:
             for (sid, hypothesis), value in sorted(self._cache.items()):
                 handle.write(f"{sid}\t{hypothesis}\t{value!r}\n")
 
@@ -236,12 +235,10 @@ class SemScorer:
             return sem_score_surrogate(extraction, sentence)
         hypothesis = verbalize(extraction, sentence)
         key = (sentence.sentence_id, hypothesis)
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
+        if key in self._cache:
+            return self._cache[key]
         value = self.adapter.score(sentence.text, hypothesis)
-        with self._lock:
-            self._cache[key] = value
+        self._cache[key] = value
         return value
 
 

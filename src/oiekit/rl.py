@@ -261,7 +261,8 @@ def _dev_metrics(model: TaggerModel, sentences: Sequence[ParsedSentence],
     F1 against the dev gold or None), from one :func:`tagger.extract` call
     over the dev sentences; each extraction is scored with its sentence,
     found by ``sentence_id``. A predicate that extract drops counts with
-    reward 0, as syn = -1 times sem = 0."""
+    reward 0, as syn = -1 times sem = 0. Like every extract call it runs
+    the float32 encoder; it only logs, so training does not depend on it."""
     by_id = {sentence.sentence_id: sentence for sentence in sentences}
     preds = tagger.extract(sentences, model, table)
     total = 0.0

@@ -187,13 +187,46 @@ def test_lstm_batch_of_one_is_bit_identical_to_reference(m, in_dim, h_dim):
     dh = rng.normal(size=(m, h_dim))
     ref_h, ref_cache = ref_lstm_forward(x, wx, wh, b)
     h, cache = nn.lstm_forward(x[:, None], wx, wh, b)
-    assert h.shape == (m, 1, h_dim)
+    assert h.shape == (m, 1, h_dim) and h.dtype == np.float64
     assert np.array_equal(h[:, 0], ref_h)
     ref_grads = ref_lstm_backward(dh, ref_cache)
     dx, dwx, dwh, db = nn.lstm_backward(dh[:, None], cache)
     assert np.array_equal(dx[:, 0], ref_grads[0])
     for got, want in zip((dwx, dwh, db), ref_grads[1:]):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("backprop", [True, False])
+def test_lstm_runs_in_the_dtype_of_its_input(backprop):
+    rng = np.random.default_rng(5)
+    m, batch, in_dim, h_dim = 9, 4, 40, 64
+    x = rng.normal(size=(m, batch, in_dim))
+    wx = rng.uniform(-0.1, 0.1, (in_dim, 4 * h_dim))
+    wh = rng.uniform(-0.1, 0.1, (h_dim, 4 * h_dim))
+    b = rng.uniform(-0.1, 0.1, 4 * h_dim)
+    h64, _ = nn.lstm_forward(x, wx, wh, b, backprop)
+    h32, cache = nn.lstm_forward(*(a.astype(np.float32) for a in (x, wx, wh, b)), backprop)
+    assert h64.dtype == np.float64 and h32.dtype == np.float32
+    if backprop:
+        assert all(a.dtype == np.float32 for a in cache)
+    assert np.abs(h32 - h64).max() <= 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_and_softmax_saturate_without_nan(dtype):
+    x = np.array([-100.0, -20.0, 0.0, 20.0, 100.0], dtype=dtype)
+    with np.errstate(over="ignore"):
+        sig = nn.sigmoid(x)
+    assert sig.dtype == dtype
+    # float32's exp overflows at 100 and gives exactly 0; float64 gives 3.7e-44.
+    assert 0.0 <= sig[0] < 1e-40 and sig[-1] == 1.0 and sig[2] == 0.5
+    assert np.all(np.diff(sig) >= 0)
+    probs = nn.softmax_rows(np.array([[100.0, -100.0, 0.0], [-100.0, -100.0, -100.0]],
+                                     dtype=dtype))
+    assert probs.dtype == dtype
+    assert not np.isnan(probs).any()
+    assert probs[0, 0] == 1.0 and 0.0 <= probs[0, 1] < 1e-40
+    assert np.allclose(probs[1], 1.0 / 3.0)
 
 
 @INPUT_LAYER

@@ -316,6 +316,29 @@ def test_synth_dev_fraction_outside_unit_interval_is_a_usage_error(tmp_path, fra
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spec,entry", [("svo:abc", "svo:abc"), ("svo:-1,ditrans:2", "svo:-1"),
+                                        ("svo_pp,svo:nan", "svo:nan")])
+def test_synth_template_weight_that_is_not_a_finite_non_negative_number_is_a_usage_error(
+        tmp_path, capsys, spec, entry):
+    code = cli.main(["synth", "--n", "5", "--templates", spec,
+                     "--out-conllu", str(tmp_path / "t.conllu"),
+                     "--out-gold", str(tmp_path / "t.gold")])
+    assert code == cli.EXIT_USAGE
+    assert repr(entry) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rl_dev_pass_leaves_the_checkpoint_unchanged(pipeline):
+    # The dev pass runs extract's inference copy of the model; it only logs.
+    work, _ = pipeline
+    code = cli.main(["rl-train", "--model", str(work / "mle.ckpt"),
+                     "--conllu", str(work / "train.conllu"), "--scorer", "surrogate",
+                     "--epochs", "1", "--beam", "2", "--dev-conllu", str(work / "dev.conllu"),
+                     "--dev-gold", str(work / "dev.gold"), "--out", str(work / "rl-dev.ckpt")])
+    assert code == cli.EXIT_OK
+    assert (work / "rl-dev.ckpt").read_bytes() == (work / "rl.ckpt").read_bytes()
+
+
 def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
     script = ("import json, sys\nfrom oiekit import cli\n"
               "sys.exit(any(cli.main(argv) for argv in json.loads(sys.argv[1])))\n")

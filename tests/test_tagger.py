@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from oiekit import tagger
 from oiekit.core import bio_labels, validate_bio, ValidationError
 from oiekit.corpus_io import ParseError, gen_synthetic
-from oiekit.patterns import identify_predicates
+from oiekit.mle import TrainConfig, pretrain
+from oiekit.patterns import generate_instances, identify_predicates
 from oiekit.reward import make_sem_scorer, sem_score_surrogate
 from oiekit.tagger import (
     EXTRACT_BATCH,
@@ -331,13 +333,46 @@ class TestExtract:
         by_id = {s.sentence_id: s for s in sentences}
         extractions = extract(sentences, model)
         assert len(extractions) > 16
+        # The reference pass is extract's own: its float32-encoder copy of the model.
+        inference = tagger._inference_model(model)
         for e in extractions:
             sentence, predicate = by_id[e.sentence_id], e.predicate_span[0]
-            probs = forward([(sentence, predicate)], model)[0][:, 0]
+            probs = forward([(sentence, predicate)], inference)[0][:, 0]
             best = decode_alone(probs, 1, predicate, model.labels)[0]
             logs = [math.log(probs[i, model.labels.index(label)])
                     for i, label in enumerate(best.labels)]
             assert abs(e.confidence - sum(logs) / len(logs)) <= 1e-12
+
+    @pytest.mark.parametrize("rerank", ["none", "combined"])
+    def test_float32_encoder_matches_the_float64_pass(self, monkeypatch, rerank):
+        # A short-pretrained model, so confidences are not all near-uniform.
+        train, _ = gen_synthetic(n=60, seed=8)
+        held_out, _ = gen_synthetic(n=80, seed=9)
+        model = init_model(TINY, build_vocab(train))
+        pretrain(model, [inst for s in train for inst in generate_instances(s)],
+                 TrainConfig(epochs=3, step_size=0.05, dev_fraction=0.0))
+        scorer = make_sem_scorer("surrogate") if rerank != "none" else None
+        extractions = extract(held_out, model, sem_scorer=scorer, rerank=rerank)
+        monkeypatch.setattr(tagger, "_inference_model", lambda model: model)
+        reference = extract(held_out, model, sem_scorer=scorer, rerank=rerank)
+        key = lambda e: (e.sentence_id, e.predicate_span, e.role_spans)  # noqa: E731
+        assert len(reference) > 30
+        assert [key(e) for e in extractions] == [key(e) for e in reference]
+        deviation = max(abs(a.confidence - b.confidence)
+                        for a, b in zip(extractions, reference))
+        assert 0.0 < deviation <= 1e-6
+
+    def test_extract_leaves_the_caller_parameters_unchanged(self, parragon):
+        model = tiny_model(parragon)
+        model.params["cls.b"][model.labels.index("B-P")] += 5.0
+        before = {name: arr.copy() for name, arr in model.params.items()}
+        arrays = dict(model.params)
+        assert extract([parragon], model)
+        assert model.params.keys() == before.keys()
+        for name, arr in model.params.items():
+            assert arr is arrays[name]
+            assert arr.dtype == np.float64
+            assert np.array_equal(arr, before[name]), name
 
     def test_rerank_needs_scorer(self, parragon):
         model = init_model(TINY, build_vocab([parragon]))
