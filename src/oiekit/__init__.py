@@ -27,7 +27,6 @@ from oiekit.core import (
     ValidationError,
     bio_labels,
     spans_from_tags,
-    tags_from_spans,
     validate_bio,
 )
 

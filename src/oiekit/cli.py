@@ -86,14 +86,20 @@ def _load_table(path):
 
 
 def _parse_templates(spec: str):
-    """``name:weight,name:weight`` or comma-separated names. A weight that
-    is not a finite, non-negative number is a usage error naming its entry."""
+    """``name:weight,name:weight`` or comma-separated names. An unknown
+    name, or a weight that is not a finite, non-negative number, is a usage
+    error naming its entry; so are weights whose sum is zero or overflows,
+    naming the spec."""
     entries = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         name, sep, text = chunk.partition(":")
+        name = name.strip()
+        if name not in corpus_io.TEMPLATE_NAMES:
+            raise _UsageError(f"--templates entry {chunk!r}: unknown template; known: "
+                              f"{', '.join(corpus_io.TEMPLATE_NAMES)}")
         try:
             weight = float(text) if sep else 1.0
         except ValueError:
@@ -101,7 +107,10 @@ def _parse_templates(spec: str):
         if not 0.0 <= weight < math.inf:
             raise _UsageError(f"--templates entry {chunk!r}: weight must be finite and "
                               "non-negative")
-        entries.append((name.strip(), weight))
+        entries.append((name, weight))
+    if not 0.0 < sum(weight for _, weight in entries) < math.inf:
+        raise _UsageError(f"--templates {spec!r}: weights must sum to a positive, finite "
+                          "value")
     return entries
 
 

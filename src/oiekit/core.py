@@ -312,22 +312,6 @@ def spans_from_tags(instance: TaggedInstance, confidence: float = 0.0) -> Extrac
     )
 
 
-def tags_from_spans(extraction: Extraction, m: int) -> TagSequence:
-    """Inverse of :func:`spans_from_tags` for a sentence of length ``m``."""
-    labels = [OUTSIDE] * m
-    items = [(PREDICATE_ROLE, extraction.predicate_span)]
-    items += sorted(extraction.role_spans.items())
-    for role, (start, end) in items:
-        if start < 1 or end > m or end < start:
-            raise SpanOutOfBounds(
-                f"{role} span [{start}, {end}] outside sentence of length {m}"
-            )
-        labels[start - 1] = f"B-{role}"
-        for pos in range(start + 1, end + 1):
-            labels[pos - 1] = f"I-{role}"
-    return TagSequence(tuple(labels))
-
-
 def span_head(sentence: ParsedSentence, span: Span) -> int:
     """Index of the first token in ``span`` whose head lies outside it.
 

@@ -540,8 +540,8 @@ def _normalize_templates(template_set) -> tuple[list[str], list[float]]:
         if name not in _BUILDERS:
             raise ValueError(f"unknown template {name!r}; known: {sorted(_BUILDERS)}")
     total = sum(weights)
-    if total <= 0:
-        raise ValueError("template weights must sum to a positive value")
+    if not 0.0 < total < np.inf:
+        raise ValueError("template weights must sum to a positive, finite value")
     return names, [w / total for w in weights]
 
 
@@ -562,8 +562,3 @@ def gen_synthetic(template_set=TEMPLATE_NAMES, n: int = 100, seed: int = 0):
         sentences.append(sent)
         golds.extend(gold)
     return sentences, golds
-
-
-def template_of(sentence_id: str) -> str:
-    """Template name embedded in a synthetic sentence id."""
-    return sentence_id.rsplit("-", 1)[-1]

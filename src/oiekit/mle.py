@@ -1,6 +1,5 @@
 """Pretraining stage: minimize the negative log-likelihood of (noisy) BIO
-labels over a corpus of tagged instances, with a finite-difference
-gradient-check harness for verification."""
+labels over a corpus of tagged instances."""
 
 from __future__ import annotations
 
@@ -217,40 +216,3 @@ def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance],
                 continue
             preds.append(extraction)
     return float(np.mean(losses)), evaluate.tuple_f1(preds, golds) if golds else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-
-def relative_error(a: float, b: float, floor: float = 1e-6) -> float:
-    return abs(a - b) / max(abs(a), abs(b), floor)
-
-
-def grad_check(model: TaggerModel, instance: TaggedInstance, epsilon: float = 1e-4,
-               rng: Optional[np.random.Generator] = None,
-               samples_per_array: int = 5) -> float:
-    """Max relative error between analytic gradients and central finite
-    differences of the loss, over a sampled parameter subset."""
-    if epsilon <= 0:
-        raise OiekitError("epsilon must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    _, grads = instance_grads(model, instance, scale=1.0)
-    worst = 0.0
-    for name, param in model.params.items():
-        flat = param.reshape(-1)
-        count = min(samples_per_array, flat.size)
-        picks = rng.choice(flat.size, size=count, replace=False)
-        for idx in picks:
-            original = flat[idx]
-            flat[idx] = original + epsilon
-            loss_plus = mle_loss(model, instance)
-            flat[idx] = original - epsilon
-            loss_minus = mle_loss(model, instance)
-            flat[idx] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-            analytic = grads[name].reshape(-1)[idx]
-            worst = max(worst, relative_error(analytic, numeric))
-    return worst

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -156,44 +156,6 @@ def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSente
         optimizer.step(descent)
         return float(sum((g * g).sum() for g in descent.values()))
     return 0.0
-
-
-def _enumerate_with_probs(model: TaggerModel, sentence: ParsedSentence, predicate: int):
-    """(forward cache, [(sequence, P(sequence))] over every
-    constraint-satisfying sequence), by enumeration rather than decoding."""
-    probs, cache = tagger.forward([(sentence, predicate)], model, backprop=True)
-    index = label_index(model.labels)
-    weighted = []
-    for seq in tagger.enumerate_valid_sequences(len(sentence), predicate, model.labels):
-        p = 1.0
-        for position, label in enumerate(seq):
-            p *= probs[position, 0, index[label]]
-        weighted.append((TagSequence(labels=seq), p))
-    return cache, weighted
-
-
-def exact_policy_gradient(model: TaggerModel, sentence: ParsedSentence, predicate: int,
-                          reward_fn: Callable[[TagSequence], float]) -> dict:
-    """Exact score-function gradient of the expected reward: the sum over
-    every constraint-satisfying sequence of P(Y) R(Y) grad log P(Y)."""
-    cache, weighted = _enumerate_with_probs(model, sentence, predicate)
-    candidates = [seq for seq, _ in weighted]
-    weights = [p * reward_fn(seq) for seq, p in weighted]
-    dlogits = _policy_dlogits(model, cache, candidates, weights)
-    return tagger.backward_from_dlogits(model, cache, dlogits)
-
-
-def expected_reward_oracle(model: TaggerModel, sentence: ParsedSentence, predicate: int,
-                           reward_fn: Callable[[TagSequence], float]) -> float:
-    """Exact expected reward: sum over all constraint-satisfying sequences
-    of P(Y) * R(Y). Enumeration-bound to short sentences."""
-    if len(sentence) > 6:
-        raise OiekitError("expected_reward_oracle enumerates sequences; use m <= 6")
-    _, weighted = _enumerate_with_probs(model, sentence, predicate)
-    total = 0.0
-    for seq, p in weighted:
-        total += p * reward_fn(seq)
-    return total
 
 
 def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemScorer,

@@ -385,25 +385,6 @@ def beam_decode(probs: np.ndarray, lengths: Sequence[int], predicates: Sequence[
     ]
 
 
-def enumerate_valid_sequences(m: int, predicate: int,
-                              labels: Sequence[str] = bio_labels()) -> list[tuple[str, ...]]:
-    """Every constraint-satisfying label sequence of length ``m`` (use for
-    small ``m`` only)."""
-    out: list[tuple[str, ...]] = []
-
-    def extend(prefix: tuple[str, ...]):
-        position = len(prefix) + 1
-        if position > m:
-            out.append(prefix)
-            return
-        prev = prefix[-1] if prefix else OUTSIDE
-        for label in allowed_labels(prev, position, predicate, labels):
-            extend(prefix + (label,))
-
-    extend(())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Extraction
 # ---------------------------------------------------------------------------
@@ -521,8 +502,8 @@ def load_model(path) -> TaggerModel:
     a legacy input-layer key naming another input layer, an array set or
     shape other than the one :func:`init_model` builds for the header's
     config and vocabulary, an array whose dtype is not float64 (the only
-    one written), an array cut short, or bytes after the last array raise
-    :class:`ParseError`."""
+    one written), an array cut short or holding a NaN or infinity, or bytes
+    after the last array raise :class:`ParseError`."""
     with open(path, "rb") as handle:
         try:
             header = json.loads(handle.readline().decode("utf-8"))
@@ -564,6 +545,8 @@ def load_model(path) -> TaggerModel:
                 raise ParseError(f"checkpoint {path}: array {name!r} has "
                                  f"{len(data)} of {size} bytes")
             params[name] = np.frombuffer(data, dtype=dtype).reshape(expected[name]).copy()
+            if not np.isfinite(params[name]).all():
+                raise ParseError(f"checkpoint {path}: array {name!r} holds a non-finite value")
         if handle.read(1):
             raise ParseError(f"checkpoint {path}: trailing bytes after the last array")
     return TaggerModel(config, vocab, params)

@@ -24,6 +24,7 @@ from oiekit.tagger import (
 )
 
 from conftest import build_sentence
+from oracles import relative_error
 
 TOLERANCE = 1e-12
 
@@ -167,10 +168,6 @@ def model_for(items, config=SMALL):
 
 # "static" names the tagger's word-lookup input layer in the test ids below.
 INPUT_LAYER = pytest.mark.parametrize("kind", ["static"])
-
-
-def relative_error(a, b):
-    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
 
 
 # -- B = 1: the same bits as the reference ----------------------------------

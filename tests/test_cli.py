@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from oiekit import cli
+from oiekit import cli, nn, tagger
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,13 @@ def pipeline(tmp_path_factory):
                           "--report", path("report.json"), "--pr-out", path("pr.tsv")]),
     }
     return work, codes
+
+
+def _training_inputs(work, command):
+    """The input flags of a pretrain or rl-train run on the pipeline's files."""
+    return {"pretrain": ["--instances", str(work / "train.inst")],
+            "rl-train": ["--model", str(work / "mle.ckpt"),
+                         "--conllu", str(work / "train.conllu")]}[command]
 
 
 def test_pipeline_exits_ok(pipeline):
@@ -94,10 +101,7 @@ def test_unknown_config_key_is_a_data_error(pipeline, capsys, command, key):
     work, _ = pipeline
     value = "false" if key == "use_indicator" else "4"
     (work / "typo.cfg").write_text(f"epochs = 1\n{key} = {value}\n", encoding="utf-8")
-    inputs = {"pretrain": ["--instances", str(work / "train.inst")],
-              "rl-train": ["--model", str(work / "mle.ckpt"),
-                           "--conllu", str(work / "train.conllu")]}
-    code = cli.main([command, *inputs[command], "--config", str(work / "typo.cfg"),
+    code = cli.main([command, *_training_inputs(work, command), "--config", str(work / "typo.cfg"),
                      "--out", str(work / "typo.ckpt")])
     assert code == cli.EXIT_DATA
     assert repr(key) in capsys.readouterr().err
@@ -121,10 +125,7 @@ def test_batch_size_below_one_is_a_data_error(pipeline, capsys, line):
 def test_config_value_that_does_not_cast_names_its_key(pipeline, capsys, command, line):
     work, _ = pipeline
     (work / "cast.cfg").write_text(f"epochs = 1\n{line}\n", encoding="utf-8")
-    inputs = {"pretrain": ["--instances", str(work / "train.inst")],
-              "rl-train": ["--model", str(work / "mle.ckpt"),
-                           "--conllu", str(work / "train.conllu")]}
-    code = cli.main([command, *inputs[command], "--config", str(work / "cast.cfg"),
+    code = cli.main([command, *_training_inputs(work, command), "--config", str(work / "cast.cfg"),
                      "--out", str(work / "cast.ckpt")])
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
@@ -171,6 +172,22 @@ def test_checkpoint_dtype_other_than_float64_is_a_data_error(pipeline, capsys, c
                      "--conllu", str(work / "dev.conllu"), "--out", str(out)])
     assert code == cli.EXIT_DATA
     assert "not float64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "rl-train"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_checkpoint_with_a_non_finite_parameter_is_a_data_error(pipeline, capsys, command,
+                                                               value):
+    work, _ = pipeline
+    model = tagger.load_model(str(work / "mle.ckpt"))
+    model.params["enc.0.fw.wh"][1, 2] = value
+    tagger.save_model(model, str(work / "nonfinite.ckpt"))
+    out = work / f"nonfinite-{command}.out"
+    code = cli.main([command, "--model", str(work / "nonfinite.ckpt"),
+                     "--conllu", str(work / "dev.conllu"), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert "'enc.0.fw.wh' holds a non-finite value" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -271,6 +288,30 @@ def test_closed_output_pipe_ends_quietly(pipeline, capsys):
     assert capsys.readouterr().err == ""
 
 
+# Without a baseline, the first candidate with a non-zero reward updates.
+@pytest.mark.parametrize("command,flags", [("pretrain", []), ("rl-train", ["--baseline", "off"])])
+def test_non_finite_gradient_is_a_numeric_failure(pipeline, capsys, monkeypatch, command, flags):
+    work, _ = pipeline
+    monkeypatch.setattr(nn, "grads_finite", lambda grads: False)
+    code = cli.main([command, *_training_inputs(work, command), *flags,
+                     "--out", str(work / "numeric.ckpt")])
+    assert code == cli.EXIT_NUMERIC
+    assert "numeric failure" in capsys.readouterr().err
+    assert not (work / "numeric.ckpt").exists()
+
+
+def test_overlap_threshold_evaluates_against_token_surfaces(pipeline, capsys):
+    work, _ = pipeline
+    argv = ["eval", "--extractions", str(work / "out.jsonl"), "--gold", str(work / "dev.gold"),
+            "--report", str(work / "overlap.json"), "--pr-out", str(work / "overlap.tsv"),
+            "--overlap-threshold", "0.5"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "--overlap-threshold requires --conllu" in capsys.readouterr().err
+    assert not (work / "overlap.json").exists()
+    assert cli.main([*argv, "--conllu", str(work / "dev.conllu")]) == cli.EXIT_OK
+    assert json.loads((work / "overlap.json").read_text(encoding="utf-8"))["num_gold"] > 0
+
+
 def test_rl_dev_gold_without_dev_conllu_is_a_usage_error(pipeline, capsys):
     work, _ = pipeline
     code = cli.main(["rl-train", "--model", str(work / "mle.ckpt"),
@@ -317,9 +358,12 @@ def test_synth_dev_fraction_outside_unit_interval_is_a_usage_error(tmp_path, fra
 
 
 @pytest.mark.parametrize("spec,entry", [("svo:abc", "svo:abc"), ("svo:-1,ditrans:2", "svo:-1"),
-                                        ("svo_pp,svo:nan", "svo:nan")])
-def test_synth_template_weight_that_is_not_a_finite_non_negative_number_is_a_usage_error(
-        tmp_path, capsys, spec, entry):
+                                        ("svo_pp,svo:nan", "svo:nan"), ("svo,svx:2", "svx:2"),
+                                        ("svo:0,ditrans:0", "svo:0,ditrans:0"),
+                                        ("svo:1e308,ditrans:1e308", "svo:1e308,ditrans:1e308")])
+def test_bad_synth_templates_spec_is_a_usage_error(tmp_path, capsys, spec, entry):
+    # A weight that is not a finite, non-negative number, an unknown
+    # template, or weights whose sum is zero or overflows.
     code = cli.main(["synth", "--n", "5", "--templates", spec,
                      "--out-conllu", str(tmp_path / "t.conllu"),
                      "--out-gold", str(tmp_path / "t.gold")])

@@ -12,11 +12,11 @@ from oiekit.core import (
     ValidationError,
     spans_from_tags,
     span_head,
-    tags_from_spans,
     validate_bio,
 )
 
 from conftest import build_sentence, flat_sentence
+from oracles import tags_from_spans
 
 
 class TestValidateBio:

@@ -3,11 +3,14 @@ used, in the package, its tests and the benchmark scripts, and the
 package imports nothing outside the standard library, numpy and oiekit
 itself (numpy is the only runtime dependency; the tests also import
 pytest and hypothesis). Also:
+every public function and class of the package is named by the package
+or the benchmark scripts, so test-only code stays in tests/; and
 the CLI does not load the HTTP stack that only the entailment adapter
 uses."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +98,29 @@ def test_test_imports_are_used(module):
 def test_bench_imports_are_used(module):
     assert import_problems((BENCH / module).read_text(encoding="utf-8"),
                            check_modules=False) == []
+
+
+def unreferenced_definitions(package: dict[str, str], elsewhere: str) -> list[str]:
+    """Public top-level functions and classes of the ``package`` sources
+    (module name -> source) whose name appears as a word nowhere in those
+    sources or in ``elsewhere``, apart from their own definition."""
+    text = "\n".join([*package.values(), elsewhere])
+    found = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and len(re.findall(rf"\b{node.name}\b", text)) < 2):
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_every_public_definition_is_named_by_the_package_or_the_benchmark():
+    source = "def used():\n    pass\n\n\ndef orphan():\n    used()\n\n\nclass _Hidden:\n    pass\n"
+    assert unreferenced_definitions({"m": source}, "") == ["m.orphan"]
+    package = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py")))
+    assert unreferenced_definitions(package, bench) == []
 
 
 def test_cli_import_leaves_the_http_stack_unloaded():

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oiekit import nn
+from oiekit import mle, nn
 from oiekit.core import TaggedInstance, TagSequence
 from oiekit.corpus_io import gen_synthetic
 from oiekit.evaluate import evaluate
 from oiekit.mle import (
     NonFiniteLoss,
     TrainConfig,
-    grad_check,
     instance_grads,
     mle_loss,
     pretrain,
@@ -19,6 +18,7 @@ from oiekit.patterns import generate_instances
 from oiekit.tagger import TaggerConfig, build_vocab, extract, init_model
 
 from conftest import build_sentence, flat_sentence
+from oracles import max_central_difference_error
 
 TINY = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
                     num_encoder_layers=2, rng_seed=3)
@@ -85,8 +85,9 @@ class TestMleLoss:
 class TestGradCheck:
     def test_analytic_matches_finite_differences(self, svo_instance):
         model = init_model(TINY, build_vocab([svo_instance.sentence]))
-        worst = grad_check(model, svo_instance, epsilon=1e-4,
-                           rng=np.random.default_rng(0), samples_per_array=6)
+        _, grads = instance_grads(model, svo_instance)
+        worst = max_central_difference_error(lambda: mle_loss(model, svo_instance), model.params,
+                                             grads, np.random.default_rng(0), samples_per_array=6)
         assert worst < 1e-3
 
     def test_loss_reproduced_exactly_without_perturbation(self, svo_instance):
@@ -143,6 +144,25 @@ class TestPretrain:
         assert len(steps) == 2
         assert metrics[0]["dev_loss"] is None
         assert metrics[0]["dev_f1"] is None
+
+    def test_early_stopping_restores_the_best_epoch(self, monkeypatch, svo_instance):
+        # Dev loss improves once and then worsens: with patience 2, training
+        # stops after epoch 4 and restores the parameters of epoch 2.
+        dev_losses = iter([1.0, 0.5, 0.7, 0.9, 0.4])
+        seen = []
+
+        def scripted_dev_metrics(model, dev, batch_size):
+            seen.append({name: arr.copy() for name, arr in model.params.items()})
+            return next(dev_losses), 0.0
+
+        monkeypatch.setattr(mle, "_dev_metrics", scripted_dev_metrics)
+        model = init_model(TINY, build_vocab([svo_instance.sentence]))
+        metrics = pretrain(model, [svo_instance], TrainConfig(epochs=5, patience=2),
+                           dev=[svo_instance])
+        assert [row["dev_loss"] for row in metrics] == [1.0, 0.5, 0.7, 0.9]
+        assert not np.array_equal(seen[3]["cls.w"], seen[1]["cls.w"])
+        for name, arr in model.params.items():
+            assert arr.tobytes() == seen[1][name].tobytes(), name
 
     def test_empty_corpus_rejected(self):
         model = init_model(TINY, ["<unk>"])

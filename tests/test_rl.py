@@ -8,15 +8,12 @@ from oiekit import nn, tagger
 from oiekit.core import DEFAULT_ROLES, TagSequence, bio_labels, validate_bio
 from oiekit.corpus_io import gen_synthetic
 from oiekit.evaluate import evaluate
-from oiekit.mle import relative_error
 from oiekit.patterns import identify_predicates
 from oiekit.reward import SemScorer
 from oiekit.rl import (
     RLConfig,
     _sample_sequences,
     candidate_reward,
-    exact_policy_gradient,
-    expected_reward_oracle,
     explore,
     reinforce_step,
     train_rl,
@@ -25,13 +22,14 @@ from oiekit.tagger import (
     TaggerConfig,
     allowed_labels,
     build_vocab,
-    enumerate_valid_sequences,
     extract,
     forward,
     init_model,
 )
 
 from conftest import decode_alone, flat_sentence
+from oracles import (exact_policy_gradient, expected_reward_oracle,
+                     max_central_difference_error, valid_sequences)
 
 TINY = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
                     num_encoder_layers=2, rng_seed=3)
@@ -89,7 +87,7 @@ def test_sampler_follows_the_locally_renormalised_distribution(roles):
     table = np.random.default_rng(0).uniform(0.05, 1.0, (m, len(labels)))
     table /= table.sum(axis=1, keepdims=True)
     expected = {}
-    for seq in enumerate_valid_sequences(m, predicate, labels):
+    for seq in valid_sequences(m, predicate, labels):
         p, prev = 1.0, "O"
         for position, label in enumerate(seq, start=1):
             allowed = [labels.index(a) for a in allowed_labels(prev, position, predicate, labels)]
@@ -201,21 +199,9 @@ class TestPolicyGradientCorrectness:
         sentence = flat_sentence(3)
         model = init_model(TINY, build_vocab([sentence]))
         analytic = exact_policy_gradient(model, sentence, predicate, hand_reward)
-        rng = np.random.default_rng(17)
-        epsilon = 1e-4
-        worst = 0.0
-        for name, param in model.params.items():
-            flat = param.reshape(-1)
-            picks = rng.choice(flat.size, size=min(4, flat.size), replace=False)
-            for idx in picks:
-                original = flat[idx]
-                flat[idx] = original + epsilon
-                plus = expected_reward_oracle(model, sentence, predicate, hand_reward)
-                flat[idx] = original - epsilon
-                minus = expected_reward_oracle(model, sentence, predicate, hand_reward)
-                flat[idx] = original
-                numeric = (plus - minus) / (2 * epsilon)
-                worst = max(worst, relative_error(analytic[name].reshape(-1)[idx], numeric))
+        worst = max_central_difference_error(
+            lambda: expected_reward_oracle(model, sentence, predicate, hand_reward),
+            model.params, analytic, np.random.default_rng(17), samples_per_array=4)
         assert worst < 1e-3
 
 

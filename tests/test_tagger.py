@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -16,7 +15,6 @@ from oiekit.tagger import (
     TaggerConfig,
     build_vocab,
     embed,
-    enumerate_valid_sequences,
     extract,
     forward,
     init_model,
@@ -25,6 +23,7 @@ from oiekit.tagger import (
 )
 
 from conftest import decode_alone, flat_sentence
+from oracles import oracle_rank, oracle_valid, valid_sequences
 
 TINY = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
                     num_encoder_layers=2, rng_seed=3)
@@ -32,44 +31,6 @@ TINY = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
 
 def tiny_model(sentence, config=TINY):
     return init_model(config, build_vocab([sentence]))
-
-
-# -- oracle: brute-force enumeration, independent of the decoder ------------
-
-
-def oracle_valid(seq, predicate):
-    prev = "O"
-    p_spans = 0
-    for pos, lab in enumerate(seq, start=1):
-        if lab == "O":
-            prev = lab
-            continue
-        kind, role = lab[0], lab[2:]
-        if kind == "B":
-            if role == "P":
-                if pos != predicate:
-                    return False
-                p_spans += 1
-        else:
-            if prev == "O" or prev[2:] != role:
-                return False
-        prev = lab
-    return p_spans <= 1
-
-
-def oracle_rank(table, predicate, labels):
-    logs = np.log(table)
-    index = {lab: i for i, lab in enumerate(labels)}
-    scored = []
-    for seq in itertools.product(labels, repeat=table.shape[0]):
-        if not oracle_valid(seq, predicate):
-            continue
-        score = 0.0
-        for pos, lab in enumerate(seq):
-            score = score + logs[pos, index[lab]]
-        scored.append((score, seq))
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    return scored
 
 
 def random_table(rng, m, n_labels):
@@ -185,7 +146,7 @@ class TestBeamDecode:
 
     def test_enumerator_counts(self):
         # Restricted to the predicate role there are exactly 4 sequences.
-        assert len(enumerate_valid_sequences(3, 1, bio_labels(("P",)))) == 4
+        assert len(valid_sequences(3, 1, bio_labels(("P",)))) == 4
 
 
 class TestConfidence:
