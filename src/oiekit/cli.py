@@ -8,6 +8,8 @@ ends when the output fits before the reader goes.
 pretrain and rl-train take an optional ``key = value`` config file. Flags
 win over it, keys it leaves out keep the defaults of TaggerConfig,
 TrainConfig and RLConfig, and a key the command does not read is a data error.
+They write the per-epoch metrics rows as JSON lines to ``--metrics``, by
+default ``<--out>.metrics.jsonl``: the commands, not the stages, write files.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ import math
 import os
 import sys
 
-from oiekit import corpus_io, evaluate, mle, patterns, rl, tagger
+from oiekit import corpus_io, evaluate, mle, patterns, reward, rl, tagger
 from oiekit.core import OiekitError
 from oiekit.corpus_io import ParseError
 from oiekit.mle import NonFiniteLoss, TrainConfig
-from oiekit.reward import make_sem_scorer
 from oiekit.rl import NonFiniteGradient, RLConfig
 from oiekit.tagger import TaggerConfig
 
@@ -185,7 +186,7 @@ def build_parser() -> _Parser:
 
 def _resolve_scorer(flag_value, cache_path=None):
     spec = flag_value or os.environ.get(SCORER_ENV) or "surrogate"
-    return make_sem_scorer(spec, cache_path=cache_path)
+    return reward.make_sem_scorer(spec, cache_path=cache_path)
 
 
 def cmd_synth(args) -> int:
@@ -233,8 +234,8 @@ def cmd_pretrain(args) -> int:
     model = tagger.init_model(TaggerConfig(**_fields(values, _TAGGER_KEYS)),
                               tagger.build_vocab(instances))
     train_config = TrainConfig(**_fields(values, _TRAIN_KEYS))
-    metrics_path = args.metrics or f"{args.out}.metrics.jsonl"
-    metrics = mle.pretrain(model, instances, train_config, metrics_path=metrics_path)
+    metrics = mle.pretrain(model, instances, train_config)
+    corpus_io.write_jsonl(metrics, args.metrics or f"{args.out}.metrics.jsonl")
     tagger.save_model(model, args.out)
     print(f"trained {len(metrics)} epochs; checkpoint at {args.out}")
     return EXIT_OK
@@ -260,9 +261,8 @@ def cmd_rl_train(args) -> int:
             dev_gold = corpus_io.read_gold(
                 args.dev_gold, {s.sentence_id: s for s in dev_sentences})
         dev = (dev_sentences, dev_gold)
-    metrics_path = args.metrics or f"{args.out}.metrics.jsonl"
-    metrics = rl.train_rl(model, sentences, scorer, rl_config, table,
-                          dev=dev, metrics_path=metrics_path)
+    metrics = rl.train_rl(model, sentences, scorer, rl_config, table, dev=dev)
+    corpus_io.write_jsonl(metrics, args.metrics or f"{args.out}.metrics.jsonl")
     scorer.save_cache()
     tagger.save_model(model, args.out)
     print(f"ran {len(metrics)} epochs; checkpoint at {args.out}")
@@ -276,8 +276,9 @@ def cmd_extract(args) -> int:
     if args.rerank != "none":
         scorer = _resolve_scorer(args.scorer, args.scorer_cache)
     sentences = corpus_io.read_conllu(args.conllu)
-    extractions = tagger.extract(sentences, model, table, sem_scorer=scorer, rerank=args.rerank)
+    extractions = tagger.extract(sentences, model, table)
     if scorer is not None:
+        extractions = reward.rerank(extractions, sentences, scorer, args.rerank == "combined")
         scorer.save_cache()
     corpus_io.write_extractions(extractions, args.out)
     print(f"wrote {len(extractions)} extractions")

@@ -527,22 +527,17 @@ TEMPLATE_NAMES = tuple(_BUILDERS)
 
 
 def _normalize_templates(template_set) -> tuple[list[str], list[float]]:
-    items = []
-    for entry in template_set:
-        if isinstance(entry, str):
-            items.append((entry, 1.0))
-        else:
-            name, weight = entry
-            items.append((name, float(weight)))
-    names = [name for name, _ in items]
-    weights = [weight for _, weight in items]
-    for name in names:
+    items = [(entry, 1.0) if isinstance(entry, str) else entry for entry in template_set]
+    items = [(name, float(weight)) for name, weight in items]
+    for name, weight in items:
         if name not in _BUILDERS:
             raise ValueError(f"unknown template {name!r}; known: {sorted(_BUILDERS)}")
-    total = sum(weights)
+        if not 0.0 <= weight < np.inf:
+            raise ValueError(f"template {name!r}: weight {weight} is not finite and non-negative")
+    total = sum(weight for _, weight in items)
     if not 0.0 < total < np.inf:
         raise ValueError("template weights must sum to a positive, finite value")
-    return names, [w / total for w in weights]
+    return [name for name, _ in items], [weight / total for _, weight in items]
 
 
 def gen_synthetic(template_set=TEMPLATE_NAMES, n: int = 100, seed: int = 0):

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from oiekit import corpus_io, evaluate, nn, tagger
+from oiekit import evaluate, nn, tagger
 from oiekit.core import (OiekitError, TaggedInstance, ValidationError, label_index,
                          spans_from_tags)
 from oiekit.tagger import TaggerModel
@@ -112,10 +112,10 @@ def _batch_grads(model: TaggerModel, batch: Sequence[TaggedInstance],
 
 def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
              config: TrainConfig = TrainConfig(),
-             dev: Optional[Sequence[TaggedInstance]] = None,
-             metrics_path=None) -> list[dict]:
+             dev: Optional[Sequence[TaggedInstance]] = None) -> list[dict]:
     """Minimize mean token-level NLL with Adam; early-stops on dev loss and
-    restores the best parameters. Returns the per-epoch metrics rows.
+    restores the best parameters. Returns the per-epoch metrics rows,
+    which the CLI writes.
 
     Without ``dev``, a ``config.dev_fraction`` share of the shuffled corpus
     (at least one instance, when there are two or more) is held out as
@@ -180,8 +180,6 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
     if dev:
         for name, arr in best_params.items():
             model.params[name][...] = arr
-    if metrics_path is not None:
-        corpus_io.write_jsonl(metrics, metrics_path)
     return metrics
 
 

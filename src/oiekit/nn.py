@@ -6,10 +6,11 @@ in the dtype of their inputs, so ``tagger.extract`` runs the encoder (LSTMs
 and highway gates) in float32 with the same code; its classifier and
 softmax stay float64. Sequences are batched time-major: the LSTM helpers
 take (m, B, ·) arrays of B right-padded items, and highway, the classifier
-and the softmax take their (m·B, ·) rows. No mask is needed.
-Padding comes after every valid position in both directions, so it cannot
-change a valid output, and a caller that gives padded rows zero logit
-gradients gets gradients in which padding contributes exactly 0.
+and the softmax take their (m·B, ·) rows. No mask is needed, and padded
+inputs may hold any finite values. Padding comes after every valid position
+in both directions, so it cannot change a valid output, and a caller that
+gives padded rows zero logit gradients gets gradients in which padding
+contributes exactly 0.
 
 Forward helpers return the caches their backward counterparts need, or
 keep none when called with ``backprop=False`` (inference); correctness is

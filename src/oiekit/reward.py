@@ -9,8 +9,8 @@ import logging
 import math
 import urllib.parse
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Protocol
+from dataclasses import dataclass, replace
+from typing import Optional, Protocol, Sequence
 
 from oiekit.core import (
     Extraction,
@@ -135,6 +135,18 @@ def semantic_confidence(c: float, sem: float) -> float:
     score is floored at SEM_FLOOR to avoid -inf). ``c`` is the average-log
     confidence, or 0.0 to rank by the semantic score alone."""
     return c + math.log(max(sem, SEM_FLOOR))
+
+
+def rerank(extractions: Sequence[Extraction], sentences: Sequence[ParsedSentence],
+           scorer: SemScorer, combined: bool) -> list[Extraction]:
+    """The extractions with :func:`semantic_confidence` as confidence: ``c``
+    is their own when ``combined``, else 0.0. Each is scored with the sentence
+    of its ``sentence_id`` in the given order (``tagger.extract``'s output is
+    in corpus order, and so are an external scorer's queries)."""
+    by_id = {sentence.sentence_id: sentence for sentence in sentences}
+    return [replace(e, confidence=semantic_confidence(e.confidence if combined else 0.0,
+                                                      scorer.score(e, by_id[e.sentence_id])))
+            for e in extractions]
 
 
 # ---------------------------------------------------------------------------

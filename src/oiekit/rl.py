@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from oiekit import corpus_io, evaluate, nn, tagger
+from oiekit import evaluate, nn, tagger
 from oiekit.core import (
     Extraction,
     NoPredicateSpan,
@@ -20,6 +20,7 @@ from oiekit.core import (
     ParsedSentence,
     TaggedInstance,
     TagSequence,
+    ValidationError,
     label_index,
     spans_from_tags,
 )
@@ -46,15 +47,15 @@ class RLConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise OiekitError("epochs must be >= 1")
+            raise ValidationError("epochs must be >= 1")
         if not 0.0 < self.step_size < np.inf:
-            raise OiekitError(f"step_size must be finite and positive, got {self.step_size}")
+            raise ValidationError(f"step_size must be finite and positive, got {self.step_size}")
         if self.baseline_mode not in ("mean", "off"):
-            raise OiekitError(f"unknown baseline mode {self.baseline_mode!r}")
+            raise ValidationError(f"unknown baseline mode {self.baseline_mode!r}")
         if self.explore_mode not in ("beam", "sample"):
-            raise OiekitError(f"unknown explore mode {self.explore_mode!r}")
+            raise ValidationError(f"unknown explore mode {self.explore_mode!r}")
         if self.beam_size < 1:
-            raise OiekitError("beam_size must be >= 1")
+            raise ValidationError("beam_size must be >= 1")
 
 
 def _sample_sequences(distributions: np.ndarray, count: int, predicate: int,
@@ -160,13 +161,14 @@ def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSente
 
 def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemScorer,
              config: RLConfig = RLConfig(), table: PatternTable = DEFAULT_TABLE,
-             dev: Optional[tuple[Sequence[ParsedSentence], Optional[Sequence[GoldTuple]]]] = None,
-             metrics_path=None) -> list[dict]:
+             dev: Optional[tuple[Sequence[ParsedSentence], Optional[Sequence[GoldTuple]]]] = None
+             ) -> list[dict]:
     """Reward-driven fine-tuning over every (sentence, predicate) pair.
 
-    Logs per epoch: mean candidate reward and its syntactic/semantic parts,
-    plus the mean top-1 reward and best headword F1 on the dev split when
-    one is supplied (F1 only with dev gold). Deterministic for a fixed seed.
+    Returns the per-epoch metrics rows, which the CLI writes: mean candidate
+    reward and its syntactic/semantic parts, plus the mean top-1 reward and
+    best headword F1 on the dev split when one is supplied (F1 only with dev
+    gold). Deterministic for a fixed seed.
     """
     if not corpus:
         raise OiekitError("reinforcement learning needs a non-empty corpus")
@@ -211,8 +213,6 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
                                                                  dev_predicates)
         metrics.append(row)
         log.info("epoch %d: mean reward %.4f dev %s", epoch, row["mean_reward"], row["dev_f1"])
-    if metrics_path is not None:
-        corpus_io.write_jsonl(metrics, metrics_path)
     return metrics
 
 

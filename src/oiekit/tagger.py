@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from functools import cache
 from typing import Optional, Sequence
 
@@ -46,7 +46,6 @@ from oiekit.core import (
 )
 from oiekit.corpus_io import ParseError, atomic_write
 from oiekit.patterns import DEFAULT_TABLE, PatternTable, identify_predicates
-from oiekit.reward import semantic_confidence
 
 UNK = "<unk>"
 
@@ -152,17 +151,23 @@ def embed(sentence: ParsedSentence, predicate: int, model: TaggerModel) -> np.nd
     """Per-token input vectors, (m, embedding_dim + indicator_dim): each
     token's word embedding concatenated with the indicator embedding of
     whether it is the predicate."""
-    return _embed(sentence, predicate, model)[0]
+    return _inputs([(sentence, predicate)], model)[0][:, 0]
 
 
-def _embed(sentence: ParsedSentence, predicate: int, model: TaggerModel):
-    """(input vectors, word ids, indicator flags)."""
-    if not 1 <= predicate <= len(sentence):
-        raise ValidationError(f"predicate {predicate} outside sentence of length {len(sentence)}")
-    ids = np.array([model.token_id(t.surface) for t in sentence.tokens])
-    flags = np.array([1 if t.index == predicate else 0 for t in sentence.tokens])
+def _inputs(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel):
+    """(input vectors (m, B, embedding_dim + indicator_dim), word ids (m, B),
+    indicator flags (m, B)) of right-padded items. Padded positions hold
+    word id 0 and flag 0."""
+    m = max(len(sentence) for sentence, _ in items)
+    ids = np.zeros((m, len(items)), dtype=np.intp)
+    flags = np.zeros((m, len(items)), dtype=np.intp)
+    for b, (sentence, predicate) in enumerate(items):
+        if not 1 <= predicate <= len(sentence):
+            raise ValidationError(f"predicate {predicate} outside sentence of length {len(sentence)}")
+        ids[: len(sentence), b] = [model.token_id(t.surface) for t in sentence.tokens]
+        flags[predicate - 1, b] = 1
     x0 = np.concatenate([model.params["embed.word"][ids], model.params["embed.indicator"][flags]],
-                        axis=1)
+                        axis=-1)
     return x0, ids, flags
 
 
@@ -191,17 +196,6 @@ def _encode(x0: np.ndarray, lengths, model: TaggerModel, backprop: bool):
     return x, layers
 
 
-def _pad(arrays: list, m: int) -> np.ndarray:
-    """Per-item arrays right-padded with zeros and stacked time-major into
-    (m, B, ...). A single item is a view."""
-    if len(arrays) == 1:
-        return arrays[0][:, None]
-    out = np.zeros((m, len(arrays)) + arrays[0].shape[1:], dtype=arrays[0].dtype)
-    for b, arr in enumerate(arrays):
-        out[: len(arr), b] = arr
-    return out
-
-
 def forward(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel, *,
             backprop: bool = False):
     """Pass over (sentence, predicate) items, right-padded to the longest
@@ -214,16 +208,13 @@ def forward(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel, *,
     Only training needs the cache: without ``backprop`` it is None and the
     pass keeps no per-layer or per-step arrays, with bit-identical
     distributions."""
-    embedded = [_embed(sentence, predicate, model) for sentence, predicate in items]
-    lengths = [len(x) for x, _, _ in embedded]
-    m = max(lengths)
-    x0, ids, flags = (_pad(list(parts), m) for parts in zip(*embedded))
-    h_top, layers = _encode(x0, lengths, model, backprop)
+    x0, ids, flags = _inputs(items, model)
+    h_top, layers = _encode(x0, [len(sentence) for sentence, _ in items], model, backprop)
     # A float32 encoder (extract's inference copy) hands a float64 head
     # float64 rows; in float64 the cast is a no-op.
     cls_w = model.params["cls.w"]
     logits = _rows(h_top).astype(cls_w.dtype, copy=False) @ cls_w + model.params["cls.b"]
-    probs = nn.softmax_rows(logits).reshape(m, len(items), -1)
+    probs = nn.softmax_rows(logits).reshape(*ids.shape, -1)
     if not backprop:
         return probs, None
     cache = {"layers": layers, "h_top": h_top, "probs": probs,
@@ -401,8 +392,7 @@ def _inference_model(model: TaggerModel) -> TaggerModel:
 
 
 def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
-            table: PatternTable = DEFAULT_TABLE,
-            sem_scorer=None, rerank: str = "none") -> list[Extraction]:
+            table: PatternTable = DEFAULT_TABLE) -> list[Extraction]:
     """Decode one extraction per detected predicate of each sentence, in
     sentence order (dropped when its best sequence has no predicate span).
 
@@ -425,16 +415,9 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
 
     The confidence is the average-log confidence of the decoded labels: the
     decoder's summed log probability divided by the sentence length.
-    Reranking replaces it with
-    :func:`oiekit.reward.semantic_confidence`, ``c + log(max(sem,
-    SEM_FLOOR))``: ``rerank='sem'`` uses ``c = 0.0`` (log semantic score
-    alone) and ``rerank='combined'`` the average-log confidence. Both need
-    ``sem_scorer``.
+    :func:`oiekit.reward.rerank` replaces it with the semantic-augmented
+    confidence.
     """
-    if rerank not in ("none", "sem", "combined"):
-        raise ValidationError(f"unknown rerank mode {rerank!r}")
-    if rerank != "none" and sem_scorer is None:
-        raise ValidationError(f"rerank mode {rerank!r} requires a semantic scorer")
     model = _inference_model(model)
     items = [(sentence, predicate) for sentence in sentences
              for predicate in identify_predicates(sentence, table)]
@@ -455,18 +438,7 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
                 found[i] = spans_from_tags(instance, confidence=best.log_prob / len(best))
             except NoPredicateSpan:
                 pass
-    out = []
-    # Reranked in sentence order: an external scorer is queried in corpus
-    # order whatever the chunking.
-    for (sentence, _), extraction in zip(items, found):
-        if extraction is None:
-            continue
-        if rerank != "none":
-            confidence = 0.0 if rerank == "sem" else extraction.confidence
-            extraction = replace(extraction, confidence=semantic_confidence(
-                confidence, sem_scorer.score(extraction, sentence)))
-        out.append(extraction)
-    return out
+    return [extraction for extraction in found if extraction is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +482,7 @@ def load_model(path) -> TaggerModel:
             if not isinstance(header, dict):
                 raise TypeError("header is not a JSON object")
             if header.get("format") != _FORMAT:
-                raise ValidationError(f"not a tagger checkpoint: {path}")
+                raise ParseError(f"checkpoint {path}: format is not {_FORMAT!r}")
             config_dict = dict(header["config"])
             config_dict["roles"] = tuple(config_dict["roles"])
             # Written before the decoder width left TaggerConfig; nothing reads it.

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from oiekit import cli, nn, tagger
+from oiekit import cli, corpus_io, nn, tagger
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +146,53 @@ def test_instance_breaking_an_invariant_names_its_line(pipeline, capsys):
     err = capsys.readouterr().err
     assert "line 1" in err
     assert "2 tags for 1 tokens" in err
+
+
+@pytest.mark.parametrize("rows,line", [
+    ("1\ta\t_\tVERB\t_\t_\tx\troot\t_\t_\n", 1),
+    ("1\ta\t_\tVERB\t_\t_\t0\troot\t_\t_\nb\tb\t_\tNOUN\t_\t_\t1\tobj\t_\t_\n", 2),
+], ids=["head", "id"])
+def test_conllu_id_or_head_that_is_not_an_integer_is_a_data_error(pipeline, capsys, rows, line):
+    work, _ = pipeline
+    (work / "noint.conllu").write_text(rows, encoding="utf-8")
+    code = cli.main(["label", "--conllu", str(work / "noint.conllu"),
+                     "--out", str(work / "noint.inst")])
+    assert code == cli.EXIT_DATA
+    assert f"line {line}" in capsys.readouterr().err
+    assert not (work / "noint.inst").exists()
+
+
+@pytest.mark.parametrize("rows,message,line", [
+    ("a\t2\tARG1\n", "at least 4 tab-separated columns", 1),
+    ("a\t2\tARG1\tone\n", "non-integer head index", 1),
+    ("a\t2\tARG1\t1\na\t2\tARG1\t3\n", "duplicate role 'ARG1'", 2),
+], ids=["short-row", "head", "repeated-role"])
+def test_malformed_gold_is_a_data_error(pipeline, capsys, rows, message, line):
+    work, _ = pipeline
+    (work / "bad.gold").write_text(rows, encoding="utf-8")
+    outputs = {"--report": work / "bad-report.json", "--pr-out": work / "bad-pr.tsv"}
+    code = cli.main(["eval", "--extractions", str(work / "out.jsonl"),
+                     "--gold", str(work / "bad.gold"),
+                     *(arg for flag, path in outputs.items() for arg in (flag, str(path)))])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err
+    assert f"line {line}" in err
+    assert not any(path.exists() for path in outputs.values())
+
+
+def test_checkpoint_of_another_format_is_a_data_error(pipeline, capsys):
+    work, _ = pipeline
+    header, arrays = (work / "rl.ckpt").read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    header["format"] = "oiekit-checkpoint-2"
+    (work / "format.ckpt").write_bytes(json.dumps(header).encode("utf-8") + b"\n" + arrays)
+    out = work / "format.jsonl"
+    code = cli.main(["extract", "--model", str(work / "format.ckpt"),
+                     "--conllu", str(work / "dev.conllu"), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert "format is not 'oiekit-checkpoint-1'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_truncated_checkpoint_is_a_data_error(pipeline, capsys):
@@ -324,7 +371,8 @@ def test_rl_dev_gold_without_dev_conllu_is_a_usage_error(pipeline, capsys):
 
 @pytest.mark.parametrize("line", ["epochs = -2", "epochs = 0", "step_size = -0.1",
                                   "step_size = 0", "step_size = nan", "step_size = inf",
-                                  "dev_fraction = 1.0", "dev_fraction = -0.5"])
+                                  "dev_fraction = 1.0", "dev_fraction = -0.5",
+                                  "hidden_dim = 0", "num_encoder_layers = 0"])
 def test_out_of_range_pretrain_setting_is_a_data_error(pipeline, capsys, line):
     work, _ = pipeline
     (work / "range.cfg").write_text(f"{line}\n", encoding="utf-8")
@@ -336,7 +384,8 @@ def test_out_of_range_pretrain_setting_is_a_data_error(pipeline, capsys, line):
 
 
 @pytest.mark.parametrize("flag,value", [("--epochs", "-2"), ("--epochs", "0"),
-                                        ("--step-size", "-0.1"), ("--step-size", "nan")])
+                                        ("--step-size", "-0.1"), ("--step-size", "nan"),
+                                        ("--beam", "0")])
 def test_out_of_range_rl_setting_is_a_data_error(pipeline, capsys, flag, value):
     work, _ = pipeline
     code = cli.main(["rl-train", "--model", str(work / "mle.ckpt"),
@@ -355,6 +404,25 @@ def test_synth_dev_fraction_outside_unit_interval_is_a_usage_error(tmp_path, fra
                      *(arg for flag, name in outputs.items() for arg in (flag, str(tmp_path / name)))])
     assert code == cli.EXIT_USAGE
     assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_dev_conllu_without_dev_gold_is_a_usage_error(tmp_path, capsys):
+    code = cli.main(["synth", "--n", "5", "--out-conllu", str(tmp_path / "t.conllu"),
+                     "--out-gold", str(tmp_path / "t.gold"),
+                     "--dev-conllu", str(tmp_path / "d.conllu")])
+    assert code == cli.EXIT_USAGE
+    assert "--dev-conllu requires --dev-gold" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_without_a_dev_split_writes_every_sentence(tmp_path, capsys):
+    code = cli.main(["synth", "--n", "5", "--seed", "2", "--out-conllu", str(tmp_path / "t.conllu"),
+                     "--out-gold", str(tmp_path / "t.gold")])
+    assert code == cli.EXIT_OK
+    sentences, gold = corpus_io.gen_synthetic(n=5, seed=2)
+    assert corpus_io.read_conllu(tmp_path / "t.conllu") == sentences
+    assert len(corpus_io.read_gold(tmp_path / "t.gold")) == len(gold)
+    assert f"wrote 5 sentences, {len(gold)} gold tuples" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("spec,entry", [("svo:abc", "svo:abc"), ("svo:-1,ditrans:2", "svo:-1"),
@@ -411,3 +479,18 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
         outputs.append([(work / name).read_bytes() for name in ("mle.ckpt", "rl.ckpt", "out.jsonl")])
     assert outputs[0][2].count(b"\n") > 10
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv,code,written", [
+    (["synth", "--n", "5", "--out-conllu", "t.conllu", "--out-gold", "t.gold"], 0,
+     ["t.conllu", "t.gold"]),
+    (["synth", "--n", "5", "--out-conllu", "t.conllu"], 1, []),
+    (["eval", "--extractions", "missing.jsonl", "--gold", "t.gold", "--report", "r.json",
+      "--pr-out", "p.tsv"], 2, []),
+], ids=["ok", "usage", "data"])
+def test_process_exit_status(tmp_path, argv, code, written):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-m", "oiekit.cli", *argv], cwd=tmp_path, env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == code, result.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == written

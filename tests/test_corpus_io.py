@@ -235,6 +235,12 @@ class TestGenSynthetic:
         coord = sum(1 for s in sentences if s.sentence_id.endswith("-coord_vp"))
         assert 120 < coord < 280
 
+    @pytest.mark.parametrize("weight", [-1.0, float("inf"), float("nan")],
+                             ids=["negative", "inf", "nan"])
+    def test_weight_not_finite_and_non_negative_is_refused_by_name(self, weight):
+        with pytest.raises(ValueError, match="template 'svo': weight"):
+            gen_synthetic((("svo", weight), ("ditrans", 2.0)), 3, seed=0)
+
     def test_coordinated_template_shares_subject(self):
         sentences, gold = gen_synthetic(("coord_vp",), 1, seed=5)
         sent = sentences[0]

@@ -119,6 +119,28 @@ class TestGenerateInstances:
     def test_verb_free_sentence(self, verb_free):
         assert generate_instances(verb_free) == []
 
+    def test_argument_clipped_right_of_the_predicate(self):
+        # Non-projective: "today" hangs off "cat", so ARG1's subtree [1, 3]
+        # reaches past the predicate and is cut at it.
+        sent = build_sentence("clip", [
+            ("cat", "NOUN", 2, "nsubj"),
+            ("sleeps", "VERB", 0, "root"),
+            ("today", "ADJ", 1, "amod"),
+            (".", "PUNCT", 2, "punct"),
+        ])
+        assert sent.subtree(1) == (1, 3)
+        (instance,) = generate_instances(sent)
+        assert instance.tags.labels == ("B-ARG1", "B-P", "O", "O")
+
+    def test_predicate_without_a_matched_argument_gives_no_instance(self):
+        sent = build_sentence("rains", [
+            ("it", "PRON", 2, "expl"),
+            ("rains", "VERB", 0, "root"),
+            (".", "PUNCT", 2, "punct"),
+        ])
+        assert identify_predicates(sent) == [2]
+        assert generate_instances(sent) == []
+
     def test_synthetic_svo_heads_match_generator_gold(self):
         sentences, gold = gen_synthetic(("svo",), 5, seed=7)
         by_id = {}

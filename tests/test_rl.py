@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oiekit import nn, tagger
-from oiekit.core import DEFAULT_ROLES, TagSequence, bio_labels, validate_bio
+from oiekit.core import DEFAULT_ROLES, TagSequence, ValidationError, bio_labels, validate_bio
 from oiekit.corpus_io import gen_synthetic
 from oiekit.evaluate import evaluate
 from oiekit.patterns import identify_predicates
@@ -319,6 +319,13 @@ def reference_epoch(model, sentences, scorer, config, dev_sentences, dev_gold):
         "dev_mean_reward": dev_total / dev_count,
         "dev_f1": evaluate(preds, dev_gold).best_f1,
     }
+
+
+@pytest.mark.parametrize("field,value", [("baseline_mode", "median"), ("explore_mode", "greedy"),
+                                         ("beam_size", 0)])
+def test_out_of_range_config_is_a_validation_error(field, value):
+    with pytest.raises(ValidationError, match=field.split("_")[0]):
+        RLConfig(**{field: value})
 
 
 def test_candidate_without_predicate_span_gets_zero_reward(parragon):

@@ -9,7 +9,7 @@ from oiekit.core import bio_labels, validate_bio, ValidationError
 from oiekit.corpus_io import ParseError, gen_synthetic
 from oiekit.mle import TrainConfig, pretrain
 from oiekit.patterns import generate_instances, identify_predicates
-from oiekit.reward import make_sem_scorer, sem_score_surrogate
+from oiekit.reward import make_sem_scorer, rerank, sem_score_surrogate
 from oiekit.tagger import (
     EXTRACT_BATCH,
     TaggerConfig,
@@ -82,6 +82,13 @@ class TestLabelDistribution:
         probs, _ = forward([(sentence, 1)], model)
         # softmax(10 vs eight 0s): e^10 / (e^10 + 8) > 0.999
         assert (probs[..., 0] > 0.999).all()
+
+    @pytest.mark.parametrize("predicate", [0, 4])
+    def test_predicate_outside_its_sentence_is_refused(self, predicate):
+        longer = flat_sentence(5)
+        model = tiny_model(longer)
+        with pytest.raises(ValidationError, match="outside sentence of length 3"):
+            forward([(longer, 5), (flat_sentence(3), predicate)], model)
 
     def test_rows_sum_to_one(self):
         sentence = flat_sentence(5)
@@ -266,8 +273,8 @@ class TestExtract:
             for start, end in spans:
                 assert 1 <= start <= end <= len(parragon)
 
-    @pytest.mark.parametrize("rerank", ["none", "combined"])
-    def test_batched_pass_matches_one_call_per_sentence(self, rerank):
+    @pytest.mark.parametrize("mode", ["none", "combined"])
+    def test_batched_pass_matches_one_call_per_sentence(self, mode):
         # Sentences of several templates, in no length order: more than two
         # length-sorted chunks, each returned to sentence order.
         sentences, _ = gen_synthetic(n=2 * EXTRACT_BATCH + 1, seed=5)
@@ -277,10 +284,12 @@ class TestExtract:
         assert lengths != sorted(lengths)
         model = init_model(TINY, build_vocab(sentences))
         model.params["cls.b"][model.labels.index("B-P")] += 2.0
-        scorer = make_sem_scorer("surrogate") if rerank != "none" else None
-        batched = extract(sentences, model, sem_scorer=scorer, rerank=rerank)
-        single = [e for s in sentences for e in extract([s], model, sem_scorer=scorer,
-                                                        rerank=rerank)]
+        batched = extract(sentences, model)
+        single = [e for s in sentences for e in extract([s], model)]
+        if mode == "combined":
+            scorer = make_sem_scorer("surrogate")
+            batched = rerank(batched, sentences, scorer, combined=True)
+            single = rerank(single, sentences, scorer, combined=True)
         key = lambda e: (e.sentence_id, e.predicate_span, e.role_spans)  # noqa: E731
         assert len(single) > 16
         assert [key(e) for e in batched] == [key(e) for e in single]
@@ -304,18 +313,21 @@ class TestExtract:
                     for i, label in enumerate(best.labels)]
             assert abs(e.confidence - sum(logs) / len(logs)) <= 1e-12
 
-    @pytest.mark.parametrize("rerank", ["none", "combined"])
-    def test_float32_encoder_matches_the_float64_pass(self, monkeypatch, rerank):
+    @pytest.mark.parametrize("mode", ["none", "combined"])
+    def test_float32_encoder_matches_the_float64_pass(self, monkeypatch, mode):
         # A short-pretrained model, so confidences are not all near-uniform.
         train, _ = gen_synthetic(n=60, seed=8)
         held_out, _ = gen_synthetic(n=80, seed=9)
         model = init_model(TINY, build_vocab(train))
         pretrain(model, [inst for s in train for inst in generate_instances(s)],
                  TrainConfig(epochs=3, step_size=0.05, dev_fraction=0.0))
-        scorer = make_sem_scorer("surrogate") if rerank != "none" else None
-        extractions = extract(held_out, model, sem_scorer=scorer, rerank=rerank)
+        extractions = extract(held_out, model)
         monkeypatch.setattr(tagger, "_inference_model", lambda model: model)
-        reference = extract(held_out, model, sem_scorer=scorer, rerank=rerank)
+        reference = extract(held_out, model)
+        if mode == "combined":
+            scorer = make_sem_scorer("surrogate")
+            extractions = rerank(extractions, held_out, scorer, combined=True)
+            reference = rerank(reference, held_out, scorer, combined=True)
         key = lambda e: (e.sentence_id, e.predicate_span, e.role_spans)  # noqa: E731
         assert len(reference) > 30
         assert [key(e) for e in extractions] == [key(e) for e in reference]
@@ -335,11 +347,6 @@ class TestExtract:
             assert arr.dtype == np.float64
             assert np.array_equal(arr, before[name]), name
 
-    def test_rerank_needs_scorer(self, parragon):
-        model = init_model(TINY, build_vocab([parragon]))
-        with pytest.raises(ValidationError):
-            extract([parragon], model, rerank="combined")
-
     def test_rerank_confidences_follow_the_formula(self, parragon, ditrans):
         scorer = make_sem_scorer("surrogate")
         for sentence in (parragon, ditrans):
@@ -347,8 +354,8 @@ class TestExtract:
             # Favour B-P so that every predicate decodes to an extraction.
             model.params["cls.b"][model.labels.index("B-P")] += 5.0
             plain = extract([sentence], model)
-            sem_only = extract([sentence], model, sem_scorer=scorer, rerank="sem")
-            combined = extract([sentence], model, sem_scorer=scorer, rerank="combined")
+            sem_only = rerank(plain, [sentence], scorer, combined=False)
+            combined = rerank(plain, [sentence], scorer, combined=True)
             assert plain
             assert len(sem_only) == len(combined) == len(plain)
             for base, by_sem, by_both in zip(plain, sem_only, combined):
