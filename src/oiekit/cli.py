@@ -1,7 +1,9 @@
 """Command-line surface binding the pipeline stages into reproducible runs.
 
 Commands: synth, label, pretrain, rl-train, extract, eval. Exit codes:
-0 success, 1 usage error, 2 data error, 3 numeric failure. An output pipe
+0 success, 1 usage error, 2 data error, 3 numeric failure. Every usage
+error is raised before any file is read, generated or written, so a bad
+command line exits 1 whether or not its input files exist. An output pipe
 whose reader has gone (``| head``) ends the command quietly with 0, as it
 ends when the output fits before the reader goes.
 
@@ -16,12 +18,11 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 
 from oiekit import corpus_io, evaluate, mle, patterns, reward, rl, tagger
-from oiekit.core import OiekitError
+from oiekit.core import OiekitError, ValidationError
 from oiekit.corpus_io import ParseError
 from oiekit.mle import NonFiniteLoss, TrainConfig
 from oiekit.rl import NonFiniteGradient, RLConfig
@@ -86,42 +87,13 @@ def _load_table(path):
     return patterns.load_pattern_table(path) if path else patterns.DEFAULT_TABLE
 
 
-def _parse_templates(spec: str):
-    """``name:weight,name:weight`` or comma-separated names. An unknown
-    name, or a weight that is not a finite, non-negative number, is a usage
-    error naming its entry; so are weights whose sum is zero or overflows,
-    naming the spec."""
-    entries = []
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        name, sep, text = chunk.partition(":")
-        name = name.strip()
-        if name not in corpus_io.TEMPLATE_NAMES:
-            raise _UsageError(f"--templates entry {chunk!r}: unknown template; known: "
-                              f"{', '.join(corpus_io.TEMPLATE_NAMES)}")
-        try:
-            weight = float(text) if sep else 1.0
-        except ValueError:
-            raise _UsageError(f"--templates entry {chunk!r}: weight is not a number") from None
-        if not 0.0 <= weight < math.inf:
-            raise _UsageError(f"--templates entry {chunk!r}: weight must be finite and "
-                              "non-negative")
-        entries.append((name, weight))
-    if not 0.0 < sum(weight for _, weight in entries) < math.inf:
-        raise _UsageError(f"--templates {spec!r}: weights must sum to a positive, finite "
-                          "value")
-    return entries
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="oiekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic parsed corpus with gold tuples")
     p.add_argument("--templates", default=",".join(corpus_io.TEMPLATE_NAMES),
-                   help="comma-separated template names, optionally name:weight")
+                   help="name[:weight],... (weight 1 when left out)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-conllu", required=True)
@@ -192,10 +164,14 @@ def _resolve_scorer(flag_value, cache_path=None):
 def cmd_synth(args) -> int:
     if not 0.0 <= args.dev_fraction < 1.0:
         raise _UsageError(f"--dev-fraction must be in [0, 1), got {args.dev_fraction}")
-    sentences, gold = corpus_io.gen_synthetic(_parse_templates(args.templates), args.n, args.seed)
+    if args.dev_conllu and not args.dev_gold:
+        raise _UsageError("--dev-conllu requires --dev-gold")
+    templates = [chunk for chunk in args.templates.split(",") if chunk.strip()]
+    try:
+        sentences, gold = corpus_io.gen_synthetic(templates, args.n, args.seed)
+    except ValidationError as exc:
+        raise _UsageError(f"--templates: {exc}") from None
     if args.dev_conllu:
-        if not args.dev_gold:
-            raise _UsageError("--dev-conllu requires --dev-gold")
         split = int(len(sentences) * (1.0 - args.dev_fraction))
         train_ids = {s.sentence_id for s in sentences[:split]}
         corpus_io.write_conllu(sentences[:split], args.out_conllu)
@@ -230,10 +206,10 @@ def cmd_label(args) -> int:
 def cmd_pretrain(args) -> int:
     values = _settings(args.config, {**_TAGGER_KEYS, **_TRAIN_KEYS},
                        {"seed": args.seed, "epochs": args.epochs})
-    instances = corpus_io.read_instances(args.instances)
-    model = tagger.init_model(TaggerConfig(**_fields(values, _TAGGER_KEYS)),
-                              tagger.build_vocab(instances))
+    tagger_config = TaggerConfig(**_fields(values, _TAGGER_KEYS))
     train_config = TrainConfig(**_fields(values, _TRAIN_KEYS))
+    instances = corpus_io.read_instances(args.instances)
+    model = tagger.init_model(tagger_config, tagger.build_vocab(instances))
     metrics = mle.pretrain(model, instances, train_config)
     corpus_io.write_jsonl(metrics, args.metrics or f"{args.out}.metrics.jsonl")
     tagger.save_model(model, args.out)
@@ -242,17 +218,17 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_rl_train(args) -> int:
+    if args.dev_gold and not args.dev_conllu:
+        raise _UsageError("--dev-gold requires --dev-conllu")
     values = _settings(args.config, _RL_KEYS,
                        {"seed": args.seed, "epochs": args.epochs, "beam_size": args.beam,
                         "baseline": args.baseline, "step_size": args.step_size})
+    rl_config = RLConfig(**_fields(values, _RL_KEYS),
+                         explore_mode="sample" if args.sample else "beam")
     model = tagger.load_model(args.model)
     table = _load_table(args.patterns)
     scorer = _resolve_scorer(args.scorer, args.scorer_cache)
     sentences = corpus_io.read_conllu(args.conllu)
-    rl_config = RLConfig(**_fields(values, _RL_KEYS),
-                         explore_mode="sample" if args.sample else "beam")
-    if args.dev_gold and not args.dev_conllu:
-        raise _UsageError("--dev-gold requires --dev-conllu")
     dev = None
     if args.dev_conllu:
         dev_sentences = corpus_io.read_conllu(args.dev_conllu)
@@ -286,12 +262,12 @@ def cmd_extract(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.overlap_threshold is not None and not args.conllu:
+        raise _UsageError("--overlap-threshold requires --conllu for token surfaces")
     extractions = corpus_io.read_extractions(args.extractions)
     sentences = None
     matcher = evaluate.match
     if args.overlap_threshold is not None:
-        if not args.conllu:
-            raise _UsageError("--overlap-threshold requires --conllu for token surfaces")
         sentences = {s.sentence_id: s for s in corpus_io.read_conllu(args.conllu)}
         threshold = args.overlap_threshold
 

@@ -7,7 +7,8 @@ JSON object per line with sorted keys; every one is written by
 :func:`write_jsonl` and read by :func:`read_jsonl`. ``key = value`` files
 (command configs and pattern tables) are read by :func:`read_key_values`.
 Every file the package writes goes through :func:`atomic_write`, so an
-interrupted write leaves the previous file in place.
+interrupted write leaves the previous file in place. This module owns the
+generator's template spec of ``name[:weight]`` entries (:func:`gen_synthetic`).
 """
 
 from __future__ import annotations
@@ -251,12 +252,11 @@ def read_gold(path, sentences: Optional[Mapping[str, ParsedSentence]] = None) ->
     """Read a gold TSV with columns
     ``sentence_id  predicate_head  role  role_head  [surface]``.
 
-    Rows are grouped by (sentence_id, predicate_head). When ``sentences``
-    is given, rows referencing unknown sentence ids are reported and
-    skipped, and out-of-bounds head indices raise :class:`ParseError`.
+    Rows are grouped by (sentence_id, predicate_head), in first-seen order.
+    When ``sentences`` is given, rows referencing unknown sentence ids are
+    reported and skipped, and out-of-bounds head indices raise :class:`ParseError`.
     """
-    grouped: dict[tuple[str, int], dict] = {}
-    order: list[tuple[str, int]] = []
+    grouped: dict[tuple[str, int], tuple[dict, dict]] = {}  # -> (role heads, surfaces)
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
@@ -279,20 +279,14 @@ def read_gold(path, sentences: Optional[Mapping[str, ParsedSentence]] = None) ->
                 m = len(sentences[sid])
                 if not (1 <= pred_head <= m) or not (1 <= role_head <= m):
                     raise ParseError(f"head index outside sentence {sid!r} of length {m}", line_no)
-            key = (sid, pred_head)
-            if key not in grouped:
-                grouped[key] = {"role_heads": {}, "surfaces": {}}
-                order.append(key)
-            if role in grouped[key]["role_heads"]:
+            role_heads, surfaces = grouped.setdefault((sid, pred_head), ({}, {}))
+            if role in role_heads:
                 raise ParseError(f"duplicate role {role!r} for predicate {pred_head} in {sid!r}", line_no)
-            grouped[key]["role_heads"][role] = role_head
+            role_heads[role] = role_head
             if surface:
-                grouped[key]["surfaces"][role] = surface
-    return [
-        GoldTuple(sentence_id=sid, predicate_head=pred, role_heads=grouped[(sid, pred)]["role_heads"],
-                  surfaces=grouped[(sid, pred)]["surfaces"])
-        for sid, pred in order
-    ]
+                surfaces[role] = surface
+    return [GoldTuple(sid, pred, role_heads, surfaces)
+            for (sid, pred), (role_heads, surfaces) in grouped.items()]
 
 
 def write_gold(golds: Iterable[GoldTuple], path) -> None:
@@ -526,27 +520,42 @@ _BUILDERS = {
 TEMPLATE_NAMES = tuple(_BUILDERS)
 
 
-def _normalize_templates(template_set) -> tuple[list[str], list[float]]:
-    items = [(entry, 1.0) if isinstance(entry, str) else entry for entry in template_set]
-    items = [(name, float(weight)) for name, weight in items]
-    for name, weight in items:
+def _template_weights(templates) -> tuple[list[str], list[float]]:
+    """Names and normalised weights of :func:`gen_synthetic`'s entries."""
+    names, weights = [], []
+    for entry in templates:
+        if not isinstance(entry, str):
+            raise ValidationError(f"template entry {entry!r}: expected 'name' or 'name:weight'")
+        name, sep, text = (part.strip() for part in entry.partition(":"))
         if name not in _BUILDERS:
-            raise ValueError(f"unknown template {name!r}; known: {sorted(_BUILDERS)}")
+            raise ValidationError(f"template entry {entry!r}: unknown template; known: "
+                                  f"{', '.join(TEMPLATE_NAMES)}")
+        try:
+            weight = float(text) if sep else 1.0
+        except ValueError:
+            weight = np.nan
         if not 0.0 <= weight < np.inf:
-            raise ValueError(f"template {name!r}: weight {weight} is not finite and non-negative")
-    total = sum(weight for _, weight in items)
+            raise ValidationError(f"template entry {entry!r}: weight is not finite and non-negative")
+        names.append(name)
+        weights.append(weight)
+    total = sum(weights)
     if not 0.0 < total < np.inf:
-        raise ValueError("template weights must sum to a positive, finite value")
-    return [name for name, _ in items], [weight / total for _, weight in items]
+        raise ValidationError(f"template entries {','.join(templates)!r}: weights must sum to "
+                              "a positive, finite value")
+    return names, [weight / total for weight in weights]
 
 
-def gen_synthetic(template_set=TEMPLATE_NAMES, n: int = 100, seed: int = 0):
+def gen_synthetic(templates=TEMPLATE_NAMES, n: int = 100, seed: int = 0):
     """Generate ``n`` parsed sentences plus gold tuples known by construction.
 
-    ``template_set`` is a sequence of template names or (name, weight)
-    pairs. Output is deterministic for a fixed seed.
+    ``templates`` holds ``name`` or ``name:weight`` entries, such as
+    :data:`TEMPLATE_NAMES` (weight 1 when left out, spaces ignored). An
+    entry of another form or an unknown name, a weight that is not finite
+    and non-negative, or weights not summing to a positive finite value
+    raise ValidationError naming the entries, before anything is generated.
+    Output is deterministic for a fixed seed.
     """
-    names, weights = _normalize_templates(template_set)
+    names, weights = _template_weights(templates)
     rng = np.random.default_rng(seed)
     sentences: list[ParsedSentence] = []
     golds: list[GoldTuple] = []

@@ -347,26 +347,29 @@ def test_non_finite_gradient_is_a_numeric_failure(pipeline, capsys, monkeypatch,
     assert not (work / "numeric.ckpt").exists()
 
 
-def test_overlap_threshold_evaluates_against_token_surfaces(pipeline, capsys):
+# A bad command line is a usage error whether or not its input file exists.
+def test_overlap_threshold_evaluates_against_token_surfaces(pipeline, tmp_path, capsys):
     work, _ = pipeline
-    argv = ["eval", "--extractions", str(work / "out.jsonl"), "--gold", str(work / "dev.gold"),
-            "--report", str(work / "overlap.json"), "--pr-out", str(work / "overlap.tsv"),
-            "--overlap-threshold", "0.5"]
-    assert cli.main(argv) == cli.EXIT_USAGE
-    assert "--overlap-threshold requires --conllu" in capsys.readouterr().err
-    assert not (work / "overlap.json").exists()
+    for extractions in ("missing.jsonl", "out.jsonl"):
+        argv = ["eval", "--extractions", str(work / extractions), "--gold", str(work / "dev.gold"),
+                "--report", str(tmp_path / "overlap.json"),
+                "--pr-out", str(tmp_path / "overlap.tsv"), "--overlap-threshold", "0.5"]
+        assert cli.main(argv) == cli.EXIT_USAGE, extractions
+        assert "--overlap-threshold requires --conllu" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
     assert cli.main([*argv, "--conllu", str(work / "dev.conllu")]) == cli.EXIT_OK
-    assert json.loads((work / "overlap.json").read_text(encoding="utf-8"))["num_gold"] > 0
+    assert json.loads((tmp_path / "overlap.json").read_text(encoding="utf-8"))["num_gold"] > 0
 
 
-def test_rl_dev_gold_without_dev_conllu_is_a_usage_error(pipeline, capsys):
+def test_rl_dev_gold_without_dev_conllu_is_a_usage_error(pipeline, tmp_path, capsys):
     work, _ = pipeline
-    code = cli.main(["rl-train", "--model", str(work / "mle.ckpt"),
-                     "--conllu", str(work / "train.conllu"), "--dev-gold", str(work / "dev.gold"),
-                     "--out", str(work / "gold-only.ckpt")])
-    assert code == cli.EXIT_USAGE
-    assert "--dev-gold requires --dev-conllu" in capsys.readouterr().err
-    assert not (work / "gold-only.ckpt").exists()
+    for model in ("missing.ckpt", "mle.ckpt"):
+        code = cli.main(["rl-train", "--model", str(work / model),
+                         "--conllu", str(work / "train.conllu"),
+                         "--dev-gold", str(work / "dev.gold"), "--out", str(tmp_path / "x.ckpt")])
+        assert code == cli.EXIT_USAGE, model
+        assert "--dev-gold requires --dev-conllu" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("line", ["epochs = -2", "epochs = 0", "step_size = -0.1",
@@ -406,7 +409,11 @@ def test_synth_dev_fraction_outside_unit_interval_is_a_usage_error(tmp_path, fra
     assert list(tmp_path.iterdir()) == []
 
 
-def test_synth_dev_conllu_without_dev_gold_is_a_usage_error(tmp_path, capsys):
+def test_synth_dev_conllu_without_dev_gold_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the corpus was generated before the flags were checked")
+
+    monkeypatch.setattr(corpus_io, "gen_synthetic", refuse)
     code = cli.main(["synth", "--n", "5", "--out-conllu", str(tmp_path / "t.conllu"),
                      "--out-gold", str(tmp_path / "t.gold"),
                      "--dev-conllu", str(tmp_path / "d.conllu")])
@@ -438,6 +445,19 @@ def test_bad_synth_templates_spec_is_a_usage_error(tmp_path, capsys, spec, entry
     assert code == cli.EXIT_USAGE
     assert repr(entry) in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_templates_ignore_spaces_around_names_and_weights(tmp_path):
+    outputs = []
+    for spec in ("svo:2,ditrans", " svo : 2 , ditrans"):
+        work = tmp_path / str(len(outputs))
+        work.mkdir()
+        code = cli.main(["synth", "--n", "20", "--seed", "3", "--templates", spec,
+                         "--out-conllu", str(work / "t.conllu"), "--out-gold", str(work / "t.gold")])
+        assert code == cli.EXIT_OK
+        outputs.append([(work / name).read_bytes() for name in ("t.conllu", "t.gold")])
+    assert outputs[0] == outputs[1]
+    assert b"-ditrans" in outputs[0][0] and b"-svo" in outputs[0][0]
 
 
 def test_rl_dev_pass_leaves_the_checkpoint_unchanged(pipeline):

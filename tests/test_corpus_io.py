@@ -220,6 +220,27 @@ class TestGenSynthetic:
         assert sent.token(tup.role_heads["ARG1"]).deprel == "nsubj"
         assert sent.token(tup.role_heads["ARG2"]).deprel == "obj"
 
+    def test_ditrans_gold_matches_construction(self):
+        sentences, gold = gen_synthetic(("ditrans",), 5, seed=7)
+        for sent, tup in zip(sentences, gold, strict=True):
+            assert sent.token(tup.predicate_head).deprel == "root"
+            assert sent.token(tup.role_heads["ARG1"]).deprel == "nsubj"
+            assert sent.token(tup.role_heads["ARG2"]).deprel == "obj"
+            assert sent.token(tup.role_heads["ARG3"]).deprel == "iobj"
+            for role in ("ARG1", "ARG2", "ARG3"):
+                assert sent.token(tup.role_heads[role]).head == tup.predicate_head
+
+    def test_svo_pp_place_modifies_the_object(self):
+        sentences, gold = gen_synthetic(("svo_pp",), 5, seed=7)
+        for sent, tup in zip(sentences, gold, strict=True):
+            obj = sent.token(tup.role_heads["ARG2"])
+            assert obj.deprel == "obj" and obj.head == tup.predicate_head
+            assert sent.token(tup.role_heads["ARG1"]).deprel == "nsubj"
+            (place,) = [tok for tok in sent.tokens if tok.deprel == "nmod"]
+            assert place.upos == "NOUN" and place.head == obj.index
+            children = {tok.deprel: tok.upos for tok in sent.tokens if tok.head == place.index}
+            assert children == {"case": "ADP", "det": "DET"}
+
     def test_gold_references_and_bounds(self):
         sentences, gold = gen_synthetic(None or ("svo", "svo_pp", "ditrans", "coord_vp"),
                                         200, seed=3)
@@ -231,15 +252,19 @@ class TestGenSynthetic:
                 assert 1 <= head <= len(sent)
 
     def test_weighted_mix(self):
-        sentences, _ = gen_synthetic((("svo", 0.5), ("coord_vp", 0.5)), 400, seed=1)
+        sentences, _ = gen_synthetic(("svo:0.5", "coord_vp:0.5"), 400, seed=1)
         coord = sum(1 for s in sentences if s.sentence_id.endswith("-coord_vp"))
         assert 120 < coord < 280
 
     @pytest.mark.parametrize("weight", [-1.0, float("inf"), float("nan")],
                              ids=["negative", "inf", "nan"])
     def test_weight_not_finite_and_non_negative_is_refused_by_name(self, weight):
-        with pytest.raises(ValueError, match="template 'svo': weight"):
-            gen_synthetic((("svo", weight), ("ditrans", 2.0)), 3, seed=0)
+        with pytest.raises(ValidationError, match=f"template entry 'svo:{weight}': weight"):
+            gen_synthetic((f"svo:{weight}", "ditrans:2.0"), 3, seed=0)
+
+    def test_entry_that_is_not_a_string_is_refused_by_name(self):
+        with pytest.raises(ValidationError, match=r"template entry \('svo', 0.5\):"):
+            gen_synthetic((("svo", 0.5),), 3)
 
     def test_coordinated_template_shares_subject(self):
         sentences, gold = gen_synthetic(("coord_vp",), 1, seed=5)
