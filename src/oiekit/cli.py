@@ -170,7 +170,7 @@ def cmd_synth(args) -> int:
     try:
         sentences, gold = corpus_io.gen_synthetic(templates, args.n, args.seed)
     except ValidationError as exc:
-        raise _UsageError(f"--templates: {exc}") from None
+        raise _UsageError(f"synth: {exc}") from None
     if args.dev_conllu:
         split = int(len(sentences) * (1.0 - args.dev_fraction))
         train_ids = {s.sentence_id for s in sentences[:split]}

@@ -549,12 +549,14 @@ def gen_synthetic(templates=TEMPLATE_NAMES, n: int = 100, seed: int = 0):
     """Generate ``n`` parsed sentences plus gold tuples known by construction.
 
     ``templates`` holds ``name`` or ``name:weight`` entries, such as
-    :data:`TEMPLATE_NAMES` (weight 1 when left out, spaces ignored). An
-    entry of another form or an unknown name, a weight that is not finite
-    and non-negative, or weights not summing to a positive finite value
-    raise ValidationError naming the entries, before anything is generated.
-    Output is deterministic for a fixed seed.
+    :data:`TEMPLATE_NAMES` (weight 1 when left out, spaces ignored). A
+    negative ``n``, an entry of another form or an unknown name, a weight
+    that is not finite and non-negative, or weights not summing to a
+    positive finite value raise ValidationError naming the value, before
+    anything is generated. Output is deterministic for a fixed seed.
     """
+    if n < 0:
+        raise ValidationError(f"n = {n}: the sentence count must be >= 0")
     names, weights = _template_weights(templates)
     rng = np.random.default_rng(seed)
     sentences: list[ParsedSentence] = []

@@ -1,16 +1,18 @@
 """Plain-numpy building blocks for the tagger: LSTM cells, bidirectional
 stacking with highway gates between layers, a softmax classifier, and Adam.
 
-Training and the pretraining dev pass run in float64. The helpers compute
-in the dtype of their inputs, so ``tagger.extract`` runs the encoder (LSTMs
-and highway gates) in float32 with the same code; its classifier and
-softmax stay float64. Sequences are batched time-major: the LSTM helpers
-take (m, B, ·) arrays of B right-padded items, and highway, the classifier
-and the softmax take their (m·B, ·) rows. No mask is needed, and padded
-inputs may hold any finite values. Padding comes after every valid position
-in both directions, so it cannot change a valid output, and a caller that
-gives padded rows zero logit gradients gets gradients in which padding
-contributes exactly 0.
+The helpers compute in the dtype of their inputs, forward and backward.
+Pretraining batches (``mle.pretrain``) and ``tagger.extract`` run the
+encoder (LSTMs and highway gates) in float32 with the same code; their
+classifier and softmax stay float64, as do Adam, its moments and the
+parameters it updates. RL training, per-instance gradients and the
+pretraining dev pass run wholly in float64. Sequences are batched
+time-major: the LSTM helpers take (m, B, ·) arrays of B right-padded
+items, and highway, the classifier and the softmax take their (m·B, ·)
+rows. No mask is needed, and padded inputs may hold any finite values.
+Padding comes after every valid position in both directions, so it cannot
+change a valid output, and a caller that gives padded rows zero logit
+gradients gets gradients in which padding contributes exactly 0.
 
 Forward helpers return the caches their backward counterparts need, or
 keep none when called with ``backprop=False`` (inference); correctness is
@@ -91,13 +93,15 @@ def lstm_backward(dh_out: np.ndarray, cache):
     """Backpropagate gradients on the hidden outputs, shape (m, B, H);
     returns (dx, dwx, dwh, db). Per-step work is kept to the recurrence;
     weight gradients are two matmuls over the collected gate gradients.
-    ``tanh(c)`` is recomputed rather than cached."""
+    ``tanh(c)`` is recomputed rather than cached. Every array is in the
+    dtype of the cache, as :func:`lstm_forward` made it."""
     x, wx, wh, sig_all, g_all, c_all, h_all = cache
     m, batch, h_dim = dh_out.shape
-    dz_all = np.empty((m, batch, 4 * h_dim))
-    dh_next = np.zeros((batch, h_dim))
-    dc_next = np.zeros((batch, h_dim))
-    zeros = np.zeros((batch, h_dim))
+    dtype = h_all.dtype
+    dz_all = np.empty((m, batch, 4 * h_dim), dtype)
+    dh_next = np.zeros((batch, h_dim), dtype)
+    dc_next = np.zeros((batch, h_dim), dtype)
+    zeros = np.zeros((batch, h_dim), dtype)
     # The tanh derivatives do not depend on the recurrence: computed for all
     # steps at once (elementwise, so the same bits as per step).
     tc_all = np.tanh(c_all)

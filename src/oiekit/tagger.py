@@ -12,11 +12,14 @@ for the backprop cache (``backprop=True``); inference keeps none.
 vectorised k-best pass. :func:`extract` sorts its items by sentence length
 and runs them ``EXTRACT_BATCH`` at a time through both, without the cache.
 
-Parameters, checkpoints and training are float64. :func:`extract` alone
-runs the encoder (embeddings, LSTMs, highway gates) on a float32 copy of
-the parameters; the classifier, softmax, decoder and confidence stay
-float64. Against a float64 encoder this keeps every tuple and moves
-confidences by at most about 2e-7 (see :func:`extract`).
+Parameters and checkpoints are float64. :func:`extract` and each
+pretraining batch (``mle.pretrain``) run the encoder (embeddings, LSTMs,
+highway gates), forward and backward, on the float32 copy that
+:func:`float32_encoder` makes; the classifier, softmax, decoder,
+confidence and every gradient handed to the optimizer stay float64.
+Against a float64 encoder, extraction keeps every tuple and moves
+confidences by at most about 2e-7 (see :func:`extract`); for pretraining
+see ``mle.pretrain``. RL training runs in float64.
 """
 
 from __future__ import annotations
@@ -210,7 +213,7 @@ def forward(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel, *,
     distributions."""
     x0, ids, flags = _inputs(items, model)
     h_top, layers = _encode(x0, [len(sentence) for sentence, _ in items], model, backprop)
-    # A float32 encoder (extract's inference copy) hands a float64 head
+    # A float32 encoder (a float32_encoder copy) hands a float64 head
     # float64 rows; in float64 the cast is a no-op.
     cls_w = model.params["cls.w"]
     logits = _rows(h_top).astype(cls_w.dtype, copy=False) @ cls_w + model.params["cls.b"]
@@ -228,14 +231,18 @@ def backward_from_dlogits(model: TaggerModel, cache, dlogits: np.ndarray) -> dic
     :func:`forward` pass. ``dlogits`` has the shape of that pass's
     probabilities, (m, B, L), with zero rows at padded positions so that
     padding contributes nothing. Softmax-based callers supply ``probs -
-    onehot`` style gradients directly."""
+    onehot`` style gradients directly.
+
+    ``model`` is the one the pass ran on. With a :func:`float32_encoder`
+    copy the encoder's backward pass runs in float32 too; every gradient
+    is returned as float64, the dtype of the parameters it updates."""
     params = model.params
     grads: dict[str, np.ndarray] = {}
     h_top = cache["h_top"]
     dlogits = dlogits.reshape(-1, dlogits.shape[-1])
     grads["cls.w"] = _rows(h_top).T @ dlogits
     grads["cls.b"] = dlogits.sum(axis=0)
-    dx = (dlogits @ params["cls.w"].T).reshape(h_top.shape)
+    dx = (dlogits @ params["cls.w"].T).astype(h_top.dtype, copy=False).reshape(h_top.shape)
     for layer in range(model.config.num_encoder_layers - 1, -1, -1):
         prefix = f"enc.{layer}"
         entry = cache["layers"][layer]
@@ -246,12 +253,26 @@ def backward_from_dlogits(model: TaggerModel, cache, dlogits: np.ndarray) -> dic
                 dcore.reshape(entry["core"].shape), entry["caches"], grads, prefix)
         else:
             dx = nn.bilstm_backward(dx, entry["caches"], grads, prefix)
+    # Embedding rows add up in float64, the dtype of the returned gradients
+    # (np.add.at also takes a much slower path when the dtypes differ).
+    dx = dx.astype(np.float64, copy=False)
     width = model.config.embedding_dim
-    grads["embed.word"] = np.zeros_like(params["embed.word"])
+    grads["embed.word"] = np.zeros(params["embed.word"].shape)
     np.add.at(grads["embed.word"], cache["token_ids"], dx[..., :width])
-    grads["embed.indicator"] = np.zeros_like(params["embed.indicator"])
+    grads["embed.indicator"] = np.zeros(params["embed.indicator"].shape)
     np.add.at(grads["embed.indicator"], cache["indicator_flags"], dx[..., width:])
-    return grads
+    return {name: grad.astype(np.float64, copy=False) for name, grad in grads.items()}
+
+
+def float32_encoder(model: TaggerModel) -> TaggerModel:
+    """The model :func:`extract` and each pretraining batch run: a copy
+    whose embeddings, LSTMs and highway gates are float32 and whose
+    classifier head is ``model``'s own float64 arrays. ``model.params`` is
+    left as it is."""
+    encoder = copy.copy(model)
+    encoder.params = {name: arr if name.startswith("cls.") else arr.astype(np.float32)
+                      for name, arr in model.params.items()}
+    return encoder
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +402,6 @@ def beam_decode(probs: np.ndarray, lengths: Sequence[int], predicates: Sequence[
 # ---------------------------------------------------------------------------
 
 
-def _inference_model(model: TaggerModel) -> TaggerModel:
-    """The model :func:`extract` runs: a copy whose embeddings, LSTMs and
-    highway gates are float32 and whose classifier head is ``model``'s own
-    float64 arrays. ``model.params`` is left as it is."""
-    inference = copy.copy(model)
-    inference.params = {name: arr if name.startswith("cls.") else arr.astype(np.float32)
-                        for name, arr in model.params.items()}
-    return inference
-
-
 def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
             table: PatternTable = DEFAULT_TABLE) -> list[Extraction]:
     """Decode one extraction per detected predicate of each sentence, in
@@ -404,21 +415,22 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
     decoder is exact, so it runs at width 1. An item's distributions, and
     so its confidence, match a batch of one up to float rounding.
 
-    The encoder runs in float32 on a copy of the parameters made once per
-    call; the classifier head, the softmax and the decoder run in float64,
-    so no probability underflows to zero that float64 keeps. ``model`` is
-    not changed. Against a float64 encoder, on the benchmark's extract
-    checkpoints at seeds 1-10 (500 held-out sentences each), every tuple
-    was identical under both rerank modes and confidences moved by at most
-    2.2e-7; best F1 and AUC were equal. Confidences closer than that may
-    swap places in the ranking.
+    The encoder runs in float32 on a :func:`float32_encoder` copy of the
+    parameters made once per call (pretraining batches run the same copy,
+    see ``mle.pretrain``); the classifier head, the softmax and the decoder
+    run in float64, so no probability underflows to zero that float64
+    keeps. ``model`` is not changed. Against a float64 encoder, on the
+    benchmark's extract checkpoints at seeds 1-10 (500 held-out sentences
+    each), every tuple was identical under both rerank modes and
+    confidences moved by at most 2.2e-7; best F1 and AUC were equal.
+    Confidences closer than that may swap places in the ranking.
 
     The confidence is the average-log confidence of the decoded labels: the
     decoder's summed log probability divided by the sentence length.
     :func:`oiekit.reward.rerank` replaces it with the semantic-augmented
     confidence.
     """
-    model = _inference_model(model)
+    model = float32_encoder(model)
     items = [(sentence, predicate) for sentence in sentences
              for predicate in identify_predicates(sentence, table)]
     # Chunks of similar lengths waste little on padding; stable, so equal

@@ -11,7 +11,7 @@ from a vector product).
 import numpy as np
 import pytest
 
-from oiekit import nn
+from oiekit import nn, tagger
 from oiekit.core import TaggedInstance, TagSequence
 from oiekit.mle import TrainConfig, instance_grads, pretrain
 from oiekit.tagger import (
@@ -188,6 +188,7 @@ def test_lstm_batch_of_one_is_bit_identical_to_reference(m, in_dim, h_dim):
     assert np.array_equal(h[:, 0], ref_h)
     ref_grads = ref_lstm_backward(dh, ref_cache)
     dx, dwx, dwh, db = nn.lstm_backward(dh[:, None], cache)
+    assert all(grad.dtype == np.float64 for grad in (dx, dwx, dwh, db))
     assert np.array_equal(dx[:, 0], ref_grads[0])
     for got, want in zip((dwx, dwh, db), ref_grads[1:]):
         assert np.array_equal(got, want)
@@ -201,12 +202,22 @@ def test_lstm_runs_in_the_dtype_of_its_input(backprop):
     wx = rng.uniform(-0.1, 0.1, (in_dim, 4 * h_dim))
     wh = rng.uniform(-0.1, 0.1, (h_dim, 4 * h_dim))
     b = rng.uniform(-0.1, 0.1, 4 * h_dim)
-    h64, _ = nn.lstm_forward(x, wx, wh, b, backprop)
-    h32, cache = nn.lstm_forward(*(a.astype(np.float32) for a in (x, wx, wh, b)), backprop)
+    h64, cache64 = nn.lstm_forward(x, wx, wh, b, backprop)
+    h32, cache32 = nn.lstm_forward(*(a.astype(np.float32) for a in (x, wx, wh, b)), backprop)
     assert h64.dtype == np.float64 and h32.dtype == np.float32
-    if backprop:
-        assert all(a.dtype == np.float32 for a in cache)
     assert np.abs(h32 - h64).max() <= 1e-5
+    if not backprop:
+        return
+    assert all(a.dtype == np.float32 for a in cache32)
+    # Backward follows the cache: float32 in, float32 out, and the float64
+    # pass keeps its bits (the reference test above pins them at B = 1).
+    dh = rng.normal(size=(m, batch, h_dim))
+    grads64 = nn.lstm_backward(dh, cache64)
+    grads32 = nn.lstm_backward(dh.astype(np.float32), cache32)
+    assert all(grad.dtype == np.float64 for grad in grads64)
+    assert all(grad.dtype == np.float32 for grad in grads32)
+    for got, want in zip(grads32, grads64):
+        assert relative_error(got, want) <= 1e-5
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -297,7 +308,9 @@ def test_inference_pass_is_bit_identical_to_backprop_pass(kind, lengths):
     assert np.array_equal(probs, trained)
 
 
-def test_pretrain_step_is_the_mean_of_token_mean_instance_gradients(monkeypatch):
+def pretrain_step_and_oracle(monkeypatch):
+    """(the gradients one full-batch pretraining step hands Adam, the mean
+    of the float64 per-item token-mean gradients it should follow)."""
     items = items_of([3, 5, 2, 8])
     labels = {3: ("B-P", "O", "B-ARG1"), 5: ("B-ARG1", "I-ARG1", "B-P", "O", "O"),
               2: ("B-P", "B-ARG2"), 8: ("O",) * 5 + ("B-P", "B-ARG2", "I-ARG2")}
@@ -320,5 +333,24 @@ def test_pretrain_step_is_the_mean_of_token_mean_instance_gradients(monkeypatch)
     monkeypatch.setattr(nn.Adam, "step", recording_step)
     pretrain(model, corpus, TrainConfig(epochs=1, batch_size=len(corpus)), dev=corpus[:1])
     assert len(steps) == 1
+    assert set(steps[0]) == set(expected)
+    return steps[0], expected
+
+
+def test_pretrain_step_is_the_mean_of_token_mean_instance_gradients(monkeypatch):
+    # The batching mechanics, on the float64 path: the same code with the
+    # float32 encoder copy replaced by the model itself.
+    monkeypatch.setattr(tagger, "float32_encoder", lambda model: model)
+    step, expected = pretrain_step_and_oracle(monkeypatch)
     for name in expected:
-        assert relative_error(steps[0][name], expected[name]) <= TOLERANCE, name
+        assert relative_error(step[name], expected[name]) <= TOLERANCE, name
+
+
+def test_float32_pretrain_step_is_near_the_float64_oracle(monkeypatch):
+    # As shipped, the encoder runs in float32: every array differs from the
+    # float64 oracle (so the float32 pass ran), by little, and reaches Adam
+    # as float64.
+    step, expected = pretrain_step_and_oracle(monkeypatch)
+    for name in expected:
+        assert step[name].dtype == np.float64, name
+        assert 0.0 < relative_error(step[name], expected[name]) <= 1e-5, name

@@ -422,6 +422,14 @@ def test_synth_dev_conllu_without_dev_gold_is_a_usage_error(tmp_path, capsys, mo
     assert list(tmp_path.iterdir()) == []
 
 
+def test_negative_synth_count_is_a_usage_error(tmp_path, capsys):
+    code = cli.main(["synth", "--n", "-5", "--out-conllu", str(tmp_path / "t.conllu"),
+                     "--out-gold", str(tmp_path / "t.gold")])
+    assert code == cli.EXIT_USAGE
+    assert "n = -5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_without_a_dev_split_writes_every_sentence(tmp_path, capsys):
     code = cli.main(["synth", "--n", "5", "--seed", "2", "--out-conllu", str(tmp_path / "t.conllu"),
                      "--out-gold", str(tmp_path / "t.gold")])

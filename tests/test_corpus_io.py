@@ -202,6 +202,10 @@ class TestGenSynthetic:
         sentences, gold = gen_synthetic(("svo",), 0, seed=7)
         assert sentences == [] and gold == []
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValidationError, match="n = -5"):
+            gen_synthetic(("svo",), -5, seed=7)
+
     def test_deterministic(self):
         a = gen_synthetic(("svo", "coord_vp"), 100, seed=7)
         b = gen_synthetic(("svo", "coord_vp"), 100, seed=7)

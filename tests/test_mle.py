@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oiekit import mle, nn
+from oiekit import mle, nn, tagger
 from oiekit.core import TaggedInstance, TagSequence
 from oiekit.corpus_io import gen_synthetic
 from oiekit.evaluate import evaluate
@@ -15,10 +15,11 @@ from oiekit.mle import (
     pretrain,
 )
 from oiekit.patterns import generate_instances
-from oiekit.tagger import TaggerConfig, build_vocab, extract, init_model
+from oiekit.tagger import (TaggerConfig, build_vocab, extract, init_model, load_model,
+                           save_model)
 
 from conftest import build_sentence, flat_sentence
-from oracles import max_central_difference_error
+from oracles import max_central_difference_error, relative_error
 
 TINY = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
                     num_encoder_layers=2, rng_seed=3)
@@ -163,6 +164,53 @@ class TestPretrain:
         assert not np.array_equal(seen[3]["cls.w"], seen[1]["cls.w"])
         for name, arr in model.params.items():
             assert arr.tobytes() == seen[1][name].tobytes(), name
+
+    def test_parameters_adam_and_checkpoint_stay_float64(self, monkeypatch, tmp_path):
+        optimizers = []
+        real_step = nn.Adam.step
+
+        def recording_step(optimizer, grads):
+            optimizers.append(optimizer)
+            real_step(optimizer, grads)
+
+        monkeypatch.setattr(nn.Adam, "step", recording_step)
+        corpus = self.small_corpus()
+        model = init_model(TINY, build_vocab(corpus))
+        arrays = dict(model.params)
+        pretrain(model, corpus, TrainConfig(epochs=2))
+        assert optimizers
+        for name, arr in model.params.items():
+            assert arr is arrays[name], name
+            assert arr.dtype == np.float64, name
+            assert optimizers[-1].m[name].dtype == optimizers[-1].v[name].dtype == np.float64
+        save_model(model, tmp_path / "model.ckpt")
+        loaded = load_model(tmp_path / "model.ckpt")
+        for name, arr in model.params.items():
+            assert loaded.params[name].dtype == np.float64, name
+            assert np.array_equal(loaded.params[name], arr), name
+
+    def test_float32_pretraining_agrees_with_the_float64_path(self, monkeypatch):
+        # The float64 path is the same code with the float32 encoder copy
+        # replaced by the model itself.
+        train, _ = gen_synthetic(n=60, seed=8)
+        held_out, _ = gen_synthetic(n=80, seed=9)
+        corpus = [inst for s in train for inst in generate_instances(s)]
+        runs = []
+        for encoder in (tagger.float32_encoder, lambda model: model):
+            monkeypatch.setattr(tagger, "float32_encoder", encoder)
+            model = init_model(TINY, build_vocab(corpus))
+            rows = pretrain(model, corpus, TrainConfig(epochs=3, step_size=0.05))
+            runs.append((model, [row["dev_f1"] for row in rows]))
+        monkeypatch.undo()
+        (model32, f1s32), (model64, f1s64) = runs
+        assert f1s32 == f1s64
+        key = lambda e: (e.sentence_id, e.predicate_span, e.role_spans)  # noqa: E731
+        reference = extract(held_out, model64)
+        assert len(reference) > 30
+        assert [key(e) for e in extract(held_out, model32)] == [key(e) for e in reference]
+        errors = {name: relative_error(model32.params[name], model64.params[name])
+                  for name in model64.params}
+        assert 0.0 < max(errors.values()) <= 1e-4, errors
 
     def test_empty_corpus_rejected(self):
         model = init_model(TINY, ["<unk>"])

@@ -304,7 +304,7 @@ class TestExtract:
         extractions = extract(sentences, model)
         assert len(extractions) > 16
         # The reference pass is extract's own: its float32-encoder copy of the model.
-        inference = tagger._inference_model(model)
+        inference = tagger.float32_encoder(model)
         for e in extractions:
             sentence, predicate = by_id[e.sentence_id], e.predicate_span[0]
             probs = forward([(sentence, predicate)], inference)[0][:, 0]
@@ -322,7 +322,7 @@ class TestExtract:
         pretrain(model, [inst for s in train for inst in generate_instances(s)],
                  TrainConfig(epochs=3, step_size=0.05, dev_fraction=0.0))
         extractions = extract(held_out, model)
-        monkeypatch.setattr(tagger, "_inference_model", lambda model: model)
+        monkeypatch.setattr(tagger, "float32_encoder", lambda model: model)
         reference = extract(held_out, model)
         if mode == "combined":
             scorer = make_sem_scorer("surrogate")
