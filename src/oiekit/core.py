@@ -278,12 +278,14 @@ def _distance_to_span(start: int, span: Span) -> int:
     return 0
 
 
-def spans_from_tags(instance: TaggedInstance, confidence: float = 0.0) -> Extraction:
+def spans_from_tags(instance: TaggedInstance) -> Extraction:
     """Turn a tagged instance into an extraction.
 
     Each maximal B-X/I-X run becomes one span. When several runs share a
     role, the run whose start is nearest the predicate span wins (earlier
-    run on ties); the rest are dropped.
+    run on ties); the rest are dropped. The confidence is the average-log
+    confidence of the tags, their log probability divided by their length,
+    or 0.0 for tags without a log probability.
     """
     problems = validate_bio(instance.tags)
     if problems:
@@ -304,11 +306,12 @@ def spans_from_tags(instance: TaggedInstance, confidence: float = 0.0) -> Extrac
     for role, spans in by_role.items():
         best = min(spans, key=lambda s: (_distance_to_span(s[0], predicate_span), s[0]))
         role_spans[role] = best
+    tags = instance.tags
     return Extraction(
         sentence_id=instance.sentence.sentence_id,
         predicate_span=predicate_span,
         role_spans=role_spans,
-        confidence=confidence,
+        confidence=0.0 if tags.log_prob is None else tags.log_prob / len(tags),
     )
 
 

@@ -9,6 +9,11 @@ JSON object per line with sorted keys; every one is written by
 Every file the package writes goes through :func:`atomic_write`, so an
 interrupted write leaves the previous file in place. This module owns the
 generator's template spec of ``name[:weight]`` entries (:func:`gen_synthetic`).
+
+A synthetic template is only its tree wiring: its builder draws a clause
+with ``_clause`` (a verb and one noun phrase per relation), adds its extra
+nodes, and names each predicate's role heads. :func:`gen_synthetic` numbers
+the nodes and builds every sentence and gold tuple from them.
 """
 
 from __future__ import annotations
@@ -423,75 +428,47 @@ def _noun_phrase(rng: np.random.Generator, noun: str, deprel: str, parent: Optio
     return nodes, head
 
 
-def _realize(sentence_id: str, nodes: list[_Node]) -> ParsedSentence:
-    for pos, node in enumerate(nodes, start=1):
-        node.index = pos
-    tokens = tuple(
-        Token(
-            index=node.index,
-            surface=node.surface,
-            upos=node.upos,
-            head=node.parent.index if node.parent is not None else 0,
-            deprel=node.deprel,
-        )
-        for node in nodes
-    )
-    return ParsedSentence(sentence_id=sentence_id, tokens=tokens)
+_ROLES = {"nsubj": "ARG1", "obj": "ARG2", "iobj": "ARG3"}
 
 
-def _sample_nouns(rng, pool, k):
-    picks = rng.choice(len(pool), size=k, replace=False)
-    return [pool[int(i)] for i in picks]
+def _clause(rng: np.random.Generator, verbs, deprels):
+    """A root verb from ``verbs`` with one noun phrase per relation in
+    ``deprels``, over distinct nouns; the first phrase precedes the verb and
+    the rest follow it. Returns (nodes, verb, {role: head node})."""
+    nouns = rng.choice(len(_NOUNS), size=len(deprels), replace=False)
+    verb = _Node(str(rng.choice(verbs)), "VERB", "root", None)
+    nodes, roles = [], {}
+    for i, deprel in zip(nouns, deprels):
+        phrase, roles[_ROLES[deprel]] = _noun_phrase(rng, _NOUNS[int(i)], deprel, verb)
+        nodes += phrase if nodes else phrase + [verb]
+    return nodes, verb, roles
 
 
-def _build_svo(rng, sentence_id):
-    n1, n2 = _sample_nouns(rng, _NOUNS, 2)
-    verb = _Node(str(rng.choice(_VERBS)), "VERB", "root", None)
-    subj_nodes, subj = _noun_phrase(rng, n1, "nsubj", verb)
-    obj_nodes, obj = _noun_phrase(rng, n2, "obj", verb)
-    nodes = subj_nodes + [verb] + obj_nodes + [_Node(".", "PUNCT", "punct", verb)]
-    sent = _realize(sentence_id, nodes)
-    gold = [GoldTuple(sentence_id, verb.index,
-                      {"ARG1": subj.index, "ARG2": obj.index},
-                      {"P": verb.surface, "ARG1": subj.surface, "ARG2": obj.surface})]
-    return sent, gold
+# Each builder returns (nodes in sentence order, [(predicate node, {role: head node})]).
 
 
-def _build_svo_pp(rng, sentence_id):
-    n1, n2 = _sample_nouns(rng, _NOUNS, 2)
-    verb = _Node(str(rng.choice(_VERBS)), "VERB", "root", None)
-    subj_nodes, subj = _noun_phrase(rng, n1, "nsubj", verb)
-    obj_nodes, obj = _noun_phrase(rng, n2, "obj", verb)
+def _build_svo(rng):
+    nodes, verb, roles = _clause(rng, _VERBS, ("nsubj", "obj"))
+    return nodes + [_Node(".", "PUNCT", "punct", verb)], [(verb, roles)]
+
+
+def _build_svo_pp(rng):
+    nodes, verb, roles = _clause(rng, _VERBS, ("nsubj", "obj"))
     # The place phrase modifies the object noun, keeping its subtree intact.
-    place = _Node(str(rng.choice(_PLACES)), "NOUN", "nmod", obj)
+    place = _Node(str(rng.choice(_PLACES)), "NOUN", "nmod", roles["ARG2"])
     prep = _Node(str(rng.choice(_PREPOSITIONS)), "ADP", "case", place)
     det = _Node("the", "DET", "det", place)
-    nodes = subj_nodes + [verb] + obj_nodes + [prep, det, place, _Node(".", "PUNCT", "punct", verb)]
-    sent = _realize(sentence_id, nodes)
-    gold = [GoldTuple(sentence_id, verb.index,
-                      {"ARG1": subj.index, "ARG2": obj.index},
-                      {"P": verb.surface, "ARG1": subj.surface, "ARG2": obj.surface})]
-    return sent, gold
+    return nodes + [prep, det, place, _Node(".", "PUNCT", "punct", verb)], [(verb, roles)]
 
 
-def _build_ditrans(rng, sentence_id):
-    n1, n2, n3 = _sample_nouns(rng, _NOUNS, 3)
-    verb = _Node(str(rng.choice(_DITRANS_VERBS)), "VERB", "root", None)
-    subj_nodes, subj = _noun_phrase(rng, n1, "nsubj", verb)
-    iobj_nodes, iobj = _noun_phrase(rng, n2, "iobj", verb)
-    obj_nodes, obj = _noun_phrase(rng, n3, "obj", verb)
-    nodes = subj_nodes + [verb] + iobj_nodes + obj_nodes + [_Node(".", "PUNCT", "punct", verb)]
-    sent = _realize(sentence_id, nodes)
-    gold = [GoldTuple(sentence_id, verb.index,
-                      {"ARG1": subj.index, "ARG2": obj.index, "ARG3": iobj.index},
-                      {"P": verb.surface, "ARG1": subj.surface, "ARG2": obj.surface,
-                       "ARG3": iobj.surface})]
-    return sent, gold
+def _build_ditrans(rng):
+    nodes, verb, roles = _clause(rng, _DITRANS_VERBS, ("nsubj", "iobj", "obj"))
+    return nodes + [_Node(".", "PUNCT", "punct", verb)], [(verb, roles)]
 
 
-def _build_coord_vp(rng, sentence_id):
+def _build_coord_vp(rng):
     """Two verbs sharing a subject; only the first verb governs it."""
-    n1, n2, n3 = _sample_nouns(rng, _NOUNS, 3)
+    n1, n2, n3 = (_NOUNS[int(i)] for i in rng.choice(len(_NOUNS), size=3, replace=False))
     v1_surface, v2_surface = (str(v) for v in rng.choice(_VERBS, size=2, replace=False))
     v1 = _Node(v1_surface, "VERB", "root", None)
     subj_nodes, subj = _noun_phrase(rng, n1, "nsubj", v1)
@@ -500,14 +477,7 @@ def _build_coord_vp(rng, sentence_id):
     cc = _Node("and", "CCONJ", "cc", v2)
     obj2_nodes, obj2 = _noun_phrase(rng, n3, "obj", v2)
     nodes = subj_nodes + [v1] + obj1_nodes + [cc, v2] + obj2_nodes + [_Node(".", "PUNCT", "punct", v1)]
-    sent = _realize(sentence_id, nodes)
-    gold = [
-        GoldTuple(sentence_id, v1.index, {"ARG1": subj.index, "ARG2": obj1.index},
-                  {"P": v1.surface, "ARG1": subj.surface, "ARG2": obj1.surface}),
-        GoldTuple(sentence_id, v2.index, {"ARG1": subj.index, "ARG2": obj2.index},
-                  {"P": v2.surface, "ARG1": subj.surface, "ARG2": obj2.surface}),
-    ]
-    return sent, gold
+    return nodes, [(v1, {"ARG1": subj, "ARG2": obj1}), (v2, {"ARG1": subj, "ARG2": obj2})]
 
 
 _BUILDERS = {
@@ -564,7 +534,16 @@ def gen_synthetic(templates=TEMPLATE_NAMES, n: int = 100, seed: int = 0):
     for i in range(n):
         name = names[int(rng.choice(len(names), p=weights))]
         sentence_id = f"syn{i:05d}-{name}"
-        sent, gold = _BUILDERS[name](rng, sentence_id)
-        sentences.append(sent)
-        golds.extend(gold)
+        nodes, frames = _BUILDERS[name](rng)
+        for pos, node in enumerate(nodes, start=1):
+            node.index = pos
+        sentences.append(ParsedSentence(sentence_id=sentence_id, tokens=tuple(
+            Token(index=node.index, surface=node.surface, upos=node.upos, deprel=node.deprel,
+                  head=node.parent.index if node.parent is not None else 0)
+            for node in nodes)))
+        for predicate, roles in frames:
+            heads, surfaces = {}, {"P": predicate.surface}
+            for role in sorted(roles):
+                heads[role], surfaces[role] = roles[role].index, roles[role].surface
+            golds.append(GoldTuple(sentence_id, predicate.index, heads, surfaces))
     return sentences, golds

@@ -155,15 +155,6 @@ def best_f1(pr_points: Sequence[tuple[float, float]]) -> float:
     return best
 
 
-def tuple_f1(extractions: Sequence[Extraction], gold: Sequence[GoldTuple]) -> float:
-    """F1 of the full prediction set under headword matching: the last
-    point of the sweep."""
-    if not gold:
-        raise EmptyGold("cannot compute F1 without gold tuples")
-    decisions = assign_matches(extractions, gold)
-    return best_f1(_pr_points(decisions, len(gold))[-1:])
-
-
 def evaluate(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
              matcher=match) -> EvalReport:
     if not gold:

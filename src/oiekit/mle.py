@@ -203,10 +203,10 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
 
 def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance],
                  batch_size: int) -> tuple[float, float]:
-    """(mean token-level NLL of the dev instances, headword F1 of their top-1
-    decodes against the tuples implied by their own labels), from one
-    batched inference pass (no backprop cache) and one batched decode per
-    ``batch_size`` instances."""
+    """(mean token-level NLL of the dev instances, best headword F1 of their
+    top-1 decodes against the tuples implied by their own labels, the
+    statistic ``rl-train`` reports), from one batched inference pass (no
+    backprop cache) and one batched decode per ``batch_size`` instances."""
     losses = []
     golds = []
     preds = []
@@ -225,10 +225,8 @@ def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance],
                 continue
             try:
                 extraction = spans_from_tags(
-                    TaggedInstance(instance.sentence, instance.predicate_index, best),
-                    confidence=best.log_prob / len(best),
-                )
+                    TaggedInstance(instance.sentence, instance.predicate_index, best))
             except OiekitError:
                 continue
             preds.append(extraction)
-    return float(np.mean(losses)), evaluate.tuple_f1(preds, golds) if golds else 0.0
+    return float(np.mean(losses)), evaluate.evaluate(preds, golds).best_f1 if golds else 0.0

@@ -13,10 +13,11 @@ vectorised k-best pass. :func:`extract` sorts its items by sentence length
 and runs them ``EXTRACT_BATCH`` at a time through both, without the cache.
 
 Parameters and checkpoints are float64. :func:`extract` and each
-pretraining batch (``mle.pretrain``) run the encoder (embeddings, LSTMs,
-highway gates), forward and backward, on the float32 copy that
-:func:`float32_encoder` makes; the classifier, softmax, decoder,
-confidence and every gradient handed to the optimizer stay float64.
+pretraining batch (``mle.pretrain``) run the encoder (the gathered
+embedding rows, LSTMs, highway gates), forward and backward, in float32 on
+the copy that :func:`float32_encoder` makes; the classifier, softmax,
+decoder, confidence and every gradient handed to the optimizer stay
+float64.
 Against a float64 encoder, extraction keeps every tuple and moves
 confidences by at most about 2e-7 (see :func:`extract`); for pretraining
 see ``mle.pretrain``. RL training runs in float64.
@@ -182,10 +183,12 @@ def _rows(x: np.ndarray) -> np.ndarray:
 def _encode(x0: np.ndarray, lengths, model: TaggerModel, backprop: bool):
     """Top-layer hidden states and, with ``backprop``, each layer's input,
     BiLSTM output, highway gate and LSTM caches (None otherwise, so each
-    layer's arrays are freed once the next layer has read them)."""
+    layer's arrays are freed once the next layer has read them). The input
+    rows are cast to the LSTMs' dtype, so a :func:`float32_encoder` copy
+    casts only the rows the batch gathered, not the embedding tables."""
     params = model.params
     layers = [] if backprop else None
-    x = x0
+    x = x0.astype(params["enc.0.fw.wx"].dtype, copy=False)
     for layer in range(model.config.num_encoder_layers):
         prefix = f"enc.{layer}"
         core, caches = nn.bilstm_forward(x, lengths, params, prefix, backprop)
@@ -266,11 +269,12 @@ def backward_from_dlogits(model: TaggerModel, cache, dlogits: np.ndarray) -> dic
 
 def float32_encoder(model: TaggerModel) -> TaggerModel:
     """The model :func:`extract` and each pretraining batch run: a copy
-    whose embeddings, LSTMs and highway gates are float32 and whose
-    classifier head is ``model``'s own float64 arrays. ``model.params`` is
-    left as it is."""
+    whose LSTMs and highway gates are float32 and whose embedding tables
+    and classifier head are ``model``'s own float64 arrays (the encoder
+    casts the embedding rows it gathers). ``model.params`` is left as it
+    is."""
     encoder = copy.copy(model)
-    encoder.params = {name: arr if name.startswith("cls.") else arr.astype(np.float32)
+    encoder.params = {name: arr if name.startswith(("cls.", "embed.")) else arr.astype(np.float32)
                       for name, arr in model.params.items()}
     return encoder
 
@@ -425,8 +429,9 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
     confidences moved by at most 2.2e-7; best F1 and AUC were equal.
     Confidences closer than that may swap places in the ranking.
 
-    The confidence is the average-log confidence of the decoded labels: the
-    decoder's summed log probability divided by the sentence length.
+    The confidence is the average-log confidence of the decoded labels
+    (``core.spans_from_tags``): the decoder's summed log probability divided
+    by the sentence length.
     :func:`oiekit.reward.rerank` replaces it with the semantic-augmented
     confidence.
     """
@@ -447,7 +452,7 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
         for i, (sentence, predicate), (best,) in zip(picked, chunk, decoded):
             instance = TaggedInstance(sentence=sentence, predicate_index=predicate, tags=best)
             try:
-                found[i] = spans_from_tags(instance, confidence=best.log_prob / len(best))
+                found[i] = spans_from_tags(instance)
             except NoPredicateSpan:
                 pass
     return [extraction for extraction in found if extraction is not None]

@@ -72,6 +72,12 @@ class TestSpansFromTags:
         extraction = spans_from_tags(TaggedInstance(sentence, 3, tags))
         assert extraction.role_spans["ARG1"] == (2, 2)
 
+    @pytest.mark.parametrize("log_prob,confidence", [(None, 0.0), (-1.5, -0.3)])
+    def test_confidence_is_the_average_log_probability(self, log_prob, confidence):
+        tags = TagSequence(("O", "B-ARG1", "B-P", "B-ARG2", "O"), log_prob=log_prob)
+        extraction = spans_from_tags(TaggedInstance(flat_sentence(5), 3, tags))
+        assert extraction.confidence == confidence
+
 
 class TestTagsFromSpans:
     def test_round_trip_worked_example(self):

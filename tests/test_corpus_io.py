@@ -1,3 +1,4 @@
+import hashlib
 import os
 import stat
 import tempfile
@@ -11,6 +12,7 @@ from oiekit.core import Extraction, NonTreeParse, ParsedSentence, Token, Validat
 from oiekit.corpus_io import (
     GoldTuple,
     ParseError,
+    TEMPLATE_NAMES,
     gen_synthetic,
     read_conllu,
     read_extractions,
@@ -280,6 +282,38 @@ class TestGenSynthetic:
     def test_all_parses_are_valid_trees(self):
         sentences, _ = gen_synthetic(("svo", "svo_pp", "ditrans", "coord_vp"), 100, seed=9)
         assert all(len(s) >= 5 for s in sentences)
+
+    def test_svo_tree_is_pinned(self):
+        (sent,), (tup,) = gen_synthetic(("svo",), 1, seed=7)
+        assert [(t.surface, t.upos, t.head, t.deprel) for t in sent.tokens] == [
+            ("a", "DET", 2, "det"), ("book", "NOUN", 3, "nsubj"), ("draws", "VERB", 0, "root"),
+            ("the", "DET", 5, "det"), ("kite", "NOUN", 3, "obj"), (".", "PUNCT", 3, "punct")]
+        assert tup == GoldTuple("syn00000-svo", 3, {"ARG1": 2, "ARG2": 5},
+                                {"P": "draws", "ARG1": "book", "ARG2": "kite"})
+
+    def test_coord_vp_tree_is_pinned(self):
+        (sent,), gold = gen_synthetic(("coord_vp",), 1, seed=5)
+        assert [(t.surface, t.upos, t.head, t.deprel) for t in sent.tokens] == [
+            ("the", "DET", 2, "det"), ("farmer", "NOUN", 3, "nsubj"),
+            ("follows", "VERB", 0, "root"), ("the", "DET", 6, "det"), ("old", "ADJ", 6, "amod"),
+            ("nurse", "NOUN", 3, "obj"), ("and", "CCONJ", 8, "cc"), ("greets", "VERB", 3, "conj"),
+            ("the", "DET", 10, "det"), ("horse", "NOUN", 8, "obj"), (".", "PUNCT", 3, "punct")]
+        assert gold == [
+            GoldTuple("syn00000-coord_vp", 3, {"ARG1": 2, "ARG2": 6},
+                      {"P": "follows", "ARG1": "farmer", "ARG2": "nurse"}),
+            GoldTuple("syn00000-coord_vp", 8, {"ARG1": 2, "ARG2": 10},
+                      {"P": "greets", "ARG1": "farmer", "ARG2": "horse"})]
+
+    def test_default_corpus_files_are_pinned(self, tmp_path):
+        # The default template set must keep generating this corpus.
+        sentences, gold = gen_synthetic(TEMPLATE_NAMES, 40, seed=3)
+        write_conllu(sentences, tmp_path / "c.conllu")
+        write_gold(gold, tmp_path / "c.gold")
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("c.conllu", "c.gold")}
+        assert digests == {
+            "c.conllu": "15a7539b23d8d18513c201e9f5eb4c79a63572d34fc7e15b022554611c0128ff",
+            "c.gold": "2b6cf3fd3927a83896bf7a90ccf3e86af426c1fd25fd6ac4fb10b436c938d1d6"}
 
 
 # -- Writers and readers agree: what a writer accepts reads back as written --

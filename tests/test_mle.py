@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oiekit import mle, nn, tagger
-from oiekit.core import TaggedInstance, TagSequence
+from oiekit.core import NoPredicateSpan, TaggedInstance, TagSequence, spans_from_tags
 from oiekit.corpus_io import gen_synthetic
-from oiekit.evaluate import evaluate
+from oiekit.evaluate import evaluate, gold_from_instance
 from oiekit.mle import (
     NonFiniteLoss,
     TrainConfig,
@@ -18,7 +18,7 @@ from oiekit.patterns import generate_instances
 from oiekit.tagger import (TaggerConfig, build_vocab, extract, init_model, load_model,
                            save_model)
 
-from conftest import build_sentence, flat_sentence
+from conftest import build_sentence, decode_alone, flat_sentence
 from oracles import max_central_difference_error, relative_error
 
 TINY = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
@@ -211,6 +211,38 @@ class TestPretrain:
         errors = {name: relative_error(model32.params[name], model64.params[name])
                   for name in model64.params}
         assert 0.0 < max(errors.values()) <= 1e-4, errors
+
+    def test_dev_f1_is_the_best_f1_of_the_top1_decodes(self, monkeypatch):
+        # The statistic rl-train reports: the best F1 over the confidence
+        # sweep, here above the F1 of the full prediction set.
+        train, _ = gen_synthetic(n=60, seed=8)
+        corpus = [inst for s in train for inst in generate_instances(s)]
+        dev = corpus[:40]
+        dev_params = []
+        real_dev_metrics = mle._dev_metrics
+
+        def recording_dev_metrics(model, dev, batch_size):
+            dev_params.append({name: arr.copy() for name, arr in model.params.items()})
+            return real_dev_metrics(model, dev, batch_size)
+
+        monkeypatch.setattr(mle, "_dev_metrics", recording_dev_metrics)
+        model = init_model(TINY, build_vocab(corpus))
+        rows = pretrain(model, corpus, TrainConfig(epochs=2, step_size=0.1), dev=dev)
+        model.params = dev_params[-1]
+        preds, golds = [], []
+        for inst in dev:
+            golds.append(gold_from_instance(inst))
+            probs = tagger.forward([(inst.sentence, inst.predicate_index)], model)[0][:, 0]
+            best = decode_alone(probs, 1, inst.predicate_index, model.labels)[0]
+            try:
+                preds.append(spans_from_tags(TaggedInstance(inst.sentence, inst.predicate_index,
+                                                            best)))
+            except NoPredicateSpan:
+                pass
+        report = evaluate(preds, golds)
+        recall, precision = report.pr_points[-1]
+        assert report.best_f1 > 2 * precision * recall / (precision + recall)
+        assert rows[-1]["dev_f1"] == pytest.approx(report.best_f1, abs=1e-12)
 
     def test_empty_corpus_rejected(self):
         model = init_model(TINY, ["<unk>"])

@@ -2,7 +2,7 @@ import pytest
 
 from oiekit.core import spans_from_tags, validate_bio
 from oiekit.corpus_io import gen_synthetic
-from oiekit.evaluate import match, tuple_f1
+from oiekit.evaluate import evaluate, match
 from oiekit.patterns import (
     DEFAULT_TABLE,
     PatternTable,
@@ -177,7 +177,7 @@ class TestGenerateInstances:
         for sent in sentences:
             for inst in generate_instances(sent):
                 preds.append(spans_from_tags(inst))
-        assert tuple_f1(preds, gold) == 1.0
+        assert evaluate(preds, gold).best_f1 == 1.0
 
 
 class TestPatternTable:

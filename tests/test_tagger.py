@@ -313,6 +313,31 @@ class TestExtract:
                     for i, label in enumerate(best.labels)]
             assert abs(e.confidence - sum(logs) / len(logs)) <= 1e-12
 
+    def test_float32_encoder_shares_the_embedding_tables(self):
+        # Casting only the gathered rows gives the bits of a copy whose
+        # tables are cast whole, forward and backward.
+        sentences, _ = gen_synthetic(n=12, seed=6)
+        model = init_model(TINY, build_vocab(sentences))
+        items = [(s, p) for s in sentences for p in identify_predicates(s)][:16]
+        tables = ("embed.word", "embed.indicator")
+        shared = tagger.float32_encoder(model)
+        assert all(shared.params[name] is model.params[name] for name in tables)
+        cast = tagger.float32_encoder(model)
+        cast.params = {**cast.params,
+                       **{name: model.params[name].astype(np.float32) for name in tables}}
+        passes = []
+        for encoder in (shared, cast):
+            probs, cache = forward(items, encoder, backprop=True)
+            dlogits = probs.copy()
+            for b, (sentence, _) in enumerate(items):
+                dlogits[len(sentence):, b] = 0.0
+            passes.append((probs, tagger.backward_from_dlogits(encoder, cache, dlogits)))
+        (probs, grads), (cast_probs, cast_grads) = passes
+        assert len(items) == 16 and np.array_equal(probs, cast_probs)
+        assert grads.keys() == cast_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], cast_grads[name]), name
+
     @pytest.mark.parametrize("mode", ["none", "combined"])
     def test_float32_encoder_matches_the_float64_pass(self, monkeypatch, mode):
         # A short-pretrained model, so confidences are not all near-uniform.
