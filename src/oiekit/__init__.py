@@ -10,22 +10,21 @@ headword-match criterion and precision-recall curves.
 
 from oiekit.core import (
     ARGUMENT_ROLES,
-    DEFAULT_LABELS,
-    DEFAULT_ROLES,
     Extraction,
+    LABELS,
     NonTreeParse,
     NoPredicateSpan,
     OiekitError,
     OUTSIDE,
     ParsedSentence,
     PREDICATE_ROLE,
+    ROLES,
     Span,
     SpanOutOfBounds,
     TaggedInstance,
     TagSequence,
     Token,
     ValidationError,
-    bio_labels,
     spans_from_tags,
     validate_bio,
 )

@@ -22,7 +22,7 @@ import os
 import sys
 
 from oiekit import corpus_io, evaluate, mle, patterns, reward, rl, tagger
-from oiekit.core import OiekitError, ValidationError
+from oiekit.core import ARGUMENT_ROLES, OiekitError, ValidationError
 from oiekit.corpus_io import ParseError
 from oiekit.mle import NonFiniteLoss, TrainConfig
 from oiekit.rl import NonFiniteGradient, RLConfig
@@ -195,7 +195,7 @@ def cmd_label(args) -> int:
     corpus_io.write_instances(instances, args.out)
     print(f"sentences: {len(sentences)}")
     print(f"instances: {len(instances)}")
-    for role in ("ARG1", "ARG2", "ARG3"):
+    for role in ARGUMENT_ROLES:
         covered = sum(1 for inst in instances if any(
             lab.endswith(role) for lab in inst.tags.labels))
         share = covered / len(instances) if instances else 0.0

@@ -1,6 +1,7 @@
 """Shared data model: dependency-parsed sentences, BIO tag sequences over
-predicate/argument roles, extracted tuples, and the conversions between tag
-sequences and spans.
+the one label inventory (:data:`LABELS`: the predicate and three argument
+roles), extracted tuples, and the conversions between tag sequences and
+spans.
 
 All types are immutable values; every operation here is pure.
 """
@@ -8,13 +9,17 @@ All types are immutable values; every operation here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 PREDICATE_ROLE = "P"
 ARGUMENT_ROLES = ("ARG1", "ARG2", "ARG3")
-DEFAULT_ROLES = (PREDICATE_ROLE,) + ARGUMENT_ROLES
+ROLES = (PREDICATE_ROLE,) + ARGUMENT_ROLES
 OUTSIDE = "O"
+# The tagger's one label inventory, in classifier-column order (O first,
+# then B-/I- per role), and the column of each label (not to be mutated).
+LABELS = (OUTSIDE,) + tuple(f"{kind}-{role}" for role in ROLES for kind in "BI")
+LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
 
 Span = tuple[int, int]
 
@@ -37,25 +42,6 @@ class NoPredicateSpan(OiekitError):
 
 class SpanOutOfBounds(OiekitError):
     """A span is inverted, non-positive, or outside the sentence."""
-
-
-def bio_labels(roles: Sequence[str] = DEFAULT_ROLES) -> tuple[str, ...]:
-    """Label inventory for a role set: O first, then B-/I- per role."""
-    labels = [OUTSIDE]
-    for role in roles:
-        labels.append(f"B-{role}")
-        labels.append(f"I-{role}")
-    return tuple(labels)
-
-
-DEFAULT_LABELS = bio_labels()
-
-
-@cache
-def label_index(labels: tuple[str, ...]) -> dict[str, int]:
-    """Column of each label in a label inventory. The mapping is shared
-    by every caller with the same inventory and must not be mutated."""
-    return {label: i for i, label in enumerate(labels)}
 
 
 def label_role(label: str) -> Optional[str]:

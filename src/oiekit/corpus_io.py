@@ -418,12 +418,18 @@ class _Node:
         self.index = 0
 
 
+def _pick(rng: np.random.Generator, words):
+    """One of ``words``, from the draw ``rng.choice(words)`` makes, without
+    the overhead of ``Generator.choice``."""
+    return words[int(rng.integers(len(words)))]
+
+
 def _noun_phrase(rng: np.random.Generator, noun: str, deprel: str, parent: Optional[_Node]):
     """Determiner [adjective] noun, returning (nodes, head node)."""
     head = _Node(noun, "NOUN", deprel, parent)
-    nodes = [_Node(str(rng.choice(["the", "a"])), "DET", "det", head)]
+    nodes = [_Node(_pick(rng, ("the", "a")), "DET", "det", head)]
     if rng.random() < 0.3:
-        nodes.append(_Node(str(rng.choice(_ADJECTIVES)), "ADJ", "amod", head))
+        nodes.append(_Node(_pick(rng, _ADJECTIVES), "ADJ", "amod", head))
     nodes.append(head)
     return nodes, head
 
@@ -436,7 +442,7 @@ def _clause(rng: np.random.Generator, verbs, deprels):
     ``deprels``, over distinct nouns; the first phrase precedes the verb and
     the rest follow it. Returns (nodes, verb, {role: head node})."""
     nouns = rng.choice(len(_NOUNS), size=len(deprels), replace=False)
-    verb = _Node(str(rng.choice(verbs)), "VERB", "root", None)
+    verb = _Node(_pick(rng, verbs), "VERB", "root", None)
     nodes, roles = [], {}
     for i, deprel in zip(nouns, deprels):
         phrase, roles[_ROLES[deprel]] = _noun_phrase(rng, _NOUNS[int(i)], deprel, verb)
@@ -455,8 +461,8 @@ def _build_svo(rng):
 def _build_svo_pp(rng):
     nodes, verb, roles = _clause(rng, _VERBS, ("nsubj", "obj"))
     # The place phrase modifies the object noun, keeping its subtree intact.
-    place = _Node(str(rng.choice(_PLACES)), "NOUN", "nmod", roles["ARG2"])
-    prep = _Node(str(rng.choice(_PREPOSITIONS)), "ADP", "case", place)
+    place = _Node(_pick(rng, _PLACES), "NOUN", "nmod", roles["ARG2"])
+    prep = _Node(_pick(rng, _PREPOSITIONS), "ADP", "case", place)
     det = _Node("the", "DET", "det", place)
     return nodes + [prep, det, place, _Node(".", "PUNCT", "punct", verb)], [(verb, roles)]
 
@@ -469,7 +475,8 @@ def _build_ditrans(rng):
 def _build_coord_vp(rng):
     """Two verbs sharing a subject; only the first verb governs it."""
     n1, n2, n3 = (_NOUNS[int(i)] for i in rng.choice(len(_NOUNS), size=3, replace=False))
-    v1_surface, v2_surface = (str(v) for v in rng.choice(_VERBS, size=2, replace=False))
+    v1_surface, v2_surface = (_VERBS[int(i)]
+                              for i in rng.choice(len(_VERBS), size=2, replace=False))
     v1 = _Node(v1_surface, "VERB", "root", None)
     subj_nodes, subj = _noun_phrase(rng, n1, "nsubj", v1)
     obj1_nodes, obj1 = _noun_phrase(rng, n2, "obj", v1)

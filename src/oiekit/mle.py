@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from oiekit import evaluate, nn, tagger
-from oiekit.core import (OiekitError, TaggedInstance, ValidationError, label_index,
-                         spans_from_tags)
+from oiekit.core import (LABEL_INDEX, NoPredicateSpan, OiekitError, TaggedInstance,
+                         ValidationError, spans_from_tags)
 from oiekit.tagger import TaggerModel
 
 log = logging.getLogger(__name__)
@@ -51,11 +51,9 @@ class TrainConfig:
             raise ValidationError(f"dev_fraction must be in [0, 1), got {self.dev_fraction}")
 
 
-def _gold_nll(model: TaggerModel, instance: TaggedInstance,
-              probs: np.ndarray) -> tuple[float, np.ndarray]:
+def _gold_nll(instance: TaggedInstance, probs: np.ndarray) -> tuple[float, np.ndarray]:
     """(negative log-likelihood of the instance's labels, their label columns)."""
-    index = label_index(model.labels)
-    cols = np.array([index[label] for label in instance.tags.labels])
+    cols = np.array([LABEL_INDEX[label] for label in instance.tags.labels])
     chosen = probs[np.arange(len(cols)), cols]
     if (chosen <= 0.0).any():
         warnings.warn(
@@ -70,14 +68,14 @@ def _gold_nll(model: TaggerModel, instance: TaggedInstance,
 def mle_loss(model: TaggerModel, instance: TaggedInstance) -> float:
     """Negative log-likelihood of the instance's labels, summed over tokens."""
     probs, _ = tagger.forward(_items([instance]), model)
-    return _gold_nll(model, instance, probs[:, 0])[0]
+    return _gold_nll(instance, probs[:, 0])[0]
 
 
-def _nll_grad(model: TaggerModel, instance: TaggedInstance, probs: np.ndarray,
+def _nll_grad(instance: TaggedInstance, probs: np.ndarray,
               scale: float) -> tuple[float, np.ndarray]:
     """(negative log-likelihood of the instance's labels, gradient of
     ``scale * loss`` on its logits)."""
-    loss, cols = _gold_nll(model, instance, probs)
+    loss, cols = _gold_nll(instance, probs)
     dlogits = probs.copy()
     dlogits[np.arange(len(cols)), cols] -= 1.0
     return loss, dlogits * scale
@@ -88,7 +86,7 @@ def instance_grads(model: TaggerModel, instance: TaggedInstance,
     """(loss, gradients) for one instance; gradients are of ``scale *
     loss`` (callers use 1/m for token-mean aggregation)."""
     probs, cache = tagger.forward(_items([instance]), model, backprop=True)
-    loss, dlogits = _nll_grad(model, instance, probs[:, 0], scale)
+    loss, dlogits = _nll_grad(instance, probs[:, 0], scale)
     return loss, tagger.backward_from_dlogits(model, cache, dlogits[:, None])
 
 
@@ -109,7 +107,7 @@ def _batch_grads(model: TaggerModel, batch: Sequence[TaggedInstance],
     losses = []
     for b, instance in enumerate(batch):
         m = len(instance.tags)
-        loss, dlogits[:m, b] = _nll_grad(model, instance, probs[:m, b], 1.0 / m)
+        loss, dlogits[:m, b] = _nll_grad(instance, probs[:m, b], 1.0 / m)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"non-finite loss at epoch {epoch}, sentence "
                                 f"{instance.sentence.sentence_id!r}")
@@ -214,19 +212,18 @@ def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance],
         chunk = dev[start : start + batch_size]
         probs = tagger.forward(_items(chunk), model)[0]
         decoded = tagger.beam_decode(probs, [len(instance.tags) for instance in chunk],
-                                     [instance.predicate_index for instance in chunk], 1,
-                                     model.labels)
+                                     [instance.predicate_index for instance in chunk], 1)
         for b, (instance, (best,)) in enumerate(zip(chunk, decoded)):
             m = len(instance.tags)
-            losses.append(_gold_nll(model, instance, probs[:m, b])[0] / m)
+            losses.append(_gold_nll(instance, probs[:m, b])[0] / m)
             try:
                 golds.append(evaluate.gold_from_instance(instance))
-            except OiekitError:
+            except NoPredicateSpan:
                 continue
             try:
                 extraction = spans_from_tags(
                     TaggedInstance(instance.sentence, instance.predicate_index, best))
-            except OiekitError:
+            except NoPredicateSpan:
                 continue
             preds.append(extraction)
     return float(np.mean(losses)), evaluate.evaluate(preds, golds).best_f1 if golds else 0.0

@@ -15,13 +15,13 @@ import numpy as np
 from oiekit import evaluate, nn, tagger
 from oiekit.core import (
     Extraction,
+    LABEL_INDEX,
     NoPredicateSpan,
     OiekitError,
     ParsedSentence,
     TaggedInstance,
     TagSequence,
     ValidationError,
-    label_index,
     spans_from_tags,
 )
 from oiekit.corpus_io import GoldTuple
@@ -59,43 +59,40 @@ class RLConfig:
 
 
 def _sample_sequences(distributions: np.ndarray, count: int, predicate: int,
-                      labels: tuple[str, ...], rng: np.random.Generator) -> list[TagSequence]:
+                      rng: np.random.Generator) -> list[TagSequence]:
     """Ancestral sampling under the decoding constraints (renormalized per
     position); duplicates are collapsed."""
-    index = label_index(labels)
     seen = {}
     for _ in range(count):
         prev = "O"
         chosen = []
         score = 0.0
         for position in range(1, distributions.shape[0] + 1):
-            options = allowed_labels(prev, position, predicate, labels)
-            weights = np.array([distributions[position - 1, index[o]] for o in options])
+            options = allowed_labels(prev, position, predicate)
+            weights = np.array([distributions[position - 1, LABEL_INDEX[o]] for o in options])
             total = weights.sum()
             if total <= 0:
                 weights = np.ones(len(options)) / len(options)
             else:
                 weights = weights / total
             pick = options[int(rng.choice(len(options), p=weights))]
-            score += float(np.log(max(distributions[position - 1, index[pick]], 1e-300)))
+            score += float(np.log(max(distributions[position - 1, LABEL_INDEX[pick]], 1e-300)))
             chosen.append(pick)
             prev = pick
         seen.setdefault(tuple(chosen), score)
     return [TagSequence(labels=seq, log_prob=score) for seq, score in seen.items()]
 
 
-def explore(probs: np.ndarray, predicate: int, labels: tuple[str, ...],
-            beam_size: int, mode: str = "beam",
+def explore(probs: np.ndarray, predicate: int, beam_size: int, mode: str = "beam",
             rng: Optional[np.random.Generator] = None) -> list[TagSequence]:
     """Candidate label sequences decoded from one item's (m, L) ``probs``:
     the top-``beam_size`` constrained beam, or i.i.d. constrained samples in
     sampling mode."""
     if mode == "beam":
-        return tagger.beam_decode(probs[:, None], [len(probs)], [predicate], beam_size,
-                                  labels)[0]
+        return tagger.beam_decode(probs[:, None], [len(probs)], [predicate], beam_size)[0]
     if rng is None:
         raise OiekitError("sampling exploration needs a random generator")
-    return _sample_sequences(probs, beam_size, predicate, labels, rng)
+    return _sample_sequences(probs, beam_size, predicate, rng)
 
 
 def candidate_reward(candidate: TagSequence, sentence: ParsedSentence, predicate: int,
@@ -115,19 +112,18 @@ def _extraction_reward(extraction: Extraction, sentence: ParsedSentence,
                            scorer.score(extraction, sentence))
 
 
-def _policy_dlogits(model: TaggerModel, cache, candidates: Sequence[TagSequence],
+def _policy_dlogits(cache, candidates: Sequence[TagSequence],
                     weights: Sequence[float]) -> np.ndarray:
     """(m, 1, L) logit gradient of sum_k w_k * log P(Y_k) for the one item
     of a cached pass, exploiting linearity so a single backward pass covers
     every candidate."""
     probs = cache["probs"][:, 0]
-    index = label_index(model.labels)
     dlogits = np.zeros_like(probs)
     rows = np.arange(probs.shape[0])
     for candidate, weight in zip(candidates, weights):
         if weight == 0.0:
             continue
-        cols = np.array([index[label] for label in candidate.labels])
+        cols = np.array([LABEL_INDEX[label] for label in candidate.labels])
         onehot_minus_probs = -probs * weight
         onehot_minus_probs[rows, cols] += weight
         dlogits += onehot_minus_probs
@@ -147,7 +143,7 @@ def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSente
         raise OiekitError("need equally many candidates and rewards, at least one each")
     baseline = sum(rewards) / len(rewards) if baseline_mode == "mean" else 0.0
     # Weights b - R_k give the descent gradient directly (negation is exact).
-    dlogits = _policy_dlogits(model, cache, candidates, [baseline - r for r in rewards])
+    dlogits = _policy_dlogits(cache, candidates, [baseline - r for r in rewards])
     if not np.all(dlogits == 0.0):
         descent = tagger.backward_from_dlogits(model, cache, dlogits)
         if not nn.grads_finite(descent):
@@ -188,7 +184,7 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
             sentence = corpus[idx]
             for predicate in identify_predicates(sentence, table):
                 probs, cache = tagger.forward([(sentence, predicate)], model, backprop=True)
-                candidates = explore(probs[:, 0], predicate, model.labels, config.beam_size,
+                candidates = explore(probs[:, 0], predicate, config.beam_size,
                                      mode=config.explore_mode, rng=rng)
                 breakdowns = [
                     candidate_reward(c, sentence, predicate, scorer, table) for c in candidates

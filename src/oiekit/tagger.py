@@ -3,8 +3,9 @@
 Per predicate: embed each token as its word vector concatenated with a
 predicate-indicator vector (1 at the predicate, 0 elsewhere), encode with
 stacked bidirectional LSTM layers joined by highway gates, classify each
-token over the BIO label set, decode with a constrained beam search, and
-score extractions by average log probability. :func:`forward` is the one
+token over the BIO labels of ``core.LABELS`` (the one inventory: O, then
+B-/I- for P, ARG1, ARG2 and ARG3), decode with a constrained beam search,
+and score extractions by average log probability. :func:`forward` is the one
 encoder: it runs (sentence, predicate) items as one right-padded,
 time-major batch, and one item is a batch of one. Only training asks it
 for the backprop cache (``backprop=True``); inference keeps none.
@@ -35,17 +36,17 @@ import numpy as np
 
 from oiekit import nn
 from oiekit.core import (
-    DEFAULT_ROLES,
     Extraction,
+    LABEL_INDEX,
+    LABELS,
     NoPredicateSpan,
     OUTSIDE,
     ParsedSentence,
     PREDICATE_ROLE,
+    ROLES,
     TaggedInstance,
     TagSequence,
     ValidationError,
-    bio_labels,
-    label_index,
     spans_from_tags,
 )
 from oiekit.corpus_io import ParseError, atomic_write
@@ -68,18 +69,12 @@ class TaggerConfig:
     indicator_dim: int = 8
     hidden_dim: int = 64
     num_encoder_layers: int = 2
-    roles: tuple[str, ...] = DEFAULT_ROLES
     rng_seed: int = 13
 
     def __post_init__(self):
-        object.__setattr__(self, "roles", tuple(self.roles))
         for name in ("embedding_dim", "indicator_dim", "hidden_dim", "num_encoder_layers"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return bio_labels(self.roles)
 
 
 class TaggerModel:
@@ -93,10 +88,6 @@ class TaggerModel:
         self.vocab = list(vocab)
         self.word_ids = {word: i for i, word in enumerate(self.vocab)}
         self.params = params
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.config.labels
 
     def token_id(self, surface: str) -> int:
         return self.word_ids.get(surface, 0)
@@ -132,8 +123,8 @@ def _param_shapes(config: TaggerConfig, vocab_size: int) -> dict[str, tuple[int,
             shapes[f"enc.{layer}.hw.w"] = (2 * h, 2 * h)
             shapes[f"enc.{layer}.hw.b"] = (2 * h,)
         layer_in = 2 * h
-    shapes["cls.w"] = (2 * h, len(config.labels))
-    shapes["cls.b"] = (len(config.labels),)
+    shapes["cls.w"] = (2 * h, len(LABELS))
+    shapes["cls.b"] = (len(LABELS),)
     return shapes
 
 
@@ -284,14 +275,13 @@ def float32_encoder(model: TaggerModel) -> TaggerModel:
 # ---------------------------------------------------------------------------
 
 
-def allowed_labels(prev: str, position: int, predicate: int,
-                   labels: Sequence[str]) -> list[str]:
+def allowed_labels(prev: str, position: int, predicate: int) -> list[str]:
     """Labels that keep a sequence BIO-valid with the predicate span
     starting exactly at the predicate token."""
     out = []
     prev_role = None if prev == OUTSIDE else prev[2:]
     prev_kind = None if prev == OUTSIDE else prev[0]
-    for label in labels:
+    for label in LABELS:
         if label == OUTSIDE:
             out.append(label)
         elif label.startswith("B-"):
@@ -307,28 +297,26 @@ def allowed_labels(prev: str, position: int, predicate: int,
 
 
 @cache
-def _transitions(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(follow, lex_rank) over label ids, read from :func:`allowed_labels`
-    and shared by every caller with the same inventory (read-only).
+def _transitions() -> tuple[np.ndarray, np.ndarray]:
+    """(follow, lex_rank) over label columns, read from
+    :func:`allowed_labels` once and shared by every caller (read-only).
     ``follow[0][i, j]`` says label j may follow label i away from the
     predicate, ``follow[1][i, j]`` at the predicate position; they differ
     only in the B-P column. ``lex_rank[j]`` is label j's place in string
     order."""
-    index = label_index(labels)
-    follow = np.zeros((2, len(labels), len(labels)), dtype=bool)
-    for i, prev in enumerate(labels):
+    follow = np.zeros((2, len(LABELS), len(LABELS)), dtype=bool)
+    for i, prev in enumerate(LABELS):
         for at_predicate, position in ((0, 2), (1, 1)):  # the predicate at position 1
-            for label in allowed_labels(prev, position, 1, labels):
-                follow[at_predicate, i, index[label]] = True
-    lex_rank = np.empty(len(labels), dtype=np.intp)
-    lex_rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+            for label in allowed_labels(prev, position, 1):
+                follow[at_predicate, i, LABEL_INDEX[label]] = True
+    lex_rank = np.empty(len(LABELS), dtype=np.intp)
+    lex_rank[sorted(range(len(LABELS)), key=LABELS.__getitem__)] = np.arange(len(LABELS))
     follow.flags.writeable = lex_rank.flags.writeable = False
     return follow, lex_rank
 
 
 def beam_decode(probs: np.ndarray, lengths: Sequence[int], predicates: Sequence[int],
-                beam_size: int, labels: tuple[str, ...] = bio_labels()
-                ) -> list[list[TagSequence]]:
+                beam_size: int) -> list[list[TagSequence]]:
     """Top ``beam_size`` constraint-satisfying label sequences of each item
     of a right-padded, time-major (m, B, L) batch of label distributions,
     best first. Item ``b`` is decoded from rows ``[:lengths[b], b]`` with
@@ -351,7 +339,7 @@ def beam_decode(probs: np.ndarray, lengths: Sequence[int], predicates: Sequence[
     if beam_size < 1:
         raise ValidationError("beam_size must be >= 1")
     m, batch, num_labels = probs.shape
-    follow, lex_rank = _transitions(labels)
+    follow, lex_rank = _transitions()
     lengths = np.asarray(lengths)
     width = num_labels * beam_size
     # Before reordering, slot r·L + j holds the r-th best new prefix ending in label j.
@@ -364,7 +352,7 @@ def beam_decode(probs: np.ndarray, lengths: Sequence[int], predicates: Sequence[
     score = np.zeros((batch, width))
     valid = np.zeros((batch, width), dtype=bool)
     valid[:, 0] = True
-    last = np.full((batch, width), label_index(labels)[OUTSIDE])
+    last = np.full((batch, width), LABEL_INDEX[OUTSIDE])
     back_steps, label_steps = [], []
     for position in range(1, m + 1):
         allowed = follow[at_predicate[position - 1][:, None], last] & valid[:, :, None]
@@ -393,7 +381,7 @@ def beam_decode(probs: np.ndarray, lengths: Sequence[int], predicates: Sequence[
         chosen[position - 1] = label_steps[position - 1][rows, slot]
         back = back_steps[position - 1][rows, slot]
         slot = np.where((lengths >= position)[:, None], back, slot)
-    names = np.array(labels, dtype=object)
+    names = np.array(LABELS, dtype=object)
     return [
         [TagSequence(labels=tuple(names[chosen[: lengths[b], b, r]]), log_prob=best_score[b, r])
          for r in range(beam_size) if best_valid[b, r]]
@@ -447,8 +435,7 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
         chunk = [items[i] for i in picked]
         probs, _ = forward(chunk, model)
         lengths = [len(sentence) for sentence, _ in chunk]
-        decoded = beam_decode(probs, lengths, [predicate for _, predicate in chunk], 1,
-                              model.labels)
+        decoded = beam_decode(probs, lengths, [predicate for _, predicate in chunk], 1)
         for i, (sentence, predicate), (best,) in zip(picked, chunk, decoded):
             instance = TaggedInstance(sentence=sentence, predicate_index=predicate, tags=best)
             try:
@@ -464,8 +451,10 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
 
 _FORMAT = "oiekit-checkpoint-1"
 
-# Input-layer keys of older headers, with the value naming the one layer built here.
-_LEGACY_INPUT_KEYS = {"embedder_kind": "static-lookup", "use_indicator": True}
+# Keys of older headers, with the value naming the one input layer and the one
+# role set built here.
+_LEGACY_INPUT_KEYS = {"embedder_kind": "static-lookup", "use_indicator": True,
+                      "roles": list(ROLES)}
 
 
 def save_model(model: TaggerModel, path) -> None:
@@ -488,7 +477,7 @@ def save_model(model: TaggerModel, path) -> None:
 
 def load_model(path) -> TaggerModel:
     """Read a checkpoint written by :func:`save_model`. A malformed header,
-    a legacy input-layer key naming another input layer, an array set or
+    a legacy key naming another input layer or role set, an array set or
     shape other than the one :func:`init_model` builds for the header's
     config and vocabulary, an array whose dtype is not float64 (the only
     one written), an array cut short or holding a NaN or infinity, or bytes
@@ -501,7 +490,6 @@ def load_model(path) -> TaggerModel:
             if header.get("format") != _FORMAT:
                 raise ParseError(f"checkpoint {path}: format is not {_FORMAT!r}")
             config_dict = dict(header["config"])
-            config_dict["roles"] = tuple(config_dict["roles"])
             # Written before the decoder width left TaggerConfig; nothing reads it.
             config_dict.pop("beam_size", None)
             for key, value in _LEGACY_INPUT_KEYS.items():

@@ -81,6 +81,6 @@ def flat_sentence(m, sentence_id="flat"):
     return build_sentence(sentence_id, rows)
 
 
-def decode_alone(table, beam_size, predicate, labels):
+def decode_alone(table, beam_size, predicate):
     """One item's (m, L) table decoded by :func:`beam_decode` as a batch of one."""
-    return beam_decode(table[:, None], [len(table)], [predicate], beam_size, labels)[0]
+    return beam_decode(table[:, None], [len(table)], [predicate], beam_size)[0]

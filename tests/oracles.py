@@ -22,7 +22,8 @@ import itertools
 import numpy as np
 
 from oiekit import tagger
-from oiekit.core import OUTSIDE, PREDICATE_ROLE, SpanOutOfBounds, TagSequence, label_index
+from oiekit.core import (LABEL_INDEX, LABELS, OUTSIDE, PREDICATE_ROLE, SpanOutOfBounds,
+                         TagSequence)
 from oiekit.rl import _policy_dlogits
 
 
@@ -46,22 +47,21 @@ def oracle_valid(seq, predicate):
     return p_spans <= 1
 
 
-def valid_sequences(m, predicate, labels):
-    """Every length-``m`` sequence over ``labels`` that :func:`oracle_valid`
+def valid_sequences(m, predicate):
+    """Every length-``m`` sequence over ``LABELS`` that :func:`oracle_valid`
     accepts, in ``itertools.product`` order (use for small ``m`` only)."""
-    return [seq for seq in itertools.product(labels, repeat=m) if oracle_valid(seq, predicate)]
+    return [seq for seq in itertools.product(LABELS, repeat=m) if oracle_valid(seq, predicate)]
 
 
-def oracle_rank(table, predicate, labels):
+def oracle_rank(table, predicate):
     """(summed log probability, sequence) for every valid sequence under the
     (m, L) ``table``, best first, ties in label string order."""
     logs = np.log(table)
-    index = {lab: i for i, lab in enumerate(labels)}
     scored = []
-    for seq in valid_sequences(table.shape[0], predicate, labels):
+    for seq in valid_sequences(table.shape[0], predicate):
         score = 0.0
         for pos, lab in enumerate(seq):
-            score = score + logs[pos, index[lab]]
+            score = score + logs[pos, LABELS.index(lab)]
         scored.append((score, seq))
     scored.sort(key=lambda item: (-item[0], item[1]))
     return scored
@@ -70,12 +70,11 @@ def oracle_rank(table, predicate, labels):
 def _sequences_with_probs(model, sentence, predicate):
     """(forward cache, [(sequence, P(sequence))] over every valid sequence)."""
     probs, cache = tagger.forward([(sentence, predicate)], model, backprop=True)
-    index = label_index(model.labels)
     weighted = []
-    for seq in valid_sequences(len(sentence), predicate, model.labels):
+    for seq in valid_sequences(len(sentence), predicate):
         p = 1.0
         for position, label in enumerate(seq):
-            p *= probs[position, 0, index[label]]
+            p *= probs[position, 0, LABEL_INDEX[label]]
         weighted.append((TagSequence(labels=seq), p))
     return cache, weighted
 
@@ -87,7 +86,7 @@ def exact_policy_gradient(model, sentence, predicate, reward_fn):
     cache, weighted = _sequences_with_probs(model, sentence, predicate)
     candidates = [seq for seq, _ in weighted]
     weights = [p * reward_fn(seq) for seq, p in weighted]
-    dlogits = _policy_dlogits(model, cache, candidates, weights)
+    dlogits = _policy_dlogits(cache, candidates, weights)
     return tagger.backward_from_dlogits(model, cache, dlogits)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oiekit import nn, tagger
-from oiekit.core import TaggedInstance, TagSequence
+from oiekit.core import LABELS, TaggedInstance, TagSequence
 from oiekit.mle import TrainConfig, instance_grads, pretrain
 from oiekit.tagger import (
     TaggerConfig,
@@ -247,7 +247,7 @@ def test_tagger_batch_of_one_is_bit_identical_to_reference(kind, config):
         probs, cache = forward([(sentence, predicate)], model, backprop=True)
         ref_probs, ref_cache = ref_forward(sentence, predicate, model)
         assert np.array_equal(probs[:, 0], ref_probs)
-        dlogits = rng.normal(size=(len(sentence), len(model.labels)))
+        dlogits = rng.normal(size=(len(sentence), len(LABELS)))
         grads = backward_from_dlogits(model, cache, dlogits[:, None])
         ref_grads = ref_backward(model, ref_cache, dlogits)
         assert set(grads) == set(ref_grads) == set(model.params)
@@ -264,7 +264,7 @@ def test_mixed_length_batch_matches_items_run_alone(kind):
     items = items_of([1, 4, 9])
     model = model_for(items)
     probs, cache = forward(items, model, backprop=True)
-    n_labels = len(model.labels)
+    n_labels = len(LABELS)
     assert probs.shape == (9, 3, n_labels)
     dlogits = np.zeros_like(probs)
     summed = {}

@@ -64,7 +64,7 @@ def test_every_encoder_pass_and_decode_is_traced(tracing):
         tagger.extract(sentences, model)
         predicate = identify_predicates(sentences[0])[0]
         probs, _ = tagger.forward([(sentences[0], predicate)], model)
-        tagger.beam_decode(probs, [len(sentences[0])], [predicate], 3, model.labels)
+        tagger.beam_decode(probs, [len(sentences[0])], [predicate], 3)
     finally:
         tracing.remove(patches)
     calls = Counter(span[0] for span in tracer.spans)

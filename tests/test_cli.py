@@ -279,7 +279,8 @@ def test_checkpoint_shape_disagreeing_with_its_config_is_a_data_error(pipeline, 
 
 
 @pytest.mark.parametrize("key,value", [("use_indicator", False),
-                                       ("embedder_kind", "external-contextual")])
+                                       ("embedder_kind", "external-contextual"),
+                                       pytest.param("roles", ["P"], id="roles-P")])
 def test_checkpoint_naming_another_input_layer_is_a_data_error(pipeline, capsys, key, value):
     work, _ = pipeline
     header, arrays = (work / "rl.ckpt").read_bytes().split(b"\n", 1)
@@ -298,7 +299,8 @@ def test_checkpoint_with_the_legacy_input_layer_keys_extracts_the_same(pipeline)
     work, _ = pipeline
     header, arrays = (work / "rl.ckpt").read_bytes().split(b"\n", 1)
     header = json.loads(header)
-    header["config"].update(embedder_kind="static-lookup", use_indicator=True)
+    header["config"].update(embedder_kind="static-lookup", use_indicator=True,
+                            roles=["P", "ARG1", "ARG2", "ARG3"])
     (work / "legacy.ckpt").write_bytes(
         json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + arrays)
     code = cli.main(["extract", "--model", str(work / "legacy.ckpt"),

@@ -1,18 +1,19 @@
 """The vectorised k-best decoder against the string-based beam search it
-replaced, kept here verbatim as the reference."""
+replaced, kept here as the reference over the one label inventory,
+``core.LABELS``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oiekit.core import DEFAULT_ROLES, OUTSIDE, TagSequence, ValidationError, bio_labels, label_index
+from oiekit.core import LABEL_INDEX, LABELS, OUTSIDE, TagSequence, ValidationError
 from oiekit.tagger import allowed_labels, beam_decode
 
 from conftest import decode_alone
 
 
-def reference_beam_decode(distributions: np.ndarray, beam_size: int, predicate: int,
-                          labels: tuple[str, ...] = bio_labels()) -> list[TagSequence]:
+def reference_beam_decode(distributions: np.ndarray, beam_size: int,
+                          predicate: int) -> list[TagSequence]:
     """Top ``beam_size`` constraint-satisfying label sequences, best first.
 
     Scores are summed natural logs of the chosen per-token probabilities;
@@ -24,7 +25,6 @@ def reference_beam_decode(distributions: np.ndarray, beam_size: int, predicate: 
     if beam_size < 1:
         raise ValidationError("beam_size must be >= 1")
     m = distributions.shape[0]
-    index = label_index(labels)
     with np.errstate(divide="ignore"):
         logs = np.log(distributions)
     rank = lambda item: (-item[0], item[1])
@@ -32,8 +32,8 @@ def reference_beam_decode(distributions: np.ndarray, beam_size: int, predicate: 
     for position in range(1, m + 1):
         expanded: dict[str, list[tuple[float, tuple[str, ...]]]] = {}
         for prev, entries in states.items():
-            for label in allowed_labels(prev, position, predicate, labels):
-                log_p = logs[position - 1, index[label]]
+            for label in allowed_labels(prev, position, predicate):
+                log_p = logs[position - 1, LABEL_INDEX[label]]
                 bucket = expanded.setdefault(label, [])
                 for score, prefix in entries:
                     bucket.append((score + log_p, prefix + (label,)))
@@ -62,7 +62,6 @@ def make_table(rng, kind, m, n_labels):
 
 @st.composite
 def batches(draw):
-    labels = bio_labels(draw(st.sampled_from([("P",), DEFAULT_ROLES])))
     kind = draw(st.sampled_from(["random", "thirds", "zeros", "zero_one"]))
     beam_size = draw(st.integers(1, 5))
     lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=5))
@@ -71,25 +70,25 @@ def batches(draw):
     predicates = [{"first": 1, "middle": (m + 1) // 2, "last": m}[place]
                   for m, place in zip(lengths, places)]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tables = [make_table(rng, kind, m, len(labels)) for m in lengths]
-    return labels, beam_size, lengths, predicates, tables
+    tables = [make_table(rng, kind, m, len(LABELS)) for m in lengths]
+    return beam_size, lengths, predicates, tables
 
 
 @settings(max_examples=300, deadline=None)
 @given(batches())
 def test_batch_decode_equals_reference_per_item(batch):
-    labels, beam_size, lengths, predicates, tables = batch
+    beam_size, lengths, predicates, tables = batch
     # NaN padding: a result that read a padded row would show it.
-    probs = np.full((max(lengths), len(tables), len(labels)), np.nan)
+    probs = np.full((max(lengths), len(tables), len(LABELS)), np.nan)
     for b, table in enumerate(tables):
         probs[: len(table), b] = table
-    decoded = beam_decode(probs, lengths, predicates, beam_size, labels)
+    decoded = beam_decode(probs, lengths, predicates, beam_size)
     assert len(decoded) == len(tables)
     for got, table, predicate in zip(decoded, tables, predicates):
-        expected = reference_beam_decode(table, beam_size, predicate, labels)
+        expected = reference_beam_decode(table, beam_size, predicate)
         assert [s.labels for s in got] == [s.labels for s in expected]
         assert [s.log_prob for s in got] == [s.log_prob for s in expected]
-        assert decode_alone(table, beam_size, predicate, labels) == got
+        assert decode_alone(table, beam_size, predicate) == got
 
 
 def test_beam_size_below_one_rejected():

@@ -233,7 +233,7 @@ class TestPretrain:
         for inst in dev:
             golds.append(gold_from_instance(inst))
             probs = tagger.forward([(inst.sentence, inst.predicate_index)], model)[0][:, 0]
-            best = decode_alone(probs, 1, inst.predicate_index, model.labels)[0]
+            best = decode_alone(probs, 1, inst.predicate_index)[0]
             try:
                 preds.append(spans_from_tags(TaggedInstance(inst.sentence, inst.predicate_index,
                                                             best)))

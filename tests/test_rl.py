@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oiekit import nn, tagger
-from oiekit.core import DEFAULT_ROLES, TagSequence, ValidationError, bio_labels, validate_bio
+from oiekit.core import LABELS, TagSequence, ValidationError, validate_bio
 from oiekit.corpus_io import gen_synthetic
 from oiekit.evaluate import evaluate
 from oiekit.patterns import identify_predicates
@@ -33,8 +33,6 @@ from oracles import (exact_policy_gradient, expected_reward_oracle,
 
 TINY = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
                     num_encoder_layers=2, rng_seed=3)
-TINY_P_ONLY = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
-                           num_encoder_layers=2, rng_seed=3, roles=("P",))
 
 
 def params_snapshot(model):
@@ -45,12 +43,15 @@ def params_equal(a, b):
     return all(np.array_equal(a[name], b[name]) for name in a)
 
 
-def bias_only_model(sentence, probs_by_label, config=TINY_P_ONLY):
+def bias_only_model(sentence, probs_by_label):
     """Zero classifier weights plus a log-probability bias make every
-    position's label distribution equal to ``probs_by_label``."""
-    model = init_model(config, build_vocab([sentence]))
+    position's label distribution equal to ``probs_by_label`` over O, B-P
+    and I-P; a bias of -inf gives every argument-role label probability 0."""
+    model = init_model(TINY, build_vocab([sentence]))
     model.params["cls.w"][...] = 0.0
-    model.params["cls.b"][...] = [math.log(p) for p in probs_by_label]
+    model.params["cls.b"][...] = -math.inf
+    for label, p in zip(("O", "B-P", "I-P"), probs_by_label):
+        model.params["cls.b"][LABELS.index(label)] = math.log(p)
     return model
 
 
@@ -59,46 +60,44 @@ class TestExplore:
         sentence = flat_sentence(4)
         model = init_model(TINY, build_vocab([sentence]))
         probs = forward([(sentence, 2)], model)[0][:, 0]
-        assert explore(probs, 2, model.labels, 3) == decode_alone(probs, 3, 2, model.labels)
+        assert explore(probs, 2, 3) == decode_alone(probs, 3, 2)
 
     def test_sampling_mode_yields_valid_sequences(self):
         sentence = flat_sentence(5)
         model = init_model(TINY, build_vocab([sentence]))
         rng = np.random.default_rng(4)
         probs = forward([(sentence, 3)], model)[0][:, 0]
-        for seq in explore(probs, 3, model.labels, 4, mode="sample", rng=rng):
+        for seq in explore(probs, 3, 4, mode="sample", rng=rng):
             assert validate_bio(seq.labels) == []
 
     def test_sampling_deterministic_per_seed(self):
         sentence = flat_sentence(5)
         model = init_model(TINY, build_vocab([sentence]))
         probs = forward([(sentence, 3)], model)[0][:, 0]
-        a = explore(probs, 3, model.labels, 4, mode="sample", rng=np.random.default_rng(4))
-        b = explore(probs, 3, model.labels, 4, mode="sample", rng=np.random.default_rng(4))
+        a = explore(probs, 3, 4, mode="sample", rng=np.random.default_rng(4))
+        b = explore(probs, 3, 4, mode="sample", rng=np.random.default_rng(4))
         assert a == b
 
 
-@pytest.mark.parametrize("roles", [("P",), DEFAULT_ROLES], ids=["p_only", "all_roles"])
-def test_sampler_follows_the_locally_renormalised_distribution(roles):
+def test_sampler_follows_the_locally_renormalised_distribution():
     # Each position draws from the table's row renormalised over the labels
     # the constraints allow after the previous one.
-    labels = bio_labels(roles)
     m, predicate = 3, 2
-    table = np.random.default_rng(0).uniform(0.05, 1.0, (m, len(labels)))
+    table = np.random.default_rng(0).uniform(0.05, 1.0, (m, len(LABELS)))
     table /= table.sum(axis=1, keepdims=True)
     expected = {}
-    for seq in valid_sequences(m, predicate, labels):
+    for seq in valid_sequences(m, predicate):
         p, prev = 1.0, "O"
         for position, label in enumerate(seq, start=1):
-            allowed = [labels.index(a) for a in allowed_labels(prev, position, predicate, labels)]
-            p *= table[position - 1, labels.index(label)] / table[position - 1, allowed].sum()
+            allowed = [LABELS.index(a) for a in allowed_labels(prev, position, predicate)]
+            p *= table[position - 1, LABELS.index(label)] / table[position - 1, allowed].sum()
             prev = label
         expected[seq] = p
     assert sum(expected.values()) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(7)
     draws = 4000
     counts = Counter(seq.labels for _ in range(draws)
-                     for seq in _sample_sequences(table, 1, predicate, labels, rng))
+                     for seq in _sample_sequences(table, 1, predicate, rng))
     assert set(counts) <= set(expected)
     assert max(abs(counts[seq] / draws - p) for seq, p in expected.items()) <= 0.03
 
@@ -110,7 +109,7 @@ class TestReinforceStep:
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
         probs, cache = forward([(sentence, 2)], model, backprop=True)
-        candidates = explore(probs[:, 0], 2, model.labels, 1)
+        candidates = explore(probs[:, 0], 2, 1)
         norm = reinforce_step(model, optimizer, sentence, cache, candidates, [0.0],
                               baseline_mode="off")
         assert norm == 0.0
@@ -122,7 +121,7 @@ class TestReinforceStep:
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
         probs, cache = forward([(sentence, 2)], model, backprop=True)
-        candidates = explore(probs[:, 0], 2, model.labels, 2)
+        candidates = explore(probs[:, 0], 2, 2)
         norm = reinforce_step(model, optimizer, sentence, cache, candidates, [0.7, 0.7],
                               baseline_mode="mean")
         assert norm == 0.0
@@ -134,7 +133,7 @@ class TestReinforceStep:
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
         probs, cache = forward([(sentence, 2)], model, backprop=True)
-        candidates = explore(probs[:, 0], 2, model.labels, 1)
+        candidates = explore(probs[:, 0], 2, 1)
         reinforce_step(model, optimizer, sentence, cache, candidates, [0.9],
                        baseline_mode="mean")
         assert params_equal(before, model.params)
@@ -145,7 +144,7 @@ class TestReinforceStep:
         optimizer = nn.Adam(model.params)
         before = params_snapshot(model)
         probs, cache = forward([(sentence, 2)], model, backprop=True)
-        candidates = explore(probs[:, 0], 2, model.labels, 2)
+        candidates = explore(probs[:, 0], 2, 2)
         norm = reinforce_step(model, optimizer, sentence, cache, candidates, [1.0, -1.0],
                               baseline_mode="mean")
         assert norm > 0.0
@@ -153,14 +152,16 @@ class TestReinforceStep:
 
 
 class TestExpectedRewardOracle:
-    # Distribution (O .2, B-P .5, I-P .3) at both positions, predicate 1.
-    # Valid sequences and probabilities:
+    # Distribution (O .2, B-P .5, I-P .3, every argument role 0) at both
+    # positions, predicate 1. Valid sequences of nonzero probability:
     #   [O, O]      .2 * .2 = .04
     #   [B-P, O]    .5 * .2 = .10
     #   [B-P, I-P]  .5 * .3 = .15
 
     def reward_table(self, seq):
-        return {("O", "O"): 0.0, ("B-P", "O"): 0.5, ("B-P", "I-P"): -0.25}[seq.labels]
+        # The sequences with an argument role have probability 0 (reward 0).
+        return {("O", "O"): 0.0, ("B-P", "O"): 0.5,
+                ("B-P", "I-P"): -0.25}.get(seq.labels, 0.0)
 
     def test_constant_one_gives_valid_mass(self):
         sentence = flat_sentence(2)
@@ -295,7 +296,7 @@ def reference_epoch(model, sentences, scorer, config, dev_sentences, dev_gold):
         sentence = sentences[idx]
         for predicate in identify_predicates(sentence):
             probs = forward([(sentence, predicate)], model)[0][:, 0]
-            candidates = decode_alone(probs, config.beam_size, predicate, model.labels)
+            candidates = decode_alone(probs, config.beam_size, predicate)
             breakdowns = [candidate_reward(c, sentence, predicate, scorer) for c in candidates]
             _, cache = forward([(sentence, predicate)], model, backprop=True)
             reinforce_step(model, optimizer, sentence, cache, candidates,
@@ -306,7 +307,7 @@ def reference_epoch(model, sentences, scorer, config, dev_sentences, dev_gold):
     for sentence in dev_sentences:
         for predicate in identify_predicates(sentence):
             probs = forward([(sentence, predicate)], model)[0][:, 0]
-            best = decode_alone(probs, 3, predicate, model.labels)[0]
+            best = decode_alone(probs, 3, predicate)[0]
             dev_total += candidate_reward(best, sentence, predicate, scorer).total
             dev_count += 1
     preds = [e for sentence in dev_sentences for e in extract([sentence], model)]

@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from oiekit import cli, corpus_io
-from oiekit.core import Extraction, ValidationError
+from oiekit.core import LABELS, Extraction, ValidationError
 from oiekit.corpus_io import ParseError
 from oiekit.reward import HttpEntailmentAdapter, SemScorer, make_sem_scorer
 from oiekit.tagger import TaggerConfig, build_vocab, init_model, save_model
@@ -114,7 +114,7 @@ def test_bad_adapter_reply_exits_with_data_error(scorer_server, parragon, tmp_pa
                           num_encoder_layers=1, rng_seed=3)
     model = init_model(config, build_vocab([parragon]))
     # Favour B-P so that a predicate decodes to an extraction to score.
-    model.params["cls.b"][model.labels.index("B-P")] += 5.0
+    model.params["cls.b"][LABELS.index("B-P")] += 5.0
     save_model(model, tmp_path / "model.ckpt")
     corpus_io.write_conllu([parragon], tmp_path / "in.conllu")
     code = cli.main(["extract", "--model", str(tmp_path / "model.ckpt"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oiekit import tagger
-from oiekit.core import bio_labels, validate_bio, ValidationError
+from oiekit.core import LABELS, validate_bio, ValidationError
 from oiekit.corpus_io import ParseError, gen_synthetic
 from oiekit.mle import TrainConfig, pretrain
 from oiekit.patterns import generate_instances, identify_predicates
@@ -36,6 +36,17 @@ def tiny_model(sentence, config=TINY):
 def random_table(rng, m, n_labels):
     raw = rng.uniform(0.05, 1.0, (m, n_labels))
     return raw / raw.sum(axis=1, keepdims=True)
+
+
+P_COLUMNS = [LABELS.index(label) for label in ("O", "B-P", "I-P")]
+
+
+def p_only(rows):
+    """An (m, L) table holding ``rows`` in the O, B-P and I-P columns and
+    zero in every argument-role column."""
+    table = np.zeros((len(rows), len(LABELS)))
+    table[:, P_COLUMNS] = rows
+    return table
 
 
 class TestEmbed:
@@ -71,7 +82,7 @@ class TestLabelDistribution:
         model.params["cls.w"][...] = 0.0
         model.params["cls.b"][...] = 0.0
         probs, _ = forward([(sentence, 1)], model)
-        assert np.allclose(probs, 1.0 / len(model.labels))
+        assert np.allclose(probs, 1.0 / len(LABELS))
 
     def test_large_bias_dominates(self):
         sentence = flat_sentence(2)
@@ -100,60 +111,67 @@ class TestLabelDistribution:
 
 class TestBeamDecode:
     def test_certain_distribution_single_beam(self):
-        labels = bio_labels()
-        table = np.zeros((2, len(labels)))
-        table[0, labels.index("B-ARG1")] = 1.0
-        table[1, labels.index("B-P")] = 1.0
-        result = decode_alone(table, 1, predicate=2, labels=labels)
+        table = np.zeros((2, len(LABELS)))
+        table[0, LABELS.index("B-ARG1")] = 1.0
+        table[1, LABELS.index("B-P")] = 1.0
+        result = decode_alone(table, 1, predicate=2)
         assert len(result) == 1
         assert result[0].labels == ("B-ARG1", "B-P")
         assert result[0].log_prob == 0.0
 
     def test_uniform_restricted_labels_returns_every_valid_sequence(self):
-        labels = bio_labels(("P",))  # O, B-P, I-P
-        table = np.full((3, 3), 1.0 / 3.0)
-        result = decode_alone(table, 27, predicate=1, labels=labels)
+        # Uniform over O, B-P and I-P; the argument roles have probability 0,
+        # so every sequence that uses one scores -inf and ranks last.
+        table = p_only(np.full((3, 3), 1.0 / 3.0))
+        result = decode_alone(table, 27, predicate=1)
+        finite = [r for r in result if r.log_prob > -math.inf]
         expected = {("O", "O", "O"), ("B-P", "O", "O"),
                     ("B-P", "I-P", "O"), ("B-P", "I-P", "I-P")}
-        assert {r.labels for r in result} == expected
-        for r in result:
+        assert len(result) == 27
+        assert len(finite) == 4 and {r.labels for r in finite} == expected
+        assert result[:4] == finite
+        for r in finite:
             assert r.log_prob == pytest.approx(3 * math.log(1.0 / 3.0), abs=1e-12)
 
     @pytest.mark.parametrize("m,predicate", [(2, 1), (3, 2), (4, 1), (4, 3)])
     def test_full_set_matches_oracle_ranking(self, m, predicate):
-        labels = bio_labels()
         rng = np.random.default_rng(100 + m + predicate)
-        table = random_table(rng, m, len(labels))
-        oracle = oracle_rank(table, predicate, labels)
-        result = decode_alone(table, len(oracle), predicate, labels)
+        table = random_table(rng, m, len(LABELS))
+        oracle = oracle_rank(table, predicate)
+        result = decode_alone(table, len(oracle), predicate)
         assert [r.labels for r in result] == [seq for _, seq in oracle]
         for r, (score, _) in zip(result, oracle):
             assert r.log_prob == pytest.approx(score, abs=1e-9)
 
     def test_top3_matches_oracle_on_random_tables(self):
-        labels = bio_labels()
         rng = np.random.default_rng(42)
         for trial in range(50):
             m = int(rng.integers(2, 5))
             predicate = int(rng.integers(1, m + 1))
-            table = random_table(rng, m, len(labels))
-            oracle = oracle_rank(table, predicate, labels)[:3]
-            result = decode_alone(table, 3, predicate, labels)
+            table = random_table(rng, m, len(LABELS))
+            oracle = oracle_rank(table, predicate)[:3]
+            result = decode_alone(table, 3, predicate)
             assert [r.labels for r in result] == [seq for _, seq in oracle], f"trial {trial}"
             # extract decodes at width 1: its top-1 is the top-1 of any width.
-            assert decode_alone(table, 1, predicate, labels)[0].labels == oracle[0][1]
+            assert decode_alone(table, 1, predicate)[0].labels == oracle[0][1]
 
     def test_every_beam_sequence_is_bio_valid(self):
-        labels = bio_labels()
         rng = np.random.default_rng(7)
-        table = random_table(rng, 5, len(labels))
-        for r in decode_alone(table, 10, predicate=3, labels=labels):
+        table = random_table(rng, 5, len(LABELS))
+        for r in decode_alone(table, 10, predicate=3):
             assert validate_bio(r.labels) == []
             assert oracle_valid(r.labels, 3)
 
     def test_enumerator_counts(self):
-        # Restricted to the predicate role there are exactly 4 sequences.
-        assert len(valid_sequences(3, 1, bio_labels(("P",)))) == 4
+        # Predicate at position 1 of 3. Position 1 takes O or a B- label
+        # (B-P, B-ARG1..3): 1 prefix ends in O and 4 elsewhere. A later
+        # position takes O or B-ARG1..3, plus the matching I- label after a
+        # label other than O. Prefixes ending (in O, elsewhere) go from (o, x)
+        # to (o + x, 3o + 4x): (1, 4) -> (5, 19) -> (24, 91), 115 in all.
+        sequences = valid_sequences(3, 1)
+        assert len(sequences) == 115
+        # Of them, exactly 4 use only the predicate role.
+        assert sum(set(seq) <= {"O", "B-P", "I-P"} for seq in sequences) == 4
 
 
 class TestConfidence:
@@ -162,40 +180,37 @@ class TestConfidence:
     the top-1."""
 
     @staticmethod
-    def confidence(table, predicate, labels):
-        best = decode_alone(table, 1, predicate, labels)[0]
+    def confidence(table, predicate):
+        best = decode_alone(table, 1, predicate)[0]
         return best.labels, best.log_prob / table.shape[0]
 
     def test_probability_one_gives_zero(self):
-        labels = bio_labels()
-        table = np.zeros((2, len(labels)))
-        table[0, labels.index("B-ARG1")] = 1.0
-        table[1, labels.index("B-P")] = 1.0
-        assert self.confidence(table, 2, labels) == (("B-ARG1", "B-P"), 0.0)
+        table = np.zeros((2, len(LABELS)))
+        table[0, LABELS.index("B-ARG1")] = 1.0
+        table[1, LABELS.index("B-P")] = 1.0
+        assert self.confidence(table, 2) == (("B-ARG1", "B-P"), 0.0)
 
     def test_two_halves(self):
-        labels = bio_labels(("P",))  # O, B-P, I-P
-        table = np.array([[0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
-        tags, conf = self.confidence(table, 1, labels)
+        table = p_only([[0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
+        tags, conf = self.confidence(table, 1)
         assert tags == ("B-P", "I-P")
         assert conf == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_mixed_probabilities(self):
-        labels = bio_labels(("P",))
-        # B-P has probability 0 at the predicate, and away from it only O may
-        # follow O: O O O is the one sequence of finite score.
-        table = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
-        tags, conf = self.confidence(table, 1, labels)
+        # B-P has probability 0 at the predicate, and away from it only O of
+        # nonzero probability may follow O: O O O is the one sequence of
+        # finite score.
+        table = p_only([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
+        tags, conf = self.confidence(table, 1)
         expected = (0.0 + math.log(0.5) + math.log(0.25)) / 3
         assert tags == ("O", "O", "O")
         assert conf == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(-0.6931471805599453, abs=1e-9)
 
     def test_length_invariance_at_equal_probability(self):
-        labels = bio_labels(("P",))
         for m in (2, 5, 9):
-            table = np.tile([0.5, 0.25, 0.25], (m, 1))
-            tags, conf = self.confidence(table, 1, labels)
+            table = p_only(np.tile([0.5, 0.25, 0.25], (m, 1)))
+            tags, conf = self.confidence(table, 1)
             assert tags == ("O",) * m
             assert conf == pytest.approx(math.log(0.5))
 
@@ -283,7 +298,7 @@ class TestExtract:
         assert items > 2 * EXTRACT_BATCH
         assert lengths != sorted(lengths)
         model = init_model(TINY, build_vocab(sentences))
-        model.params["cls.b"][model.labels.index("B-P")] += 2.0
+        model.params["cls.b"][LABELS.index("B-P")] += 2.0
         batched = extract(sentences, model)
         single = [e for s in sentences for e in extract([s], model)]
         if mode == "combined":
@@ -299,7 +314,7 @@ class TestExtract:
     def test_confidence_is_the_mean_log_probability_of_the_decoded_labels(self):
         sentences, _ = gen_synthetic(n=20, seed=6)
         model = init_model(TINY, build_vocab(sentences))
-        model.params["cls.b"][model.labels.index("B-P")] += 2.0
+        model.params["cls.b"][LABELS.index("B-P")] += 2.0
         by_id = {s.sentence_id: s for s in sentences}
         extractions = extract(sentences, model)
         assert len(extractions) > 16
@@ -308,8 +323,8 @@ class TestExtract:
         for e in extractions:
             sentence, predicate = by_id[e.sentence_id], e.predicate_span[0]
             probs = forward([(sentence, predicate)], inference)[0][:, 0]
-            best = decode_alone(probs, 1, predicate, model.labels)[0]
-            logs = [math.log(probs[i, model.labels.index(label)])
+            best = decode_alone(probs, 1, predicate)[0]
+            logs = [math.log(probs[i, LABELS.index(label)])
                     for i, label in enumerate(best.labels)]
             assert abs(e.confidence - sum(logs) / len(logs)) <= 1e-12
 
@@ -362,7 +377,7 @@ class TestExtract:
 
     def test_extract_leaves_the_caller_parameters_unchanged(self, parragon):
         model = tiny_model(parragon)
-        model.params["cls.b"][model.labels.index("B-P")] += 5.0
+        model.params["cls.b"][LABELS.index("B-P")] += 5.0
         before = {name: arr.copy() for name, arr in model.params.items()}
         arrays = dict(model.params)
         assert extract([parragon], model)
@@ -377,7 +392,7 @@ class TestExtract:
         for sentence in (parragon, ditrans):
             model = init_model(TINY, build_vocab([sentence]))
             # Favour B-P so that every predicate decodes to an extraction.
-            model.params["cls.b"][model.labels.index("B-P")] += 5.0
+            model.params["cls.b"][LABELS.index("B-P")] += 5.0
             plain = extract([sentence], model)
             sem_only = rerank(plain, [sentence], scorer, combined=False)
             combined = rerank(plain, [sentence], scorer, combined=True)
