@@ -26,7 +26,6 @@ from oiekit.core import (
     Token,
     ValidationError,
     spans_from_tags,
-    validate_bio,
 )
 
 __version__ = "0.1.0"

@@ -166,6 +166,8 @@ def cmd_synth(args) -> int:
         raise _UsageError(f"--dev-fraction must be in [0, 1), got {args.dev_fraction}")
     if args.dev_conllu and not args.dev_gold:
         raise _UsageError("--dev-conllu requires --dev-gold")
+    if args.dev_gold and not args.dev_conllu:
+        raise _UsageError("--dev-gold requires --dev-conllu")
     templates = [chunk for chunk in args.templates.split(",") if chunk.strip()]
     try:
         sentences, gold = corpus_io.gen_synthetic(templates, args.n, args.seed)

@@ -3,13 +3,19 @@ the one label inventory (:data:`LABELS`: the predicate and three argument
 roles), extracted tuples, and the conversions between tag sequences and
 spans.
 
+:func:`allowed_labels` is the one BIO rule: which labels may follow a
+label, with the predicate span, if any, starting exactly at the predicate
+token. The decoder's transition table and the RL sampler read it, and a
+:class:`TaggedInstance` holds only tags it allows, so every instance,
+whether labelled, read from a file or decoded, is valid from there on.
+
 All types are immutable values; every operation here is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Optional, Sequence
 
 PREDICATE_ROLE = "P"
@@ -44,11 +50,35 @@ class SpanOutOfBounds(OiekitError):
     """A span is inverted, non-positive, or outside the sentence."""
 
 
-def label_role(label: str) -> Optional[str]:
-    """Role named by a B-/I- label, None for O."""
-    if label == OUTSIDE:
-        return None
-    return label[2:]
+def allowed_labels(prev: str, position: int, predicate: int) -> list[str]:
+    """Labels that keep a sequence BIO-valid with the predicate span
+    starting exactly at the predicate token."""
+    out = []
+    prev_role = None if prev == OUTSIDE else prev[2:]
+    prev_kind = None if prev == OUTSIDE else prev[0]
+    for label in LABELS:
+        if label == OUTSIDE:
+            out.append(label)
+        elif label.startswith("B-"):
+            if label[2:] == PREDICATE_ROLE:
+                if position == predicate:
+                    out.append(label)
+            else:
+                out.append(label)
+        else:  # I-*
+            if prev_kind in ("B", "I") and prev_role == label[2:]:
+                out.append(label)
+    return out
+
+
+@cache
+def _follow() -> dict[tuple[str, bool], frozenset[str]]:
+    """{(previous label, at the predicate): labels that may come next},
+    read from :func:`allowed_labels` once, with the predicate at position 1
+    (the rule asks only whether a position is the predicate's). A sequence
+    starts after O."""
+    return {(prev, at_predicate): frozenset(allowed_labels(prev, 1 if at_predicate else 2, 1))
+            for prev in LABELS for at_predicate in (False, True)}
 
 
 @dataclass(frozen=True)
@@ -162,7 +192,12 @@ class TagSequence:
 
 @dataclass(frozen=True)
 class TaggedInstance:
-    """A sentence, a predicate position, and the tags for that predicate."""
+    """A sentence, a predicate position, and the tags for that predicate.
+
+    The tags must follow :func:`allowed_labels`: known labels only, each
+    I-X continuing a B-X/I-X run, and at most one P span, starting at the
+    predicate. A sequence without a P span is valid.
+    """
 
     sentence: ParsedSentence
     predicate_index: int
@@ -180,12 +215,17 @@ class TaggedInstance:
                 f"predicate index {self.predicate_index} outside sentence "
                 f"{self.sentence.sentence_id!r}"
             )
-        has_p = any(label_role(lab) == PREDICATE_ROLE for lab in self.tags.labels)
-        if has_p and label_role(self.tags.labels[self.predicate_index - 1]) != PREDICATE_ROLE:
-            raise ValidationError(
-                f"instance for {self.sentence.sentence_id!r}: predicate span "
-                f"does not cover predicate index {self.predicate_index}"
-            )
+        follow = _follow()
+        prev = OUTSIDE
+        for pos, label in enumerate(self.tags.labels, start=1):
+            if label not in follow[prev, pos == self.predicate_index]:
+                reason = (f"unknown label {label!r}" if label not in LABEL_INDEX else
+                          f"{label} may not follow {prev} with the predicate at "
+                          f"{self.predicate_index}")
+                raise ValidationError(
+                    f"instance for {self.sentence.sentence_id!r}: position {pos}: {reason}"
+                )
+            prev = label
 
 
 @dataclass(frozen=True)
@@ -211,43 +251,16 @@ class Extraction:
                     )
 
 
-def validate_bio(tags: TagSequence | Sequence[str]) -> list[str]:
-    """Diagnose BIO violations; an empty list means the sequence is well formed.
-
-    Checks: every label is known-shaped, every I-X continues a B-X/I-X run,
-    and at most one P span exists.
-    """
-    labels = tags.labels if isinstance(tags, TagSequence) else tuple(tags)
-    problems = []
-    p_spans = 0
-    prev = OUTSIDE
-    for pos, lab in enumerate(labels, start=1):
-        if lab != OUTSIDE and (len(lab) < 3 or lab[1] != "-" or lab[0] not in "BI"):
-            problems.append(f"position {pos}: unknown label {lab!r}")
-            prev = OUTSIDE
-            continue
-        if lab.startswith("I-"):
-            role = label_role(lab)
-            if label_role(prev) != role:
-                problems.append(f"position {pos}: {lab} without preceding B-{role}")
-        if lab == f"B-{PREDICATE_ROLE}":
-            p_spans += 1
-        prev = lab
-    if p_spans > 1:
-        problems.append(f"{p_spans} predicate spans (at most one allowed)")
-    return problems
-
-
 def _runs(labels: Sequence[str]) -> list[tuple[str, Span]]:
-    """Maximal (role, span) runs in order of appearance."""
+    """Maximal (role, span) runs of a valid sequence, in order of appearance."""
     runs = []
     pos = 1
     n = len(labels)
     while pos <= n:
-        role = label_role(labels[pos - 1])
-        if role is None or not labels[pos - 1].startswith("B-"):
+        if not labels[pos - 1].startswith("B-"):
             pos += 1
             continue
+        role = labels[pos - 1][2:]
         end = pos
         while end + 1 <= n and labels[end] == f"I-{role}":
             end += 1
@@ -273,9 +286,6 @@ def spans_from_tags(instance: TaggedInstance) -> Extraction:
     confidence of the tags, their log probability divided by their length,
     or 0.0 for tags without a log probability.
     """
-    problems = validate_bio(instance.tags)
-    if problems:
-        raise ValidationError("; ".join(problems))
     runs = _runs(instance.tags.labels)
     predicate_span = None
     by_role: dict[str, list[Span]] = {}

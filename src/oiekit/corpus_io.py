@@ -23,7 +23,7 @@ import logging
 import os
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping, Optional, TypeVar
 
 import numpy as np
@@ -97,11 +97,18 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
-def write_jsonl(records: Iterable[dict], path) -> None:
-    """One JSON object per line, keys sorted."""
+def _field_values(value) -> dict:
+    """A dataclass value as the JSON object of its fields (json.dumps calls
+    this for each value it cannot encode; a non-dataclass is a TypeError)."""
+    return {f.name: getattr(value, f.name) for f in fields(value)}
+
+
+def write_jsonl(records: Iterable, path) -> None:
+    """One JSON object per line, keys sorted at every level. A record, or a
+    value in one, may be a dataclass: it is written as its fields."""
     with atomic_write(path) as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
+            handle.write(json.dumps(record, sort_keys=True, default=_field_values))
             handle.write("\n")
 
 
@@ -319,15 +326,6 @@ def write_gold(golds: Iterable[GoldTuple], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def extraction_to_dict(extraction: Extraction) -> dict:
-    return {
-        "sentence_id": extraction.sentence_id,
-        "predicate_span": list(extraction.predicate_span),
-        "role_spans": {role: list(span) for role, span in sorted(extraction.role_spans.items())},
-        "confidence": extraction.confidence,
-    }
-
-
 def extraction_from_dict(record: dict) -> Extraction:
     return Extraction(
         sentence_id=record["sentence_id"],
@@ -338,7 +336,7 @@ def extraction_from_dict(record: dict) -> Extraction:
 
 
 def write_extractions(extractions: Iterable[Extraction], path) -> None:
-    write_jsonl((extraction_to_dict(e) for e in extractions), path)
+    write_jsonl(extractions, path)
 
 
 def read_extractions(path) -> list[Extraction]:
@@ -348,17 +346,6 @@ def read_extractions(path) -> list[Extraction]:
 # ---------------------------------------------------------------------------
 # Tagged-instance files (JSON lines, parses embedded)
 # ---------------------------------------------------------------------------
-
-
-def sentence_to_dict(sentence: ParsedSentence) -> dict:
-    return {
-        "sentence_id": sentence.sentence_id,
-        "text": sentence.text,
-        "tokens": [
-            {"index": t.index, "surface": t.surface, "upos": t.upos, "head": t.head, "deprel": t.deprel}
-            for t in sentence.tokens
-        ],
-    }
 
 
 def sentence_from_dict(record: dict) -> ParsedSentence:
@@ -378,9 +365,9 @@ def _instance_from_dict(record: dict) -> TaggedInstance:
 
 
 def write_instances(instances: Iterable[TaggedInstance], path) -> None:
-    write_jsonl(({"sentence": sentence_to_dict(inst.sentence),
+    write_jsonl(({"sentence": inst.sentence,
                   "predicate_index": inst.predicate_index,
-                  "labels": list(inst.tags.labels)} for inst in instances), path)
+                  "labels": inst.tags.labels} for inst in instances), path)
 
 
 def read_instances(path) -> list[TaggedInstance]:

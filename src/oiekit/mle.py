@@ -49,6 +49,8 @@ class TrainConfig:
             raise ValidationError(f"step_size must be finite and positive, got {self.step_size}")
         if not 0.0 <= self.dev_fraction < 1.0:
             raise ValidationError(f"dev_fraction must be in [0, 1), got {self.dev_fraction}")
+        if self.patience < 1:
+            raise ValidationError("patience must be >= 1")
 
 
 def _gold_nll(instance: TaggedInstance, probs: np.ndarray) -> tuple[float, np.ndarray]:

@@ -4,8 +4,9 @@ Per predicate: embed each token as its word vector concatenated with a
 predicate-indicator vector (1 at the predicate, 0 elsewhere), encode with
 stacked bidirectional LSTM layers joined by highway gates, classify each
 token over the BIO labels of ``core.LABELS`` (the one inventory: O, then
-B-/I- for P, ARG1, ARG2 and ARG3), decode with a constrained beam search,
-and score extractions by average log probability. :func:`forward` is the one
+B-/I- for P, ARG1, ARG2 and ARG3), decode with a beam search constrained
+by ``core.allowed_labels`` (the one BIO rule, imported here), and score
+extractions by average log probability. :func:`forward` is the one
 encoder: it runs (sentence, predicate) items as one right-padded,
 time-major batch, and one item is a batch of one. Only training asks it
 for the backprop cache (``backprop=True``); inference keeps none.
@@ -42,11 +43,11 @@ from oiekit.core import (
     NoPredicateSpan,
     OUTSIDE,
     ParsedSentence,
-    PREDICATE_ROLE,
     ROLES,
     TaggedInstance,
     TagSequence,
     ValidationError,
+    allowed_labels,
     spans_from_tags,
 )
 from oiekit.corpus_io import ParseError, atomic_write
@@ -275,31 +276,10 @@ def float32_encoder(model: TaggerModel) -> TaggerModel:
 # ---------------------------------------------------------------------------
 
 
-def allowed_labels(prev: str, position: int, predicate: int) -> list[str]:
-    """Labels that keep a sequence BIO-valid with the predicate span
-    starting exactly at the predicate token."""
-    out = []
-    prev_role = None if prev == OUTSIDE else prev[2:]
-    prev_kind = None if prev == OUTSIDE else prev[0]
-    for label in LABELS:
-        if label == OUTSIDE:
-            out.append(label)
-        elif label.startswith("B-"):
-            if label[2:] == PREDICATE_ROLE:
-                if position == predicate:
-                    out.append(label)
-            else:
-                out.append(label)
-        else:  # I-*
-            if prev_kind in ("B", "I") and prev_role == label[2:]:
-                out.append(label)
-    return out
-
-
 @cache
 def _transitions() -> tuple[np.ndarray, np.ndarray]:
     """(follow, lex_rank) over label columns, read from
-    :func:`allowed_labels` once and shared by every caller (read-only).
+    ``core.allowed_labels`` once and shared by every caller (read-only).
     ``follow[0][i, j]`` says label j may follow label i away from the
     predicate, ``follow[1][i, j]`` at the predicate position; they differ
     only in the B-P column. ``lex_rank[j]`` is label j's place in string

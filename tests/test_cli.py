@@ -148,6 +148,43 @@ def test_instance_breaking_an_invariant_names_its_line(pipeline, capsys):
     assert "2 tags for 1 tokens" in err
 
 
+def _unknown_label(record):
+    record["labels"][record["predicate_index"] - 1] = "B-ARG9"
+
+
+def _orphan_inside(record):
+    record["labels"][record["predicate_index"] - 1] = "I-P"
+
+
+def _second_predicate_span(record):
+    record["labels"][record["labels"].index("O")] = "B-P"
+
+
+def _predicate_moved(record):
+    record["predicate_index"] = record["predicate_index"] % len(record["labels"]) + 1
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_unknown_label, "unknown label 'B-ARG9'"), (_orphan_inside, "I-P may not follow"),
+    (_second_predicate_span, "B-P may not follow"), (_predicate_moved, "B-P may not follow")])
+def test_instance_breaking_the_bio_rule_stops_pretrain_before_training(pipeline, capsys,
+                                                                       edit, message):
+    work, _ = pipeline
+    lines = (work / "train.inst").read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    edit(record)
+    lines[1] = json.dumps(record) + "\n"
+    (work / "bio.inst").write_text("".join(lines), encoding="utf-8")
+    code = cli.main(["pretrain", "--instances", str(work / "bio.inst"),
+                     "--out", str(work / "bio.ckpt")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "line 2" in err
+    assert message in err
+    assert not (work / "bio.ckpt").exists()
+    assert not (work / "bio.ckpt.metrics.jsonl").exists()
+
+
 @pytest.mark.parametrize("rows,line", [
     ("1\ta\t_\tVERB\t_\t_\tx\troot\t_\t_\n", 1),
     ("1\ta\t_\tVERB\t_\t_\t0\troot\t_\t_\nb\tb\t_\tNOUN\t_\t_\t1\tobj\t_\t_\n", 2),
@@ -377,7 +414,8 @@ def test_rl_dev_gold_without_dev_conllu_is_a_usage_error(pipeline, tmp_path, cap
 @pytest.mark.parametrize("line", ["epochs = -2", "epochs = 0", "step_size = -0.1",
                                   "step_size = 0", "step_size = nan", "step_size = inf",
                                   "dev_fraction = 1.0", "dev_fraction = -0.5",
-                                  "hidden_dim = 0", "num_encoder_layers = 0"])
+                                  "hidden_dim = 0", "num_encoder_layers = 0",
+                                  "patience = 0", "patience = -3"])
 def test_out_of_range_pretrain_setting_is_a_data_error(pipeline, capsys, line):
     work, _ = pipeline
     (work / "range.cfg").write_text(f"{line}\n", encoding="utf-8")
@@ -421,6 +459,19 @@ def test_synth_dev_conllu_without_dev_gold_is_a_usage_error(tmp_path, capsys, mo
                      "--dev-conllu", str(tmp_path / "d.conllu")])
     assert code == cli.EXIT_USAGE
     assert "--dev-conllu requires --dev-gold" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_dev_gold_without_dev_conllu_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the corpus was generated before the flags were checked")
+
+    monkeypatch.setattr(corpus_io, "gen_synthetic", refuse)
+    code = cli.main(["synth", "--n", "5", "--out-conllu", str(tmp_path / "t.conllu"),
+                     "--out-gold", str(tmp_path / "t.gold"),
+                     "--dev-gold", str(tmp_path / "d.gold")])
+    assert code == cli.EXIT_USAGE
+    assert "--dev-gold requires --dev-conllu" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from oiekit.core import (
+    LABELS,
     Extraction,
     NonTreeParse,
     NoPredicateSpan,
@@ -12,31 +15,53 @@ from oiekit.core import (
     ValidationError,
     spans_from_tags,
     span_head,
-    validate_bio,
 )
 
 from conftest import build_sentence, flat_sentence
-from oracles import tags_from_spans
+from oracles import oracle_valid, tags_from_spans
+
+
+def tagged(labels, predicate):
+    return TaggedInstance(flat_sentence(len(labels)), predicate, TagSequence(tuple(labels)))
 
 
 class TestValidateBio:
+    """A TaggedInstance is built only from tags that follow the BIO rule."""
+
     def test_well_formed(self):
-        assert validate_bio(["B-ARG1", "B-P", "B-ARG2", "I-ARG2"]) == []
+        assert tagged(["B-ARG1", "B-P", "B-ARG2", "I-ARG2"], 2).tags.labels[1] == "B-P"
 
     def test_orphan_inside(self):
-        problems = validate_bio(["O", "I-ARG2", "O"])
-        assert len(problems) == 1
-        assert "position 2" in problems[0]
+        with pytest.raises(ValidationError, match="position 2: I-ARG2 may not follow O"):
+            tagged(["O", "I-ARG2", "O"], 1)
 
     def test_two_predicate_spans(self):
-        problems = validate_bio(["B-P", "O", "B-P"])
-        assert any("predicate spans" in p for p in problems)
+        with pytest.raises(ValidationError, match="position 3: B-P may not follow O"):
+            tagged(["B-P", "O", "B-P"], 1)
 
     def test_unknown_label(self):
-        assert validate_bio(["X-ARG1"])
+        for label in ("X-ARG1", "B-ARG9"):
+            with pytest.raises(ValidationError, match=f"position 1: unknown label '{label}'"):
+                tagged([label, "B-P"], 2)
 
     def test_inside_after_different_role(self):
-        assert validate_bio(["B-ARG1", "I-ARG2"])
+        with pytest.raises(ValidationError, match="position 2: I-ARG2 may not follow B-ARG1"):
+            tagged(["B-ARG1", "I-ARG2", "B-P"], 3)
+
+    def test_predicate_span_starting_before_the_predicate(self):
+        with pytest.raises(ValidationError, match="position 1: B-P may not follow O"):
+            tagged(["B-P", "I-P", "O"], 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_instance_accepts_exactly_the_oracle_valid_sequences(m):
+    for predicate in range(1, m + 1):
+        for labels in itertools.product(LABELS, repeat=m):
+            if oracle_valid(labels, predicate):
+                tagged(labels, predicate)
+            else:
+                with pytest.raises(ValidationError):
+                    tagged(labels, predicate)
 
 
 class TestSpansFromTags:
@@ -191,12 +216,12 @@ def valid_bio_sequences(draw):
 
 @given(valid_bio_sequences())
 def test_valid_sequences_with_predicate_convert_cleanly(labels):
-    assert validate_bio(labels) == []
     starts = [i + 1 for i, lab in enumerate(labels) if lab == "B-P"]
+    sentence = flat_sentence(len(labels), "prop")
+    instance = TaggedInstance(sentence, starts[0] if starts else 1, TagSequence(labels))
     if not starts:
         return
-    sentence = flat_sentence(len(labels), "prop")
-    extraction = spans_from_tags(TaggedInstance(sentence, starts[0], TagSequence(labels)))
+    extraction = spans_from_tags(instance)
     spans = [extraction.predicate_span] + list(extraction.role_spans.values())
     for i, a in enumerate(spans):
         for b in spans[i + 1:]:

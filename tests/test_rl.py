@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oiekit import nn, tagger
-from oiekit.core import LABELS, TagSequence, ValidationError, validate_bio
+from oiekit.core import LABELS, TaggedInstance, TagSequence, ValidationError
 from oiekit.corpus_io import gen_synthetic
 from oiekit.evaluate import evaluate
 from oiekit.patterns import identify_predicates
@@ -68,7 +68,7 @@ class TestExplore:
         rng = np.random.default_rng(4)
         probs = forward([(sentence, 3)], model)[0][:, 0]
         for seq in explore(probs, 3, 4, mode="sample", rng=rng):
-            assert validate_bio(seq.labels) == []
+            TaggedInstance(sentence, 3, seq)
 
     def test_sampling_deterministic_per_seed(self):
         sentence = flat_sentence(5)

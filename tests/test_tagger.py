@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oiekit import tagger
-from oiekit.core import LABELS, validate_bio, ValidationError
+from oiekit.core import LABELS, TaggedInstance, ValidationError
 from oiekit.corpus_io import ParseError, gen_synthetic
 from oiekit.mle import TrainConfig, pretrain
 from oiekit.patterns import generate_instances, identify_predicates
@@ -159,7 +159,7 @@ class TestBeamDecode:
         rng = np.random.default_rng(7)
         table = random_table(rng, 5, len(LABELS))
         for r in decode_alone(table, 10, predicate=3):
-            assert validate_bio(r.labels) == []
+            TaggedInstance(flat_sentence(5), 3, r)
             assert oracle_valid(r.labels, 3)
 
     def test_enumerator_counts(self):
