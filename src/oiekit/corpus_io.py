@@ -116,7 +116,7 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
     """``parse`` applied to the JSON object on each non-blank line. A line
     that is not a JSON object, or whose object ``parse`` rejects (a
     KeyError, TypeError, ValueError or :class:`OiekitError`), raises
-    :class:`ParseError` with its line number."""
+    :class:`ParseError` with its line number and the plain message."""
     out = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -128,8 +128,10 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
                 if not isinstance(record, dict):
                     raise TypeError(f"expected a JSON object, got {type(record).__name__}")
                 out.append(parse(record))
-            except (KeyError, TypeError, ValueError, OiekitError) as exc:
-                raise ParseError(f"bad record: {exc!r}", line_no) from None
+            except KeyError as exc:
+                raise ParseError(f"bad record: missing key {exc.args[0]!r}", line_no) from None
+            except (TypeError, ValueError, OiekitError) as exc:
+                raise ParseError(f"bad record: {exc}", line_no) from None
     return out
 
 
@@ -160,8 +162,10 @@ def read_conllu(path) -> list[ParsedSentence]:
 
     Uses the ID, FORM, UPOS, HEAD and DEPREL columns. Multiword-token
     ranges (IDs like ``3-4``) and empty nodes (IDs like ``3.1``) are
-    skipped. ``# sent_id = ...`` comments name the sentence when present;
-    the n-th sentence without one is named ``s{n}``. A sentence id that an
+    skipped. Only the comments ``# sent_id = ...`` and ``# text = ...`` are
+    read, by exact key (``# text_en = ...`` is not the text). The sent_id
+    names the sentence when present; the n-th sentence without one is
+    named ``s{n}``. A sentence id that an
     earlier sentence already has, given or generated, raises
     :class:`ParseError` at the line that ends the second sentence.
     """
@@ -196,12 +200,10 @@ def read_conllu(path) -> list[ParsedSentence]:
                 flush(line_no)
                 continue
             if line.startswith("#"):
-                comment = line[1:].strip()
-                if comment.startswith("sent_id"):
-                    _, _, value = comment.partition("=")
+                key, _, value = line[1:].partition("=")
+                if key.strip() == "sent_id":
                     sent_id = value.strip()
-                elif comment.startswith("text"):
-                    _, _, value = comment.partition("=")
+                elif key.strip() == "text":
                     text = value.strip()
                 continue
             cols = line.split("\t")
@@ -357,11 +359,15 @@ def sentence_from_dict(record: dict) -> ParsedSentence:
 
 
 def _instance_from_dict(record: dict) -> TaggedInstance:
-    return TaggedInstance(
-        sentence=sentence_from_dict(record["sentence"]),
-        predicate_index=record["predicate_index"],
-        tags=TagSequence(tuple(record["labels"])),
-    )
+    sentence = sentence_from_dict(record["sentence"])
+    predicate, labels = record["predicate_index"], record["labels"]
+    where = f"instance for {sentence.sentence_id!r}"
+    if type(predicate) is not int:
+        raise ValidationError(f"{where}: predicate_index {predicate!r} is not an integer")
+    for pos, label in enumerate(labels, start=1):
+        if not isinstance(label, str):
+            raise ValidationError(f"{where}: labels: position {pos}: {label!r} is not a string")
+    return TaggedInstance(sentence=sentence, predicate_index=predicate, tags=TagSequence(tuple(labels)))
 
 
 def write_instances(instances: Iterable[TaggedInstance], path) -> None:

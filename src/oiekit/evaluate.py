@@ -4,7 +4,7 @@ confidence-ranked extractions, area under the curve, and best F1."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from oiekit.core import (
@@ -194,17 +194,8 @@ def write_report(report: EvalReport, path) -> None:
         "best_f1_x100": report.best_f1 * 100.0,
         "num_gold": report.num_gold,
         "num_predictions": report.num_predictions,
-        "pr_points": [[r, p] for r, p in report.pr_points],
-        "decisions": [
-            {
-                "sentence_id": d.sentence_id,
-                "predicate_span": list(d.predicate_span),
-                "confidence": d.confidence,
-                "matched": d.matched,
-                "gold_predicate_head": d.gold_predicate_head,
-            }
-            for d in report.decisions
-        ],
+        "pr_points": report.pr_points,
+        "decisions": [asdict(d) for d in report.decisions],
     }
     with atomic_write(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

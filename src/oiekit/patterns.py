@@ -1,17 +1,20 @@
 """Dependency-pattern labelling functions: detect predicates by POS,
 match argument headwords through predicate-to-child relations, expand
-heads to phrase spans, and emit noisy BIO training instances."""
+heads to phrase spans, and emit noisy BIO training instances.
+
+One cut rule turns a head into its span (:func:`generate_instances`): the
+envelope of the head's subtree, cut on each side at the nearest taken
+position."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from oiekit.core import (
     ARGUMENT_ROLES,
     OUTSIDE,
     ParsedSentence,
-    Span,
     TaggedInstance,
     TagSequence,
     ValidationError,
@@ -100,46 +103,17 @@ def match_argument_heads(
     return heads
 
 
-def _window_around(center: int, lo: int, hi: int, excluded: Iterable[int]) -> Span:
-    """Largest contiguous [lo, hi] sub-range containing ``center`` that
-    avoids every excluded position."""
-    for pos in excluded:
-        if lo <= pos <= hi:
-            if pos < center:
-                lo = max(lo, pos + 1)
-            elif pos > center:
-                hi = min(hi, pos - 1)
-    return lo, hi
-
-
-def expand_subtree_span(
-    sentence: ParsedSentence,
-    head: int,
-    predicate: int,
-    blocked: Iterable[int] = (),
-) -> Span:
-    """Contiguous token range covering the subtree rooted at ``head``.
-
-    The range is truncated so it never contains the predicate token or any
-    position in ``blocked`` (the other matched argument heads).
-    """
-    nodes = sentence.subtree(head)
-    lo, hi = nodes[0], nodes[-1]
-    excluded = set(blocked) | {predicate}
-    excluded.discard(head)
-    return _window_around(head, lo, hi, sorted(excluded))
-
-
 def generate_instances(
     sentence: ParsedSentence, table: PatternTable = DEFAULT_TABLE
 ) -> list[TaggedInstance]:
     """One noisy BIO instance per detected predicate.
 
-    The predicate token gets B-P, each matched argument head is expanded
-    to its phrase span, and predicates with no matched arguments are
-    dropped. Spans are assigned in fixed role order and clipped against
-    positions already taken, so instances always pass BIO validation with
-    pairwise disjoint spans.
+    The predicate token gets B-P, and predicates with no matched arguments
+    are dropped. A role's span is the envelope of its head's subtree, cut
+    on each side at the nearest taken position. A taken position is the
+    predicate, another role's head, or a span assigned earlier in
+    ``ARGUMENT_ROLES`` order. So the spans hold their heads, are pairwise
+    disjoint and never cover the predicate.
     """
     instances = []
     for predicate in identify_predicates(sentence, table):
@@ -153,9 +127,10 @@ def generate_instances(
             if role not in heads:
                 continue
             head = heads[role]
-            other_heads = {h for r, h in heads.items() if r != role}
-            lo, hi = expand_subtree_span(sentence, head, predicate, blocked=other_heads)
-            lo, hi = _window_around(head, lo, hi, sorted(occupied))
+            subtree = sentence.subtree(head)
+            cuts = occupied.union(heads.values())  # the head's own position cuts nothing
+            lo = max([subtree[0]] + [p + 1 for p in cuts if p < head])
+            hi = min([subtree[-1]] + [p - 1 for p in cuts if p > head])
             labels[lo - 1] = f"B-{role}"
             for pos in range(lo + 1, hi + 1):
                 labels[pos - 1] = f"I-{role}"

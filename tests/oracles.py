@@ -15,6 +15,8 @@ written for plain reading rather than speed.
 - :func:`relative_error` measures every such comparison, and the batched
   encoder against its per-item reference.
 - :func:`tags_from_spans` inverts ``core.spans_from_tags``.
+- :func:`argument_spans_oracle` states the argument-span cut of
+  ``patterns.generate_instances`` by brute force over candidate ranges.
 """
 
 import itertools
@@ -22,8 +24,8 @@ import itertools
 import numpy as np
 
 from oiekit import tagger
-from oiekit.core import (LABEL_INDEX, LABELS, OUTSIDE, PREDICATE_ROLE, SpanOutOfBounds,
-                         TagSequence)
+from oiekit.core import (ARGUMENT_ROLES, LABEL_INDEX, LABELS, OUTSIDE, PREDICATE_ROLE,
+                         SpanOutOfBounds, TagSequence)
 from oiekit.rl import _policy_dlogits
 
 
@@ -143,3 +145,33 @@ def tags_from_spans(extraction, m):
         for pos in range(start + 1, end + 1):
             labels[pos - 1] = f"I-{role}"
     return TagSequence(tuple(labels))
+
+
+def argument_spans_oracle(sentence, predicate, heads):
+    """{role: span} for the matched ``heads`` of ``predicate``: in
+    ``ARGUMENT_ROLES`` order, the widest contiguous range inside the
+    envelope of the head's subtree that holds the head and no taken
+    position. Taken are the predicate, every matched head but this one,
+    and the spans chosen before."""
+    def descends(token, ancestor):
+        while token != 0:
+            if token == ancestor:
+                return True
+            token = sentence.token(token).head
+        return False
+
+    taken = {predicate} | set(heads.values())
+    spans = {}
+    for role in ARGUMENT_ROLES:
+        if role not in heads:
+            continue
+        head = heads[role]
+        subtree = [t.index for t in sentence.tokens if descends(t.index, head)]
+        blocked = taken - {head}
+        candidates = [(lo, hi)
+                      for lo in range(min(subtree), head + 1)
+                      for hi in range(head, max(subtree) + 1)
+                      if not blocked.intersection(range(lo, hi + 1))]
+        spans[role] = max(candidates, key=lambda span: span[1] - span[0])
+        taken.update(range(spans[role][0], spans[role][1] + 1))
+    return spans

@@ -185,6 +185,39 @@ def test_instance_breaking_the_bio_rule_stops_pretrain_before_training(pipeline,
     assert not (work / "bio.ckpt.metrics.jsonl").exists()
 
 
+def _label_as_list(record):
+    record["labels"][2] = [record["labels"][2]]
+
+
+def _predicate_as_string(record):
+    record["predicate_index"] = str(record["predicate_index"])
+
+
+def _labels_missing(record):
+    del record["labels"]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_unknown_label, "position 3: unknown label 'B-ARG9'"),
+    (_label_as_list, "labels: position 3: ["),
+    (_predicate_as_string, "predicate_index '3' is not an integer"),
+    (_labels_missing, "bad record: missing key 'labels'")],
+    ids=["unknown-label", "label-list", "predicate-string", "missing-key"])
+def test_bad_record_is_reported_in_plain_words(pipeline, capsys, edit, message):
+    work, _ = pipeline
+    record = json.loads((work / "train.inst").read_text(encoding="utf-8").splitlines()[0])
+    assert record["predicate_index"] == 3
+    edit(record)
+    (work / "plain.inst").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code = cli.main(["pretrain", "--instances", str(work / "plain.inst"),
+                     "--out", str(work / "plain.ckpt")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "line 1" in err
+    assert message in err
+    assert "Error(" not in err
+
+
 @pytest.mark.parametrize("rows,line", [
     ("1\ta\t_\tVERB\t_\t_\tx\troot\t_\t_\n", 1),
     ("1\ta\t_\tVERB\t_\t_\t0\troot\t_\t_\nb\tb\t_\tNOUN\t_\t_\t1\tobj\t_\t_\n", 2),

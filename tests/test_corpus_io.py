@@ -57,6 +57,17 @@ class TestReadConllu:
         obj = sent.token(6)
         assert (obj.surface, obj.deprel, obj.head) == ("markets", "dobj", 2)
 
+    def test_only_the_exact_comment_keys_are_read(self, tmp_path):
+        # UD puts translations after the text, under keys that start alike.
+        path = tmp_path / "fr.conllu"
+        path.write_text("# sent_id = fr1\n# sent_id_orig = x\n# text = Le chat dort\n"
+                        "# text_en = The cat sleeps\n"
+                        "1\tLe\t_\tDET\t_\t_\t2\tdet\t_\t_\n"
+                        "2\tchat\t_\tNOUN\t_\t_\t3\tnsubj\t_\t_\n"
+                        "3\tdort\t_\tVERB\t_\t_\t0\troot\t_\t_\n", encoding="utf-8")
+        (sent,) = read_conllu(path)
+        assert (sent.sentence_id, sent.text) == ("fr1", "Le chat dort")
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.conllu"
         path.write_text("", encoding="utf-8")

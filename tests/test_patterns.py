@@ -1,12 +1,12 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oiekit.core import spans_from_tags
+from oiekit.core import ParsedSentence, Token, spans_from_tags
 from oiekit.corpus_io import gen_synthetic
 from oiekit.evaluate import evaluate, match
 from oiekit.patterns import (
     DEFAULT_TABLE,
     PatternTable,
-    expand_subtree_span,
     generate_instances,
     identify_predicates,
     load_pattern_table,
@@ -15,6 +15,7 @@ from oiekit.patterns import (
 from oiekit.core import ValidationError
 
 from conftest import build_sentence
+from oracles import argument_spans_oracle
 
 
 @pytest.fixture
@@ -82,12 +83,49 @@ class TestMatchArgumentHeads:
         assert match_argument_heads(ditrans, 3) == {"ARG1": 2, "ARG2": 7, "ARG3": 5}
 
 
-class TestExpandSubtreeSpan:
+def role_spans(instance):
+    return spans_from_tags(instance).role_spans
+
+
+# Relations from every role's pattern, auxiliaries and a few that match none.
+TREE_RELATIONS = sorted(set().union(*DEFAULT_TABLE.role_patterns.values())
+                        | {"aux", "cop", "det", "amod", "conj", "punct"})
+
+
+@st.composite
+def dependency_trees(draw):
+    """A random tree over 1-12 tokens, non-projective ones included: the
+    tokens, in a drawn order, each hang off one drawn earlier."""
+    m = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(1, m + 1)))
+    heads = {order[0]: 0}
+    for k, index in enumerate(order[1:], start=1):
+        heads[index] = order[draw(st.integers(0, k - 1))]
+    tokens = tuple(Token(index=i, surface=f"w{i}", upos=draw(st.sampled_from(["VERB", "NOUN"])),
+                         head=heads[i], deprel=draw(st.sampled_from(TREE_RELATIONS)))
+                   for i in range(1, m + 1))
+    return ParsedSentence("tree", tokens)
+
+
+# Non-projective: ARG1's subtree {2, 4} and ARG2's {3, 5} interleave, so
+# only ARG1's span, taken first, cuts ARG2's envelope [3, 5] down to 5.
+INTERLEAVED = build_sentence("interleaved", [
+    ("w1", "VERB", 0, "root"),
+    ("w2", "NOUN", 1, "nsubj"),
+    ("w3", "NOUN", 5, "amod"),
+    ("w4", "NOUN", 2, "amod"),
+    ("w5", "NOUN", 1, "obj"),
+])
+
+
+class TestArgumentSpanCut:
     def test_quantified_object_phrase(self, parragon):
-        assert expand_subtree_span(parragon, 6, predicate=2) == (3, 6)
+        first, _ = generate_instances(parragon)
+        assert role_spans(first)["ARG2"] == (3, 6)
 
     def test_leaf_head(self, parragon):
-        assert expand_subtree_span(parragon, 1, predicate=2) == (1, 1)
+        first, _ = generate_instances(parragon)
+        assert role_spans(first)["ARG1"] == (1, 1)
 
     def test_truncates_to_exclude_predicate(self):
         # The argument subtree envelope [1, 4] encloses the verb at 2.
@@ -98,10 +136,34 @@ class TestExpandSubtreeSpan:
             ("dog", "NOUN", 2, "nsubj"),
         ])
         assert sent.subtree(4) == (1, 3, 4)
-        assert expand_subtree_span(sent, 4, predicate=2) == (3, 4)
+        (instance,) = generate_instances(sent)
+        assert role_spans(instance) == {"ARG1": (3, 4)}
 
-    def test_truncates_on_other_argument_heads(self, parragon):
-        assert expand_subtree_span(parragon, 6, predicate=2, blocked={5}) == (6, 6)
+    def test_truncates_on_other_argument_heads(self):
+        # ARG2's envelope [3, 6] holds the ARG3 head at 5, a role whose
+        # span comes later, so only the head cuts it.
+        sent = build_sentence("cut-at-head", [
+            ("Parragon", "PROPN", 2, "nsubj"),
+            ("operates", "VERB", 0, "root"),
+            ("more", "ADV", 6, "advmod"),
+            ("than", "ADP", 3, "fixed"),
+            ("35", "NUM", 2, "iobj"),
+            ("markets", "NOUN", 2, "dobj"),
+        ])
+        assert sent.subtree(6) == (3, 4, 6)
+        (instance,) = generate_instances(sent)
+        assert role_spans(instance) == {"ARG1": (1, 1), "ARG2": (6, 6), "ARG3": (5, 5)}
+
+    @given(dependency_trees())
+    @example(INTERLEAVED)
+    @settings(max_examples=300, deadline=None)
+    def test_spans_match_the_brute_force_oracle(self, sent):
+        instances = generate_instances(sent)
+        matched = [p for p in identify_predicates(sent) if match_argument_heads(sent, p)]
+        assert [inst.predicate_index for inst in instances] == matched
+        for inst in instances:
+            heads = match_argument_heads(sent, inst.predicate_index)
+            assert role_spans(inst) == argument_spans_oracle(sent, inst.predicate_index, heads)
 
 
 class TestGenerateInstances:
