@@ -12,13 +12,13 @@ win over it, keys it leaves out keep the defaults of TaggerConfig,
 TrainConfig and RLConfig, and a key the command does not read is a data error.
 They write the per-epoch metrics rows as JSON lines to ``--metrics``, by
 default ``<--out>.metrics.jsonl``: the commands, not the stages, write files.
+``--scorer`` alone picks the semantic scorer; the default is ``surrogate``.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 from oiekit import corpus_io, evaluate, mle, patterns, reward, rl, tagger
@@ -34,8 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-SCORER_ENV = "OIEKIT_SCORER"
 
 
 class _UsageError(Exception):
@@ -118,8 +116,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rl-train", help="generalize a pretrained tagger with policy gradients")
     p.add_argument("--model", required=True)
     p.add_argument("--conllu", required=True)
-    p.add_argument("--scorer", help="surrogate or adapter:URI "
-                   f"(falls back to ${SCORER_ENV}, then surrogate)")
+    p.add_argument("--scorer", default="surrogate", help="surrogate (the default) or adapter:URI")
     p.add_argument("--beam", type=int)
     p.add_argument("--baseline", choices=["off", "mean"])
     p.add_argument("--out", required=True)
@@ -133,7 +130,7 @@ def build_parser() -> _Parser:
                    help="explore with constrained sampling instead of the beam")
     p.add_argument("--dev-conllu", help="frozen dev sentences for per-epoch metrics")
     p.add_argument("--dev-gold", help="gold tuples for per-epoch dev F1")
-    p.add_argument("--scorer-cache", help="cache file for adapter scores")
+    p.add_argument("--scorer-cache", help="JSON-lines cache file for adapter scores")
 
     p = sub.add_parser("extract", help="decode extractions with a trained model")
     p.add_argument("--model", required=True)
@@ -141,7 +138,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rerank", choices=["none", "sem", "combined"], default="none")
     p.add_argument("--out", required=True)
     p.add_argument("--patterns")
-    p.add_argument("--scorer")
+    p.add_argument("--scorer", default="surrogate", help="surrogate (the default) or adapter:URI")
     p.add_argument("--scorer-cache")
 
     p = sub.add_parser("eval", help="score extractions against gold tuples")
@@ -154,11 +151,6 @@ def build_parser() -> _Parser:
                    help="diagnostic lexical-overlap matching instead of headword matching")
 
     return parser
-
-
-def _resolve_scorer(flag_value, cache_path=None):
-    spec = flag_value or os.environ.get(SCORER_ENV) or "surrogate"
-    return reward.make_sem_scorer(spec, cache_path=cache_path)
 
 
 def cmd_synth(args) -> int:
@@ -229,7 +221,7 @@ def cmd_rl_train(args) -> int:
                          explore_mode="sample" if args.sample else "beam")
     model = tagger.load_model(args.model)
     table = _load_table(args.patterns)
-    scorer = _resolve_scorer(args.scorer, args.scorer_cache)
+    scorer = reward.make_sem_scorer(args.scorer, args.scorer_cache)
     sentences = corpus_io.read_conllu(args.conllu)
     dev = None
     if args.dev_conllu:
@@ -252,7 +244,7 @@ def cmd_extract(args) -> int:
     table = _load_table(args.patterns)
     scorer = None
     if args.rerank != "none":
-        scorer = _resolve_scorer(args.scorer, args.scorer_cache)
+        scorer = reward.make_sem_scorer(args.scorer, args.scorer_cache)
     sentences = corpus_io.read_conllu(args.conllu)
     extractions = tagger.extract(sentences, model, table)
     if scorer is not None:

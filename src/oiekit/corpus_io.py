@@ -2,10 +2,10 @@
 parses, gold tuples (TSV), JSON-lines records, ``key = value`` files, and a
 deterministic synthetic corpus generator.
 
-JSON-lines files (extractions, tagged instances, training metrics) hold one
-JSON object per line with sorted keys; every one is written by
-:func:`write_jsonl` and read by :func:`read_jsonl`. ``key = value`` files
-(command configs and pattern tables) are read by :func:`read_key_values`.
+JSON-lines files (extractions, tagged instances, training metrics, the
+semantic scorer's cache) hold one JSON object per line with sorted keys,
+written by :func:`write_jsonl` and read by :func:`read_jsonl`. ``key = value``
+files (command configs and pattern tables) are read by :func:`read_key_values`.
 Every file the package writes goes through :func:`atomic_write`, so an
 interrupted write leaves the previous file in place. This module owns the
 generator's template spec of ``name[:weight]`` entries (:func:`gen_synthetic`).
@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Mapping, Optional, TypeVar
 import numpy as np
 
 from oiekit.core import (
+    ARGUMENT_ROLES,
     Extraction,
     NonTreeParse,
     OiekitError,
@@ -267,8 +268,8 @@ def read_gold(path, sentences: Optional[Mapping[str, ParsedSentence]] = None) ->
     ``sentence_id  predicate_head  role  role_head  [surface]``.
 
     Rows are grouped by (sentence_id, predicate_head), in first-seen order.
-    When ``sentences`` is given, rows referencing unknown sentence ids are
-    reported and skipped, and out-of-bounds head indices raise :class:`ParseError`.
+    A role outside ``ARGUMENT_ROLES`` raises :class:`ParseError`. With ``sentences``, rows of
+    unknown sentence ids are reported and skipped, and out-of-bounds heads raise ParseError.
     """
     grouped: dict[tuple[str, int], tuple[dict, dict]] = {}  # -> (role heads, surfaces)
     with open(path, "r", encoding="utf-8") as handle:
@@ -286,6 +287,8 @@ def read_gold(path, sentences: Optional[Mapping[str, ParsedSentence]] = None) ->
                 role_head = int(head_raw)
             except ValueError:
                 raise ParseError(f"non-integer head index in {pred_raw!r}/{head_raw!r}", line_no)
+            if role not in ARGUMENT_ROLES:
+                raise ParseError(f"unknown role {role!r}; known: {', '.join(ARGUMENT_ROLES)}", line_no)
             if sentences is not None:
                 if sid not in sentences:
                     log.warning("gold line %d references unknown sentence %r; skipped", line_no, sid)
@@ -307,15 +310,16 @@ def write_gold(golds: Iterable[GoldTuple], path) -> None:
     """One row per role head, with its surface when non-empty (the file
     keeps no other surfaces). A tuple that :func:`read_gold` would not read
     back raises ValidationError before anything is written: a tab or line
-    break in a field, a sentence id starting with ``#`` (a comment), no
-    roles, or the (sentence id, predicate head) of an earlier tuple."""
+    break in a field, a sentence id starting with ``#`` (a comment), no role
+    or one outside ``ARGUMENT_ROLES``, or the key of an earlier tuple."""
     blocks, seen = [], set()
     for gold in golds:
         key, rows = (gold.sentence_id, gold.predicate_head), len(gold.role_heads)
         block = "".join(f"{key[0]}\t{key[1]}\t{role}\t{head}\t{gold.surfaces.get(role, '')}\n"
                         for role, head in gold.role_heads.items())
         if ("\r" in block or block.count("\n") != rows or block.count("\t") != 4 * rows
-                or not rows or key in seen or gold.sentence_id.startswith("#")):
+                or not rows or key in seen or gold.sentence_id.startswith("#")
+                or not set(gold.role_heads) <= set(ARGUMENT_ROLES)):
             raise ValidationError(f"gold tuple {key} would not read back as written")
         seen.add(key)
         blocks.append(block)
@@ -328,13 +332,23 @@ def write_gold(golds: Iterable[GoldTuple], path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _span(value, name: str) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2 and all(type(i) is int for i in value)):
+        raise ValidationError(f"{name} {value!r} is not two integers")
+    return tuple(value)
+
+
 def extraction_from_dict(record: dict) -> Extraction:
-    return Extraction(
-        sentence_id=record["sentence_id"],
-        predicate_span=tuple(record["predicate_span"]),
-        role_spans={role: tuple(span) for role, span in record["role_spans"].items()},
-        confidence=record["confidence"],
-    )
+    """ValidationError naming a field of the wrong type, or a non-finite confidence."""
+    sid, roles, confidence = record["sentence_id"], record["role_spans"], record["confidence"]
+    if not isinstance(sid, str):
+        raise ValidationError(f"sentence_id {sid!r} is not a string")
+    if not isinstance(roles, dict):
+        raise ValidationError(f"role_spans {roles!r} is not an object")
+    if type(confidence) not in (int, float) or not -np.inf < confidence < np.inf:
+        raise ValidationError(f"confidence {confidence!r} is not a finite number")
+    spans = {role: _span(span, f"role_spans[{role!r}]") for role, span in roles.items()}
+    return Extraction(sid, _span(record["predicate_span"], "predicate_span"), spans, confidence)
 
 
 def write_extractions(extractions: Iterable[Extraction], path) -> None:

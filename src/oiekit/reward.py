@@ -18,7 +18,7 @@ from oiekit.core import (
     PREDICATE_ROLE,
     ValidationError,
 )
-from oiekit.corpus_io import ParseError, atomic_write
+from oiekit.corpus_io import read_jsonl, write_jsonl
 from oiekit.patterns import DEFAULT_TABLE, PatternTable
 
 log = logging.getLogger(__name__)
@@ -191,13 +191,26 @@ class HttpEntailmentAdapter:
         with urllib.request.urlopen(request, timeout=self.timeout) as response:
             body = response.read()
         try:
-            value = float(json.loads(body)["score"])
+            return _checked_score(json.loads(body)["score"])
         except (KeyError, TypeError, ValueError):
             raise ValidationError(
                 f"adapter reply has no numeric 'score': {body[:200]!r}") from None
-        if not 0.0 <= value <= 1.0:
-            raise ValidationError(f"adapter returned score {value} outside [0, 1]")
-        return value
+
+
+def _checked_score(value) -> float:
+    """``value`` as a float; ValidationError unless it is a number in
+    [0, 1] (NaN is not)."""
+    try:
+        score = float(value)
+    except (TypeError, ValueError):
+        score = math.nan
+    if not 0.0 <= score <= 1.0:
+        raise ValidationError(f"score {value!r} is not a number in [0, 1]")
+    return score
+
+
+def _cache_entry(record: dict) -> tuple[tuple[str, str], float]:
+    return (record["sentence_id"], record["hypothesis"]), _checked_score(record["score"])
 
 
 class SemScorer:
@@ -206,8 +219,10 @@ class SemScorer:
     Without an ``adapter`` it is the deterministic containment x
     completeness surrogate. With one, it verbalizes the tuple and asks the
     external :class:`EntailmentScorer`, caching results by (sentence id,
-    verbalized tuple). The cache persists as a tab-separated file. It is
-    not guarded by a lock: oiekit scores on one thread.
+    verbalized tuple). The cache persists as a JSON-lines file of
+    ``{"sentence_id", "hypothesis", "score"}`` records, and a cached score
+    follows the reply's rule (a number in [0, 1]). It is not guarded by a
+    lock: oiekit scores on one thread.
     """
 
     def __init__(self, adapter: Optional[EntailmentScorer] = None, cache_path=None):
@@ -215,32 +230,16 @@ class SemScorer:
         self.cache_path = cache_path
         self._cache: dict[tuple[str, str], float] = {}
         if cache_path is not None:
-            self._load_cache()
-
-    def _load_cache(self):
-        try:
-            with open(self.cache_path, "r", encoding="utf-8") as handle:
-                for line_no, line in enumerate(handle, start=1):
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    try:
-                        sid, hypothesis, value = line.split("\t")
-                        self._cache[(sid, hypothesis)] = float(value)
-                    except ValueError:
-                        raise ParseError(
-                            f"scorer cache {self.cache_path}: expected "
-                            f"'sentence_id<TAB>hypothesis<TAB>score', got {line!r}", line_no
-                        ) from None
-        except FileNotFoundError:
-            pass
+            try:
+                self._cache = dict(read_jsonl(cache_path, _cache_entry))
+            except FileNotFoundError:
+                pass
 
     def save_cache(self):
-        if self.cache_path is None:
-            return
-        with atomic_write(self.cache_path) as handle:
-            for (sid, hypothesis), value in sorted(self._cache.items()):
-                handle.write(f"{sid}\t{hypothesis}\t{value!r}\n")
+        if self.cache_path is not None:
+            write_jsonl(({"sentence_id": sid, "hypothesis": hypothesis, "score": value}
+                         for (sid, hypothesis), value in sorted(self._cache.items())),
+                        self.cache_path)
 
     def score(self, extraction: Extraction, sentence: ParsedSentence) -> float:
         if self.adapter is None:

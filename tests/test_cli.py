@@ -236,7 +236,9 @@ def test_conllu_id_or_head_that_is_not_an_integer_is_a_data_error(pipeline, caps
     ("a\t2\tARG1\n", "at least 4 tab-separated columns", 1),
     ("a\t2\tARG1\tone\n", "non-integer head index", 1),
     ("a\t2\tARG1\t1\na\t2\tARG1\t3\n", "duplicate role 'ARG1'", 2),
-], ids=["short-row", "head", "repeated-role"])
+    ("a\t2\tARG2\t3\na\t2\targ1\t1\n", "unknown role 'arg1'", 2),
+    ("a\t2\tP\t2\n", "unknown role 'P'", 1),
+], ids=["short-row", "head", "repeated-role", "lower-case-role", "predicate-role"])
 def test_malformed_gold_is_a_data_error(pipeline, capsys, rows, message, line):
     work, _ = pipeline
     (work / "bad.gold").write_text(rows, encoding="utf-8")
@@ -249,6 +251,31 @@ def test_malformed_gold_is_a_data_error(pipeline, capsys, rows, message, line):
     assert message in err
     assert f"line {line}" in err
     assert not any(path.exists() for path in outputs.values())
+
+
+_EXTRACTION = {"sentence_id": "s1", "predicate_span": [2, 2], "role_spans": {"ARG1": [1, 1]},
+               "confidence": -0.5}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("confidence", "high"), ("confidence", float("nan")), ("confidence", float("inf")),
+    ("confidence", None), ("predicate_span", "12"), ("predicate_span", [3, 3, 4]),
+    ("predicate_span", [2.0, 2]), ("role_spans", {"ARG1": [1.5, 2]}), ("role_spans", [[1, 1]]),
+    ("sentence_id", 7),
+], ids=["string-confidence", "nan-confidence", "infinite-confidence", "null-confidence",
+        "string-span", "three-ends", "float-end", "float-role-end", "role-span-list",
+        "integer-id"])
+def test_extraction_record_of_the_wrong_type_names_its_field(pipeline, capsys, field, value):
+    work, _ = pipeline
+    lines = [json.dumps(_EXTRACTION), json.dumps({**_EXTRACTION, field: value})]
+    (work / "typed.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = cli.main(["eval", "--extractions", str(work / "typed.jsonl"),
+                     "--gold", str(work / "dev.gold"), "--report", str(work / "typed.json"),
+                     "--pr-out", str(work / "typed.tsv")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"line 2: bad record: {field}" in err
+    assert not (work / "typed.json").exists()
 
 
 def test_checkpoint_of_another_format_is_a_data_error(pipeline, capsys):

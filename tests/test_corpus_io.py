@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oiekit.core import Extraction, NonTreeParse, ParsedSentence, Token, ValidationError
+from oiekit.core import (ARGUMENT_ROLES, Extraction, NonTreeParse, ParsedSentence, Token,
+                         ValidationError)
 from oiekit.corpus_io import (
     GoldTuple,
     ParseError,
@@ -349,8 +350,8 @@ def parsed_sentences(draw, field):
 
 
 @st.composite
-def gold_tuples(draw, field, sentence_id):
-    roles = draw(st.dictionaries(field, st.integers(-5, 50), min_size=1, max_size=3))
+def gold_tuples(draw, field, sentence_id, role=st.sampled_from(ARGUMENT_ROLES)):
+    roles = draw(st.dictionaries(role, st.integers(-5, 50), min_size=1, max_size=3))
     surfaces = draw(st.dictionaries(st.sampled_from(sorted(roles)) | field, field, max_size=3))
     return GoldTuple(draw(sentence_id), draw(st.integers(0, 50)), roles, surfaces)
 
@@ -364,7 +365,7 @@ def extractions(draw):
         spans.append((start, start + length - 1))
         start += length + gap
     return Extraction(draw(st.text(max_size=6)), spans[0], dict(zip(roles, spans[1:])),
-                      draw(st.floats(allow_nan=False)))
+                      draw(st.floats(allow_nan=False, allow_infinity=False)))
 
 
 def _written_or_refused(write, read, values):
@@ -412,7 +413,8 @@ class TestRoundTrips:
         assert (_written_or_refused(write_gold, read_gold, golds)
                 == [_as_stored(gold) for gold in golds])
 
-    @given(st.lists(gold_tuples(ANY_FIELD, ANY_FIELD), max_size=3))
+    @given(st.lists(gold_tuples(ANY_FIELD, ANY_FIELD, st.sampled_from(ARGUMENT_ROLES) | ANY_FIELD),
+                    max_size=3))
     @ROUND_TRIPS
     def test_gold_writer_refuses_what_would_not_read_back(self, golds):
         back = _written_or_refused(write_gold, read_gold, golds)
@@ -456,6 +458,12 @@ class TestWriterRefusals:
         with pytest.raises(ValidationError):
             write_gold([GoldTuple("s1", 2, {"ARG1": 1}), GoldTuple("s1", 2, {"ARG2": 3})],
                        tmp_path / "gold.tsv")
+
+    @pytest.mark.parametrize("role", ["arg1", "P", "ARG4"])
+    def test_gold_role_outside_the_argument_roles(self, tmp_path, role):
+        with pytest.raises(ValidationError):
+            write_gold([GoldTuple("s1", 2, {"ARG1": 1, role: 3})], tmp_path / "gold.tsv")
+        assert not (tmp_path / "gold.tsv").exists()
 
     def test_gold_tuple_without_roles(self, tmp_path):
         with pytest.raises(ValidationError):

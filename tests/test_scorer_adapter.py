@@ -7,7 +7,8 @@ import pytest
 from oiekit import cli, corpus_io
 from oiekit.core import LABELS, Extraction, ValidationError
 from oiekit.corpus_io import ParseError
-from oiekit.reward import HttpEntailmentAdapter, SemScorer, make_sem_scorer
+from oiekit.reward import (HttpEntailmentAdapter, SemScorer, make_sem_scorer,
+                           sem_score_surrogate, semantic_confidence)
 from oiekit.tagger import TaggerConfig, build_vocab, init_model, save_model
 
 
@@ -68,7 +69,7 @@ def test_adapter_rejects_out_of_range(scorer_server):
 
 
 def test_adapter_scores_are_cached(scorer_server, parragon, tmp_path):
-    cache_path = tmp_path / "sem-cache.tsv"
+    cache_path = tmp_path / "sem-cache.jsonl"
     scorer = make_sem_scorer(f"adapter:{scorer_server}", cache_path=cache_path)
     extraction = Extraction("parragon", (8, 8), {"ARG2": (9, 10)})
     first = scorer.score(extraction, parragon)
@@ -77,7 +78,8 @@ def test_adapter_scores_are_cached(scorer_server, parragon, tmp_path):
     assert len(_ScorerHandler.calls) == 1
 
     scorer.save_cache()
-    assert cache_path.read_text(encoding="utf-8") == "parragon\thas 10 offices\t0.75\n"
+    assert cache_path.read_text(encoding="utf-8") == (
+        '{"hypothesis": "has 10 offices", "score": 0.75, "sentence_id": "parragon"}\n')
 
     # A fresh scorer warm-starts from the persisted cache: no new calls.
     reloaded = SemScorer(HttpEntailmentAdapter(scorer_server), cache_path=cache_path)
@@ -105,11 +107,9 @@ def test_http_error_is_an_os_error(scorer_server):
         HttpEntailmentAdapter(scorer_server).score("a", "b")
 
 
-@pytest.mark.parametrize("status,reply", [(200, b"{}"), (500, None)])
-def test_bad_adapter_reply_exits_with_data_error(scorer_server, parragon, tmp_path,
-                                                  status, reply):
-    _ScorerHandler.status = status
-    _ScorerHandler.reply = reply
+def _extract_sem_argv(parragon, tmp_path):
+    """``extract --rerank sem`` on the one parragon sentence, with a model
+    that decodes at least one extraction to score."""
     config = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
                           num_encoder_layers=1, rng_seed=3)
     model = init_model(config, build_vocab([parragon]))
@@ -117,16 +117,62 @@ def test_bad_adapter_reply_exits_with_data_error(scorer_server, parragon, tmp_pa
     model.params["cls.b"][LABELS.index("B-P")] += 5.0
     save_model(model, tmp_path / "model.ckpt")
     corpus_io.write_conllu([parragon], tmp_path / "in.conllu")
-    code = cli.main(["extract", "--model", str(tmp_path / "model.ckpt"),
-                     "--conllu", str(tmp_path / "in.conllu"), "--rerank", "sem",
-                     "--scorer", f"adapter:{scorer_server}",
-                     "--out", str(tmp_path / "out.jsonl")])
+    return ["extract", "--model", str(tmp_path / "model.ckpt"),
+            "--conllu", str(tmp_path / "in.conllu"), "--rerank", "sem",
+            "--out", str(tmp_path / "out.jsonl")]
+
+
+@pytest.mark.parametrize("status,reply", [(200, b"{}"), (500, None)])
+def test_bad_adapter_reply_exits_with_data_error(scorer_server, parragon, tmp_path,
+                                                  status, reply):
+    _ScorerHandler.status = status
+    _ScorerHandler.reply = reply
+    code = cli.main(_extract_sem_argv(parragon, tmp_path) + ["--scorer", f"adapter:{scorer_server}"])
     assert code == cli.EXIT_DATA
     assert _ScorerHandler.calls
 
 
+_CACHED = '{"hypothesis": "a b", "score": 0.5, "sentence_id": "s1"}\n'
+
+
 def test_torn_cache_line_names_the_line(tmp_path):
-    cache_path = tmp_path / "sem-cache.tsv"
-    cache_path.write_text("s1\ta b\t0.5\ns2\tc d\n", encoding="utf-8")
+    cache_path = tmp_path / "sem-cache.jsonl"
+    cache_path.write_text(_CACHED + '{"hypothesis": "c d", "score": 0.', encoding="utf-8")
     with pytest.raises(ParseError, match="line 2"):
         SemScorer(HttpEntailmentAdapter("http://127.0.0.1:9"), cache_path=cache_path)
+
+
+@pytest.mark.parametrize("score", ["1.5", "NaN", '"high"', "-0.25", "null"])
+def test_cached_score_outside_the_reply_rule_names_the_line(tmp_path, score):
+    cache_path = tmp_path / "sem-cache.jsonl"
+    record = f'{{"hypothesis": "c d", "score": {score}, "sentence_id": "s2"}}\n'
+    cache_path.write_text(_CACHED + record, encoding="utf-8")
+    with pytest.raises(ParseError, match=r"line 2: bad record: score .* is not a number in \[0, 1\]"):
+        SemScorer(HttpEntailmentAdapter("http://127.0.0.1:9"), cache_path=cache_path)
+
+
+def test_tab_in_a_conllu_sentence_id_round_trips_through_the_cache(scorer_server, tmp_path):
+    conllu = tmp_path / "tab.conllu"
+    conllu.write_text("# sent_id = a\tb\n# text = cats sleep\n"
+                      "1\tcats\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
+                      "2\tsleep\t_\tVERB\t_\t_\t0\troot\t_\t_\n", encoding="utf-8")
+    (sentence,) = corpus_io.read_conllu(conllu)
+    assert sentence.sentence_id == "a\tb"
+    extraction = Extraction(sentence.sentence_id, (2, 2), {"ARG1": (1, 1)})
+    cache_path = tmp_path / "sem-cache.jsonl"
+    for _ in range(2):
+        scorer = make_sem_scorer(f"adapter:{scorer_server}", cache_path=cache_path)
+        assert scorer.score(extraction, sentence) == 0.75
+        scorer.save_cache()
+    assert len(_ScorerHandler.calls) == 1
+
+
+def test_scorer_environment_variable_is_not_read(parragon, tmp_path, monkeypatch):
+    # Port 9 on the loopback interface refuses connections: an adapter
+    # there would make the command fail.
+    monkeypatch.setenv("OIEKIT_SCORER", "adapter:http://127.0.0.1:9")
+    assert cli.main(_extract_sem_argv(parragon, tmp_path)) == cli.EXIT_OK
+    extractions = corpus_io.read_extractions(tmp_path / "out.jsonl")
+    assert extractions
+    assert [e.confidence for e in extractions] == [
+        semantic_confidence(0.0, sem_score_surrogate(e, parragon)) for e in extractions]
