@@ -7,25 +7,28 @@ command line exits 1 whether or not its input files exist. An output pipe
 whose reader has gone (``| head``) ends the command quietly with 0, as it
 ends when the output fits before the reader goes.
 
-pretrain and rl-train take an optional ``key = value`` config file. Flags
-win over it, keys it leaves out keep the defaults of TaggerConfig,
-TrainConfig and RLConfig, and a key the command does not read is a data error.
-They write the per-epoch metrics rows as JSON lines to ``--metrics``, by
-default ``<--out>.metrics.jsonl``: the commands, not the stages, write files.
+Each training setting has one way in: pretrain's optional ``key = value``
+config file (an unknown key is a data error) or rl-train's flags; what is
+left out keeps its TaggerConfig, TrainConfig or RLConfig default. Both
+trainers raise NonFiniteValue, the one numeric failure (exit 3). They write
+the per-epoch metrics rows as JSON lines to ``--metrics``, by default
+``<--out>.metrics.jsonl``: the commands, not the stages, write files.
 ``--scorer`` alone picks the semantic scorer; the default is ``surrogate``.
+``--scorer-cache`` needs an ``adapter:`` scorer that scores.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
 from oiekit import corpus_io, evaluate, mle, patterns, reward, rl, tagger
-from oiekit.core import ARGUMENT_ROLES, OiekitError, ValidationError
+from oiekit.core import ARGUMENT_ROLES, NonFiniteValue, OiekitError, ValidationError
 from oiekit.corpus_io import ParseError
-from oiekit.mle import NonFiniteLoss, TrainConfig
-from oiekit.rl import NonFiniteGradient, RLConfig
+from oiekit.mle import TrainConfig
+from oiekit.rl import RLConfig
 from oiekit.tagger import TaggerConfig
 
 log = logging.getLogger(__name__)
@@ -45,40 +48,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# Config-file keys per config dataclass, each with the cast of its value.
-# ``seed`` is read by every command and sets each rng_seed.
-_TAGGER_KEYS = {"embedding_dim": int, "indicator_dim": int, "hidden_dim": int,
-                "num_encoder_layers": int}
-_TRAIN_KEYS = {"epochs": int, "batch_size": int, "step_size": float,
-               "dev_fraction": float, "patience": int}
-_RL_KEYS = {"epochs": int, "beam_size": int, "baseline": str, "step_size": float}
-_FIELD_NAMES = {"seed": "rng_seed", "baseline": "baseline_mode"}
-
-
-def _settings(path, keys: dict, flags: dict) -> dict:
-    """The config file at ``path`` (if any) cast by ``keys`` and ``seed``,
-    then every flag that was given; an unknown key or a value its cast
-    rejects is a ParseError."""
-    keys = {"seed": int, **keys}
-    config = corpus_io.read_key_values(path) if path else {}
-    for key in config:
-        if key not in keys:
-            raise ParseError(f"config {path}: unknown key {key!r} "
-                             f"(known: {', '.join(sorted(keys))})")
+def _pretrain_configs(path) -> tuple[TaggerConfig, TrainConfig]:
+    """The TaggerConfig and TrainConfig that the config file at ``path`` (if
+    any) sets. Its keys are their field names, with ``seed`` for both
+    rng_seeds, and a value is cast to the type of its field's default; an
+    unknown key or a value the cast rejects is a ParseError."""
+    configs = (TaggerConfig, TrainConfig)
+    casts = {"seed" if f.name == "rng_seed" else f.name: type(f.default)
+             for config in configs for f in dataclasses.fields(config)}
     values = {}
-    for key, value in config.items():
+    for key, value in (corpus_io.read_key_values(path) if path else {}).items():
+        if key not in casts:
+            raise ParseError(f"unknown key {key!r} (known: {', '.join(sorted(casts))})", path=path)
         try:
-            values[key] = keys[key](value)
+            values["rng_seed" if key == "seed" else key] = casts[key](value)
         except ValueError:
-            raise ParseError(f"config {path}: bad value {value!r} for key {key!r}") from None
-    values.update((key, value) for key, value in flags.items() if value is not None)
-    return values
-
-
-def _fields(values: dict, keys: dict) -> dict:
-    """The seed and the ``keys`` entries of ``values``, by dataclass field name."""
-    return {_FIELD_NAMES.get(key, key): value for key, value in values.items()
-            if key in keys or key == "seed"}
+            raise ParseError(f"bad value {value!r} for key {key!r}", path=path) from None
+    return tuple(config(**{f.name: values[f.name] for f in dataclasses.fields(config)
+                           if f.name in values}) for config in configs)
 
 
 def _load_table(path):
@@ -107,25 +94,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pretrain", help="train the tagger on labelled instances")
     p.add_argument("--instances", required=True)
-    p.add_argument("--config", help="key/value config file; flags win")
+    p.add_argument("--config", help="key = value file of the tagger and training settings")
     p.add_argument("--out", required=True)
     p.add_argument("--metrics")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
 
     p = sub.add_parser("rl-train", help="generalize a pretrained tagger with policy gradients")
     p.add_argument("--model", required=True)
     p.add_argument("--conllu", required=True)
     p.add_argument("--scorer", default="surrogate", help="surrogate (the default) or adapter:URI")
-    p.add_argument("--beam", type=int)
-    p.add_argument("--baseline", choices=["off", "mean"])
+    p.add_argument("--beam", type=int, default=RLConfig.beam_size)
+    p.add_argument("--baseline", choices=["off", "mean"], default=RLConfig.baseline_mode)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--patterns")
     p.add_argument("--metrics")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--step-size", type=float)
+    p.add_argument("--seed", type=int, default=RLConfig.rng_seed)
+    p.add_argument("--epochs", type=int, default=RLConfig.epochs)
+    p.add_argument("--step-size", type=float, default=RLConfig.step_size)
     p.add_argument("--sample", action="store_true",
                    help="explore with constrained sampling instead of the beam")
     p.add_argument("--dev-conllu", help="frozen dev sentences for per-epoch metrics")
@@ -198,10 +182,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    values = _settings(args.config, {**_TAGGER_KEYS, **_TRAIN_KEYS},
-                       {"seed": args.seed, "epochs": args.epochs})
-    tagger_config = TaggerConfig(**_fields(values, _TAGGER_KEYS))
-    train_config = TrainConfig(**_fields(values, _TRAIN_KEYS))
+    tagger_config, train_config = _pretrain_configs(args.config)
     instances = corpus_io.read_instances(args.instances)
     model = tagger.init_model(tagger_config, tagger.build_vocab(instances))
     metrics = mle.pretrain(model, instances, train_config)
@@ -214,10 +195,10 @@ def cmd_pretrain(args) -> int:
 def cmd_rl_train(args) -> int:
     if args.dev_gold and not args.dev_conllu:
         raise _UsageError("--dev-gold requires --dev-conllu")
-    values = _settings(args.config, _RL_KEYS,
-                       {"seed": args.seed, "epochs": args.epochs, "beam_size": args.beam,
-                        "baseline": args.baseline, "step_size": args.step_size})
-    rl_config = RLConfig(**_fields(values, _RL_KEYS),
+    if args.scorer_cache and not args.scorer.startswith("adapter:"):
+        raise _UsageError("--scorer-cache needs an adapter:URI --scorer")
+    rl_config = RLConfig(epochs=args.epochs, beam_size=args.beam, baseline_mode=args.baseline,
+                         step_size=args.step_size, rng_seed=args.seed,
                          explore_mode="sample" if args.sample else "beam")
     model = tagger.load_model(args.model)
     table = _load_table(args.patterns)
@@ -240,6 +221,8 @@ def cmd_rl_train(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    if args.scorer_cache and (args.rerank == "none" or not args.scorer.startswith("adapter:")):
+        raise _UsageError("--scorer-cache needs --rerank sem/combined and an adapter:URI --scorer")
     model = tagger.load_model(args.model)
     table = _load_table(args.patterns)
     scorer = None
@@ -297,7 +280,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NonFiniteLoss, NonFiniteGradient) as exc:
+    except NonFiniteValue as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except BrokenPipeError:

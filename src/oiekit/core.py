@@ -50,6 +50,10 @@ class SpanOutOfBounds(OiekitError):
     """A span is inverted, non-positive, or outside the sentence."""
 
 
+class NonFiniteValue(OiekitError):
+    """Training met a non-finite loss or gradient and stops (exit code 3)."""
+
+
 def allowed_labels(prev: str, position: int, predicate: int) -> list[str]:
     """Labels that keep a sequence BIO-valid with the predicate span
     starting exactly at the predicate token."""

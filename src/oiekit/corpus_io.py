@@ -49,11 +49,13 @@ ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC = range(10)
 
 
 class ParseError(OiekitError):
-    """Malformed input data; carries the offending line number when known."""
+    """Malformed input data, as ``path: line N: message`` when both are known."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
+    def __init__(self, message: str, line: Optional[int] = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 
@@ -69,7 +71,7 @@ def read_key_values(path) -> dict[str, str]:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
-                raise ParseError("expected 'key = value'", line_no)
+                raise ParseError("expected 'key = value'", line_no, path)
             values[key.strip()] = value.strip()
     return values
 
@@ -117,7 +119,7 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
     """``parse`` applied to the JSON object on each non-blank line. A line
     that is not a JSON object, or whose object ``parse`` rejects (a
     KeyError, TypeError, ValueError or :class:`OiekitError`), raises
-    :class:`ParseError` with its line number and the plain message."""
+    :class:`ParseError` with the path, its line number and the plain message."""
     out = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -130,9 +132,10 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
                     raise TypeError(f"expected a JSON object, got {type(record).__name__}")
                 out.append(parse(record))
             except KeyError as exc:
-                raise ParseError(f"bad record: missing key {exc.args[0]!r}", line_no) from None
+                raise ParseError(f"bad record: missing key {exc.args[0]!r}", line_no,
+                                 path) from None
             except (TypeError, ValueError, OiekitError) as exc:
-                raise ParseError(f"bad record: {exc}", line_no) from None
+                raise ParseError(f"bad record: {exc}", line_no, path) from None
     return out
 
 
@@ -183,12 +186,12 @@ def read_conllu(path) -> list[ParsedSentence]:
         sid = sent_id if sent_id is not None else f"s{len(sentences) + 1}"
         if sid in ends:
             raise ParseError(f"sentence id {sid!r} repeats the sentence ending at line "
-                             f"{ends[sid]}", line_no)
+                             f"{ends[sid]}", line_no, path)
         ends[sid] = line_no
         try:
             sentences.append(ParsedSentence(sentence_id=sid, tokens=tuple(tokens), text=text))
         except OiekitError as exc:
-            raise type(exc)(f"sentence ending at line {line_no}: {exc}") from exc
+            raise type(exc)(f"{path}: sentence ending at line {line_no}: {exc}") from exc
         tokens = []
         sent_id = None
         text = ""
@@ -209,22 +212,24 @@ def read_conllu(path) -> list[ParsedSentence]:
                 continue
             cols = line.split("\t")
             if len(cols) != 10:
-                raise ParseError(f"expected 10 tab-separated columns, got {len(cols)}", line_no)
+                raise ParseError(f"expected 10 tab-separated columns, got {len(cols)}", line_no,
+                                 path)
             if "-" in cols[ID] or "." in cols[ID]:
                 continue
             try:
                 index = int(cols[ID])
                 head = int(cols[HEAD])
             except ValueError:
-                raise ParseError(f"non-integer ID or HEAD in {cols[ID]!r}/{cols[HEAD]!r}", line_no)
+                raise ParseError(f"non-integer ID or HEAD in {cols[ID]!r}/{cols[HEAD]!r}", line_no,
+                                 path)
             if head == index:
-                raise NonTreeParse(f"line {line_no}: token {index} is its own head")
+                raise NonTreeParse(f"{path}: line {line_no}: token {index} is its own head")
             try:
                 tokens.append(
                     Token(index=index, surface=cols[FORM], upos=cols[UPOS], head=head, deprel=cols[DEPREL])
                 )
             except OiekitError as exc:
-                raise type(exc)(f"line {line_no}: {exc}") from exc
+                raise type(exc)(f"{path}: line {line_no}: {exc}") from exc
         flush(line_no)
     return sentences
 
@@ -279,26 +284,31 @@ def read_gold(path, sentences: Optional[Mapping[str, ParsedSentence]] = None) ->
                 continue
             cols = line.split("\t")
             if len(cols) < 4:
-                raise ParseError("expected at least 4 tab-separated columns", line_no)
+                raise ParseError("expected at least 4 tab-separated columns", line_no, path)
             sid, pred_raw, role, head_raw = cols[0], cols[1], cols[2], cols[3]
             surface = cols[4] if len(cols) > 4 else ""
             try:
                 pred_head = int(pred_raw)
                 role_head = int(head_raw)
             except ValueError:
-                raise ParseError(f"non-integer head index in {pred_raw!r}/{head_raw!r}", line_no)
+                raise ParseError(f"non-integer head index in {pred_raw!r}/{head_raw!r}", line_no,
+                                 path)
             if role not in ARGUMENT_ROLES:
-                raise ParseError(f"unknown role {role!r}; known: {', '.join(ARGUMENT_ROLES)}", line_no)
+                raise ParseError(f"unknown role {role!r}; known: {', '.join(ARGUMENT_ROLES)}",
+                                 line_no, path)
             if sentences is not None:
                 if sid not in sentences:
-                    log.warning("gold line %d references unknown sentence %r; skipped", line_no, sid)
+                    log.warning("%s: line %d references unknown sentence %r; skipped", path, line_no,
+                                sid)
                     continue
                 m = len(sentences[sid])
                 if not (1 <= pred_head <= m) or not (1 <= role_head <= m):
-                    raise ParseError(f"head index outside sentence {sid!r} of length {m}", line_no)
+                    raise ParseError(f"head index outside sentence {sid!r} of length {m}", line_no,
+                                     path)
             role_heads, surfaces = grouped.setdefault((sid, pred_head), ({}, {}))
             if role in role_heads:
-                raise ParseError(f"duplicate role {role!r} for predicate {pred_head} in {sid!r}", line_no)
+                raise ParseError(f"duplicate role {role!r} for predicate {pred_head} in {sid!r}",
+                                 line_no, path)
             role_heads[role] = role_head
             if surface:
                 surfaces[role] = surface

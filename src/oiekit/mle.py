@@ -18,17 +18,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from oiekit import evaluate, nn, tagger
-from oiekit.core import (LABEL_INDEX, NoPredicateSpan, OiekitError, TaggedInstance,
-                         ValidationError, spans_from_tags)
+from oiekit.core import (LABEL_INDEX, NonFiniteValue, NoPredicateSpan, OiekitError,
+                         TaggedInstance, ValidationError, spans_from_tags)
 from oiekit.tagger import TaggerModel
 
 log = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12
-
-
-class NonFiniteLoss(OiekitError):
-    """Training hit a non-finite loss; aborts with diagnostics."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,7 @@ def _batch_grads(model: TaggerModel, batch: Sequence[TaggedInstance],
         m = len(instance.tags)
         loss, dlogits[:m, b] = _nll_grad(instance, probs[:m, b], 1.0 / m)
         if not np.isfinite(loss):
-            raise NonFiniteLoss(f"non-finite loss at epoch {epoch}, sentence "
+            raise NonFiniteValue(f"non-finite loss at epoch {epoch}, sentence "
                                 f"{instance.sentence.sentence_id!r}")
         losses.append(loss / m)
     grads = tagger.backward_from_dlogits(model, cache, dlogits)
@@ -176,7 +172,7 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
             for loss in losses:
                 epoch_loss += loss
             if not nn.grads_finite(grads):
-                raise NonFiniteLoss(f"non-finite gradient at epoch {epoch}")
+                raise NonFiniteValue(f"non-finite gradient at epoch {epoch}")
             optimizer.step(grads)
         train_loss = epoch_loss / len(train)
         dev_loss = dev_f1 = None

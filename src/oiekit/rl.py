@@ -16,6 +16,7 @@ from oiekit import evaluate, nn, tagger
 from oiekit.core import (
     Extraction,
     LABEL_INDEX,
+    NonFiniteValue,
     NoPredicateSpan,
     OiekitError,
     ParsedSentence,
@@ -30,10 +31,6 @@ from oiekit.reward import RewardBreakdown, SemScorer, combined_reward, syn_score
 from oiekit.tagger import TaggerModel, allowed_labels
 
 log = logging.getLogger(__name__)
-
-
-class NonFiniteGradient(OiekitError):
-    """A policy-gradient update produced non-finite values; aborts."""
 
 
 @dataclass(frozen=True)
@@ -147,9 +144,7 @@ def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSente
     if not np.all(dlogits == 0.0):
         descent = tagger.backward_from_dlogits(model, cache, dlogits)
         if not nn.grads_finite(descent):
-            raise NonFiniteGradient(
-                f"non-finite policy gradient on {sentence.sentence_id!r}"
-            )
+            raise NonFiniteValue(f"non-finite policy gradient on {sentence.sentence_id!r}")
         optimizer.step(descent)
         return float(sum((g * g).sum() for g in descent.values()))
     return 0.0

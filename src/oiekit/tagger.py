@@ -486,7 +486,8 @@ def load_model(path) -> TaggerModel:
             if len(names) != len(expected) or set(names) != set(expected):
                 raise ValueError(f"arrays {names}, expected {list(expected)} for its config")
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"checkpoint {path}: bad header: {exc!r}") from None
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ParseError(f"checkpoint {path}: bad header: {what}") from None
         params = {}
         for name, dtype, shape in arrays:
             if shape != expected[name]:

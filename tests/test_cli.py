@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
-from oiekit import cli, corpus_io, nn, tagger
+from oiekit import cli, corpus_io, mle, nn, rl, tagger
+from oiekit.mle import TrainConfig
+from oiekit.rl import RLConfig
+from oiekit.tagger import TaggerConfig
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +73,7 @@ def test_config_line_without_equals_is_a_data_error(pipeline, capsys):
     code = cli.main(["pretrain", "--instances", str(work / "train.inst"),
                      "--config", str(work / "bad.cfg"), "--out", str(work / "bad.ckpt")])
     assert code == cli.EXIT_DATA
-    assert "line 2" in capsys.readouterr().err
+    assert f"{work / 'bad.cfg'}: line 2" in capsys.readouterr().err
 
 
 def test_pattern_line_without_equals_is_a_data_error(pipeline, capsys):
@@ -95,8 +98,7 @@ def test_non_object_json_line_is_a_data_error(pipeline, argv):
 
 
 @pytest.mark.parametrize("command,key", [("pretrain", "hidden_dimm"), ("pretrain", "beam_size"),
-                                         ("pretrain", "use_indicator"),
-                                         ("rl-train", "hidden_dim")])
+                                         ("pretrain", "use_indicator"), ("pretrain", "rng_seed")])
 def test_unknown_config_key_is_a_data_error(pipeline, capsys, command, key):
     work, _ = pipeline
     value = "false" if key == "use_indicator" else "4"
@@ -120,8 +122,7 @@ def test_batch_size_below_one_is_a_data_error(pipeline, capsys, line):
 
 
 @pytest.mark.parametrize("command,line", [("pretrain", "hidden_dim = abc"),
-                                          ("pretrain", "step_size = fast"),
-                                          ("rl-train", "beam_size = 2.5")])
+                                          ("pretrain", "step_size = fast")])
 def test_config_value_that_does_not_cast_names_its_key(pipeline, capsys, command, line):
     work, _ = pipeline
     (work / "cast.cfg").write_text(f"epochs = 1\n{line}\n", encoding="utf-8")
@@ -228,12 +229,12 @@ def test_conllu_id_or_head_that_is_not_an_integer_is_a_data_error(pipeline, caps
     code = cli.main(["label", "--conllu", str(work / "noint.conllu"),
                      "--out", str(work / "noint.inst")])
     assert code == cli.EXIT_DATA
-    assert f"line {line}" in capsys.readouterr().err
+    assert f"{work / 'noint.conllu'}: line {line}" in capsys.readouterr().err
     assert not (work / "noint.inst").exists()
 
 
 @pytest.mark.parametrize("rows,message,line", [
-    ("a\t2\tARG1\n", "at least 4 tab-separated columns", 1),
+    ("a\t2\tARG1\n", "expected at least 4 tab-separated columns", 1),
     ("a\t2\tARG1\tone\n", "non-integer head index", 1),
     ("a\t2\tARG1\t1\na\t2\tARG1\t3\n", "duplicate role 'ARG1'", 2),
     ("a\t2\tARG2\t3\na\t2\targ1\t1\n", "unknown role 'arg1'", 2),
@@ -248,8 +249,7 @@ def test_malformed_gold_is_a_data_error(pipeline, capsys, rows, message, line):
                      *(arg for flag, path in outputs.items() for arg in (flag, str(path)))])
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert message in err
-    assert f"line {line}" in err
+    assert f"{work / 'bad.gold'}: line {line}: {message}" in err
     assert not any(path.exists() for path in outputs.values())
 
 
@@ -274,7 +274,7 @@ def test_extraction_record_of_the_wrong_type_names_its_field(pipeline, capsys, f
                      "--pr-out", str(work / "typed.tsv")])
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert f"line 2: bad record: {field}" in err
+    assert f"{work / 'typed.jsonl'}: line 2: bad record: {field}" in err
     assert not (work / "typed.json").exists()
 
 
@@ -300,6 +300,19 @@ def test_truncated_checkpoint_is_a_data_error(pipeline, capsys):
                      "--conllu", str(work / "dev.conllu"), "--out", str(work / "cut.jsonl")])
     assert code == cli.EXIT_DATA
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_checkpoint_cut_inside_its_header_is_reported_in_plain_words(pipeline, capsys):
+    work, _ = pipeline
+    data = (work / "rl.ckpt").read_bytes()
+    (work / "header.ckpt").write_bytes(data[: data.index(b"oiekit-checkpoint") + 3])
+    code = cli.main(["extract", "--model", str(work / "header.ckpt"),
+                     "--conllu", str(work / "dev.conllu"), "--out", str(work / "header.jsonl")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "bad header: Unterminated string" in err
+    assert "Error(" not in err
+    assert not (work / "header.jsonl").exists()
 
 
 @pytest.mark.parametrize("command", ["extract", "rl-train"])
@@ -497,6 +510,81 @@ def test_out_of_range_rl_setting_is_a_data_error(pipeline, capsys, flag, value):
     assert code == cli.EXIT_DATA
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
     assert not (work / "range-rl.ckpt").exists()
+
+
+def test_pretrain_config_keys_reach_their_config_fields(pipeline, tmp_path, monkeypatch):
+    work, _ = pipeline
+    seen = []
+
+    def record(model, instances, config):
+        seen.append((model.config, config))
+        return []
+
+    monkeypatch.setattr(mle, "pretrain", record)
+    (tmp_path / "all.cfg").write_text(
+        "embedding_dim = 5\nindicator_dim = 3\nhidden_dim = 7\nnum_encoder_layers = 1\n"
+        "epochs = 4\nbatch_size = 2\nstep_size = 0.5\ndev_fraction = 0.25\npatience = 6\n"
+        "seed = 9\n", encoding="utf-8")
+    for config in ([], ["--config", str(tmp_path / "all.cfg")]):
+        assert cli.main(["pretrain", *_training_inputs(work, "pretrain"), *config,
+                         "--out", str(tmp_path / "m.ckpt")]) == cli.EXIT_OK
+    assert seen == [(TaggerConfig(), TrainConfig()),
+                    (TaggerConfig(embedding_dim=5, indicator_dim=3, hidden_dim=7,
+                                  num_encoder_layers=1, rng_seed=9),
+                     TrainConfig(epochs=4, batch_size=2, step_size=0.5, dev_fraction=0.25,
+                                 patience=6, rng_seed=9))]
+
+
+def test_rl_train_flags_reach_their_config_fields(pipeline, tmp_path, monkeypatch):
+    work, _ = pipeline
+    seen = []
+
+    def record(model, sentences, scorer, config, table, dev):
+        seen.append(config)
+        return []
+
+    monkeypatch.setattr(rl, "train_rl", record)
+    flags = ["--epochs", "2", "--beam", "4", "--baseline", "off", "--step-size", "0.5",
+             "--seed", "7", "--sample"]
+    for settings in ([], flags):
+        assert cli.main(["rl-train", *_training_inputs(work, "rl-train"), *settings,
+                         "--out", str(tmp_path / "r.ckpt")]) == cli.EXIT_OK
+    assert seen == [RLConfig(), RLConfig(epochs=2, beam_size=4, baseline_mode="off",
+                                         step_size=0.5, explore_mode="sample", rng_seed=7)]
+
+
+# pretrain reads its settings only from its config file, rl-train only from
+# its flags; the other way in is refused before any file is read.
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--instances", "missing.inst", "--out", "m.ckpt", "--epochs", "1"],
+    ["pretrain", "--instances", "missing.inst", "--out", "m.ckpt", "--seed", "3"],
+    ["rl-train", "--model", "missing.ckpt", "--conllu", "missing.conllu", "--out", "r.ckpt",
+     "--config", "f.cfg"],
+], ids=["pretrain-epochs", "pretrain-seed", "rl-train-config"])
+def test_training_setting_outside_its_one_way_in_is_a_usage_error(tmp_path, capsys,
+                                                                   monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# A cache only an adapter fills, and only where something is scored.
+@pytest.mark.parametrize("argv,message", [
+    (["extract", "--model", "missing.ckpt", "--conllu", "missing.conllu", "--out", "o.jsonl",
+      "--rerank", "sem"], "--scorer-cache needs --rerank sem/combined and an adapter:URI --scorer"),
+    (["extract", "--model", "missing.ckpt", "--conllu", "missing.conllu", "--out", "o.jsonl",
+      "--scorer", "adapter:http://127.0.0.1:9"],
+     "--scorer-cache needs --rerank sem/combined and an adapter:URI --scorer"),
+    (["rl-train", "--model", "missing.ckpt", "--conllu", "missing.conllu", "--out", "r.ckpt"],
+     "--scorer-cache needs an adapter:URI --scorer"),
+], ids=["extract-surrogate", "extract-rerank-none", "rl-train-surrogate"])
+def test_scorer_cache_nothing_would_fill_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                          argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--scorer-cache", "c.jsonl"]) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fraction", ["1.5", "1.0", "-0.5"])

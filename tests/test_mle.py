@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from oiekit import mle, nn, tagger
-from oiekit.core import NoPredicateSpan, TaggedInstance, TagSequence, spans_from_tags
+from oiekit.core import (NonFiniteValue, NoPredicateSpan, TaggedInstance, TagSequence,
+                         spans_from_tags)
 from oiekit.corpus_io import gen_synthetic
 from oiekit.evaluate import evaluate, gold_from_instance
-from oiekit.mle import (
-    NonFiniteLoss,
-    TrainConfig,
-    instance_grads,
-    mle_loss,
-    pretrain,
-)
+from oiekit.mle import TrainConfig, instance_grads, mle_loss, pretrain
 from oiekit.patterns import generate_instances
 from oiekit.tagger import (TaggerConfig, build_vocab, extract, init_model, load_model,
                            save_model)
@@ -253,7 +248,7 @@ class TestPretrain:
         corpus = self.small_corpus()
         model = init_model(TINY, build_vocab(corpus))
         model.params["cls.w"][0, 0] = float("nan")
-        with pytest.raises(NonFiniteLoss, match="epoch 1, sentence '"):
+        with pytest.raises(NonFiniteValue, match="epoch 1, sentence '"):
             pretrain(model, corpus, TrainConfig(epochs=1))
 
     def test_zero_probability_warning_names_the_sentence(self):

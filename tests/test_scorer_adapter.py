@@ -151,6 +151,31 @@ def test_cached_score_outside_the_reply_rule_names_the_line(tmp_path, score):
         SemScorer(HttpEntailmentAdapter("http://127.0.0.1:9"), cache_path=cache_path)
 
 
+def test_extract_reuses_the_scorer_cache_it_wrote(scorer_server, parragon, tmp_path):
+    argv = _extract_sem_argv(parragon, tmp_path) + [
+        "--scorer", f"adapter:{scorer_server}", "--scorer-cache", str(tmp_path / "c.jsonl")]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == cli.EXIT_OK
+        outputs.append((tmp_path / "out.jsonl").read_bytes())
+    assert _ScorerHandler.calls
+    assert len(_ScorerHandler.calls) == len(outputs[0].splitlines())
+    assert outputs[0] == outputs[1]
+
+
+def test_bad_cache_line_names_the_cache_before_any_request(scorer_server, parragon, tmp_path,
+                                                           capsys):
+    cache_path = tmp_path / "c.jsonl"
+    cache_path.write_text(_CACHED + '{"hypothesis": "c d", "score": 1.5, "sentence_id": "s2"}\n',
+                          encoding="utf-8")
+    code = cli.main(_extract_sem_argv(parragon, tmp_path) + [
+        "--scorer", f"adapter:{scorer_server}", "--scorer-cache", str(cache_path)])
+    assert code == cli.EXIT_DATA
+    assert f"{cache_path}: line 2: bad record: score 1.5" in capsys.readouterr().err
+    assert _ScorerHandler.calls == []
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_tab_in_a_conllu_sentence_id_round_trips_through_the_cache(scorer_server, tmp_path):
     conllu = tmp_path / "tab.conllu"
     conllu.write_text("# sent_id = a\tb\n# text = cats sleep\n"
