@@ -14,6 +14,7 @@ trainers raise NonFiniteValue, the one numeric failure (exit 3). They write
 the per-epoch metrics rows as JSON lines to ``--metrics``, by default
 ``<--out>.metrics.jsonl``: the commands, not the stages, write files.
 ``--scorer`` alone picks the semantic scorer; the default is ``surrogate``.
+extract takes ``--scorer`` only with ``--rerank sem`` or ``combined``, and
 ``--scorer-cache`` needs an ``adapter:`` scorer that scores.
 """
 
@@ -122,7 +123,8 @@ def build_parser() -> _Parser:
     p.add_argument("--rerank", choices=["none", "sem", "combined"], default="none")
     p.add_argument("--out", required=True)
     p.add_argument("--patterns")
-    p.add_argument("--scorer", default="surrogate", help="surrogate (the default) or adapter:URI")
+    p.add_argument("--scorer", help="surrogate (the default) or adapter:URI; needs --rerank "
+                   "sem or combined")
     p.add_argument("--scorer-cache")
 
     p = sub.add_parser("eval", help="score extractions against gold tuples")
@@ -221,13 +223,16 @@ def cmd_rl_train(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    if args.scorer_cache and (args.rerank == "none" or not args.scorer.startswith("adapter:")):
+    spec = "surrogate" if args.scorer is None else args.scorer
+    if args.scorer_cache and (args.rerank == "none" or not spec.startswith("adapter:")):
         raise _UsageError("--scorer-cache needs --rerank sem/combined and an adapter:URI --scorer")
+    if args.scorer is not None and args.rerank == "none":
+        raise _UsageError("--scorer needs --rerank sem or combined")
     model = tagger.load_model(args.model)
     table = _load_table(args.patterns)
     scorer = None
     if args.rerank != "none":
-        scorer = reward.make_sem_scorer(args.scorer, args.scorer_cache)
+        scorer = reward.make_sem_scorer(spec, args.scorer_cache)
     sentences = corpus_io.read_conllu(args.conllu)
     extractions = tagger.extract(sentences, model, table)
     if scorer is not None:

@@ -120,8 +120,8 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
              config: TrainConfig = TrainConfig(),
              dev: Optional[Sequence[TaggedInstance]] = None) -> list[dict]:
     """Minimize mean token-level NLL with Adam; early-stops on dev loss and
-    restores the best parameters. Returns the per-epoch metrics rows,
-    which the CLI writes.
+    restores the best parameters. Returns the per-epoch metrics rows, which
+    the CLI writes; a non-finite ``Adam.step`` norm raises NonFiniteValue.
 
     Without ``dev``, a ``config.dev_fraction`` share of the shuffled corpus
     (at least one instance, when there are two or more) is held out as
@@ -171,9 +171,8 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
             losses, grads = _batch_grads(model, batch, epoch)
             for loss in losses:
                 epoch_loss += loss
-            if not nn.grads_finite(grads):
+            if not np.isfinite(optimizer.step(grads)):
                 raise NonFiniteValue(f"non-finite gradient at epoch {epoch}")
-            optimizer.step(grads)
         train_loss = epoch_loss / len(train)
         dev_loss = dev_f1 = None
         if dev:

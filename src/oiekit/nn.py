@@ -206,7 +206,8 @@ def highway_backward(dout, x, core, gate, params, grads, prefix):
 
 
 class Adam:
-    """Adam over a named-parameter dict, updated in place."""
+    """Adam over a named-parameter dict, updated in place. :meth:`step` returns
+    the squared gradient norm and updates nothing when it is not finite."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -217,7 +218,10 @@ class Adam:
         self.m = {name: np.zeros_like(value) for name, value in params.items()}
         self.v = {name: np.zeros_like(value) for name, value in params.items()}
 
-    def step(self, grads: dict) -> None:
+    def step(self, grads: dict) -> float:
+        norm = sum(float(np.vdot(grad, grad)) for grad in grads.values())
+        if not np.isfinite(norm):
+            return norm
         self.t += 1
         bias1 = 1.0 - self.BETA1 ** self.t
         bias2 = 1.0 - self.BETA2 ** self.t
@@ -230,7 +234,4 @@ class Adam:
             v += (1.0 - self.BETA2) * grad * grad
             update = (m / bias1) / (np.sqrt(v / bias2) + self.EPS)
             self.params[name] -= self.step_size * update
-
-
-def grads_finite(grads: dict) -> bool:
-    return all(np.isfinite(g).all() for g in grads.values())
+        return norm

@@ -19,7 +19,7 @@ from oiekit.core import (
     TagSequence,
     ValidationError,
 )
-from oiekit.corpus_io import read_key_values
+from oiekit.corpus_io import ParseError, read_key_values
 
 # Dependents with these relations are auxiliaries, not content predicates.
 AUX_DEPRELS = frozenset({"aux", "auxpass", "aux:pass", "cop"})
@@ -67,7 +67,8 @@ def load_pattern_table(path) -> PatternTable:
     :func:`oiekit.corpus_io.read_key_values`).
 
     Keys are ``predicate_pos`` or role names; values are comma-separated
-    labels, e.g. ``ARG2 = dobj, obj, xcomp``.
+    labels, e.g. ``ARG2 = dobj, obj, xcomp``. A table that
+    :class:`PatternTable` refuses is a ParseError naming ``path``.
     """
     role_patterns: dict[str, frozenset[str]] = {}
     predicate_pos = frozenset({"VERB"})
@@ -77,7 +78,10 @@ def load_pattern_table(path) -> PatternTable:
             predicate_pos = values
         else:
             role_patterns[key] = values
-    return PatternTable(role_patterns=role_patterns, predicate_pos=predicate_pos)
+    try:
+        return PatternTable(role_patterns=role_patterns, predicate_pos=predicate_pos)
+    except ValidationError as exc:
+        raise ParseError(str(exc), path=path) from None
 
 
 def identify_predicates(sentence: ParsedSentence, table: PatternTable = DEFAULT_TABLE) -> list[int]:

@@ -133,8 +133,8 @@ def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSente
     """One likelihood-ratio update: ascend sum_k (R_k - b) grad log P(Y_k),
     through the cache of the forward pass the candidates were decoded from.
 
-    Returns the squared gradient norm (0.0 means the parameters were left
-    untouched, as with a single candidate under the mean baseline).
+    Returns ``optimizer.step``'s squared gradient norm, 0.0 with no update
+    (one candidate, mean baseline); a non-finite norm raises NonFiniteValue.
     """
     if not candidates or len(candidates) != len(rewards):
         raise OiekitError("need equally many candidates and rewards, at least one each")
@@ -142,11 +142,10 @@ def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSente
     # Weights b - R_k give the descent gradient directly (negation is exact).
     dlogits = _policy_dlogits(cache, candidates, [baseline - r for r in rewards])
     if not np.all(dlogits == 0.0):
-        descent = tagger.backward_from_dlogits(model, cache, dlogits)
-        if not nn.grads_finite(descent):
+        norm = optimizer.step(tagger.backward_from_dlogits(model, cache, dlogits))
+        if not np.isfinite(norm):
             raise NonFiniteValue(f"non-finite policy gradient on {sentence.sentence_id!r}")
-        optimizer.step(descent)
-        return float(sum((g * g).sum() for g in descent.values()))
+        return norm
     return 0.0
 
 

@@ -328,7 +328,7 @@ def pretrain_step_and_oracle(monkeypatch):
 
     def recording_step(self, grads):
         steps.append({name: grad.copy() for name, grad in grads.items()})
-        original(self, grads)
+        return original(self, grads)
 
     monkeypatch.setattr(nn.Adam, "step", recording_step)
     pretrain(model, corpus, TrainConfig(epochs=1, batch_size=len(corpus)), dev=corpus[:1])

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from oiekit import cli, corpus_io, mle, nn, rl, tagger
+from oiekit import cli, corpus_io, mle, rl, tagger
 from oiekit.mle import TrainConfig
 from oiekit.rl import RLConfig
 from oiekit.tagger import TaggerConfig
@@ -83,6 +83,21 @@ def test_pattern_line_without_equals_is_a_data_error(pipeline, capsys):
                      "--patterns", str(work / "bad.patterns"), "--out", str(work / "bad.inst")])
     assert code == cli.EXIT_DATA
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines,message", [
+    ("ARG9 = nsubj\n", "unknown roles in pattern table: ['ARG9']"),
+    ("ARG1 = nsubj\nARG2 = obj, nsubj\n", "relations ['nsubj'] assigned to both ARG1 and ARG2"),
+], ids=["unknown-role", "shared-relation"])
+def test_pattern_table_it_refuses_names_its_file(pipeline, capsys, lines, message):
+    work, _ = pipeline
+    table = work / "refused.patterns"
+    table.write_text(lines, encoding="utf-8")
+    code = cli.main(["label", "--conllu", str(work / "train.conllu"),
+                     "--patterns", str(table), "--out", str(work / "refused.inst")])
+    assert code == cli.EXIT_DATA
+    assert f"data error: {table}: {message}" in capsys.readouterr().err
+    assert not (work / "refused.inst").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -447,15 +462,25 @@ def test_closed_output_pipe_ends_quietly(pipeline, capsys):
     assert capsys.readouterr().err == ""
 
 
-# Without a baseline, the first candidate with a non-zero reward updates.
+# A NaN in one gradient array stops the first update. Without a baseline,
+# the first candidate with a non-zero reward updates.
 @pytest.mark.parametrize("command,flags", [("pretrain", []), ("rl-train", ["--baseline", "off"])])
 def test_non_finite_gradient_is_a_numeric_failure(pipeline, capsys, monkeypatch, command, flags):
     work, _ = pipeline
-    monkeypatch.setattr(nn, "grads_finite", lambda grads: False)
+    message = {"pretrain": "non-finite gradient at epoch 1",
+               "rl-train": "non-finite policy gradient on "}[command]
+    real_backward = tagger.backward_from_dlogits
+
+    def nan_backward(model, cache, dlogits):
+        grads = real_backward(model, cache, dlogits)
+        grads["cls.b"][0] = float("nan")
+        return grads
+
+    monkeypatch.setattr(tagger, "backward_from_dlogits", nan_backward)
     code = cli.main([command, *_training_inputs(work, command), *flags,
                      "--out", str(work / "numeric.ckpt")])
     assert code == cli.EXIT_NUMERIC
-    assert "numeric failure" in capsys.readouterr().err
+    assert f"numeric failure: {message}" in capsys.readouterr().err
     assert not (work / "numeric.ckpt").exists()
 
 
@@ -585,6 +610,28 @@ def test_scorer_cache_nothing_would_fill_is_a_usage_error(tmp_path, capsys, monk
     assert cli.main([*argv, "--scorer-cache", "c.jsonl"]) == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# extract builds a scorer only to rerank; a --scorer nothing would use is refused.
+@pytest.mark.parametrize("flags", [["--scorer", "adapter:http://127.0.0.1:9"],
+                                   ["--rerank", "none", "--scorer", "surrogate"]],
+                         ids=["adapter", "surrogate-rerank-none"])
+def test_extract_scorer_without_rerank_is_a_usage_error(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    argv = ["extract", "--model", "missing.ckpt", "--conllu", "missing.conllu",
+            "--out", "o.jsonl", *flags]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "--scorer needs --rerank sem or combined" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_extract_rerank_without_scorer_uses_the_surrogate(pipeline):
+    work, _ = pipeline
+    code = cli.main(["extract", "--model", str(work / "rl.ckpt"),
+                     "--conllu", str(work / "dev.conllu"), "--patterns", str(work / "patterns.txt"),
+                     "--rerank", "combined", "--out", str(work / "default-scorer.jsonl")])
+    assert code == cli.EXIT_OK
+    assert (work / "default-scorer.jsonl").read_bytes() == (work / "out.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("fraction", ["1.5", "1.0", "-0.5"])

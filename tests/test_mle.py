@@ -96,6 +96,41 @@ class TestGradCheck:
         assert set(grads) == set(model.params)
 
 
+def _adam_and_grads():
+    """An Adam that has taken one step (so its moments are non-zero), and
+    a finite gradient for its next step."""
+    rng = np.random.default_rng(0)
+    params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
+    optimizer = nn.Adam(params, step_size=0.1)
+    optimizer.step({name: rng.normal(size=arr.shape) for name, arr in params.items()})
+    return optimizer, {name: rng.normal(size=arr.shape) for name, arr in params.items()}
+
+
+def _adam_state(optimizer):
+    return optimizer.t, [{name: arr.tobytes() for name, arr in arrays.items()}
+                         for arrays in (optimizer.params, optimizer.m, optimizer.v)]
+
+
+# One NaN, one infinity, one finite entry whose square overflows, and finite
+# squares (1e308 each) whose sum overflows.
+@pytest.mark.parametrize("entries,value", [(1, float("nan")), (1, float("inf")), (1, 1e200),
+                                           (12, 1e154)], ids=["nan", "inf", "square", "sum"])
+def test_adam_step_with_a_non_finite_norm_changes_nothing(entries, value):
+    optimizer, grads = _adam_and_grads()
+    grads["w"].reshape(-1)[:entries] = value
+    before = _adam_state(optimizer)
+    assert not math.isfinite(optimizer.step(grads))
+    assert _adam_state(optimizer) == before
+
+
+def test_adam_step_returns_the_squared_gradient_norm():
+    optimizer, grads = _adam_and_grads()
+    expected = sum(float((grad * grad).sum()) for grad in grads.values())
+    before = _adam_state(optimizer)
+    assert optimizer.step(grads) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert _adam_state(optimizer) != before and optimizer.t == 2
+
+
 class TestPretrain:
     def small_corpus(self):
         sentences, _ = gen_synthetic(("svo",), 40, seed=5)
@@ -132,7 +167,7 @@ class TestPretrain:
 
         def counting_step(optimizer, grads):
             steps.append(optimizer.t)
-            real_step(optimizer, grads)
+            return real_step(optimizer, grads)
 
         monkeypatch.setattr(nn.Adam, "step", counting_step)
         model = init_model(TINY, build_vocab(corpus))
@@ -166,7 +201,7 @@ class TestPretrain:
 
         def recording_step(optimizer, grads):
             optimizers.append(optimizer)
-            real_step(optimizer, grads)
+            return real_step(optimizer, grads)
 
         monkeypatch.setattr(nn.Adam, "step", recording_step)
         corpus = self.small_corpus()
