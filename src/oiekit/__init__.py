@@ -12,7 +12,6 @@ from oiekit.core import (
     ARGUMENT_ROLES,
     Extraction,
     LABELS,
-    NonTreeParse,
     NoPredicateSpan,
     OiekitError,
     OUTSIDE,
@@ -20,7 +19,6 @@ from oiekit.core import (
     PREDICATE_ROLE,
     ROLES,
     Span,
-    SpanOutOfBounds,
     TaggedInstance,
     TagSequence,
     Token,

@@ -3,7 +3,9 @@
 Commands: synth, label, pretrain, rl-train, extract, eval. Exit codes:
 0 success, 1 usage error, 2 data error, 3 numeric failure. Every usage
 error is raised before any file is read, generated or written, so a bad
-command line exits 1 whether or not its input files exist. An output pipe
+command line exits 1 whether or not its input files exist. Any other
+OiekitError but NonFiniteValue is a data error, and a bad file's error
+(``corpus_io.ParseError``) names the file. An output pipe
 whose reader has gone (``| head``) ends the command quietly with 0, as it
 ends when the output fits before the reader goes.
 
@@ -13,9 +15,10 @@ left out keeps its TaggerConfig, TrainConfig or RLConfig default. Both
 trainers raise NonFiniteValue, the one numeric failure (exit 3). They write
 the per-epoch metrics rows as JSON lines to ``--metrics``, by default
 ``<--out>.metrics.jsonl``: the commands, not the stages, write files.
-``--scorer`` alone picks the semantic scorer; the default is ``surrogate``.
-extract takes ``--scorer`` only with ``--rerank sem`` or ``combined``, and
-``--scorer-cache`` needs an ``adapter:`` scorer that scores.
+``--scorer`` alone picks the semantic scorer (default ``surrogate``; a spec
+``reward.make_sem_scorer`` refuses is a usage error). extract takes it only
+with ``--rerank sem`` or ``combined``; ``--scorer-cache`` needs an adapter
+scorer that scores.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ def _pretrain_configs(path) -> tuple[TaggerConfig, TrainConfig]:
     """The TaggerConfig and TrainConfig that the config file at ``path`` (if
     any) sets. Its keys are their field names, with ``seed`` for both
     rng_seeds, and a value is cast to the type of its field's default; an
-    unknown key or a value the cast rejects is a ParseError."""
+    unknown key, a value the cast rejects or a config that refuses its values
+    is a ParseError naming the file."""
     configs = (TaggerConfig, TrainConfig)
     casts = {"seed" if f.name == "rng_seed" else f.name: type(f.default)
              for config in configs for f in dataclasses.fields(config)}
@@ -65,8 +69,19 @@ def _pretrain_configs(path) -> tuple[TaggerConfig, TrainConfig]:
             values["rng_seed" if key == "seed" else key] = casts[key](value)
         except ValueError:
             raise ParseError(f"bad value {value!r} for key {key!r}", path=path) from None
-    return tuple(config(**{f.name: values[f.name] for f in dataclasses.fields(config)
-                           if f.name in values}) for config in configs)
+    try:
+        return tuple(config(**{f.name: values[f.name] for f in dataclasses.fields(config)
+                               if f.name in values}) for config in configs)
+    except ValidationError as exc:
+        raise ParseError(str(exc), path=path) from None
+
+
+def _sem_scorer(spec) -> reward.SemScorer:
+    """The scorer ``spec`` names, without its cache; a bad spec is a usage error."""
+    try:
+        return reward.make_sem_scorer(spec)
+    except ValidationError as exc:
+        raise _UsageError(f"--scorer: {exc}") from None
 
 
 def _load_table(path):
@@ -197,14 +212,16 @@ def cmd_pretrain(args) -> int:
 def cmd_rl_train(args) -> int:
     if args.dev_gold and not args.dev_conllu:
         raise _UsageError("--dev-gold requires --dev-conllu")
-    if args.scorer_cache and not args.scorer.startswith("adapter:"):
+    scorer = _sem_scorer(args.scorer)
+    if args.scorer_cache and scorer.adapter is None:
         raise _UsageError("--scorer-cache needs an adapter:URI --scorer")
     rl_config = RLConfig(epochs=args.epochs, beam_size=args.beam, baseline_mode=args.baseline,
                          step_size=args.step_size, rng_seed=args.seed,
                          explore_mode="sample" if args.sample else "beam")
     model = tagger.load_model(args.model)
     table = _load_table(args.patterns)
-    scorer = reward.make_sem_scorer(args.scorer, args.scorer_cache)
+    if args.scorer_cache:
+        scorer = reward.SemScorer(scorer.adapter, args.scorer_cache)
     sentences = corpus_io.read_conllu(args.conllu)
     dev = None
     if args.dev_conllu:
@@ -223,16 +240,17 @@ def cmd_rl_train(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    spec = "surrogate" if args.scorer is None else args.scorer
-    if args.scorer_cache and (args.rerank == "none" or not spec.startswith("adapter:")):
+    scorer = None
+    if args.rerank != "none":
+        scorer = _sem_scorer("surrogate" if args.scorer is None else args.scorer)
+    if args.scorer_cache and (scorer is None or scorer.adapter is None):
         raise _UsageError("--scorer-cache needs --rerank sem/combined and an adapter:URI --scorer")
-    if args.scorer is not None and args.rerank == "none":
+    if args.scorer is not None and scorer is None:
         raise _UsageError("--scorer needs --rerank sem or combined")
     model = tagger.load_model(args.model)
     table = _load_table(args.patterns)
-    scorer = None
-    if args.rerank != "none":
-        scorer = reward.make_sem_scorer(spec, args.scorer_cache)
+    if args.scorer_cache:
+        scorer = reward.SemScorer(scorer.adapter, args.scorer_cache)
     sentences = corpus_io.read_conllu(args.conllu)
     extractions = tagger.extract(sentences, model, table)
     if scorer is not None:

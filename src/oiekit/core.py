@@ -9,7 +9,10 @@ token. The decoder's transition table and the RL sampler read it, and a
 :class:`TaggedInstance` holds only tags it allows, so every instance,
 whether labelled, read from a file or decoded, is valid from there on.
 
-All types are immutable values; every operation here is pure.
+A value that breaks its type's rule (a parse that is not one tree, say)
+raises :class:`ValidationError`; a reader names the file and line
+(``corpus_io.ParseError``). All types are immutable values; every
+operation here is pure.
 """
 
 from __future__ import annotations
@@ -38,16 +41,8 @@ class ValidationError(OiekitError):
     """A value violates one of its type invariants."""
 
 
-class NonTreeParse(OiekitError):
-    """The head graph of a sentence is not a single-rooted tree."""
-
-
 class NoPredicateSpan(OiekitError):
     """A tag sequence contains no predicate labels."""
-
-
-class SpanOutOfBounds(OiekitError):
-    """A span is inverted, non-positive, or outside the sentence."""
 
 
 class NonFiniteValue(OiekitError):
@@ -115,42 +110,35 @@ class ParsedSentence:
     text: str = ""
 
     def __post_init__(self):
-        if not self.tokens:
-            raise ValidationError(f"sentence {self.sentence_id!r} has no tokens")
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        m = len(self.tokens)
-        for pos, tok in enumerate(self.tokens, start=1):
-            if tok.index != pos:
-                raise ValidationError(
-                    f"sentence {self.sentence_id!r}: token index {tok.index} "
-                    f"at position {pos} (indices must be 1..{m} in order)"
-                )
-            if tok.head > m:
-                raise ValidationError(
-                    f"sentence {self.sentence_id!r}: token {tok.index} has "
-                    f"head {tok.head} beyond sentence length {m}"
-                )
-        self._check_tree()
+        problem = self._problem()
+        if problem is not None:
+            raise ValidationError(f"sentence {self.sentence_id!r}: {problem}")
         if not self.text:
             object.__setattr__(self, "text", " ".join(t.surface for t in self.tokens))
 
-    def _check_tree(self):
+    def _problem(self) -> Optional[str]:
+        """Why the tokens are not one tree over indices 1..m in order, if they are not."""
+        m = len(self.tokens)
+        if not m:
+            return "no tokens"
+        for pos, tok in enumerate(self.tokens, start=1):
+            if tok.index != pos:
+                return (f"token index {tok.index} at position {pos} (indices must be 1..{m} "
+                        "in order)")
+            if tok.head > m:
+                return f"token {tok.index} has head {tok.head} beyond sentence length {m}"
         roots = [t.index for t in self.tokens if t.head == 0]
         if len(roots) != 1:
-            raise NonTreeParse(
-                f"sentence {self.sentence_id!r}: expected exactly one root, "
-                f"found {len(roots)}"
-            )
+            return f"expected exactly one root, found {len(roots)}"
         for tok in self.tokens:
-            seen = set()
-            cur = tok.index
+            seen, cur = set(), tok.index
             while cur != 0:
                 if cur in seen:
-                    raise NonTreeParse(
-                        f"sentence {self.sentence_id!r}: cycle through token {cur}"
-                    )
+                    return f"cycle through token {cur}"
                 seen.add(cur)
                 cur = self.tokens[cur - 1].head
+        return None
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -246,7 +234,7 @@ class Extraction:
         spans = [("P", self.predicate_span)] + sorted(self.role_spans.items())
         for role, (start, end) in spans:
             if start < 1 or end < start:
-                raise SpanOutOfBounds(f"{role} span [{start}, {end}] is invalid")
+                raise ValidationError(f"{role} span [{start}, {end}] is invalid")
         for i, (role_a, span_a) in enumerate(spans):
             for role_b, span_b in spans[i + 1 :]:
                 if span_a[0] <= span_b[1] and span_b[0] <= span_a[1]:

@@ -31,7 +31,6 @@ import numpy as np
 from oiekit.core import (
     ARGUMENT_ROLES,
     Extraction,
-    NonTreeParse,
     OiekitError,
     ParsedSentence,
     TaggedInstance,
@@ -169,9 +168,11 @@ def read_conllu(path) -> list[ParsedSentence]:
     skipped. Only the comments ``# sent_id = ...`` and ``# text = ...`` are
     read, by exact key (``# text_en = ...`` is not the text). The sent_id
     names the sentence when present; the n-th sentence without one is
-    named ``s{n}``. A sentence id that an
-    earlier sentence already has, given or generated, raises
-    :class:`ParseError` at the line that ends the second sentence.
+    named ``s{n}``. Every defect raises :class:`ParseError` with the path and
+    a line: a malformed line or a token that :class:`Token` refuses (its own
+    head, say) at that line; a sentence that :class:`ParsedSentence` refuses
+    (not a single-rooted tree, say), or whose id an earlier sentence already
+    has, given or generated, at the line that ends it.
     """
     sentences = []
     ends: dict[str, int] = {}  # sentence id -> line that ended it
@@ -188,49 +189,41 @@ def read_conllu(path) -> list[ParsedSentence]:
             raise ParseError(f"sentence id {sid!r} repeats the sentence ending at line "
                              f"{ends[sid]}", line_no, path)
         ends[sid] = line_no
-        try:
-            sentences.append(ParsedSentence(sentence_id=sid, tokens=tuple(tokens), text=text))
-        except OiekitError as exc:
-            raise type(exc)(f"{path}: sentence ending at line {line_no}: {exc}") from exc
-        tokens = []
-        sent_id = None
-        text = ""
+        sentences.append(ParsedSentence(sentence_id=sid, tokens=tuple(tokens), text=text))
+        tokens, sent_id, text = [], None, ""
 
     with open(path, "r", encoding="utf-8") as handle:
         line_no = 0
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                flush(line_no)
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                if key.strip() == "sent_id":
-                    sent_id = value.strip()
-                elif key.strip() == "text":
-                    text = value.strip()
-                continue
-            cols = line.split("\t")
-            if len(cols) != 10:
-                raise ParseError(f"expected 10 tab-separated columns, got {len(cols)}", line_no,
-                                 path)
-            if "-" in cols[ID] or "." in cols[ID]:
-                continue
-            try:
-                index = int(cols[ID])
-                head = int(cols[HEAD])
-            except ValueError:
-                raise ParseError(f"non-integer ID or HEAD in {cols[ID]!r}/{cols[HEAD]!r}", line_no,
-                                 path)
-            if head == index:
-                raise NonTreeParse(f"{path}: line {line_no}: token {index} is its own head")
-            try:
-                tokens.append(
-                    Token(index=index, surface=cols[FORM], upos=cols[UPOS], head=head, deprel=cols[DEPREL])
-                )
-            except OiekitError as exc:
-                raise type(exc)(f"{path}: line {line_no}: {exc}") from exc
-        flush(line_no)
+        try:
+            for line_no, raw in enumerate(handle, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line:
+                    flush(line_no)
+                    continue
+                if line.startswith("#"):
+                    key, _, value = line[1:].partition("=")
+                    if key.strip() == "sent_id":
+                        sent_id = value.strip()
+                    elif key.strip() == "text":
+                        text = value.strip()
+                    continue
+                cols = line.split("\t")
+                if len(cols) != 10:
+                    raise ParseError(f"expected 10 tab-separated columns, got {len(cols)}",
+                                     line_no, path)
+                if "-" in cols[ID] or "." in cols[ID]:
+                    continue
+                try:
+                    index = int(cols[ID])
+                    head = int(cols[HEAD])
+                except ValueError:
+                    raise ParseError(f"non-integer ID or HEAD in {cols[ID]!r}/{cols[HEAD]!r}",
+                                     line_no, path) from None
+                tokens.append(Token(index=index, surface=cols[FORM], upos=cols[UPOS], head=head,
+                                    deprel=cols[DEPREL]))
+            flush(line_no)
+        except ValidationError as exc:
+            raise ParseError(str(exc), line_no, path) from None
     return sentences
 
 
@@ -544,13 +537,15 @@ def gen_synthetic(templates=TEMPLATE_NAMES, n: int = 100, seed: int = 0):
 
     ``templates`` holds ``name`` or ``name:weight`` entries, such as
     :data:`TEMPLATE_NAMES` (weight 1 when left out, spaces ignored). A
-    negative ``n``, an entry of another form or an unknown name, a weight
-    that is not finite and non-negative, or weights not summing to a
-    positive finite value raise ValidationError naming the value, before
-    anything is generated. Output is deterministic for a fixed seed.
+    negative ``n`` or ``seed``, an entry of another form or an unknown
+    name, a weight that is not finite and non-negative, or weights not
+    summing to a positive finite value raise ValidationError naming the
+    value, before anything is generated. Output is deterministic for a fixed seed.
     """
     if n < 0:
         raise ValidationError(f"n = {n}: the sentence count must be >= 0")
+    if seed < 0:
+        raise ValidationError(f"seed = {seed}: the seed must be >= 0")
     names, weights = _template_weights(templates)
     rng = np.random.default_rng(seed)
     sentences: list[ParsedSentence] = []

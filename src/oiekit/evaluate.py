@@ -9,18 +9,14 @@ from typing import Optional, Sequence
 
 from oiekit.core import (
     Extraction,
-    OiekitError,
     ParsedSentence,
     PREDICATE_ROLE,
     TaggedInstance,
+    ValidationError,
     span_head,
     spans_from_tags,
 )
 from oiekit.corpus_io import GoldTuple, atomic_write
-
-
-class EmptyGold(OiekitError):
-    """Evaluation requested against an empty gold set."""
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,7 @@ def best_f1(pr_points: Sequence[tuple[float, float]]) -> float:
 def evaluate(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
              matcher=match) -> EvalReport:
     if not gold:
-        raise EmptyGold("cannot evaluate without gold tuples")
+        raise ValidationError("cannot evaluate without gold tuples")
     decisions = assign_matches(extractions, gold, matcher)
     points = _pr_points(decisions, len(gold))
     return EvalReport(

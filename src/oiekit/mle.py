@@ -47,6 +47,8 @@ class TrainConfig:
             raise ValidationError(f"dev_fraction must be in [0, 1), got {self.dev_fraction}")
         if self.patience < 1:
             raise ValidationError("patience must be >= 1")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def _gold_nll(instance: TaggedInstance, probs: np.ndarray) -> tuple[float, np.ndarray]:

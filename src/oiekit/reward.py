@@ -259,8 +259,5 @@ def make_sem_scorer(spec: str, cache_path=None) -> SemScorer:
     if spec == "surrogate":
         return SemScorer()
     if spec.startswith("adapter:"):
-        endpoint = spec[len("adapter:"):]
-        if not endpoint:
-            raise ValidationError("adapter scorer needs an endpoint, e.g. adapter:http://host/score")
-        return SemScorer(HttpEntailmentAdapter(endpoint), cache_path=cache_path)
+        return SemScorer(HttpEntailmentAdapter(spec[len("adapter:"):]), cache_path=cache_path)
     raise ValidationError(f"unknown scorer spec {spec!r}")

@@ -53,6 +53,8 @@ class RLConfig:
             raise ValidationError(f"unknown explore mode {self.explore_mode!r}")
         if self.beam_size < 1:
             raise ValidationError("beam_size must be >= 1")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def _sample_sequences(distributions: np.ndarray, count: int, predicate: int,

@@ -73,9 +73,11 @@ class TaggerConfig:
     rng_seed: int = 13
 
     def __post_init__(self):
-        for name in ("embedding_dim", "indicator_dim", "hidden_dim", "num_encoder_layers"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
+        # type(), not isinstance: a bool is an int, and a float shape fails deep in numpy.
+        for name, value in asdict(self).items():
+            low = 0 if name == "rng_seed" else 1
+            if type(value) is not int or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class TaggerModel:
@@ -456,27 +458,28 @@ def save_model(model: TaggerModel, path) -> None:
 
 
 def load_model(path) -> TaggerModel:
-    """Read a checkpoint written by :func:`save_model`. A malformed header,
-    a legacy key naming another input layer or role set, an array set or
-    shape other than the one :func:`init_model` builds for the header's
-    config and vocabulary, an array whose dtype is not float64 (the only
-    one written), an array cut short or holding a NaN or infinity, or bytes
-    after the last array raise :class:`ParseError`."""
+    """Read a checkpoint written by :func:`save_model`. A malformed header
+    (a config :class:`TaggerConfig` refuses, a legacy key naming another
+    input layer or role set, an array set or shape other than the one
+    :func:`init_model` builds for its config and vocabulary, or a dtype
+    other than float64, the only one written), an array cut short or
+    holding a NaN or infinity, or bytes after the last array raise
+    :class:`ParseError` naming ``path``."""
     with open(path, "rb") as handle:
         try:
             header = json.loads(handle.readline().decode("utf-8"))
             if not isinstance(header, dict):
                 raise TypeError("header is not a JSON object")
             if header.get("format") != _FORMAT:
-                raise ParseError(f"checkpoint {path}: format is not {_FORMAT!r}")
+                raise ParseError(f"checkpoint format is not {_FORMAT!r}", path=path)
             config_dict = dict(header["config"])
             # Written before the decoder width left TaggerConfig; nothing reads it.
             config_dict.pop("beam_size", None)
             for key, value in _LEGACY_INPUT_KEYS.items():
                 found = config_dict.pop(key, value)
                 if found != value:
-                    raise ParseError(f"checkpoint {path}: config key {key!r} is "
-                                     f"{json.dumps(found)}; only {json.dumps(value)} loads")
+                    raise ParseError(f"checkpoint config key {key!r} is {json.dumps(found)}; "
+                                     f"only {json.dumps(value)} loads", path=path)
             config = TaggerConfig(**config_dict)
             arrays = [(entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"]))
                       for entry in header["arrays"]]
@@ -485,26 +488,25 @@ def load_model(path) -> TaggerModel:
             names = [name for name, _, _ in arrays]
             if len(names) != len(expected) or set(names) != set(expected):
                 raise ValueError(f"arrays {names}, expected {list(expected)} for its config")
-        except (KeyError, TypeError, ValueError) as exc:
+            for name, dtype, shape in arrays:
+                if shape != expected[name]:
+                    raise ValueError(f"array {name!r} has shape {list(shape)}, expected "
+                                     f"{list(expected[name])} for its config and vocabulary")
+                if dtype != np.float64:
+                    raise ValueError(f"array {name!r} has dtype {dtype}, not float64")
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
             what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ParseError(f"checkpoint {path}: bad header: {what}") from None
+            raise ParseError(f"checkpoint bad header: {what}", path=path) from None
         params = {}
-        for name, dtype, shape in arrays:
-            if shape != expected[name]:
-                raise ParseError(f"checkpoint {path}: array {name!r} has shape {list(shape)}, "
-                                 f"expected {list(expected[name])} for its config and "
-                                 "vocabulary")
-            if dtype != np.float64:
-                raise ParseError(f"checkpoint {path}: array {name!r} has dtype {dtype}, "
-                                 "not float64")
+        for name, dtype, _ in arrays:
             size = int(np.prod(expected[name])) * dtype.itemsize
             data = handle.read(size)
             if len(data) != size:
-                raise ParseError(f"checkpoint {path}: array {name!r} has "
-                                 f"{len(data)} of {size} bytes")
+                raise ParseError(f"checkpoint array {name!r} has {len(data)} of {size} bytes",
+                                 path=path)
             params[name] = np.frombuffer(data, dtype=dtype).reshape(expected[name]).copy()
             if not np.isfinite(params[name]).all():
-                raise ParseError(f"checkpoint {path}: array {name!r} holds a non-finite value")
+                raise ParseError(f"checkpoint array {name!r} holds a non-finite value", path=path)
         if handle.read(1):
-            raise ParseError(f"checkpoint {path}: trailing bytes after the last array")
+            raise ParseError("checkpoint has trailing bytes after the last array", path=path)
     return TaggerModel(config, vocab, params)

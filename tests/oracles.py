@@ -25,7 +25,7 @@ import numpy as np
 
 from oiekit import tagger
 from oiekit.core import (ARGUMENT_ROLES, LABEL_INDEX, LABELS, OUTSIDE, PREDICATE_ROLE,
-                         SpanOutOfBounds, TagSequence)
+                         TagSequence, ValidationError)
 from oiekit.rl import _policy_dlogits
 
 
@@ -138,7 +138,7 @@ def tags_from_spans(extraction, m):
     items += sorted(extraction.role_spans.items())
     for role, (start, end) in items:
         if start < 1 or end > m or end < start:
-            raise SpanOutOfBounds(
+            raise ValidationError(
                 f"{role} span [{start}, {end}] outside sentence of length {m}"
             )
         labels[start - 1] = f"B-{role}"

@@ -420,6 +420,38 @@ def test_checkpoint_naming_another_input_layer_is_a_data_error(pipeline, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value,shown", [(64.0, "64.0"), (True, "True"), (0, "0")],
+                         ids=["float", "bool", "zero"])
+def test_checkpoint_dimension_its_config_refuses_names_the_file(pipeline, capsys, value, shown):
+    work, _ = pipeline
+    header, arrays = (work / "rl.ckpt").read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    header["config"]["hidden_dim"] = value
+    (work / "dim.ckpt").write_bytes(json.dumps(header).encode("utf-8") + b"\n" + arrays)
+    out = work / "dim.jsonl"
+    code = cli.main(["extract", "--model", str(work / "dim.ckpt"),
+                     "--conllu", str(work / "dev.conllu"), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert (f"{work / 'dim.ckpt'}: checkpoint bad header: hidden_dim must be an integer >= 1, "
+            f"got {shown}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_with_a_float_dimension_exits_2_without_a_traceback(pipeline, tmp_path):
+    work, _ = pipeline
+    header, arrays = (work / "rl.ckpt").read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    header["config"]["hidden_dim"] = 64.0
+    (tmp_path / "float.ckpt").write_bytes(json.dumps(header).encode("utf-8") + b"\n" + arrays)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-m", "oiekit.cli", "extract", "--model", "float.ckpt",
+                             "--conllu", str(work / "dev.conllu"), "--out", "o.jsonl"],
+                            cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == cli.EXIT_DATA, result.stderr
+    assert "float.ckpt: checkpoint bad header: hidden_dim" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_checkpoint_with_the_legacy_input_layer_keys_extracts_the_same(pipeline):
     work, _ = pipeline
     header, arrays = (work / "rl.ckpt").read_bytes().split(b"\n", 1)
@@ -537,6 +569,25 @@ def test_out_of_range_rl_setting_is_a_data_error(pipeline, capsys, flag, value):
     assert not (work / "range-rl.ckpt").exists()
 
 
+# A negative seed is refused by its field's name before any input is read.
+@pytest.mark.parametrize("argv,config,code,message", [
+    (["synth", "--n", "5", "--seed", "-1", "--out-conllu", "t.conllu", "--out-gold", "t.gold"],
+     None, cli.EXIT_USAGE, "seed = -1: the seed must be >= 0"),
+    (["rl-train", "--model", "missing.ckpt", "--conllu", "missing.conllu", "--out", "r.ckpt",
+      "--seed", "-1"], None, cli.EXIT_DATA, "rng_seed must be >= 0, got -1"),
+    (["pretrain", "--instances", "missing.inst", "--out", "m.ckpt", "--config", "seed.cfg"],
+     "seed = -1\n", cli.EXIT_DATA, "seed.cfg: rng_seed must be an integer >= 0, got -1"),
+], ids=["synth", "rl-train", "pretrain-config"])
+def test_negative_seed_is_refused_by_name_before_any_file_is_read(tmp_path, capsys, monkeypatch,
+                                                                  argv, config, code, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "seed.cfg").write_text(config, encoding="utf-8")
+    assert cli.main(argv) == code
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["seed.cfg"] if config else [])
+
+
 def test_pretrain_config_keys_reach_their_config_fields(pipeline, tmp_path, monkeypatch):
     work, _ = pipeline
     seen = []
@@ -622,6 +673,26 @@ def test_extract_scorer_without_rerank_is_a_usage_error(tmp_path, capsys, monkey
             "--out", "o.jsonl", *flags]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "--scorer needs --rerank sem or combined" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# make_sem_scorer reads the spec; one it refuses is a usage error, raised
+# before the (missing) model is read.
+@pytest.mark.parametrize("argv,message", [
+    (["rl-train", "--conllu", "missing.conllu", "--out", "r.ckpt", "--scorer", "bogus"],
+     "unknown scorer spec 'bogus'"),
+    (["rl-train", "--conllu", "missing.conllu", "--out", "r.ckpt", "--scorer", "adapter:"],
+     "adapter endpoint must be an http(s) URL, got ''"),
+    (["extract", "--conllu", "missing.conllu", "--out", "o.jsonl", "--rerank", "sem",
+      "--scorer", "adapter:"], "adapter endpoint must be an http(s) URL, got ''"),
+    (["extract", "--conllu", "missing.conllu", "--out", "o.jsonl", "--rerank", "combined",
+      "--scorer", "adapter:file:///dev/null"], "adapter endpoint must be an http(s) URL"),
+], ids=["rl-train-unknown", "rl-train-no-endpoint", "extract-no-endpoint", "extract-file-url"])
+def test_bad_scorer_spec_is_a_usage_error_before_the_model_is_read(tmp_path, capsys, monkeypatch,
+                                                                   argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--model", "missing.ckpt"]) == cli.EXIT_USAGE
+    assert f"usage error: --scorer: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

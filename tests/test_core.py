@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 from oiekit.core import (
     LABELS,
     Extraction,
-    NonTreeParse,
     NoPredicateSpan,
-    SpanOutOfBounds,
     TaggedInstance,
     TagSequence,
     Token,
@@ -116,11 +114,12 @@ class TestTagsFromSpans:
         assert tags.labels == ("O", "B-P", "O")
 
     def test_inverted_span_rejected(self):
-        with pytest.raises(SpanOutOfBounds):
+        with pytest.raises(ValidationError, match=r"^P span \[4, 3\] is invalid$"):
             Extraction("x", (4, 3), {})
 
     def test_span_beyond_sentence(self):
-        with pytest.raises(SpanOutOfBounds):
+        with pytest.raises(ValidationError,
+                           match=r"^P span \[2, 5\] outside sentence of length 3$"):
             tags_from_spans(Extraction("x", (2, 5), {}), 3)
 
 
@@ -130,12 +129,13 @@ class TestTypeInvariants:
             Token(index=1, surface="a", upos="X", head=1, deprel="dep")
 
     def test_cycle_rejected(self):
-        with pytest.raises(NonTreeParse):
+        with pytest.raises(ValidationError, match="^sentence 'bad': cycle through token 1$"):
             build_sentence("bad", [("a", "X", 2, "dep"), ("b", "X", 1, "dep"),
                                    ("c", "X", 0, "root")])
 
     def test_two_roots_rejected(self):
-        with pytest.raises(NonTreeParse):
+        with pytest.raises(ValidationError,
+                           match="^sentence 'bad': expected exactly one root, found 2$"):
             build_sentence("bad", [("a", "X", 0, "root"), ("b", "X", 0, "root")])
 
     def test_overlapping_spans_rejected(self):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import stat
 import tempfile
 import threading
@@ -8,8 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oiekit.core import (ARGUMENT_ROLES, Extraction, NonTreeParse, ParsedSentence, Token,
-                         ValidationError)
+from oiekit.core import ARGUMENT_ROLES, Extraction, ParsedSentence, Token, ValidationError
 from oiekit.corpus_io import (
     GoldTuple,
     ParseError,
@@ -77,7 +77,33 @@ class TestReadConllu:
     def test_self_head_is_cycle(self, tmp_path):
         path = tmp_path / "bad.conllu"
         path.write_text("1\ta\t_\tX\t_\t_\t1\tdep\t_\t_\n", encoding="utf-8")
-        with pytest.raises(NonTreeParse):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 1: token 1 is its "
+                           "own head$"):
+            read_conllu(path)
+
+    # A sentence ParsedSentence refuses is reported at the line that ends it:
+    # its blank line, or its last token line at the end of the file.
+    @pytest.mark.parametrize("rows,end", [
+        ("1\ta\t_\tX\t_\t_\t2\tdep\t_\t_\n2\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n"
+         "3\tc\t_\tX\t_\t_\t0\troot\t_\t_\n\n", 4),
+        ("1\ta\t_\tX\t_\t_\t2\tdep\t_\t_\n2\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n"
+         "3\tc\t_\tX\t_\t_\t0\troot\t_\t_\n", 3),
+    ], ids=["blank-line", "end-of-file"])
+    def test_two_cycle_names_the_file_and_the_line_ending_the_sentence(self, tmp_path, rows,
+                                                                       end):
+        path = tmp_path / "cycle.conllu"
+        path.write_text("1\tz\t_\tX\t_\t_\t0\troot\t_\t_\n\n" + rows, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {end + 2}: "
+                           "sentence 's2': cycle through token 1$") as err:
+            read_conllu(path)
+        assert err.value.line == end + 2
+
+    def test_self_head_names_the_line_of_its_token(self, tmp_path):
+        path = tmp_path / "self.conllu"
+        path.write_text("1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n2\tb\t_\tX\t_\t_\t2\tdep\t_\t_\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: token 2 is its "
+                           "own head$"):
             read_conllu(path)
 
     def test_wrong_column_count(self, tmp_path):
@@ -219,6 +245,10 @@ class TestGenSynthetic:
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError, match="n = -5"):
             gen_synthetic(("svo",), -5, seed=7)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="^seed = -1: the seed must be >= 0$"):
+            gen_synthetic(("svo",), 5, seed=-1)
 
     def test_deterministic(self):
         a = gen_synthetic(("svo", "coord_vp"), 100, seed=7)

@@ -1,8 +1,8 @@
 import pytest
 
-from oiekit.core import Extraction
+from oiekit.core import Extraction, ValidationError
 from oiekit.corpus_io import GoldTuple
-from oiekit.evaluate import (EmptyGold, MatchDecision, auc, best_f1, evaluate,
+from oiekit.evaluate import (MatchDecision, auc, best_f1, evaluate,
                              lexical_overlap_match, match)
 
 from conftest import build_sentence
@@ -54,9 +54,9 @@ class TestEvaluate:
         assert report.decisions == ()
 
     def test_empty_gold_rejected(self):
-        with pytest.raises(EmptyGold):
+        with pytest.raises(ValidationError, match="^cannot evaluate without gold tuples$"):
             evaluate(PREDICTIONS, [])
-        with pytest.raises(EmptyGold):
+        with pytest.raises(ValidationError, match="^cannot evaluate without gold tuples$"):
             evaluate([], [])
 
 

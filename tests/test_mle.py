@@ -5,7 +5,7 @@ import pytest
 
 from oiekit import mle, nn, tagger
 from oiekit.core import (NonFiniteValue, NoPredicateSpan, TaggedInstance, TagSequence,
-                         spans_from_tags)
+                         ValidationError, spans_from_tags)
 from oiekit.corpus_io import gen_synthetic
 from oiekit.evaluate import evaluate, gold_from_instance
 from oiekit.mle import TrainConfig, instance_grads, mle_loss, pretrain
@@ -302,3 +302,8 @@ class TestPretrain:
         pretrain(model, corpus, TrainConfig(epochs=15, rng_seed=13))
         preds = [e for s in dev_sentences for e in extract([s], model)]
         assert evaluate(preds, dev_gold).best_f1 >= 0.9
+
+
+def test_negative_seed_is_refused_by_name():
+    with pytest.raises(ValidationError, match="^rng_seed must be >= 0, got -1$"):
+        TrainConfig(rng_seed=-1)

@@ -184,7 +184,8 @@ class TestScorerPlumbing:
         assert scorer.adapter is None
 
     def test_adapter_spec_requires_endpoint(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^adapter endpoint must be an http\\(s\\) URL, "
+                           "got ''$"):
             make_sem_scorer("adapter:")
 
     def test_unknown_spec(self):

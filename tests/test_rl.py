@@ -323,7 +323,7 @@ def reference_epoch(model, sentences, scorer, config, dev_sentences, dev_gold):
 
 
 @pytest.mark.parametrize("field,value", [("baseline_mode", "median"), ("explore_mode", "greedy"),
-                                         ("beam_size", 0)])
+                                         ("beam_size", 0), ("rng_seed", -1)])
 def test_out_of_range_config_is_a_validation_error(field, value):
     with pytest.raises(ValidationError, match=field.split("_")[0]):
         RLConfig(**{field: value})

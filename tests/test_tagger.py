@@ -405,3 +405,13 @@ class TestExtract:
                 for reranked in (by_sem, by_both):
                     assert reranked.predicate_span == base.predicate_span
                     assert reranked.role_spans == base.role_spans
+
+
+# A checkpoint header is JSON: 64.0 and true must not pass for dimensions.
+@pytest.mark.parametrize("field,value,low", [("hidden_dim", 64.0, 1), ("embedding_dim", True, 1),
+                                             ("num_encoder_layers", 0, 1),
+                                             ("rng_seed", -1, 0), ("rng_seed", 13.0, 0)])
+def test_config_field_that_is_not_an_integer_in_range_is_refused(field, value, low):
+    with pytest.raises(ValidationError,
+                       match=f"^{field} must be an integer >= {low}, got {value!r}$"):
+        TaggerConfig(**{field: value})
