@@ -95,6 +95,14 @@ class Token:
     deprel: str
 
     def __post_init__(self):
+        # type(), not isinstance: a bool is an int, and a float index breaks lookups later.
+        if not (type(self.index) is type(self.head) is int
+                and type(self.surface) is type(self.upos) is type(self.deprel) is str):
+            for name, kind in (("index", int), ("surface", str), ("upos", str), ("head", int),
+                               ("deprel", str)):
+                if type(getattr(self, name)) is not kind:
+                    raise ValidationError(f"token {name} must be of type {kind.__name__}, "
+                                          f"got {getattr(self, name)!r}")
         if self.index < 1:
             raise ValidationError(f"token index must be >= 1, got {self.index}")
         if self.head < 0:

@@ -6,6 +6,8 @@ JSON-lines files (extractions, tagged instances, training metrics, the
 semantic scorer's cache) hold one JSON object per line with sorted keys,
 written by :func:`write_jsonl` and read by :func:`read_jsonl`. ``key = value``
 files (command configs and pattern tables) are read by :func:`read_key_values`.
+Every text reader decodes its lines in one place, so a file that is not
+UTF-8 raises :class:`ParseError` with its path and line.
 Every file the package writes goes through :func:`atomic_write`, so an
 interrupted write leaves the previous file in place. This module owns the
 generator's template spec of ``name[:weight]`` entries (:func:`gen_synthetic`).
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -59,19 +62,31 @@ class ParseError(OiekitError):
         self.line = line
 
 
+def _text_lines(path):
+    """(number from 1, line) for each line of the text file at ``path``; a
+    line that is not UTF-8 raises :class:`ParseError` naming its first bad byte."""
+    # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            bad = None if line.isascii() else re.search("[\udc80-\udcff]", line)
+            if bad:
+                raise ParseError(f"not UTF-8 text: byte 0x{ord(bad.group()) - 0xDC00:02x} "
+                                 f"at column {bad.start() + 1}", line_no, path)
+            yield line_no, line
+
+
 def read_key_values(path) -> dict[str, str]:
     """Plain ``key = value`` file: one pair per line, blank lines and ``#``
     comments skipped, keys and values stripped, later keys win."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ParseError("expected 'key = value'", line_no, path)
-            values[key.strip()] = value.strip()
+    for line_no, raw in _text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ParseError("expected 'key = value'", line_no, path)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -120,21 +135,20 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
     KeyError, TypeError, ValueError or :class:`OiekitError`), raises
     :class:`ParseError` with the path, its line number and the plain message."""
     out = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise TypeError(f"expected a JSON object, got {type(record).__name__}")
-                out.append(parse(record))
-            except KeyError as exc:
-                raise ParseError(f"bad record: missing key {exc.args[0]!r}", line_no,
-                                 path) from None
-            except (TypeError, ValueError, OiekitError) as exc:
-                raise ParseError(f"bad record: {exc}", line_no, path) from None
+    for line_no, raw in _text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+            out.append(parse(record))
+        except KeyError as exc:
+            raise ParseError(f"bad record: missing key {exc.args[0]!r}", line_no,
+                             path) from None
+        except (TypeError, ValueError, OiekitError) as exc:
+            raise ParseError(f"bad record: {exc}", line_no, path) from None
     return out
 
 
@@ -192,38 +206,37 @@ def read_conllu(path) -> list[ParsedSentence]:
         sentences.append(ParsedSentence(sentence_id=sid, tokens=tuple(tokens), text=text))
         tokens, sent_id, text = [], None, ""
 
-    with open(path, "r", encoding="utf-8") as handle:
-        line_no = 0
-        try:
-            for line_no, raw in enumerate(handle, start=1):
-                line = raw.rstrip("\n").rstrip("\r")
-                if not line:
-                    flush(line_no)
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line[1:].partition("=")
-                    if key.strip() == "sent_id":
-                        sent_id = value.strip()
-                    elif key.strip() == "text":
-                        text = value.strip()
-                    continue
-                cols = line.split("\t")
-                if len(cols) != 10:
-                    raise ParseError(f"expected 10 tab-separated columns, got {len(cols)}",
-                                     line_no, path)
-                if "-" in cols[ID] or "." in cols[ID]:
-                    continue
-                try:
-                    index = int(cols[ID])
-                    head = int(cols[HEAD])
-                except ValueError:
-                    raise ParseError(f"non-integer ID or HEAD in {cols[ID]!r}/{cols[HEAD]!r}",
-                                     line_no, path) from None
-                tokens.append(Token(index=index, surface=cols[FORM], upos=cols[UPOS], head=head,
-                                    deprel=cols[DEPREL]))
-            flush(line_no)
-        except ValidationError as exc:
-            raise ParseError(str(exc), line_no, path) from None
+    line_no = 0
+    try:
+        for line_no, raw in _text_lines(path):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line:
+                flush(line_no)
+                continue
+            if line.startswith("#"):
+                key, _, value = line[1:].partition("=")
+                if key.strip() == "sent_id":
+                    sent_id = value.strip()
+                elif key.strip() == "text":
+                    text = value.strip()
+                continue
+            cols = line.split("\t")
+            if len(cols) != 10:
+                raise ParseError(f"expected 10 tab-separated columns, got {len(cols)}",
+                                 line_no, path)
+            if "-" in cols[ID] or "." in cols[ID]:
+                continue
+            try:
+                index = int(cols[ID])
+                head = int(cols[HEAD])
+            except ValueError:
+                raise ParseError(f"non-integer ID or HEAD in {cols[ID]!r}/{cols[HEAD]!r}",
+                                 line_no, path) from None
+            tokens.append(Token(index=index, surface=cols[FORM], upos=cols[UPOS], head=head,
+                                deprel=cols[DEPREL]))
+        flush(line_no)
+    except ValidationError as exc:
+        raise ParseError(str(exc), line_no, path) from None
     return sentences
 
 
@@ -270,41 +283,40 @@ def read_gold(path, sentences: Optional[Mapping[str, ParsedSentence]] = None) ->
     unknown sentence ids are reported and skipped, and out-of-bounds heads raise ParseError.
     """
     grouped: dict[tuple[str, int], tuple[dict, dict]] = {}  # -> (role heads, surfaces)
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
+    for line_no, raw in _text_lines(path):
+        line = raw.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) < 4:
+            raise ParseError("expected at least 4 tab-separated columns", line_no, path)
+        sid, pred_raw, role, head_raw = cols[0], cols[1], cols[2], cols[3]
+        surface = cols[4] if len(cols) > 4 else ""
+        try:
+            pred_head = int(pred_raw)
+            role_head = int(head_raw)
+        except ValueError:
+            raise ParseError(f"non-integer head index in {pred_raw!r}/{head_raw!r}", line_no,
+                             path)
+        if role not in ARGUMENT_ROLES:
+            raise ParseError(f"unknown role {role!r}; known: {', '.join(ARGUMENT_ROLES)}",
+                             line_no, path)
+        if sentences is not None:
+            if sid not in sentences:
+                log.warning("%s: line %d references unknown sentence %r; skipped", path, line_no,
+                            sid)
                 continue
-            cols = line.split("\t")
-            if len(cols) < 4:
-                raise ParseError("expected at least 4 tab-separated columns", line_no, path)
-            sid, pred_raw, role, head_raw = cols[0], cols[1], cols[2], cols[3]
-            surface = cols[4] if len(cols) > 4 else ""
-            try:
-                pred_head = int(pred_raw)
-                role_head = int(head_raw)
-            except ValueError:
-                raise ParseError(f"non-integer head index in {pred_raw!r}/{head_raw!r}", line_no,
+            m = len(sentences[sid])
+            if not (1 <= pred_head <= m) or not (1 <= role_head <= m):
+                raise ParseError(f"head index outside sentence {sid!r} of length {m}", line_no,
                                  path)
-            if role not in ARGUMENT_ROLES:
-                raise ParseError(f"unknown role {role!r}; known: {', '.join(ARGUMENT_ROLES)}",
-                                 line_no, path)
-            if sentences is not None:
-                if sid not in sentences:
-                    log.warning("%s: line %d references unknown sentence %r; skipped", path, line_no,
-                                sid)
-                    continue
-                m = len(sentences[sid])
-                if not (1 <= pred_head <= m) or not (1 <= role_head <= m):
-                    raise ParseError(f"head index outside sentence {sid!r} of length {m}", line_no,
-                                     path)
-            role_heads, surfaces = grouped.setdefault((sid, pred_head), ({}, {}))
-            if role in role_heads:
-                raise ParseError(f"duplicate role {role!r} for predicate {pred_head} in {sid!r}",
-                                 line_no, path)
-            role_heads[role] = role_head
-            if surface:
-                surfaces[role] = surface
+        role_heads, surfaces = grouped.setdefault((sid, pred_head), ({}, {}))
+        if role in role_heads:
+            raise ParseError(f"duplicate role {role!r} for predicate {pred_head} in {sid!r}",
+                             line_no, path)
+        role_heads[role] = role_head
+        if surface:
+            surfaces[role] = surface
     return [GoldTuple(sid, pred, role_heads, surfaces)
             for (sid, pred), (role_heads, surfaces) in grouped.items()]
 

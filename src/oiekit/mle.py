@@ -6,7 +6,11 @@ backward in float32, on a :func:`tagger.float32_encoder` copy of the
 parameters made for that batch; the classifier head, softmax, loss, the
 gradients handed to Adam, Adam's moments, the master parameters and so the
 checkpoints are float64. :func:`instance_grads`, :func:`mle_loss` and the
-dev pass run wholly in float64."""
+dev pass run wholly in float64.
+
+Updates follow ``tagger``'s one rule, each pattern label a row at weight -1
+and scale 1/m. A non-finite loss raises NonFiniteValue here, naming the
+sentence; a non-finite gradient, in ``tagger.descent_step``."""
 
 from __future__ import annotations
 
@@ -51,9 +55,9 @@ class TrainConfig:
             raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
-def _gold_nll(instance: TaggedInstance, probs: np.ndarray) -> tuple[float, np.ndarray]:
-    """(negative log-likelihood of the instance's labels, their label columns)."""
-    cols = np.array([LABEL_INDEX[label] for label in instance.tags.labels])
+def _gold_nll(instance: TaggedInstance, probs: np.ndarray) -> float:
+    """Negative log-likelihood of the instance's labels under its (m, L) ``probs``."""
+    cols = [LABEL_INDEX[label] for label in instance.tags.labels]
     chosen = probs[np.arange(len(cols)), cols]
     if (chosen <= 0.0).any():
         warnings.warn(
@@ -62,23 +66,13 @@ def _gold_nll(instance: TaggedInstance, probs: np.ndarray) -> tuple[float, np.nd
             RuntimeWarning,
         )
         chosen = np.maximum(chosen, PROB_FLOOR)
-    return float(-np.log(chosen).sum()), cols
+    return float(-np.log(chosen).sum())
 
 
 def mle_loss(model: TaggerModel, instance: TaggedInstance) -> float:
     """Negative log-likelihood of the instance's labels, summed over tokens."""
     probs, _ = tagger.forward(_items([instance]), model)
-    return _gold_nll(instance, probs[:, 0])[0]
-
-
-def _nll_grad(instance: TaggedInstance, probs: np.ndarray,
-              scale: float) -> tuple[float, np.ndarray]:
-    """(negative log-likelihood of the instance's labels, gradient of
-    ``scale * loss`` on its logits)."""
-    loss, cols = _gold_nll(instance, probs)
-    dlogits = probs.copy()
-    dlogits[np.arange(len(cols)), cols] -= 1.0
-    return loss, dlogits * scale
+    return _gold_nll(instance, probs[:, 0])
 
 
 def instance_grads(model: TaggerModel, instance: TaggedInstance,
@@ -86,36 +80,33 @@ def instance_grads(model: TaggerModel, instance: TaggedInstance,
     """(loss, gradients) for one instance; gradients are of ``scale *
     loss`` (callers use 1/m for token-mean aggregation)."""
     probs, cache = tagger.forward(_items([instance]), model, backprop=True)
-    loss, dlogits = _nll_grad(instance, probs[:, 0], scale)
-    return loss, tagger.backward_from_dlogits(model, cache, dlogits[:, None])
+    dlogits = tagger.weighted_dlogits(probs, [([(instance.tags, -1.0)], scale)])
+    return _gold_nll(instance, probs[:, 0]), tagger.backward_from_dlogits(model, cache, dlogits)
 
 
 def _items(instances: Sequence[TaggedInstance]) -> list[tuple]:
     return [(instance.sentence, instance.predicate_index) for instance in instances]
 
 
-def _batch_grads(model: TaggerModel, batch: Sequence[TaggedInstance],
-                 epoch: int) -> tuple[list[float], dict[str, np.ndarray]]:
-    """(each instance's token-mean loss, gradient of their mean), from one
-    batched forward and backward pass over a :func:`tagger.float32_encoder`
-    copy of ``model``, made for this batch; the gradients are float64. The
-    forward cache is freed on return, before the caller's next batch builds
-    its own."""
-    model = tagger.float32_encoder(model)
-    probs, cache = tagger.forward(_items(batch), model, backprop=True)
-    dlogits = np.zeros_like(probs)
+def _batch_step(model: TaggerModel, optimizer: nn.Adam, batch: Sequence[TaggedInstance],
+                epoch: int) -> list[float]:
+    """Each instance's token-mean loss, after one ``tagger.descent_step`` down
+    their mean through a :func:`tagger.float32_encoder` copy made for this
+    batch. The forward cache is freed on return, before the next batch's."""
+    encoder = tagger.float32_encoder(model)
+    probs, cache = tagger.forward(_items(batch), encoder, backprop=True)
     losses = []
     for b, instance in enumerate(batch):
         m = len(instance.tags)
-        loss, dlogits[:m, b] = _nll_grad(instance, probs[:m, b], 1.0 / m)
+        loss = _gold_nll(instance, probs[:m, b])
         if not np.isfinite(loss):
             raise NonFiniteValue(f"non-finite loss at epoch {epoch}, sentence "
                                 f"{instance.sentence.sentence_id!r}")
         losses.append(loss / m)
-    grads = tagger.backward_from_dlogits(model, cache, dlogits)
-    for name in grads:
-        grads[name] /= len(batch)
-    return losses, grads
+    dlogits = tagger.weighted_dlogits(
+        probs, [([(instance.tags, -1.0)], 1.0 / len(instance.tags)) for instance in batch])
+    tagger.descent_step(encoder, cache, dlogits, optimizer, f"at epoch {epoch}")
+    return losses
 
 
 def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
@@ -123,18 +114,16 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
              dev: Optional[Sequence[TaggedInstance]] = None) -> list[dict]:
     """Minimize mean token-level NLL with Adam; early-stops on dev loss and
     restores the best parameters. Returns the per-epoch metrics rows, which
-    the CLI writes; a non-finite ``Adam.step`` norm raises NonFiniteValue.
+    the CLI writes; a non-finite loss or gradient raises NonFiniteValue.
 
     Without ``dev``, a ``config.dev_fraction`` share of the shuffled corpus
     (at least one instance, when there are two or more) is held out as
     dev. A fraction of 0 holds out nothing: every instance trains, nothing
     stops early, and the rows carry ``dev_loss`` and ``dev_f1`` None.
 
-    Each mini-batch of B instances is one :func:`tagger.forward` pass
-    over the (m, B, ·) batch, right-padded to its longest sentence m, and
-    one backward pass. Instance ``b`` gets the logit gradient of its own
-    token-mean loss divided by B in rows ``[:len(b), b]`` and zero rows at
-    its padding, so the step follows the mean of the token means. Dev
+    Each mini-batch of B instances is one :func:`tagger.forward` pass over
+    the (m, B, ·) batch, right-padded to its longest sentence m, and one
+    ``tagger.descent_step`` down the mean of the token-mean losses. Dev
     metrics run in chunks of ``batch_size`` the same way, in float64.
 
     Against the float64 path (the same code with the float32 encoder copy
@@ -170,11 +159,8 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
         epoch_loss = 0.0
         for start in range(0, len(train), config.batch_size):
             batch = [train[i] for i in order[start : start + config.batch_size]]
-            losses, grads = _batch_grads(model, batch, epoch)
-            for loss in losses:
+            for loss in _batch_step(model, optimizer, batch, epoch):
                 epoch_loss += loss
-            if not np.isfinite(optimizer.step(grads)):
-                raise NonFiniteValue(f"non-finite gradient at epoch {epoch}")
         train_loss = epoch_loss / len(train)
         dev_loss = dev_f1 = None
         if dev:
@@ -214,7 +200,7 @@ def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance],
                                      [instance.predicate_index for instance in chunk], 1)
         for b, (instance, (best,)) in enumerate(zip(chunk, decoded)):
             m = len(instance.tags)
-            losses.append(_gold_nll(instance, probs[:m, b])[0] / m)
+            losses.append(_gold_nll(instance, probs[:m, b]) / m)
             try:
                 golds.append(evaluate.gold_from_instance(instance))
             except NoPredicateSpan:

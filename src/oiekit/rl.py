@@ -2,7 +2,10 @@
 sequences with constrained beam search, score each candidate with the
 syntactic-semantic reward, and apply likelihood-ratio updates. The update
 is taken on the P(Y|x) that produced the candidates, so :func:`explore`
-and :func:`reinforce_step` share one forward pass per step."""
+and :func:`reinforce_step` share one forward pass per step.
+
+Updates follow ``tagger``'s one rule, each candidate a row at weight b - R_k
+and scale 1; ``tagger.descent_step`` raises a non-finite gradient."""
 
 from __future__ import annotations
 
@@ -16,7 +19,6 @@ from oiekit import evaluate, nn, tagger
 from oiekit.core import (
     Extraction,
     LABEL_INDEX,
-    NonFiniteValue,
     NoPredicateSpan,
     OiekitError,
     ParsedSentence,
@@ -111,44 +113,26 @@ def _extraction_reward(extraction: Extraction, sentence: ParsedSentence,
                            scorer.score(extraction, sentence))
 
 
-def _policy_dlogits(cache, candidates: Sequence[TagSequence],
-                    weights: Sequence[float]) -> np.ndarray:
-    """(m, 1, L) logit gradient of sum_k w_k * log P(Y_k) for the one item
-    of a cached pass, exploiting linearity so a single backward pass covers
-    every candidate."""
-    probs = cache["probs"][:, 0]
-    dlogits = np.zeros_like(probs)
-    rows = np.arange(probs.shape[0])
-    for candidate, weight in zip(candidates, weights):
-        if weight == 0.0:
-            continue
-        cols = np.array([LABEL_INDEX[label] for label in candidate.labels])
-        onehot_minus_probs = -probs * weight
-        onehot_minus_probs[rows, cols] += weight
-        dlogits += onehot_minus_probs
-    return dlogits[:, None]
-
-
 def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSentence,
                    cache: dict, candidates: Sequence[TagSequence],
                    rewards: Sequence[float], baseline_mode: str = "mean") -> float:
     """One likelihood-ratio update: ascend sum_k (R_k - b) grad log P(Y_k),
     through the cache of the forward pass the candidates were decoded from.
 
-    Returns ``optimizer.step``'s squared gradient norm, 0.0 with no update
-    (one candidate, mean baseline); a non-finite norm raises NonFiniteValue.
+    Returns the squared gradient norm, or 0.0 with no update when every
+    weight is zero (one candidate, mean baseline); a non-finite norm raises
+    NonFiniteValue naming the sentence.
     """
     if not candidates or len(candidates) != len(rewards):
         raise OiekitError("need equally many candidates and rewards, at least one each")
     baseline = sum(rewards) / len(rewards) if baseline_mode == "mean" else 0.0
     # Weights b - R_k give the descent gradient directly (negation is exact).
-    dlogits = _policy_dlogits(cache, candidates, [baseline - r for r in rewards])
-    if not np.all(dlogits == 0.0):
-        norm = optimizer.step(tagger.backward_from_dlogits(model, cache, dlogits))
-        if not np.isfinite(norm):
-            raise NonFiniteValue(f"non-finite policy gradient on {sentence.sentence_id!r}")
-        return norm
-    return 0.0
+    weights = [baseline - r for r in rewards]
+    if all(weight == 0.0 for weight in weights):
+        return 0.0
+    dlogits = tagger.weighted_dlogits(cache["probs"], [(list(zip(candidates, weights)), 1.0)])
+    return tagger.descent_step(model, cache, dlogits, optimizer,
+                               f"on sentence {sentence.sentence_id!r}")
 
 
 def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemScorer,
@@ -164,7 +148,8 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
     """
     if not corpus:
         raise OiekitError("reinforcement learning needs a non-empty corpus")
-    if _looks_fresh(model):
+    # Uniform [-0.1, 0.1] initialization never exceeds 0.1 in magnitude.
+    if all(np.abs(arr).max() <= 0.1 for arr in model.params.values()):
         log.warning("model parameters look freshly initialized; pretrain first")
     rng = np.random.default_rng(config.rng_seed)
     optimizer = nn.Adam(model.params, step_size=config.step_size)
@@ -174,32 +159,23 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
     metrics: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(corpus))
-        reward_sum = syn_sum = sem_sum = 0.0
-        count = 0
+        scored: list[RewardBreakdown] = []
         for idx in order:
             sentence = corpus[idx]
             for predicate in identify_predicates(sentence, table):
                 probs, cache = tagger.forward([(sentence, predicate)], model, backprop=True)
                 candidates = explore(probs[:, 0], predicate, config.beam_size,
                                      mode=config.explore_mode, rng=rng)
-                breakdowns = [
-                    candidate_reward(c, sentence, predicate, scorer, table) for c in candidates
-                ]
+                breakdowns = [candidate_reward(c, sentence, predicate, scorer, table)
+                              for c in candidates]
                 reinforce_step(model, optimizer, sentence, cache, candidates,
                                [b.total for b in breakdowns], config.baseline_mode)
-                for b in breakdowns:
-                    reward_sum += b.total
-                    syn_sum += b.syn
-                    sem_sum += b.sem
-                    count += 1
-        row = {
-            "epoch": epoch,
-            "mean_reward": reward_sum / count if count else 0.0,
-            "mean_syn": syn_sum / count if count else 0.0,
-            "mean_sem": sem_sum / count if count else 0.0,
-            "dev_mean_reward": None,
-            "dev_f1": None,
-        }
+                scored.extend(breakdowns)
+        count = max(len(scored), 1)
+        row = {"epoch": epoch, "mean_reward": sum(b.total for b in scored) / count,
+               "mean_syn": sum(b.syn for b in scored) / count,
+               "mean_sem": sum(b.sem for b in scored) / count,
+               "dev_mean_reward": None, "dev_f1": None}
         if dev is not None:
             row["dev_mean_reward"], row["dev_f1"] = _dev_metrics(model, *dev, scorer, table,
                                                                  dev_predicates)
@@ -224,8 +200,3 @@ def _dev_metrics(model: TaggerModel, sentences: Sequence[ParsedSentence],
         total += _extraction_reward(e, by_id[e.sentence_id], scorer, table).total
     f1 = evaluate.evaluate(preds, gold).best_f1 if gold else None
     return (total / predicate_count if predicate_count else 0.0), f1
-
-
-def _looks_fresh(model: TaggerModel) -> bool:
-    # Uniform [-0.1, 0.1] initialization never exceeds 0.1 in magnitude.
-    return all(np.abs(arr).max() <= 0.1 for arr in model.params.values())

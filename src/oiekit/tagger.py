@@ -14,15 +14,15 @@ for the backprop cache (``backprop=True``); inference keeps none.
 vectorised k-best pass. :func:`extract` sorts its items by sentence length
 and runs them ``EXTRACT_BATCH`` at a time through both, without the cache.
 
-Parameters and checkpoints are float64. :func:`extract` and each
-pretraining batch (``mle.pretrain``) run the encoder (the gathered
-embedding rows, LSTMs, highway gates), forward and backward, in float32 on
-the copy that :func:`float32_encoder` makes; the classifier, softmax,
-decoder, confidence and every gradient handed to the optimizer stay
-float64.
-Against a float64 encoder, extraction keeps every tuple and moves
-confidences by at most about 2e-7 (see :func:`extract`); for pretraining
-see ``mle.pretrain``. RL training runs in float64.
+Parameters, checkpoints and every gradient handed to the optimizer are
+float64. :func:`extract` and each pretraining batch run the encoder in
+float32 on a :func:`float32_encoder` copy (see there and ``mle.pretrain``
+for the measured differences); RL training runs in float64.
+
+Both trainers take one update rule: :func:`weighted_dlogits` (``mle``: the
+pattern label at weight -1, scale 1/m; ``rl``: each candidate at weight
+b - R_k, scale 1), then :func:`descent_step`, the one place that raises
+``NonFiniteValue`` for a non-finite gradient.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from oiekit.core import (
     Extraction,
     LABEL_INDEX,
     LABELS,
+    NonFiniteValue,
     NoPredicateSpan,
     OUTSIDE,
     ParsedSentence,
-    ROLES,
     TaggedInstance,
     TagSequence,
     ValidationError,
@@ -227,8 +227,7 @@ def backward_from_dlogits(model: TaggerModel, cache, dlogits: np.ndarray) -> dic
     trainable parameter, through the cache of a ``backprop=True``
     :func:`forward` pass. ``dlogits`` has the shape of that pass's
     probabilities, (m, B, L), with zero rows at padded positions so that
-    padding contributes nothing. Softmax-based callers supply ``probs -
-    onehot`` style gradients directly.
+    padding contributes nothing; :func:`weighted_dlogits` builds it.
 
     ``model`` is the one the pass ran on. With a :func:`float32_encoder`
     copy the encoder's backward pass runs in float32 too; every gradient
@@ -259,6 +258,38 @@ def backward_from_dlogits(model: TaggerModel, cache, dlogits: np.ndarray) -> dic
     grads["embed.indicator"] = np.zeros(params["embed.indicator"].shape)
     np.add.at(grads["embed.indicator"], cache["indicator_flags"], dx[..., width:])
     return {name: grad.astype(np.float64, copy=False) for name, grad in grads.items()}
+
+
+def weighted_dlogits(probs: np.ndarray, items) -> np.ndarray:
+    """(m, B, L) logit gradient of sum_b scale_b sum_k w_bk log P(Y_bk) over
+    a batched :func:`forward` pass's ``probs``, zero at padding, for items
+    (rows, scale_b) of (TagSequence, weight) rows: the rows' w (onehot - p)
+    summed in order, zero weights skipped, then scaled."""
+    dlogits = np.zeros_like(probs)
+    for b, (rows, scale) in enumerate(items):
+        for sequence, weight in rows:
+            if weight != 0.0:
+                m = len(sequence)
+                term = probs[:m, b] * -weight
+                term[np.arange(m), [LABEL_INDEX[label] for label in sequence.labels]] += weight
+                dlogits[:m, b] += term
+        dlogits[:, b] *= scale
+    return dlogits
+
+
+def descent_step(model: TaggerModel, cache, dlogits: np.ndarray, optimizer: nn.Adam,
+                 where: str) -> float:
+    """``optimizer.step`` down the gradient of ``dlogits`` through ``model``'s
+    pass, averaged over its B items when B > 1; returns the squared norm,
+    and one that is not finite raises ``non-finite gradient {where}``."""
+    grads = backward_from_dlogits(model, cache, dlogits)
+    if dlogits.shape[1] > 1:
+        for grad in grads.values():
+            grad /= dlogits.shape[1]
+    norm = optimizer.step(grads)
+    if not np.isfinite(norm):
+        raise NonFiniteValue(f"non-finite gradient {where}")
+    return norm
 
 
 def float32_encoder(model: TaggerModel) -> TaggerModel:
@@ -433,11 +464,6 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
 
 _FORMAT = "oiekit-checkpoint-1"
 
-# Keys of older headers, with the value naming the one input layer and the one
-# role set built here.
-_LEGACY_INPUT_KEYS = {"embedder_kind": "static-lookup", "use_indicator": True,
-                      "roles": list(ROLES)}
-
 
 def save_model(model: TaggerModel, path) -> None:
     manifest = [
@@ -459,12 +485,11 @@ def save_model(model: TaggerModel, path) -> None:
 
 def load_model(path) -> TaggerModel:
     """Read a checkpoint written by :func:`save_model`. A malformed header
-    (a config :class:`TaggerConfig` refuses, a legacy key naming another
-    input layer or role set, an array set or shape other than the one
-    :func:`init_model` builds for its config and vocabulary, or a dtype
-    other than float64, the only one written), an array cut short or
-    holding a NaN or infinity, or bytes after the last array raise
-    :class:`ParseError` naming ``path``."""
+    (a config :class:`TaggerConfig` refuses, unknown keys included, an array
+    set or shape other than the one :func:`init_model` builds for its config
+    and vocabulary, or a dtype other than float64, the only one written), an
+    array cut short or holding a NaN or infinity, or bytes after the last
+    array raise :class:`ParseError` naming ``path``."""
     with open(path, "rb") as handle:
         try:
             header = json.loads(handle.readline().decode("utf-8"))
@@ -472,15 +497,7 @@ def load_model(path) -> TaggerModel:
                 raise TypeError("header is not a JSON object")
             if header.get("format") != _FORMAT:
                 raise ParseError(f"checkpoint format is not {_FORMAT!r}", path=path)
-            config_dict = dict(header["config"])
-            # Written before the decoder width left TaggerConfig; nothing reads it.
-            config_dict.pop("beam_size", None)
-            for key, value in _LEGACY_INPUT_KEYS.items():
-                found = config_dict.pop(key, value)
-                if found != value:
-                    raise ParseError(f"checkpoint config key {key!r} is {json.dumps(found)}; "
-                                     f"only {json.dumps(value)} loads", path=path)
-            config = TaggerConfig(**config_dict)
+            config = TaggerConfig(**header["config"])
             arrays = [(entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"]))
                       for entry in header["arrays"]]
             vocab = header["vocab"]

@@ -6,10 +6,14 @@ written for plain reading rather than speed.
   :func:`valid_sequences` lists what it accepts by brute force. They pin
   ``tagger.beam_decode`` (through :func:`oracle_rank`) and the constrained
   sampler ``rl._sample_sequences``.
-- :func:`exact_policy_gradient` runs the package's ``rl._policy_dlogits``
-  and backward pass over every valid sequence. Central differences of
-  :func:`expected_reward_oracle`, which runs forward passes only, pin it
-  through :func:`max_central_difference_error`.
+- :func:`pattern_label_dlogits` and :func:`candidate_dlogits` state the
+  logit gradients of both trainers in plain numpy, (p - onehot) / m for a
+  pattern label and sum_k w_k (onehot_k - p) for weighted candidates; they
+  pin ``tagger.weighted_dlogits`` bit for bit.
+- :func:`exact_policy_gradient` runs the package's
+  ``tagger.weighted_dlogits`` and backward pass over every valid sequence.
+  Central differences of :func:`expected_reward_oracle`, which runs forward
+  passes only, pin it through :func:`max_central_difference_error`.
 - :func:`max_central_difference_error` with ``mle.mle_loss`` pins
   ``mle.instance_grads``, the tagger's whole backward pass.
 - :func:`relative_error` measures every such comparison, and the batched
@@ -26,7 +30,6 @@ import numpy as np
 from oiekit import tagger
 from oiekit.core import (ARGUMENT_ROLES, LABEL_INDEX, LABELS, OUTSIDE, PREDICATE_ROLE,
                          TagSequence, ValidationError)
-from oiekit.rl import _policy_dlogits
 
 
 def oracle_valid(seq, predicate):
@@ -69,6 +72,29 @@ def oracle_rank(table, predicate):
     return scored
 
 
+def _onehot(labels, num_labels):
+    onehot = np.zeros((len(labels), num_labels))
+    for position, label in enumerate(labels):
+        onehot[position, LABEL_INDEX[label]] = 1.0
+    return onehot
+
+
+def pattern_label_dlogits(probs, labels):
+    """(p - onehot) / m: the logit gradient of the token-mean negative
+    log-likelihood of ``labels`` under one item's (m, L) ``probs``."""
+    return (probs - _onehot(labels, probs.shape[1])) * (1.0 / len(labels))
+
+
+def candidate_dlogits(probs, rows):
+    """sum_k w_k (onehot_k - p), in row order: the logit gradient of sum_k
+    w_k log P(Y_k) over one item's (m, L) ``probs`` for (labels, weight)
+    ``rows``."""
+    total = np.zeros_like(probs)
+    for labels, weight in rows:
+        total += weight * _onehot(labels, probs.shape[1]) - weight * probs
+    return total
+
+
 def _sequences_with_probs(model, sentence, predicate):
     """(forward cache, [(sequence, P(sequence))] over every valid sequence)."""
     probs, cache = tagger.forward([(sentence, predicate)], model, backprop=True)
@@ -84,11 +110,10 @@ def _sequences_with_probs(model, sentence, predicate):
 def exact_policy_gradient(model, sentence, predicate, reward_fn):
     """Exact score-function gradient of the expected reward: the sum over
     every valid sequence of P(Y) R(Y) grad log P(Y), through the package's
-    own policy-gradient logits and backward pass."""
+    own logit-gradient builder and backward pass."""
     cache, weighted = _sequences_with_probs(model, sentence, predicate)
-    candidates = [seq for seq, _ in weighted]
-    weights = [p * reward_fn(seq) for seq, p in weighted]
-    dlogits = _policy_dlogits(cache, candidates, weights)
+    rows = [(seq, p * reward_fn(seq)) for seq, p in weighted]
+    dlogits = tagger.weighted_dlogits(cache["probs"], [(rows, 1.0)])
     return tagger.backward_from_dlogits(model, cache, dlogits)
 
 

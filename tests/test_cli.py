@@ -213,12 +213,21 @@ def _labels_missing(record):
     del record["labels"]
 
 
+def _first_token(field, value):
+    def edit(record):
+        record["sentence"]["tokens"][0][field] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit,message", [
     (_unknown_label, "position 3: unknown label 'B-ARG9'"),
     (_label_as_list, "labels: position 3: ["),
     (_predicate_as_string, "predicate_index '3' is not an integer"),
-    (_labels_missing, "bad record: missing key 'labels'")],
-    ids=["unknown-label", "label-list", "predicate-string", "missing-key"])
+    (_labels_missing, "bad record: missing key 'labels'"),
+    (_first_token("index", True), "bad record: token index must be of type int, got True"),
+    (_first_token("head", 2.0), "bad record: token head must be of type int, got 2.0")],
+    ids=["unknown-label", "label-list", "predicate-string", "missing-key", "bool-index",
+         "float-head"])
 def test_bad_record_is_reported_in_plain_words(pipeline, capsys, edit, message):
     work, _ = pipeline
     record = json.loads((work / "train.inst").read_text(encoding="utf-8").splitlines()[0])
@@ -254,10 +263,12 @@ def test_conllu_id_or_head_that_is_not_an_integer_is_a_data_error(pipeline, caps
     ("a\t2\tARG1\t1\na\t2\tARG1\t3\n", "duplicate role 'ARG1'", 2),
     ("a\t2\tARG2\t3\na\t2\targ1\t1\n", "unknown role 'arg1'", 2),
     ("a\t2\tP\t2\n", "unknown role 'P'", 1),
-], ids=["short-row", "head", "repeated-role", "lower-case-role", "predicate-role"])
+    ("a\t2\tARG1\t1\na\t2\tARG2\t3\tm\udcfcde\n", "not UTF-8 text: byte 0xfc at column 13", 2),
+], ids=["short-row", "head", "repeated-role", "lower-case-role", "predicate-role", "not-utf8"])
 def test_malformed_gold_is_a_data_error(pipeline, capsys, rows, message, line):
     work, _ = pipeline
-    (work / "bad.gold").write_text(rows, encoding="utf-8")
+    # surrogateescape writes a lone \udcXX as the raw byte 0xXX.
+    (work / "bad.gold").write_text(rows, encoding="utf-8", errors="surrogateescape")
     outputs = {"--report": work / "bad-report.json", "--pr-out": work / "bad-pr.tsv"}
     code = cli.main(["eval", "--extractions", str(work / "out.jsonl"),
                      "--gold", str(work / "bad.gold"),
@@ -452,20 +463,21 @@ def test_checkpoint_with_a_float_dimension_exits_2_without_a_traceback(pipeline,
     assert "Traceback" not in result.stderr
 
 
-def test_checkpoint_with_the_legacy_input_layer_keys_extracts_the_same(pipeline):
+def test_checkpoint_header_holding_beam_size_is_a_bad_header(pipeline, capsys):
+    # Headers written before the decoder width left TaggerConfig held it.
     work, _ = pipeline
     header, arrays = (work / "rl.ckpt").read_bytes().split(b"\n", 1)
     header = json.loads(header)
-    header["config"].update(embedder_kind="static-lookup", use_indicator=True,
-                            roles=["P", "ARG1", "ARG2", "ARG3"])
-    (work / "legacy.ckpt").write_bytes(
-        json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + arrays)
-    code = cli.main(["extract", "--model", str(work / "legacy.ckpt"),
-                     "--conllu", str(work / "dev.conllu"), "--patterns", str(work / "patterns.txt"),
-                     "--rerank", "combined", "--scorer", "surrogate",
-                     "--out", str(work / "legacy.jsonl")])
-    assert code == cli.EXIT_OK
-    assert (work / "legacy.jsonl").read_bytes() == (work / "out.jsonl").read_bytes()
+    header["config"]["beam_size"] = 3
+    (work / "beam.ckpt").write_bytes(json.dumps(header).encode("utf-8") + b"\n" + arrays)
+    out = work / "beam.jsonl"
+    code = cli.main(["extract", "--model", str(work / "beam.ckpt"),
+                     "--conllu", str(work / "dev.conllu"), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{work / 'beam.ckpt'}: checkpoint bad header: " in err
+    assert "'beam_size'" in err
+    assert not out.exists()
 
 
 def test_repeated_sentence_id_is_a_data_error(pipeline, capsys):
@@ -500,7 +512,7 @@ def test_closed_output_pipe_ends_quietly(pipeline, capsys):
 def test_non_finite_gradient_is_a_numeric_failure(pipeline, capsys, monkeypatch, command, flags):
     work, _ = pipeline
     message = {"pretrain": "non-finite gradient at epoch 1",
-               "rl-train": "non-finite policy gradient on "}[command]
+               "rl-train": "non-finite gradient on sentence '"}[command]
     real_backward = tagger.backward_from_dlogits
 
     def nan_backward(model, cache, dlogits):

@@ -19,6 +19,7 @@ from oiekit.corpus_io import (
     read_extractions,
     read_gold,
     read_instances,
+    read_key_values,
     write_conllu,
     write_jsonl,
     write_extractions,
@@ -184,6 +185,17 @@ class TestExtractionFiles:
         path.write_text("not json\n", encoding="utf-8")
         with pytest.raises(ParseError):
             read_extractions(path)
+
+
+@pytest.mark.parametrize("read", [read_conllu, read_gold, read_extractions, read_key_values],
+                         ids=["conllu", "gold", "jsonl", "key-values"])
+def test_line_that_is_not_utf8_names_the_file_and_the_line(tmp_path, read):
+    # Line 1 is blank, which every reader skips; line 2 is Latin-1.
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("\ncaf\u00e9 = 1\n".encode("latin-1"))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: not UTF-8 text: "
+                       "byte 0xe9 at column 4$"):
+        read(path)
 
 
 class TestAtomicWrite:

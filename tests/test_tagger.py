@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -23,7 +22,8 @@ from oiekit.tagger import (
 )
 
 from conftest import decode_alone, flat_sentence
-from oracles import oracle_rank, oracle_valid, valid_sequences
+from oracles import (candidate_dlogits, oracle_rank, oracle_valid, pattern_label_dlogits,
+                     valid_sequences)
 
 TINY = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
                     num_encoder_layers=2, rng_seed=3)
@@ -253,19 +253,6 @@ class TestDeterminismAndSerialization:
         with pytest.raises(ParseError):
             load_model(path)
 
-    def test_checkpoint_with_stored_beam_size_loads(self, tmp_path):
-        model = tiny_model(flat_sentence(4))
-        path = tmp_path / "model.ckpt"
-        save_model(model, path)
-        header, arrays = path.read_bytes().split(b"\n", 1)
-        old_header = json.loads(header)
-        old_header["config"]["beam_size"] = 3
-        path.write_bytes(json.dumps(old_header, sort_keys=True).encode("utf-8") + b"\n" + arrays)
-        loaded = load_model(path)
-        assert loaded.config == model.config
-        for name in model.params:
-            assert loaded.params[name].tobytes() == model.params[name].tobytes()
-
     def test_loaded_model_decodes_identically(self, tmp_path):
         sentence = flat_sentence(4)
         model = tiny_model(sentence)
@@ -415,3 +402,36 @@ def test_config_field_that_is_not_an_integer_in_range_is_refused(field, value, l
     with pytest.raises(ValidationError,
                        match=f"^{field} must be an integer >= {low}, got {value!r}$"):
         TaggerConfig(**{field: value})
+
+
+# -- the one update rule: its logit gradient, pinned to the plain oracle -----
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["one-batch", "one-at-a-time"])
+def test_weighted_dlogits_is_the_plain_oracle_bit_for_bit(batched):
+    # Pattern labels at weight -1 and scale 1/m (pretraining), and beam
+    # candidates plus the pattern label at free weights and scale 1 (RL),
+    # one of them zero. Bytes compare the signs of zero too.
+    sentences, _ = gen_synthetic(n=30, seed=4)
+    instances = [inst for s in sentences for inst in generate_instances(s)]
+    model = init_model(TINY, build_vocab(sentences))
+    rng = np.random.default_rng(0)
+    for group in [instances] if batched else [[inst] for inst in instances]:
+        probs, _ = forward([(inst.sentence, inst.predicate_index) for inst in group], model)
+        labels = tagger.weighted_dlogits(
+            probs, [([(inst.tags, -1.0)], 1.0 / len(inst.tags)) for inst in group])
+        beams = tagger.beam_decode(probs, [len(inst.tags) for inst in group],
+                                   [inst.predicate_index for inst in group], 3)
+        rows = [[(seq, float(w)) for seq, w in zip(beam + [inst.tags],
+                                                   rng.normal(size=len(beam) + 1))]
+                for beam, inst in zip(beams, group)]
+        rows[0][-1] = (group[0].tags, 0.0)
+        candidates = tagger.weighted_dlogits(probs, [(item, 1.0) for item in rows])
+        for b, inst in enumerate(group):
+            m = len(inst.tags)
+            assert (labels[:m, b].tobytes()
+                    == pattern_label_dlogits(probs[:m, b], inst.tags.labels).tobytes())
+            expected = candidate_dlogits(probs[:m, b], [(seq.labels, w) for seq, w in rows[b]])
+            assert candidates[:m, b].tobytes() == expected.tobytes()
+            assert not labels[m:, b].any() and not candidates[m:, b].any()
+    assert len(instances) > 30
