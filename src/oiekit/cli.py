@@ -149,7 +149,8 @@ def build_parser() -> _Parser:
     p.add_argument("--pr-out", required=True)
     p.add_argument("--conllu", help="needed only for --overlap-threshold")
     p.add_argument("--overlap-threshold", type=float,
-                   help="diagnostic lexical-overlap matching instead of headword matching")
+                   help="diagnostic lexical-overlap matching instead of headword matching: "
+                   "the share of each gold role's words a span must hold, in (0, 1]")
 
     return parser
 
@@ -262,19 +263,21 @@ def cmd_extract(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.overlap_threshold is not None and not args.conllu:
+    threshold = args.overlap_threshold
+    if threshold is not None and not 0.0 < threshold <= 1.0:
+        raise _UsageError(f"--overlap-threshold must be a number in (0, 1], got {threshold}")
+    if threshold is not None and not args.conllu:
         raise _UsageError("--overlap-threshold requires --conllu for token surfaces")
-    extractions = corpus_io.read_extractions(args.extractions)
     sentences = None
     matcher = evaluate.match
-    if args.overlap_threshold is not None:
+    if threshold is not None:
         sentences = {s.sentence_id: s for s in corpus_io.read_conllu(args.conllu)}
-        threshold = args.overlap_threshold
 
         def matcher(pred, gold):
             return evaluate.lexical_overlap_match(
                 pred, gold, sentences[pred.sentence_id], threshold)
 
+    extractions = corpus_io.read_extractions(args.extractions, sentences)
     gold = corpus_io.read_gold(args.gold, sentences)
     report = evaluate.evaluate(extractions, gold, matcher)
     evaluate.write_report(report, args.report)

@@ -62,17 +62,23 @@ class ParseError(OiekitError):
         self.line = line
 
 
+def checked_utf8(line: str, line_no: int, path) -> str:
+    """``line``, decoded with ``errors="surrogateescape"``, which maps each byte
+    that is not UTF-8 to U+DC80..U+DCFF; such a byte raises :class:`ParseError`
+    naming it."""
+    bad = None if line.isascii() else re.search("[\udc80-\udcff]", line)
+    if bad:
+        raise ParseError(f"not UTF-8 text: byte 0x{ord(bad.group()) - 0xDC00:02x} "
+                         f"at column {bad.start() + 1}", line_no, path)
+    return line
+
+
 def _text_lines(path):
     """(number from 1, line) for each line of the text file at ``path``; a
     line that is not UTF-8 raises :class:`ParseError` naming its first bad byte."""
-    # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
-            bad = None if line.isascii() else re.search("[\udc80-\udcff]", line)
-            if bad:
-                raise ParseError(f"not UTF-8 text: byte 0x{ord(bad.group()) - 0xDC00:02x} "
-                                 f"at column {bad.start() + 1}", line_no, path)
-            yield line_no, line
+            yield line_no, checked_utf8(line, line_no, path)
 
 
 def read_key_values(path) -> dict[str, str]:
@@ -370,8 +376,22 @@ def write_extractions(extractions: Iterable[Extraction], path) -> None:
     write_jsonl(extractions, path)
 
 
-def read_extractions(path) -> list[Extraction]:
-    return read_jsonl(path, extraction_from_dict)
+def read_extractions(path, sentences: Optional[Mapping[str, ParsedSentence]] = None
+                     ) -> list[Extraction]:
+    """With ``sentences``, a span ending past its sentence raises :class:`ParseError`;
+    an extraction of a sentence not in ``sentences`` is kept unchecked."""
+    def parse(record):
+        extraction = extraction_from_dict(record)
+        sentence = (sentences or {}).get(extraction.sentence_id)
+        if sentence is not None:
+            end = max(end for _, end in (extraction.predicate_span,
+                                         *extraction.role_spans.values()))
+            if end > len(sentence):
+                raise ValidationError(f"span end {end} outside sentence "
+                                      f"{extraction.sentence_id!r} of length {len(sentence)}")
+        return extraction
+
+    return read_jsonl(path, parse)
 
 
 # ---------------------------------------------------------------------------

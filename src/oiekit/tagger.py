@@ -50,7 +50,7 @@ from oiekit.core import (
     allowed_labels,
     spans_from_tags,
 )
-from oiekit.corpus_io import ParseError, atomic_write
+from oiekit.corpus_io import ParseError, atomic_write, checked_utf8
 from oiekit.patterns import DEFAULT_TABLE, PatternTable, identify_predicates
 
 UNK = "<unk>"
@@ -492,7 +492,8 @@ def load_model(path) -> TaggerModel:
     array raise :class:`ParseError` naming ``path``."""
     with open(path, "rb") as handle:
         try:
-            header = json.loads(handle.readline().decode("utf-8"))
+            header = json.loads(checked_utf8(
+                handle.readline().decode("utf-8", "surrogateescape"), 1, path))
             if not isinstance(header, dict):
                 raise TypeError("header is not a JSON object")
             if header.get("format") != _FORMAT:

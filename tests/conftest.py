@@ -84,3 +84,9 @@ def flat_sentence(m, sentence_id="flat"):
 def decode_alone(table, beam_size, predicate):
     """One item's (m, L) table decoded by :func:`beam_decode` as a batch of one."""
     return beam_decode(table[:, None], [len(table)], [predicate], beam_size)[0]
+
+
+def pytest_addoption(parser):
+    parser.addoption("--cli-command", help="run test_cli.py's rows and pipeline through this "
+                     "command, split with shlex (e.g. 'oiekit' or 'python -m oiekit.cli'), "
+                     "instead of cli.main in the test process")
