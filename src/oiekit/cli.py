@@ -10,10 +10,11 @@ whose reader has gone (``| head``) ends the command quietly with 0, as it
 ends when the output fits before the reader goes.
 
 Each training setting has one way in: pretrain's optional ``key = value``
-config file (an unknown key is a data error) or rl-train's flags; what is
-left out keeps its TaggerConfig, TrainConfig or RLConfig default. Both
-trainers raise NonFiniteValue, the one numeric failure (exit 3). They write
-the per-epoch metrics rows as JSON lines to ``--metrics``, by default
+config file (an unknown key is a data error) or rl-train's flags (a value
+RLConfig refuses is a usage error); what is left out keeps its
+TaggerConfig, TrainConfig or RLConfig default. Both trainers raise
+NonFiniteValue, the one numeric failure (exit 3). They write the
+per-epoch metrics rows as JSON lines to ``--metrics``, by default
 ``<--out>.metrics.jsonl``: the commands, not the stages, write files.
 ``--scorer`` alone picks the semantic scorer (default ``surrogate``; a spec
 ``reward.make_sem_scorer`` refuses is a usage error). extract takes it only
@@ -76,12 +77,16 @@ def _pretrain_configs(path) -> tuple[TaggerConfig, TrainConfig]:
         raise ParseError(str(exc), path=path) from None
 
 
-def _sem_scorer(spec) -> reward.SemScorer:
-    """The scorer ``spec`` names, without its cache; a bad spec is a usage error."""
+def _sem_scorer(spec, cache, cache_needs="an adapter:URI --scorer") -> reward.SemScorer:
+    """``reward.make_sem_scorer(spec, cache)``. A spec it refuses, or a cache beside the
+    surrogate (which reads no cache), is a usage error raised before any cache is read."""
     try:
-        return reward.make_sem_scorer(spec)
+        scorer = reward.make_sem_scorer(spec, cache)
     except ValidationError as exc:
         raise _UsageError(f"--scorer: {exc}") from None
+    if cache and scorer.adapter is None:
+        raise _UsageError(f"--scorer-cache needs {cache_needs}")
+    return scorer
 
 
 def _load_table(path):
@@ -213,16 +218,15 @@ def cmd_pretrain(args) -> int:
 def cmd_rl_train(args) -> int:
     if args.dev_gold and not args.dev_conllu:
         raise _UsageError("--dev-gold requires --dev-conllu")
-    scorer = _sem_scorer(args.scorer)
-    if args.scorer_cache and scorer.adapter is None:
-        raise _UsageError("--scorer-cache needs an adapter:URI --scorer")
-    rl_config = RLConfig(epochs=args.epochs, beam_size=args.beam, baseline_mode=args.baseline,
-                         step_size=args.step_size, rng_seed=args.seed,
-                         explore_mode="sample" if args.sample else "beam")
+    try:
+        rl_config = RLConfig(epochs=args.epochs, beam_size=args.beam,
+                             baseline_mode=args.baseline, step_size=args.step_size,
+                             rng_seed=args.seed, explore_mode="sample" if args.sample else "beam")
+    except ValidationError as exc:
+        raise _UsageError(f"rl-train: {exc}") from None
+    scorer = _sem_scorer(args.scorer, args.scorer_cache)
     model = tagger.load_model(args.model)
     table = _load_table(args.patterns)
-    if args.scorer_cache:
-        scorer = reward.SemScorer(scorer.adapter, args.scorer_cache)
     sentences = corpus_io.read_conllu(args.conllu)
     dev = None
     if args.dev_conllu:
@@ -241,17 +245,17 @@ def cmd_rl_train(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    cache_needs = "--rerank sem/combined and an adapter:URI --scorer"
     scorer = None
     if args.rerank != "none":
-        scorer = _sem_scorer("surrogate" if args.scorer is None else args.scorer)
-    if args.scorer_cache and (scorer is None or scorer.adapter is None):
-        raise _UsageError("--scorer-cache needs --rerank sem/combined and an adapter:URI --scorer")
-    if args.scorer is not None and scorer is None:
+        scorer = _sem_scorer("surrogate" if args.scorer is None else args.scorer,
+                             args.scorer_cache, cache_needs)
+    elif args.scorer_cache:
+        raise _UsageError(f"--scorer-cache needs {cache_needs}")
+    elif args.scorer is not None:
         raise _UsageError("--scorer needs --rerank sem or combined")
     model = tagger.load_model(args.model)
     table = _load_table(args.patterns)
-    if args.scorer_cache:
-        scorer = reward.SemScorer(scorer.adapter, args.scorer_cache)
     sentences = corpus_io.read_conllu(args.conllu)
     extractions = tagger.extract(sentences, model, table)
     if scorer is not None:

@@ -118,6 +118,9 @@ class ParsedSentence:
     text: str = ""
 
     def __post_init__(self):
+        for name, value in (("sentence_id", self.sentence_id), ("text", self.text)):
+            if type(value) is not str:
+                raise ValidationError(f"sentence {name} must be of type str, got {value!r}")
         object.__setattr__(self, "tokens", tuple(self.tokens))
         problem = self._problem()
         if problem is not None:

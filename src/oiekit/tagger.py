@@ -23,12 +23,19 @@ Both trainers take one update rule: :func:`weighted_dlogits` (``mle``: the
 pattern label at weight -1, scale 1/m; ``rl``: each candidate at weight
 b - R_k, scale 1), then :func:`descent_step`, the one place that raises
 ``NonFiniteValue`` for a non-finite gradient.
+
+A checkpoint is a JSON header line (``config``, ``format``, ``vocab``),
+then the float64 bytes of every array in the order of :func:`_param_shapes`,
+the layout's one owner: the header names no array.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
+import os
+import stat
 from dataclasses import dataclass, asdict
 from functools import cache
 from typing import Optional, Sequence
@@ -83,13 +90,19 @@ class TaggerConfig:
 class TaggerModel:
     """Named-parameter container plus the vocabulary it was built over:
     ``embed.word`` has one row per vocabulary entry (row 0 for unknown
-    words) and ``embed.indicator`` two rows (off, on the predicate)."""
+    words) and ``embed.indicator`` two rows (off, on the predicate). A
+    vocabulary is a list of distinct strings with ``UNK`` first, as
+    :func:`build_vocab` makes it; any other raises ValidationError."""
 
-    def __init__(self, config: TaggerConfig, vocab: Sequence[str],
-                 params: dict[str, np.ndarray]):
+    def __init__(self, config: TaggerConfig, vocab: list[str], params: dict[str, np.ndarray]):
+        # A list, not any sequence: a string is a sequence of strings.
+        if type(vocab) is not list or vocab[:1] != [UNK]:
+            raise ValidationError(f"vocabulary must be a list starting with {UNK!r}")
+        self.word_ids = {word: i for i, word in enumerate(vocab) if type(word) is str}
+        if len(self.word_ids) != len(vocab):
+            raise ValidationError("vocabulary entries must be distinct strings")
         self.config = config
         self.vocab = list(vocab)
-        self.word_ids = {word: i for i, word in enumerate(self.vocab)}
         self.params = params
 
     def token_id(self, surface: str) -> int:
@@ -97,16 +110,11 @@ class TaggerModel:
 
 
 def build_vocab(instances_or_sentences) -> list[str]:
-    """Vocabulary (UNK first) over the surfaces seen in training data."""
-    words = []
-    seen = set()
-    for item in instances_or_sentences:
-        sentence = item.sentence if isinstance(item, TaggedInstance) else item
-        for tok in sentence.tokens:
-            if tok.surface not in seen:
-                seen.add(tok.surface)
-                words.append(tok.surface)
-    return [UNK] + words
+    """Vocabulary over the surfaces seen in training data: UNK, then each
+    other surface once, in order of first appearance."""
+    sentences = (item.sentence if isinstance(item, TaggedInstance) else item
+                 for item in instances_or_sentences)
+    return list(dict.fromkeys([UNK, *(tok.surface for s in sentences for tok in s.tokens)]))
 
 
 def _param_shapes(config: TaggerConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
@@ -131,7 +139,7 @@ def _param_shapes(config: TaggerConfig, vocab_size: int) -> dict[str, tuple[int,
     return shapes
 
 
-def init_model(config: TaggerConfig, vocab: Sequence[str]) -> TaggerModel:
+def init_model(config: TaggerConfig, vocab: list[str]) -> TaggerModel:
     """Initialize all parameters uniformly in [-0.1, 0.1] from a generator
     seeded with ``config.rng_seed``."""
     rng = np.random.default_rng(config.rng_seed)
@@ -462,34 +470,26 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
 # Checkpointing: one deterministic file, JSON header + raw array bytes
 # ---------------------------------------------------------------------------
 
-_FORMAT = "oiekit-checkpoint-1"
+_FORMAT = "oiekit-checkpoint-2"
 
 
 def save_model(model: TaggerModel, path) -> None:
-    manifest = [
-        {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
-        for name, arr in model.params.items()
-    ]
-    header = {
-        "format": _FORMAT,
-        "config": asdict(model.config),
-        "vocab": model.vocab,
-        "arrays": manifest,
-    }
+    header = {"config": asdict(model.config), "format": _FORMAT, "vocab": model.vocab}
     with atomic_write(path, "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         handle.write(b"\n")
-        for arr in model.params.values():
-            handle.write(np.ascontiguousarray(arr).tobytes())
+        for name in _param_shapes(model.config, len(model.vocab)):
+            handle.write(model.params[name].astype(np.float64, copy=False).tobytes())
 
 
 def load_model(path) -> TaggerModel:
-    """Read a checkpoint written by :func:`save_model`. A malformed header
-    (a config :class:`TaggerConfig` refuses, unknown keys included, an array
-    set or shape other than the one :func:`init_model` builds for its config
-    and vocabulary, or a dtype other than float64, the only one written), an
-    array cut short or holding a NaN or infinity, or bytes after the last
-    array raise :class:`ParseError` naming ``path``."""
+    """Read a checkpoint written by :func:`save_model`, its arrays laid out by
+    :func:`_param_shapes` for its header's config and vocabulary. A header
+    that is not a UTF-8 JSON object of this format, lacks a key or holds a
+    config :class:`TaggerConfig` refuses (unknown keys included) or a
+    vocabulary :class:`TaggerModel` refuses, an array cut short (a config
+    or vocabulary larger than the arrays) or holding a NaN or infinity, or
+    trailing bytes raise :class:`ParseError` naming ``path``."""
     with open(path, "rb") as handle:
         try:
             header = json.loads(checked_utf8(
@@ -498,33 +498,25 @@ def load_model(path) -> TaggerModel:
                 raise TypeError("header is not a JSON object")
             if header.get("format") != _FORMAT:
                 raise ParseError(f"checkpoint format is not {_FORMAT!r}", path=path)
-            config = TaggerConfig(**header["config"])
-            arrays = [(entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"]))
-                      for entry in header["arrays"]]
-            vocab = header["vocab"]
-            expected = _param_shapes(config, len(vocab))
-            names = [name for name, _, _ in arrays]
-            if len(names) != len(expected) or set(names) != set(expected):
-                raise ValueError(f"arrays {names}, expected {list(expected)} for its config")
-            for name, dtype, shape in arrays:
-                if shape != expected[name]:
-                    raise ValueError(f"array {name!r} has shape {list(shape)}, expected "
-                                     f"{list(expected[name])} for its config and vocabulary")
-                if dtype != np.float64:
-                    raise ValueError(f"array {name!r} has dtype {dtype}, not float64")
+            model = TaggerModel(TaggerConfig(**header["config"]), header["vocab"], {})
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ParseError(f"checkpoint bad header: {what}", path=path) from None
-        params = {}
-        for name, dtype, _ in arrays:
-            size = int(np.prod(expected[name])) * dtype.itemsize
-            data = handle.read(size)
+        # A header may ask for more than the file holds: read no more than
+        # that, where the file's size is known (a pipe's is not).
+        status = os.fstat(handle.fileno())
+        left = status.st_size - handle.tell() if stat.S_ISREG(status.st_mode) else math.inf
+        for name, shape in _param_shapes(model.config, len(model.vocab)).items():
+            size = 8 * math.prod(shape)
+            data = handle.read(min(size, left))
             if len(data) != size:
                 raise ParseError(f"checkpoint array {name!r} has {len(data)} of {size} bytes",
                                  path=path)
-            params[name] = np.frombuffer(data, dtype=dtype).reshape(expected[name]).copy()
-            if not np.isfinite(params[name]).all():
+            left -= size
+            array = np.frombuffer(data, np.float64).reshape(shape)
+            if not np.isfinite(array).all():
                 raise ParseError(f"checkpoint array {name!r} holds a non-finite value", path=path)
+            model.params[name] = array.copy()
         if handle.read(1):
             raise ParseError("checkpoint has trailing bytes after the last array", path=path)
-    return TaggerModel(config, vocab, params)
+    return model

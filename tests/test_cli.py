@@ -158,20 +158,6 @@ def _config(**values):
     return _header(lambda header: header["config"].update(values))
 
 
-def _dtype(dtype):
-    def edit(header):
-        for entry in header["arrays"]:
-            entry["dtype"] = dtype
-    return _header(edit)
-
-
-def _word_shape(shape):
-    def edit(header):
-        entry = next(e for e in header["arrays"] if e["name"] == "embed.word")
-        entry["shape"] = shape(entry["shape"])
-    return edit
-
-
 def _hidden_dim(header):
     header["config"]["hidden_dim"] *= 2
 
@@ -180,8 +166,10 @@ def _short_vocab(header):
     header["vocab"] = header["vocab"][:5]
 
 
-def _renamed_array(header):
-    header["arrays"][0]["name"] += "s"
+def _vocab(edit):
+    def edited(header):
+        header["vocab"] = edit(header["vocab"])
+    return _header(edited)
 
 
 def _nonfinite(value):
@@ -218,6 +206,12 @@ def _predicate_as_string(record):
 
 def _labels_missing(record):
     del record["labels"]
+
+
+def _sentence(field, value):
+    def edit(record):
+        record["sentence"][field] = value
+    return edit
 
 
 def _first_token(field, value):
@@ -306,8 +300,9 @@ CONTRACT = {
                      "step_size = nan", "step_size = inf", "dev_fraction = 1.0",
                      "dev_fraction = -0.5", "hidden_dim = 0", "num_encoder_layers = 0",
                      "patience = 0", "patience = -3"]},
-    "test_out_of_range_rl_setting_is_a_data_error": {
-        f"{flag}-{value}": row(f"{RL} {flag} {value}", DATA, flag[2:].replace("-", "_"))
+    "test_out_of_range_rl_setting_is_a_usage_error": {
+        f"{flag}-{value}": row(f"{RL} {flag} {value}", USAGE, "usage error: rl-train: ",
+                               flag[2:].replace("-", "_"))
         for flag, value in [("--epochs", "-2"), ("--epochs", "0"), ("--step-size", "-0.1"),
                             ("--step-size", "nan"), ("--beam", "0")]},
     "test_instance_breaking_an_invariant_names_its_line": row(
@@ -334,7 +329,13 @@ CONTRACT = {
             ("bool-index", _first_token("index", True),
              "bad record: token index must be of type int, got True"),
             ("float-head", _first_token("head", 2.0),
-             "bad record: token head must be of type int, got 2.0")]},
+             "bad record: token head must be of type int, got 2.0"),
+            ("list-sentence-id", _sentence("sentence_id", ["x"]),
+             "bad record: sentence sentence_id must be of type str, got ['x']"),
+            ("integer-sentence-id", _sentence("sentence_id", 7),
+             "bad record: sentence sentence_id must be of type str, got 7"),
+            ("list-text", _sentence("text", ["x"]),
+             "bad record: sentence text must be of type str, got ['x']")]},
     "test_conllu_id_or_head_that_is_not_an_integer_is_a_data_error": {
         case: row("label --conllu {work}/noint.conllu --out {out}/l.inst", DATA,
                   f"{{work}}/noint.conllu: line {line}", inputs={"noint.conllu": rows})
@@ -396,8 +397,9 @@ CONTRACT = {
             "--dev-gold requires --dev-conllu")
         for model in ["missing.ckpt", "{work}/mle.ckpt"]),
     "test_checkpoint_of_another_format_is_a_data_error": row(
-        EXTRACT + " {work}/format.ckpt", DATA, "format is not 'oiekit-checkpoint-1'",
-        inputs={"format.ckpt": _header(lambda h: h.update(format="oiekit-checkpoint-2"))}),
+        EXTRACT + " {work}/format.ckpt", DATA,
+        "{work}/format.ckpt: checkpoint format is not 'oiekit-checkpoint-2'",
+        inputs={"format.ckpt": _header(lambda h: h.update(format="oiekit-checkpoint-1"))}),
     "test_truncated_checkpoint_is_a_data_error": row(
         EXTRACT + " {work}/cut.ckpt", DATA, "{work}/cut.ckpt: checkpoint",
         inputs={"cut.ckpt": _checkpoint(lambda data: data[:-5])}),
@@ -409,22 +411,33 @@ CONTRACT = {
         EXTRACT + " {work}/latin.ckpt", DATA,
         "{work}/latin.ckpt: line 1: not UTF-8 text: byte 0xdf at column 1",
         inputs={"latin.ckpt": _checkpoint(lambda data: b"\xdf\xff" + data)}),
-    "test_checkpoint_dtype_other_than_float64_is_a_data_error": {
-        f"{dtype}-{command}": row(f"{argv} {{work}}/dtype.ckpt", DATA, "not float64",
-                                  inputs={"dtype.ckpt": _dtype(dtype)})
-        for dtype in ["<U2", "object", "int64"] for command, argv in READERS.items()},
     "test_checkpoint_with_a_non_finite_parameter_is_a_data_error": {
         f"{value}-{command}": row(f"{argv} {{work}}/nonfinite.ckpt", DATA,
                                   "'enc.0.fw.wh' holds a non-finite value",
                                   inputs={"nonfinite.ckpt": _nonfinite(float(value))})
         for value in ["inf", "nan"] for command, argv in READERS.items()},
+    # The header's config and vocabulary are the arrays' one layout, so a
+    # header that disagrees with them meets too few bytes or too many; one
+    # asking for far more than the file holds allocates none of it.
     "test_checkpoint_shape_disagreeing_with_its_config_is_a_data_error": {
-        f"{case}-{command}": row(f"{argv} {{work}}/shape.ckpt", DATA, "expected",
+        f"{case}-{command}": row(f"{argv} {{work}}/shape.ckpt", DATA,
+                                 "{work}/shape.ckpt: checkpoint " + message,
                                  inputs={"shape.ckpt": _header(edit)})
-        for case, edit in [("swapped-word-shape", _word_shape(lambda shape: shape[::-1])),
-                           ("non-integer-shape", _word_shape(lambda shape: ["a", 2])),
-                           ("hidden-dim", _hidden_dim), ("short-vocab", _short_vocab),
-                           ("renamed-array", _renamed_array)]
+        for case, edit, message in [
+            ("hidden-dim", _hidden_dim, "array 'enc.0.fw.wh' has "),
+            ("short-vocab", _short_vocab, "has trailing bytes after the last array"),
+            ("huge-hidden-dim", lambda header: header["config"].update(hidden_dim=10**12),
+             "array 'enc.0.fw.wx' has ")]
+        for command, argv in READERS.items()},
+    "test_checkpoint_vocabulary_of_other_than_distinct_words_is_a_data_error": {
+        f"{case}-{command}": row(f"{argv} {{work}}/vocab.ckpt", DATA,
+                                 "{work}/vocab.ckpt: checkpoint bad header: vocabulary " + message,
+                                 inputs={"vocab.ckpt": _vocab(edit)})
+        for case, edit, message in [
+            ("first-word-list", lambda vocab: vocab[:1] + [["x"]] + vocab[2:],
+             "entries must be distinct strings"),
+            ("one-string", lambda vocab: "x" * len(vocab), "must be a list starting"),
+            ("repeated-word", lambda vocab: vocab[:2] + vocab[1:-1], "entries must be distinct")]
         for command, argv in READERS.items()},
     "test_checkpoint_naming_another_input_layer_is_a_data_error": {
         case: row(EXTRACT + " {work}/layer.ckpt", DATA, repr(key),
@@ -449,7 +462,7 @@ CONTRACT = {
     "test_negative_seed_is_refused_by_name_before_any_file_is_read": {
         "synth": row("synth --n 5 --seed -1 --out-conllu t.conllu --out-gold t.gold", USAGE,
                      "seed = -1: the seed must be >= 0"),
-        "rl-train": row(MISSING_RL + " --seed -1", DATA, "rng_seed must be >= 0, got -1"),
+        "rl-train": row(MISSING_RL + " --seed -1", USAGE, "rng_seed must be >= 0, got -1"),
         "pretrain-config": row("pretrain --instances missing.inst --out m.ckpt "
                                "--config {work}/seed.cfg", DATA,
                                "{work}/seed.cfg: rng_seed must be an integer >= 0, got -1",

@@ -1,7 +1,11 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oiekit import tagger
 from oiekit.core import LABELS, TaggedInstance, ValidationError
@@ -21,7 +25,7 @@ from oiekit.tagger import (
     save_model,
 )
 
-from conftest import decode_alone, flat_sentence
+from conftest import build_sentence, decode_alone, flat_sentence
 from oracles import (candidate_dlogits, oracle_rank, oracle_valid, pattern_label_dlogits,
                      valid_sequences)
 
@@ -215,6 +219,15 @@ class TestConfidence:
             assert conf == pytest.approx(math.log(0.5))
 
 
+def test_vocabulary_holds_unk_then_each_other_surface_once():
+    # A token spelled like UNK reads as the unknown word, not a second entry.
+    first = build_sentence("a", [("<unk>", "NOUN", 2, "nsubj"), ("runs", "VERB", 0, "root")])
+    second = build_sentence("b", [("dogs", "NOUN", 2, "nsubj"), ("runs", "VERB", 0, "root")])
+    vocab = build_vocab([first, second])
+    assert vocab == [tagger.UNK, "runs", "dogs"]
+    assert init_model(TINY, vocab).token_id("<unk>") == 0
+
+
 class TestDeterminismAndSerialization:
     def test_init_deterministic(self):
         sentence = flat_sentence(3)
@@ -236,7 +249,7 @@ class TestDeterminismAndSerialization:
         for name in model.params:
             assert loaded.params[name].tobytes() == model.params[name].tobytes()
 
-    @pytest.mark.parametrize("damage", ["truncate", "append", "list header", "no arrays"])
+    @pytest.mark.parametrize("damage", ["truncate", "append", "list header", "no vocab"])
     def test_damaged_checkpoint_raises_parse_error(self, tmp_path, damage):
         path = tmp_path / "model.ckpt"
         save_model(tiny_model(flat_sentence(4)), path)
@@ -248,10 +261,35 @@ class TestDeterminismAndSerialization:
         elif damage == "list header":
             header = b"[1, 2]"
         else:
-            header = header.replace(b'"arrays"', b'"arrayz"')
+            header = header.replace(b'"vocab"', b'"vocaz"')
         path.write_bytes(header + b"\n" + arrays)
         with pytest.raises(ParseError):
             load_model(path)
+
+    # Words a JSON header must escape, non-ASCII words and the empty word.
+    @given(st.builds(TaggerConfig, st.integers(1, 4), st.integers(1, 3), st.integers(1, 4),
+                     st.integers(1, 3), st.integers(0, 2**32)),
+           st.lists(st.text(st.sampled_from('a"\\\n\té\u2028日😀'), max_size=3), unique=True,
+                    max_size=6))
+    @settings(max_examples=30, deadline=None)
+    def test_checkpoint_is_its_header_line_then_the_arrays_in_layout_order(self, config, words):
+        model = init_model(config, [tagger.UNK, *words])
+        shapes = tagger._param_shapes(config, len(model.vocab))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_model(model, path)
+            data = path.read_bytes()
+            loaded = load_model(path)
+        header, arrays = data.split(b"\n", 1)
+        assert json.loads(header) == {"config": vars(config), "format": "oiekit-checkpoint-2",
+                                      "vocab": model.vocab}
+        assert len(arrays) == sum(8 * math.prod(shape) for shape in shapes.values())
+        assert arrays == b"".join(model.params[name].tobytes() for name in shapes)
+        assert (loaded.config, loaded.vocab, list(loaded.params)) == (
+            config, model.vocab, list(shapes))
+        for name, shape in shapes.items():
+            assert loaded.params[name].shape == shape
+            assert loaded.params[name].tobytes() == model.params[name].tobytes()
 
     def test_loaded_model_decodes_identically(self, tmp_path):
         sentence = flat_sentence(4)
