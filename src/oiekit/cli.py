@@ -11,8 +11,8 @@ ends when the output fits before the reader goes.
 
 Each training setting has one way in: pretrain's optional ``key = value``
 config file (an unknown key is a data error) or rl-train's flags (a value
-RLConfig refuses is a usage error); what is left out keeps its
-TaggerConfig, TrainConfig or RLConfig default. Both trainers raise
+RLConfig refuses is a usage error that names the flag); what is left out
+keeps its TaggerConfig, TrainConfig or RLConfig default. Both trainers raise
 NonFiniteValue, the one numeric failure (exit 3). They write the
 per-epoch metrics rows as JSON lines to ``--metrics``, by default
 ``<--out>.metrics.jsonl``: the commands, not the stages, write files.
@@ -215,6 +215,11 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
+# The rl-train flag that sets each RLConfig field a flag value can break.
+_RL_FLAGS = {"epochs": "--epochs", "beam_size": "--beam", "step_size": "--step-size",
+             "rng_seed": "--seed"}
+
+
 def cmd_rl_train(args) -> int:
     if args.dev_gold and not args.dev_conllu:
         raise _UsageError("--dev-gold requires --dev-conllu")
@@ -223,7 +228,9 @@ def cmd_rl_train(args) -> int:
                              baseline_mode=args.baseline, step_size=args.step_size,
                              rng_seed=args.seed, explore_mode="sample" if args.sample else "beam")
     except ValidationError as exc:
-        raise _UsageError(f"rl-train: {exc}") from None
+        # RLConfig names the field first; the user typed its flag.
+        field, _, rest = str(exc).partition(" ")
+        raise _UsageError(f"rl-train: {_RL_FLAGS.get(field, field)} {rest}") from None
     scorer = _sem_scorer(args.scorer, args.scorer_cache)
     model = tagger.load_model(args.model)
     table = _load_table(args.patterns)

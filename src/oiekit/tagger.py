@@ -38,7 +38,7 @@ import os
 import stat
 from dataclasses import dataclass, asdict
 from functools import cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -117,26 +117,26 @@ def build_vocab(instances_or_sentences) -> list[str]:
     return list(dict.fromkeys([UNK, *(tok.surface for s in sentences for tok in s.tokens)]))
 
 
-def _param_shapes(config: TaggerConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every parameter array, in checkpoint order."""
+def _param_shapes(config: TaggerConfig,
+                  vocab_size: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every parameter array, in checkpoint order. A
+    generator, so that :func:`load_model` does work in proportion to the
+    arrays a file holds, not to the layer count its header claims."""
     h = config.hidden_dim
-    shapes: dict[str, tuple[int, ...]] = {
-        "embed.word": (vocab_size, config.embedding_dim),
-        "embed.indicator": (2, config.indicator_dim),
-    }
+    yield "embed.word", (vocab_size, config.embedding_dim)
+    yield "embed.indicator", (2, config.indicator_dim)
     layer_in = config.embedding_dim + config.indicator_dim
     for layer in range(config.num_encoder_layers):
-        for direction in ("fw", "bw"):
-            shapes[f"enc.{layer}.{direction}.wx"] = (layer_in, 4 * h)
-            shapes[f"enc.{layer}.{direction}.wh"] = (h, 4 * h)
-            shapes[f"enc.{layer}.{direction}.b"] = (4 * h,)
+        for direction in nn.DIRECTIONS:
+            yield f"enc.{layer}.{direction}.wx", (layer_in, 4 * h)
+            yield f"enc.{layer}.{direction}.wh", (h, 4 * h)
+            yield f"enc.{layer}.{direction}.b", (4 * h,)
         if layer > 0:
-            shapes[f"enc.{layer}.hw.w"] = (2 * h, 2 * h)
-            shapes[f"enc.{layer}.hw.b"] = (2 * h,)
+            yield f"enc.{layer}.hw.w", (2 * h, 2 * h)
+            yield f"enc.{layer}.hw.b", (2 * h,)
         layer_in = 2 * h
-    shapes["cls.w"] = (2 * h, len(LABELS))
-    shapes["cls.b"] = (len(LABELS),)
-    return shapes
+    yield "cls.w", (2 * h, len(LABELS))
+    yield "cls.b", (len(LABELS),)
 
 
 def init_model(config: TaggerConfig, vocab: list[str]) -> TaggerModel:
@@ -144,7 +144,7 @@ def init_model(config: TaggerConfig, vocab: list[str]) -> TaggerModel:
     seeded with ``config.rng_seed``."""
     rng = np.random.default_rng(config.rng_seed)
     params = {name: rng.uniform(-0.1, 0.1, shape)
-              for name, shape in _param_shapes(config, len(vocab)).items()}
+              for name, shape in _param_shapes(config, len(vocab))}
     return TaggerModel(config, vocab, params)
 
 
@@ -478,7 +478,7 @@ def save_model(model: TaggerModel, path) -> None:
     with atomic_write(path, "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         handle.write(b"\n")
-        for name in _param_shapes(model.config, len(model.vocab)):
+        for name, _ in _param_shapes(model.config, len(model.vocab)):
             handle.write(model.params[name].astype(np.float64, copy=False).tobytes())
 
 
@@ -506,7 +506,7 @@ def load_model(path) -> TaggerModel:
         # that, where the file's size is known (a pipe's is not).
         status = os.fstat(handle.fileno())
         left = status.st_size - handle.tell() if stat.S_ISREG(status.st_mode) else math.inf
-        for name, shape in _param_shapes(model.config, len(model.vocab)).items():
+        for name, shape in _param_shapes(model.config, len(model.vocab)):
             size = 8 * math.prod(shape)
             data = handle.read(min(size, left))
             if len(data) != size:

@@ -183,41 +183,81 @@ def test_lstm_batch_of_one_is_bit_identical_to_reference(m, in_dim, h_dim):
     b = rng.uniform(-0.1, 0.1, 4 * h_dim)
     dh = rng.normal(size=(m, h_dim))
     ref_h, ref_cache = ref_lstm_forward(x, wx, wh, b)
-    h, cache = nn.lstm_forward(x[:, None], wx, wh, b)
-    assert h.shape == (m, 1, h_dim) and h.dtype == np.float64
-    assert np.array_equal(h[:, 0], ref_h)
+    h, cache = nn.lstm_forward([x[:, None]], [wx], [wh], [b])
+    assert h.shape == (m, 1, 1, h_dim) and h.dtype == np.float64
+    assert np.array_equal(h[:, 0, 0], ref_h)
     ref_grads = ref_lstm_backward(dh, ref_cache)
-    dx, dwx, dwh, db = nn.lstm_backward(dh[:, None], cache)
+    (dx,), (dwx,), (dwh,), (db,) = nn.lstm_backward(dh[:, None, None], cache)
     assert all(grad.dtype == np.float64 for grad in (dx, dwx, dwh, db))
     assert np.array_equal(dx[:, 0], ref_grads[0])
     for got, want in zip((dwx, dwh, db), ref_grads[1:]):
         assert np.array_equal(got, want)
 
 
+def lstm_case(rng, dtype, lengths, in_dim=40, h_dim=64):
+    """Both directions' inputs of a right-padded batch of the given lengths,
+    and D = 2 lists of weights (wx, wh, b), all in ``dtype``."""
+    m, batch = max(lengths), len(lengths)
+    x = rng.normal(size=(m, batch, in_dim)).astype(dtype)
+    weights = [[rng.uniform(-0.1, 0.1, shape).astype(dtype) for _ in nn.DIRECTIONS]
+               for shape in ((in_dim, 4 * h_dim), (h_dim, 4 * h_dim), (4 * h_dim,))]
+    return (x, x[nn._reverse_index(m, lengths)]), weights
+
+
+def arrays(nested):
+    return [a for part in nested for a in (part if isinstance(part, (list, tuple)) else [part])]
+
+
 @pytest.mark.parametrize("backprop", [True, False])
 def test_lstm_runs_in_the_dtype_of_its_input(backprop):
     rng = np.random.default_rng(5)
-    m, batch, in_dim, h_dim = 9, 4, 40, 64
-    x = rng.normal(size=(m, batch, in_dim))
-    wx = rng.uniform(-0.1, 0.1, (in_dim, 4 * h_dim))
-    wh = rng.uniform(-0.1, 0.1, (h_dim, 4 * h_dim))
-    b = rng.uniform(-0.1, 0.1, 4 * h_dim)
-    h64, cache64 = nn.lstm_forward(x, wx, wh, b, backprop)
-    h32, cache32 = nn.lstm_forward(*(a.astype(np.float32) for a in (x, wx, wh, b)), backprop)
+    xs, weights = lstm_case(rng, np.float64, [9, 9, 9, 9])
+    h64, cache64 = nn.lstm_forward(xs, *weights, backprop)
+    h32, cache32 = nn.lstm_forward([x.astype(np.float32) for x in xs],
+                                   *([w.astype(np.float32) for w in ws] for ws in weights),
+                                   backprop)
     assert h64.dtype == np.float64 and h32.dtype == np.float32
     assert np.abs(h32 - h64).max() <= 1e-5
     if not backprop:
         return
-    assert all(a.dtype == np.float32 for a in cache32)
+    assert all(a.dtype == np.float32 for a in arrays(cache32))
     # Backward follows the cache: float32 in, float32 out, and the float64
     # pass keeps its bits (the reference test above pins them at B = 1).
-    dh = rng.normal(size=(m, batch, h_dim))
-    grads64 = nn.lstm_backward(dh, cache64)
-    grads32 = nn.lstm_backward(dh.astype(np.float32), cache32)
+    dh = rng.normal(size=h64.shape)
+    grads64 = arrays(nn.lstm_backward(dh, cache64))
+    grads32 = arrays(nn.lstm_backward(dh.astype(np.float32), cache32))
     assert all(grad.dtype == np.float64 for grad in grads64)
     assert all(grad.dtype == np.float32 for grad in grads32)
     for got, want in zip(grads32, grads64):
         assert relative_error(got, want) <= 1e-5
+
+
+# Each direction keeps its own matrix products, so advancing both in one
+# loop changes no bit of either.
+@pytest.mark.parametrize("dtype,lengths", [
+    (np.float64, [7]),
+    (np.float32, [13, 1, 9, 13, 4, 12, 2, 7, 13, 5, 11, 3, 8, 13, 6, 10])],
+    ids=["float64-B1", "float32-B16"])
+@pytest.mark.parametrize("backprop", [True, False], ids=["cache", "no-cache"])
+def test_two_direction_call_is_bit_identical_to_one_direction_calls(dtype, lengths, backprop):
+    rng = np.random.default_rng(len(lengths))
+    xs, weights = lstm_case(rng, dtype, lengths)
+    h, cache = nn.lstm_forward(xs, *weights, backprop)
+    alone = [nn.lstm_forward([xs[d]], *([ws[d]] for ws in weights), backprop)
+             for d in range(len(xs))]
+    assert h.shape == (max(lengths), 2, len(lengths), 64) and h.dtype == dtype
+    for d, (h_alone, _) in enumerate(alone):
+        assert np.array_equal(h[:, d], h_alone[:, 0])
+    if not backprop:
+        assert cache is None
+        return
+    dh = rng.normal(size=h.shape).astype(dtype)
+    grads = nn.lstm_backward(dh, cache)
+    for d, (_, cache_alone) in enumerate(alone):
+        # dx, dwx, dwh and db of direction d.
+        for got, want in zip(grads, nn.lstm_backward(dh[:, d : d + 1], cache_alone)):
+            assert got[d].dtype == dtype
+            assert np.array_equal(got[d], want[0])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

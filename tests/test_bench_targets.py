@@ -9,6 +9,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -71,3 +72,29 @@ def test_every_encoder_pass_and_decode_is_traced(tracing):
     chunks = -(-items // EXTRACT_BATCH)
     assert chunks > 1
     assert calls["tagger.forward"] == calls["tagger.beam_decode"] == chunks + 1
+
+
+def test_encoder_pass_reaches_the_traced_recurrence_once_per_layer(tracing):
+    # One call advances both directions of a layer; each step's gates go
+    # through the traced nn.sigmoid, as does each highway gate.
+    from oiekit.corpus_io import gen_synthetic
+    from oiekit.patterns import identify_predicates
+    from oiekit.tagger import TaggerConfig, build_vocab, init_model
+    tagger = oiekit_module("tagger")
+    sentences, _ = gen_synthetic(n=4, seed=5)
+    config = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
+                          num_encoder_layers=3, rng_seed=3)
+    model = init_model(config, build_vocab(sentences))
+    items = [(sentence, identify_predicates(sentence)[0]) for sentence in sentences]
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        probs, cache = tagger.forward(items, model, backprop=True)
+        tagger.backward_from_dlogits(model, cache, np.zeros_like(probs))
+    finally:
+        tracing.remove(patches)
+    calls = Counter(span[0] for span in tracer.spans)
+    layers = config.num_encoder_layers
+    assert calls["nn.lstm_forward"] == calls["nn.lstm_backward"] == layers
+    steps = max(len(sentence) for sentence, _ in items)
+    assert tracer.counts["nn.sigmoid"] == layers * steps + layers - 1

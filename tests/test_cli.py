@@ -301,8 +301,8 @@ CONTRACT = {
                      "dev_fraction = -0.5", "hidden_dim = 0", "num_encoder_layers = 0",
                      "patience = 0", "patience = -3"]},
     "test_out_of_range_rl_setting_is_a_usage_error": {
-        f"{flag}-{value}": row(f"{RL} {flag} {value}", USAGE, "usage error: rl-train: ",
-                               flag[2:].replace("-", "_"))
+        f"{flag}-{value}": row(f"{RL} {flag} {value}", USAGE,
+                               f"usage error: rl-train: {flag} must be")
         for flag, value in [("--epochs", "-2"), ("--epochs", "0"), ("--step-size", "-0.1"),
                             ("--step-size", "nan"), ("--beam", "0")]},
     "test_instance_breaking_an_invariant_names_its_line": row(
@@ -462,7 +462,7 @@ CONTRACT = {
     "test_negative_seed_is_refused_by_name_before_any_file_is_read": {
         "synth": row("synth --n 5 --seed -1 --out-conllu t.conllu --out-gold t.gold", USAGE,
                      "seed = -1: the seed must be >= 0"),
-        "rl-train": row(MISSING_RL + " --seed -1", USAGE, "rng_seed must be >= 0, got -1"),
+        "rl-train": row(MISSING_RL + " --seed -1", USAGE, "rl-train: --seed must be >= 0, got -1"),
         "pretrain-config": row("pretrain --instances missing.inst --out m.ckpt "
                                "--config {work}/seed.cfg", DATA,
                                "{work}/seed.cfg: rng_seed must be an integer >= 0, got -1",

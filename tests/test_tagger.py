@@ -1,6 +1,8 @@
 import json
 import math
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +268,25 @@ class TestDeterminismAndSerialization:
         with pytest.raises(ParseError):
             load_model(path)
 
+    def test_header_claiming_a_billion_layers_is_refused_within_the_bytes_it_holds(
+            self, tmp_path):
+        # The layout is read array by array, so refusing a short file costs
+        # what the file holds, not what its header claims.
+        header = {"config": dict(vars(TINY), num_encoder_layers=10**9),
+                  "format": "oiekit-checkpoint-2", "vocab": [tagger.UNK, "w"]}
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + bytes(64))
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(ParseError, match="'embed.word' has 64 of 96 bytes"):
+                load_model(path)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 1_000_000
+
     # Words a JSON header must escape, non-ASCII words and the empty word.
     @given(st.builds(TaggerConfig, st.integers(1, 4), st.integers(1, 3), st.integers(1, 4),
                      st.integers(1, 3), st.integers(0, 2**32)),
@@ -274,7 +295,7 @@ class TestDeterminismAndSerialization:
     @settings(max_examples=30, deadline=None)
     def test_checkpoint_is_its_header_line_then_the_arrays_in_layout_order(self, config, words):
         model = init_model(config, [tagger.UNK, *words])
-        shapes = tagger._param_shapes(config, len(model.vocab))
+        shapes = dict(tagger._param_shapes(config, len(model.vocab)))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.ckpt"
             save_model(model, path)
