@@ -167,22 +167,27 @@ def cmd_synth(args) -> int:
         raise _UsageError("--dev-conllu requires --dev-gold")
     if args.dev_gold and not args.dev_conllu:
         raise _UsageError("--dev-gold requires --dev-conllu")
+    split = args.n
+    if args.dev_conllu:
+        split = int(args.n * (1.0 - args.dev_fraction))
+        if args.n >= 1 and not 0 < split < args.n:
+            raise _UsageError(f"--dev-fraction {args.dev_fraction} of --n {args.n} sentences "
+                              f"leaves the {'train' if split == 0 else 'dev'} split empty")
     templates = [chunk for chunk in args.templates.split(",") if chunk.strip()]
     try:
         sentences, gold = corpus_io.gen_synthetic(templates, args.n, args.seed)
     except ValidationError as exc:
         raise _UsageError(f"synth: {exc}") from None
+    parts = [(sentences[:split], args.out_conllu, args.out_gold)]
     if args.dev_conllu:
-        split = int(len(sentences) * (1.0 - args.dev_fraction))
-        train_ids = {s.sentence_id for s in sentences[:split]}
-        corpus_io.write_conllu(sentences[:split], args.out_conllu)
-        corpus_io.write_conllu(sentences[split:], args.dev_conllu)
-        corpus_io.write_gold([g for g in gold if g.sentence_id in train_ids], args.out_gold)
-        corpus_io.write_gold([g for g in gold if g.sentence_id not in train_ids], args.dev_gold)
+        parts.append((sentences[split:], args.dev_conllu, args.dev_gold))
+    for part, conllu_path, gold_path in parts:
+        ids = {s.sentence_id for s in part}
+        corpus_io.write_conllu(part, conllu_path)
+        corpus_io.write_gold([g for g in gold if g.sentence_id in ids], gold_path)
+    if args.dev_conllu:
         print(f"wrote {split} train and {len(sentences) - split} dev sentences")
     else:
-        corpus_io.write_conllu(sentences, args.out_conllu)
-        corpus_io.write_gold(gold, args.out_gold)
         print(f"wrote {len(sentences)} sentences, {len(gold)} gold tuples")
     return EXIT_OK
 

@@ -233,7 +233,8 @@ class TaggedInstance:
 
 @dataclass(frozen=True)
 class Extraction:
-    """A predicate span plus role-labelled argument spans with a confidence."""
+    """A predicate span plus argument spans, keyed by roles of
+    ``ARGUMENT_ROLES``, with a confidence."""
 
     sentence_id: str
     predicate_span: Span
@@ -242,6 +243,9 @@ class Extraction:
 
     def __post_init__(self):
         object.__setattr__(self, "role_spans", dict(self.role_spans))
+        for role in self.role_spans:
+            if role not in ARGUMENT_ROLES:
+                raise ValidationError(f"unknown role {role!r}; known: {', '.join(ARGUMENT_ROLES)}")
         spans = [("P", self.predicate_span)] + sorted(self.role_spans.items())
         for role, (start, end) in spans:
             if start < 1 or end < start:

@@ -100,8 +100,10 @@ def read_key_values(path) -> dict[str, str]:
 def atomic_write(path, mode: str = "w"):
     """Handle on a temporary file beside ``path`` that replaces it when the
     block ends; if the block raises, ``path`` keeps its old contents and the
-    temporary file is removed. Links are followed; a path that exists but
-    is not a regular file (``/dev/null``, a pipe) is written in place."""
+    temporary file is removed. An OSError about the temporary file (a
+    missing directory, say) is raised again naming ``path``. Links are
+    followed; a path that exists but is not a regular file (``/dev/null``,
+    a pipe) is written in place."""
     encoding = None if "b" in mode else "utf-8"
     # Tested on the path as given: the real path of a pipe is "pipe:[N]".
     if os.path.exists(path) and not os.path.isfile(path):
@@ -114,9 +116,11 @@ def atomic_write(path, mode: str = "w"):
         with open(temporary, mode.replace("w", "x"), encoding=encoding) as handle:
             yield handle
         os.replace(temporary, target)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(temporary):
             os.unlink(temporary)
+        if isinstance(exc, OSError) and exc.filename == temporary:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

@@ -6,7 +6,8 @@ backward in float32, on a :func:`tagger.float32_encoder` copy of the
 parameters made for that batch; the classifier head, softmax, loss, the
 gradients handed to Adam, Adam's moments, the master parameters and so the
 checkpoints are float64. :func:`instance_grads`, :func:`mle_loss` and the
-dev pass run wholly in float64.
+dev pass (``tagger.decode_best``, the top-1 decode ``tagger.extract`` runs
+too) run wholly in float64.
 
 Updates follow ``tagger``'s one rule, each pattern label a row at weight -1
 and scale 1/m. A non-finite loss raises NonFiniteValue here, naming the
@@ -119,12 +120,15 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
     Without ``dev``, a ``config.dev_fraction`` share of the shuffled corpus
     (at least one instance, when there are two or more) is held out as
     dev. A fraction of 0 holds out nothing: every instance trains, nothing
-    stops early, and the rows carry ``dev_loss`` and ``dev_f1`` None.
+    stops early, and the rows carry ``dev_loss`` and ``dev_pattern_f1`` None.
+    ``dev_pattern_f1`` scores the top-1 decodes against the dev instances'
+    own pattern labels, not against gold tuples as ``rl-train``'s ``dev_f1``
+    does.
 
-    Each mini-batch of B instances is one :func:`tagger.forward` pass over
-    the (m, B, ·) batch, right-padded to its longest sentence m, and one
-    ``tagger.descent_step`` down the mean of the token-mean losses. Dev
-    metrics run in chunks of ``batch_size`` the same way, in float64.
+    Each mini-batch of ``batch_size`` instances is one :func:`tagger.forward`
+    pass over the (m, B, ·) batch, right-padded to its longest sentence m,
+    and one ``tagger.descent_step`` down the mean of the token-mean losses.
+    The dev pass is one float64 ``tagger.decode_best`` over the dev set.
 
     Against the float64 path (the same code with the float32 encoder copy
     replaced by ``model`` itself), a step's gradients differ by at most
@@ -162,13 +166,14 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
             for loss in _batch_step(model, optimizer, batch, epoch):
                 epoch_loss += loss
         train_loss = epoch_loss / len(train)
-        dev_loss = dev_f1 = None
+        dev_loss = dev_pattern_f1 = None
         if dev:
-            dev_loss, dev_f1 = _dev_metrics(model, dev, config.batch_size)
+            dev_loss, dev_pattern_f1 = _dev_metrics(model, dev)
         row = {"epoch": epoch, "train_loss": train_loss,
-               "dev_loss": dev_loss, "dev_f1": dev_f1}
+               "dev_loss": dev_loss, "dev_pattern_f1": dev_pattern_f1}
         metrics.append(row)
-        log.info("epoch %d: train %.4f dev %s f1 %s", epoch, train_loss, dev_loss, dev_f1)
+        log.info("epoch %d: train %.4f dev %s pattern f1 %s", epoch, train_loss, dev_loss,
+                 dev_pattern_f1)
         if dev:
             if dev_loss < best_dev - 1e-9:
                 best_dev = dev_loss
@@ -184,31 +189,21 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
     return metrics
 
 
-def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance],
-                 batch_size: int) -> tuple[float, float]:
+def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance]) -> tuple[float, float]:
     """(mean token-level NLL of the dev instances, best headword F1 of their
-    top-1 decodes against the tuples implied by their own labels, the
-    statistic ``rl-train`` reports), from one batched inference pass (no
-    backprop cache) and one batched decode per ``batch_size`` instances."""
-    losses = []
-    golds = []
-    preds = []
-    for start in range(0, len(dev), batch_size):
-        chunk = dev[start : start + batch_size]
-        probs = tagger.forward(_items(chunk), model)[0]
-        decoded = tagger.beam_decode(probs, [len(instance.tags) for instance in chunk],
-                                     [instance.predicate_index for instance in chunk], 1)
-        for b, (instance, (best,)) in enumerate(zip(chunk, decoded)):
-            m = len(instance.tags)
-            losses.append(_gold_nll(instance, probs[:m, b]) / m)
-            try:
-                golds.append(evaluate.gold_from_instance(instance))
-            except NoPredicateSpan:
-                continue
-            try:
-                extraction = spans_from_tags(
-                    TaggedInstance(instance.sentence, instance.predicate_index, best))
-            except NoPredicateSpan:
-                continue
-            preds.append(extraction)
+    top-1 decodes against the tuples implied by their own labels), from one
+    ``tagger.decode_best`` pass, in dev order."""
+    losses = [0.0] * len(dev)
+    bests = [None] * len(dev)
+    for i, probs, best in tagger.decode_best(_items(dev), model):
+        losses[i] = _gold_nll(dev[i], probs) / len(dev[i].tags)
+        bests[i] = best
+    golds, preds = [], []
+    for instance, best in zip(dev, bests):
+        try:
+            golds.append(evaluate.gold_from_instance(instance))
+            preds.append(spans_from_tags(
+                TaggedInstance(instance.sentence, instance.predicate_index, best)))
+        except NoPredicateSpan:
+            pass
     return float(np.mean(losses)), evaluate.evaluate(preds, golds).best_f1 if golds else 0.0

@@ -10,9 +10,9 @@ extractions by average log probability. :func:`forward` is the one
 encoder: it runs (sentence, predicate) items as one right-padded,
 time-major batch, and one item is a batch of one. Only training asks it
 for the backprop cache (``backprop=True``); inference keeps none.
-:func:`beam_decode` is the one decoder: it decodes such a batch in one
-vectorised k-best pass. :func:`extract` sorts its items by sentence length
-and runs them ``EXTRACT_BATCH`` at a time through both, without the cache.
+:func:`embed` is its input layer. :func:`beam_decode` is the one decoder:
+it decodes such a batch in one vectorised k-best pass. :func:`decode_best`,
+the top-1 decode of every inference pass, runs both without the cache.
 
 Parameters, checkpoints and every gradient handed to the optimizer are
 float64. :func:`extract` and each pretraining batch run the encoder in
@@ -62,13 +62,13 @@ from oiekit.patterns import DEFAULT_TABLE, PatternTable, identify_predicates
 
 UNK = "<unk>"
 
-# (sentence, predicate) items per extract pass. The pass keeps no backprop
-# cache, so a chunk holds a few (m·B, 4H) arrays at a time. On the
-# benchmark's extract workload (seed 1: 500 sentences, 617 items, m <= 13)
-# an extract call at 64 peaks 3.6 MB above its inputs with the float32
-# encoder (5.3 MB in float64; 16: 1.7 MB, 128: 5.7 MB). With the float32
-# encoder, an extract call at 64 took 27% less time than at 16 at seeds 1-2,
-# and 128 only 5% less than 64.
+# (sentence, predicate) items per decode_best chunk, in every inference
+# pass. It keeps no backprop cache, so a chunk holds a few (m·B, 4H) arrays
+# at a time. On the benchmark's extract workload (seed 1: 500 sentences, 617
+# items, m <= 13) an extract call at 64 peaks 3.6 MB above its inputs with
+# the float32 encoder (5.3 MB in float64; 16: 1.7 MB, 128: 5.7 MB). With the
+# float32 encoder, an extract call at 64 took 27% less time than at 16 at
+# seeds 1-2, and 128 only 5% less than 64.
 EXTRACT_BATCH = 64
 
 @dataclass(frozen=True)
@@ -153,17 +153,12 @@ def init_model(config: TaggerConfig, vocab: list[str]) -> TaggerModel:
 # ---------------------------------------------------------------------------
 
 
-def embed(sentence: ParsedSentence, predicate: int, model: TaggerModel) -> np.ndarray:
-    """Per-token input vectors, (m, embedding_dim + indicator_dim): each
-    token's word embedding concatenated with the indicator embedding of
-    whether it is the predicate."""
-    return _inputs([(sentence, predicate)], model)[0][:, 0]
-
-
-def _inputs(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel):
-    """(input vectors (m, B, embedding_dim + indicator_dim), word ids (m, B),
-    indicator flags (m, B)) of right-padded items. Padded positions hold
-    word id 0 and flag 0."""
+def embed(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel):
+    """The encoder's input layer over right-padded (sentence, predicate)
+    items: (input vectors (m, B, embedding_dim + indicator_dim), word ids
+    (m, B), indicator flags (m, B)). Each token's input is its word
+    embedding concatenated with the indicator embedding of whether it is
+    the predicate; padded positions hold word id 0 and flag 0."""
     m = max(len(sentence) for sentence, _ in items)
     ids = np.zeros((m, len(items)), dtype=np.intp)
     flags = np.zeros((m, len(items)), dtype=np.intp)
@@ -216,7 +211,7 @@ def forward(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel, *,
     Only training needs the cache: without ``backprop`` it is None and the
     pass keeps no per-layer or per-step arrays, with bit-identical
     distributions."""
-    x0, ids, flags = _inputs(items, model)
+    x0, ids, flags = embed(items, model)
     h_top, layers = _encode(x0, [len(sentence) for sentence, _ in items], model, backprop)
     # A float32 encoder (a float32_encoder copy) hands a float64 head
     # float64 rows; in float64 the cast is a no-op.
@@ -415,18 +410,31 @@ def beam_decode(probs: np.ndarray, lengths: Sequence[int], predicates: Sequence[
 # ---------------------------------------------------------------------------
 
 
+def decode_best(items: Sequence[tuple[ParsedSentence, int]], model: TaggerModel
+                ) -> Iterator[tuple[int, np.ndarray, TagSequence]]:
+    """(index into ``items``, (m, L) label distributions, best sequence) of
+    each (sentence, predicate) item, chunk by chunk, so that no more than
+    one chunk's arrays are live. The items are stably sorted by sentence
+    length and run ``EXTRACT_BATCH`` at a time through one cache-free
+    :func:`forward` and one :func:`beam_decode` at width 1 (the decoder is
+    exact), so each chunk is padded to little more than its own items. An
+    item's distributions match a batch of one up to float rounding."""
+    order = sorted(range(len(items)), key=lambda i: len(items[i][0]))
+    for start in range(0, len(order), EXTRACT_BATCH):
+        picked = order[start : start + EXTRACT_BATCH]
+        chunk = [items[i] for i in picked]
+        probs, _ = forward(chunk, model)
+        lengths = [len(sentence) for sentence, _ in chunk]
+        decoded = beam_decode(probs, lengths, [predicate for _, predicate in chunk], 1)
+        for b, (i, m, (best,)) in enumerate(zip(picked, lengths, decoded)):
+            yield i, probs[:m, b], best
+
+
 def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
             table: PatternTable = DEFAULT_TABLE) -> list[Extraction]:
     """Decode one extraction per detected predicate of each sentence, in
-    sentence order (dropped when its best sequence has no predicate span).
-
-    The (sentence, predicate) items are sorted by sentence length (a
-    stable sort) and run through :func:`forward`, without the backprop
-    cache, in chunks of ``EXTRACT_BATCH``, so each chunk is padded to
-    little more than its own items. Each chunk is decoded by one
-    :func:`beam_decode` call. Only the best sequence is kept, and the
-    decoder is exact, so it runs at width 1. An item's distributions, and
-    so its confidence, match a batch of one up to float rounding.
+    sentence order (dropped when its best sequence has no predicate span),
+    through :func:`decode_best`.
 
     The encoder runs in float32 on a :func:`float32_encoder` copy of the
     parameters made once per call (pretraining batches run the same copy,
@@ -444,25 +452,15 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
     :func:`oiekit.reward.rerank` replaces it with the semantic-augmented
     confidence.
     """
-    model = float32_encoder(model)
     items = [(sentence, predicate) for sentence in sentences
              for predicate in identify_predicates(sentence, table)]
-    # Chunks of similar lengths waste little on padding; stable, so equal
-    # lengths keep their sentence order.
-    order = sorted(range(len(items)), key=lambda i: len(items[i][0]))
     found: list[Optional[Extraction]] = [None] * len(items)
-    for start in range(0, len(order), EXTRACT_BATCH):
-        picked = order[start : start + EXTRACT_BATCH]
-        chunk = [items[i] for i in picked]
-        probs, _ = forward(chunk, model)
-        lengths = [len(sentence) for sentence, _ in chunk]
-        decoded = beam_decode(probs, lengths, [predicate for _, predicate in chunk], 1)
-        for i, (sentence, predicate), (best,) in zip(picked, chunk, decoded):
-            instance = TaggedInstance(sentence=sentence, predicate_index=predicate, tags=best)
-            try:
-                found[i] = spans_from_tags(instance)
-            except NoPredicateSpan:
-                pass
+    for i, _, best in decode_best(items, float32_encoder(model)):
+        sentence, predicate = items[i]
+        try:
+            found[i] = spans_from_tags(TaggedInstance(sentence, predicate, best))
+        except NoPredicateSpan:
+            pass
     return [extraction for extraction in found if extraction is not None]
 
 

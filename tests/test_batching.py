@@ -107,7 +107,7 @@ def ref_bilstm_backward(dh, caches, grads, prefix):
 
 
 def ref_forward(sentence, predicate, model):
-    x = embed(sentence, predicate, model)
+    x = embed([(sentence, predicate)], model)[0][:, 0]
     layers = []
     for layer in range(model.config.num_encoder_layers):
         prefix = f"enc.{layer}"

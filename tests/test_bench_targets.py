@@ -72,6 +72,32 @@ def test_every_encoder_pass_and_decode_is_traced(tracing):
     chunks = -(-items // EXTRACT_BATCH)
     assert chunks > 1
     assert calls["tagger.forward"] == calls["tagger.beam_decode"] == chunks + 1
+    # Every pass enters through the traced input layer.
+    embeds = [span for span in tracer.spans if span[0] == "tagger.embed"]
+    assert len(embeds) == calls["tagger.forward"]
+    assert all(tracer.spans[span[3]][0] == "tagger.forward" for span in embeds)
+
+
+def test_dev_pass_runs_one_traced_forward_and_decode_per_chunk(tracing):
+    # The pretraining dev pass is chunked by EXTRACT_BATCH, as extract is.
+    from oiekit.corpus_io import gen_synthetic
+    from oiekit.patterns import generate_instances
+    from oiekit.tagger import EXTRACT_BATCH, TaggerConfig, build_vocab, init_model
+    mle = oiekit_module("mle")
+    sentences, _ = gen_synthetic(n=EXTRACT_BATCH, seed=5)
+    dev = [inst for sentence in sentences for inst in generate_instances(sentence)]
+    dev = dev[: EXTRACT_BATCH + 4]
+    assert len(dev) == EXTRACT_BATCH + 4
+    model = init_model(TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
+                                    num_encoder_layers=2, rng_seed=3), build_vocab(dev))
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        mle._dev_metrics(model, dev)
+    finally:
+        tracing.remove(patches)
+    calls = Counter(span[0] for span in tracer.spans)
+    assert calls["tagger.forward"] == calls["tagger.beam_decode"] == 2
 
 
 def test_encoder_pass_reaches_the_traced_recurrence_once_per_layer(tracing):
@@ -96,5 +122,6 @@ def test_encoder_pass_reaches_the_traced_recurrence_once_per_layer(tracing):
     calls = Counter(span[0] for span in tracer.spans)
     layers = config.num_encoder_layers
     assert calls["nn.lstm_forward"] == calls["nn.lstm_backward"] == layers
+    assert calls["tagger.embed"] == 1
     steps = max(len(sentence) for sentence, _ in items)
     assert tracer.counts["nn.sigmoid"] == layers * steps + layers - 1

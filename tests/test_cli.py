@@ -373,6 +373,13 @@ CONTRACT = {
             ("float-end", "predicate_span", [2.0, 2]),
             ("float-role-end", "role_spans", {"ARG1": [1.5, 2]}),
             ("role-span-list", "role_spans", [[1, 1]]), ("integer-id", "sentence_id", 7)]},
+    # P is the predicate span, not a role.
+    "test_extraction_record_with_an_unknown_role_names_its_line": {
+        role: row(EVAL + " {work}/roles.jsonl", DATA,
+                  f"{{work}}/roles.jsonl: line 2: bad record: unknown role {role!r}",
+                  inputs={"roles.jsonl": json.dumps(_EXTRACTION) + "\n" + json.dumps(
+                      {**_EXTRACTION, "role_spans": {role: span}}) + "\n"})
+        for role, span in [("ARG9", [1, 1]), ("P", [3, 3])]},
     # A bad command line is a usage error whether or not its input file exists.
     "test_overlap_threshold_evaluates_against_token_surfaces": (
         row(EVAL + " {work}/missing.jsonl --overlap-threshold 0.5", USAGE,
@@ -504,6 +511,17 @@ CONTRACT = {
         fraction: row(f"synth --n 5 --dev-fraction {fraction} --out-conllu t.conllu "
                       "--out-gold t.gold --dev-conllu d.conllu --dev-gold d.gold", USAGE)
         for fraction in ["1.5", "1.0", "-0.5"]},
+    # A requested dev split that leaves either side empty is a usage error.
+    "test_synth_split_leaving_a_side_empty_is_a_usage_error": {
+        case: row(f"synth {flags} --out-conllu t.conllu --out-gold t.gold "
+                  "--dev-conllu d.conllu --dev-gold d.gold", USAGE, f"leaves the {side} split empty")
+        for case, flags, side in [("all-dev", "--n 3 --dev-fraction 0.9", "train"),
+                                  ("one-sentence", "--n 1", "train"),
+                                  ("no-dev", "--n 5 --dev-fraction 0", "dev")]},
+    # atomic_write names the path it was given, not its temporary file.
+    "test_write_into_a_missing_directory_names_the_path": row(
+        "synth --n 2 --out-conllu {out}/missing/t.conllu --out-gold {out}/t.gold", DATA,
+        "No such file or directory: '{out}/missing/t.conllu'"),
     "test_negative_synth_count_is_a_usage_error": row(
         "synth --n -5 --out-conllu t.conllu --out-gold t.gold", USAGE, "n = -5"),
     # A weight that is not a finite, non-negative number, an unknown

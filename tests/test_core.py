@@ -142,6 +142,12 @@ class TestTypeInvariants:
         with pytest.raises(ValidationError):
             Extraction("x", (2, 4), {"ARG1": (4, 5)})
 
+    @pytest.mark.parametrize("role", ["ARG9", "P", "arg1"])
+    def test_extraction_role_outside_argument_roles_rejected(self, role):
+        with pytest.raises(ValidationError,
+                           match=rf"^unknown role '{role}'; known: ARG1, ARG2, ARG3$"):
+            Extraction("x", (2, 2), {role: (4, 5)})
+
     def test_instance_length_mismatch(self, parragon):
         with pytest.raises(ValidationError):
             TaggedInstance(parragon, 2, TagSequence(("O", "B-P")))

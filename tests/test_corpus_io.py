@@ -400,7 +400,7 @@ def gold_tuples(draw, field, sentence_id, role=st.sampled_from(ARGUMENT_ROLES)):
 
 @st.composite
 def extractions(draw):
-    roles = draw(st.lists(st.text(max_size=4), unique=True, max_size=3))
+    roles = draw(st.lists(st.sampled_from(ARGUMENT_ROLES), unique=True, max_size=3))
     spans, start = [], 1
     for _ in range(len(roles) + 1):
         length, gap = draw(st.integers(1, 3)), draw(st.integers(0, 2))

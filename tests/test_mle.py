@@ -174,7 +174,7 @@ class TestPretrain:
         metrics = pretrain(model, corpus, TrainConfig(epochs=1, batch_size=1, dev_fraction=0.0))
         assert len(steps) == 2
         assert metrics[0]["dev_loss"] is None
-        assert metrics[0]["dev_f1"] is None
+        assert metrics[0]["dev_pattern_f1"] is None
 
     def test_early_stopping_restores_the_best_epoch(self, monkeypatch, svo_instance):
         # Dev loss improves once and then worsens: with patience 2, training
@@ -182,7 +182,7 @@ class TestPretrain:
         dev_losses = iter([1.0, 0.5, 0.7, 0.9, 0.4])
         seen = []
 
-        def scripted_dev_metrics(model, dev, batch_size):
+        def scripted_dev_metrics(model, dev):
             seen.append({name: arr.copy() for name, arr in model.params.items()})
             return next(dev_losses), 0.0
 
@@ -230,7 +230,7 @@ class TestPretrain:
             monkeypatch.setattr(tagger, "float32_encoder", encoder)
             model = init_model(TINY, build_vocab(corpus))
             rows = pretrain(model, corpus, TrainConfig(epochs=3, step_size=0.05))
-            runs.append((model, [row["dev_f1"] for row in rows]))
+            runs.append((model, [row["dev_pattern_f1"] for row in rows]))
         monkeypatch.undo()
         (model32, f1s32), (model64, f1s64) = runs
         assert f1s32 == f1s64
@@ -251,17 +251,18 @@ class TestPretrain:
         dev_params = []
         real_dev_metrics = mle._dev_metrics
 
-        def recording_dev_metrics(model, dev, batch_size):
+        def recording_dev_metrics(model, dev):
             dev_params.append({name: arr.copy() for name, arr in model.params.items()})
-            return real_dev_metrics(model, dev, batch_size)
+            return real_dev_metrics(model, dev)
 
         monkeypatch.setattr(mle, "_dev_metrics", recording_dev_metrics)
         model = init_model(TINY, build_vocab(corpus))
         rows = pretrain(model, corpus, TrainConfig(epochs=2, step_size=0.1), dev=dev)
         model.params = dev_params[-1]
-        preds, golds = [], []
+        preds, golds, losses = [], [], []
         for inst in dev:
             golds.append(gold_from_instance(inst))
+            losses.append(mle_loss(model, inst) / len(inst.tags))
             probs = tagger.forward([(inst.sentence, inst.predicate_index)], model)[0][:, 0]
             best = decode_alone(probs, 1, inst.predicate_index)[0]
             try:
@@ -272,7 +273,8 @@ class TestPretrain:
         report = evaluate(preds, golds)
         recall, precision = report.pr_points[-1]
         assert report.best_f1 > 2 * precision * recall / (precision + recall)
-        assert rows[-1]["dev_f1"] == pytest.approx(report.best_f1, abs=1e-12)
+        assert rows[-1]["dev_pattern_f1"] == pytest.approx(report.best_f1, abs=1e-12)
+        assert rows[-1]["dev_loss"] == pytest.approx(np.mean(losses), rel=0.0, abs=1e-12)
 
     def test_empty_corpus_rejected(self):
         model = init_model(TINY, ["<unk>"])

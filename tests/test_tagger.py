@@ -59,7 +59,7 @@ class TestEmbed:
     def test_exactly_one_position_carries_indicator(self):
         sentence = flat_sentence(3)
         model = tiny_model(sentence)
-        x = embed(sentence, 2, model)
+        x = embed([(sentence, 2)], model)[0][:, 0]
         indicator = model.params["embed.indicator"]
         assert np.array_equal(x[1, 6:], indicator[1])
         assert np.array_equal(x[0, 6:], indicator[0])
@@ -68,8 +68,8 @@ class TestEmbed:
     def test_predicate_choice_changes_only_indicator_channel(self):
         sentence = flat_sentence(4)
         model = tiny_model(sentence)
-        a = embed(sentence, 1, model)
-        b = embed(sentence, 3, model)
+        a = embed([(sentence, 1)], model)[0][:, 0]
+        b = embed([(sentence, 3)], model)[0][:, 0]
         assert np.array_equal(a[:, :6], b[:, :6])
         assert not np.array_equal(a[:, 6:], b[:, 6:])
 
@@ -77,7 +77,7 @@ class TestEmbed:
         model = tiny_model(flat_sentence(2))
         other = flat_sentence(2)
         unseen = flat_sentence(3)  # w3 not in the 2-token vocab
-        x = embed(unseen, 1, model)
+        x = embed([(unseen, 1)], model)[0][:, 0]
         assert np.array_equal(x[2, :6], model.params["embed.word"][0])
 
 
