@@ -147,15 +147,11 @@ def build_parser() -> _Parser:
                    "sem or combined")
     p.add_argument("--scorer-cache")
 
-    p = sub.add_parser("eval", help="score extractions against gold tuples")
+    p = sub.add_parser("eval", help="score extractions against gold tuples by headword matching")
     p.add_argument("--extractions", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--pr-out", required=True)
-    p.add_argument("--conllu", help="needed only for --overlap-threshold")
-    p.add_argument("--overlap-threshold", type=float,
-                   help="diagnostic lexical-overlap matching instead of headword matching: "
-                   "the share of each gold role's words a span must hold, in (0, 1]")
 
     return parser
 
@@ -279,23 +275,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    threshold = args.overlap_threshold
-    if threshold is not None and not 0.0 < threshold <= 1.0:
-        raise _UsageError(f"--overlap-threshold must be a number in (0, 1], got {threshold}")
-    if threshold is not None and not args.conllu:
-        raise _UsageError("--overlap-threshold requires --conllu for token surfaces")
-    sentences = None
-    matcher = evaluate.match
-    if threshold is not None:
-        sentences = {s.sentence_id: s for s in corpus_io.read_conllu(args.conllu)}
-
-        def matcher(pred, gold):
-            return evaluate.lexical_overlap_match(
-                pred, gold, sentences[pred.sentence_id], threshold)
-
-    extractions = corpus_io.read_extractions(args.extractions, sentences)
-    gold = corpus_io.read_gold(args.gold, sentences)
-    report = evaluate.evaluate(extractions, gold, matcher)
+    extractions = corpus_io.read_extractions(args.extractions)
+    report = evaluate.evaluate(extractions, corpus_io.read_gold(args.gold))
     evaluate.write_report(report, args.report)
     evaluate.write_pr_points(report.pr_points, args.pr_out)
     print(f"AUC: {report.auc * 100.0:.2f}")

@@ -380,22 +380,8 @@ def write_extractions(extractions: Iterable[Extraction], path) -> None:
     write_jsonl(extractions, path)
 
 
-def read_extractions(path, sentences: Optional[Mapping[str, ParsedSentence]] = None
-                     ) -> list[Extraction]:
-    """With ``sentences``, a span ending past its sentence raises :class:`ParseError`;
-    an extraction of a sentence not in ``sentences`` is kept unchecked."""
-    def parse(record):
-        extraction = extraction_from_dict(record)
-        sentence = (sentences or {}).get(extraction.sentence_id)
-        if sentence is not None:
-            end = max(end for _, end in (extraction.predicate_span,
-                                         *extraction.role_spans.values()))
-            if end > len(sentence):
-                raise ValidationError(f"span end {end} outside sentence "
-                                      f"{extraction.sentence_id!r} of length {len(sentence)}")
-        return extraction
-
-    return read_jsonl(path, parse)
+def read_extractions(path) -> list[Extraction]:
+    return read_jsonl(path, extraction_from_dict)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ from typing import Optional, Sequence
 
 from oiekit.core import (
     Extraction,
-    ParsedSentence,
-    PREDICATE_ROLE,
     TaggedInstance,
     ValidationError,
     span_head,
@@ -56,28 +54,6 @@ def match(pred: Extraction, gold: GoldTuple) -> bool:
     return True
 
 
-def lexical_overlap_match(pred: Extraction, gold: GoldTuple,
-                          sentence: ParsedSentence, threshold: float = 0.5) -> bool:
-    """Lenient diagnostic matcher: per-role token overlap with the gold
-    surface strings must reach ``threshold``. Not used for acceptance."""
-    if pred.sentence_id != gold.sentence_id:
-        return False
-    spans = dict(pred.role_spans)
-    spans[PREDICATE_ROLE] = pred.predicate_span
-    for role, surface in gold.surfaces.items():
-        gold_tokens = surface.split()
-        if not gold_tokens:
-            continue
-        if role not in spans:
-            return False
-        start, end = spans[role]
-        pred_tokens = [sentence.token(i).surface for i in range(start, end + 1)]
-        shared = len(set(gold_tokens) & set(pred_tokens))
-        if shared / len(gold_tokens) < threshold:
-            return False
-    return True
-
-
 def _sorted_predictions(extractions: Sequence[Extraction]) -> list[Extraction]:
     return sorted(
         extractions,
@@ -85,8 +61,8 @@ def _sorted_predictions(extractions: Sequence[Extraction]) -> list[Extraction]:
     )
 
 
-def assign_matches(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
-                   matcher=match) -> list[MatchDecision]:
+def assign_matches(extractions: Sequence[Extraction], gold: Sequence[GoldTuple]
+                   ) -> list[MatchDecision]:
     """Greedy one-to-one assignment by descending confidence.
 
     Each prediction may consume at most one still-unmatched gold tuple from
@@ -100,7 +76,7 @@ def assign_matches(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
     for pred in _sorted_predictions(extractions):
         matched_idx = None
         for idx in by_sentence.get(pred.sentence_id, ()):
-            if not taken[idx] and matcher(pred, gold[idx]):
+            if not taken[idx] and match(pred, gold[idx]):
                 matched_idx = idx
                 break
         if matched_idx is not None:
@@ -151,11 +127,10 @@ def best_f1(pr_points: Sequence[tuple[float, float]]) -> float:
     return best
 
 
-def evaluate(extractions: Sequence[Extraction], gold: Sequence[GoldTuple],
-             matcher=match) -> EvalReport:
+def evaluate(extractions: Sequence[Extraction], gold: Sequence[GoldTuple]) -> EvalReport:
     if not gold:
         raise ValidationError("cannot evaluate without gold tuples")
-    decisions = assign_matches(extractions, gold, matcher)
+    decisions = assign_matches(extractions, gold)
     points = _pr_points(decisions, len(gold))
     return EvalReport(
         pr_points=tuple(points),

@@ -1,6 +1,9 @@
 """Goodness of an extraction: a hard syntactic headword constraint, a soft
 semantic consistency score, their product as the training reward, and the
-semantic-augmented confidence used for ranking."""
+semantic-augmented confidence used for ranking.
+
+The default semantic scorer is a surrogate that measures role completeness
+only; an entailment model comes in only through an ``adapter:`` scorer."""
 
 from __future__ import annotations
 
@@ -8,7 +11,6 @@ import json
 import logging
 import math
 import urllib.parse
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence
 
@@ -25,8 +27,7 @@ log = logging.getLogger(__name__)
 
 SEM_FLOOR = 1e-12
 
-# Roles whose presence counts toward the completeness factor of the
-# surrogate scorer.
+# Roles whose filled share is the surrogate scorer's score.
 _CORE_ROLES = ("ARG1", PREDICATE_ROLE, "ARG2")
 
 
@@ -100,34 +101,15 @@ def verbalize(extraction: Extraction, sentence: ParsedSentence) -> str:
     return " ".join(parts)
 
 
-def containment(hypothesis_words: list[str], sentence_words: list[str]) -> float:
-    """Multiset fraction of hypothesis words present among the sentence
-    words; 0.0 for an empty hypothesis."""
-    if not hypothesis_words:
-        return 0.0
-    available = Counter(sentence_words)
-    contained = 0
-    for word in hypothesis_words:
-        if available[word] > 0:
-            available[word] -= 1
-            contained += 1
-    return contained / len(hypothesis_words)
-
-
 def sem_score_surrogate(extraction: Extraction, sentence: ParsedSentence) -> float:
-    """Deterministic entailment stand-in: containment x completeness.
-
-    Containment is the multiset fraction of verbalized-tuple tokens present
-    in the sentence; completeness is the filled fraction of the core roles
-    (ARG1, P, ARG2).
-    """
-    hypothesis = verbalize(extraction, sentence).split()
+    """Role completeness: the filled share of the core roles (ARG1, P,
+    ARG2), one of 1/3, 2/3 or 1. It reads no words, so it says nothing
+    about entailment; ``sentence`` keeps the signature of the scorers."""
     filled = sum(
         1 for role in _CORE_ROLES
         if role == PREDICATE_ROLE or role in extraction.role_spans
     )
-    completeness = filled / len(_CORE_ROLES)
-    return containment(hypothesis, [tok.surface for tok in sentence.tokens]) * completeness
+    return filled / len(_CORE_ROLES)
 
 
 def semantic_confidence(c: float, sem: float) -> float:
@@ -216,9 +198,10 @@ def _cache_entry(record: dict) -> tuple[tuple[str, str], float]:
 class SemScorer:
     """Semantic-consistency scorer for extractions.
 
-    Without an ``adapter`` it is the deterministic containment x
-    completeness surrogate. With one, it verbalizes the tuple and asks the
-    external :class:`EntailmentScorer`, caching results by (sentence id,
+    Without an ``adapter`` it is the role-completeness surrogate
+    (:func:`sem_score_surrogate`), which consults no entailment model. Only
+    with one does it verbalize the tuple and ask an external
+    :class:`EntailmentScorer`, caching results by (sentence id,
     verbalized tuple). The cache persists as a JSON-lines file of
     ``{"sentence_id", "hypothesis", "score"}`` records, and a cached score
     follows the reply's rule (a number in [0, 1]). It is not guarded by a

@@ -220,13 +220,6 @@ def _first_token(field, value):
     return edit
 
 
-def _past_its_sentence(work, path):
-    sentence_id = corpus_io.read_conllu(work / "dev.conllu")[0].sentence_id
-    path.write_text(json.dumps({"confidence": -0.5, "predicate_span": [40, 40],
-                                "role_spans": {"ARG1": [50, 51]}, "sentence_id": sentence_id})
-                    + "\n", encoding="utf-8")
-
-
 _EXTRACTION = {"sentence_id": "s1", "predicate_span": [2, 2], "role_spans": {"ARG1": [1, 1]},
                "confidence": -0.5}
 _TOKEN = {"index": 1, "surface": "runs", "upos": "VERB", "head": 0, "deprel": "root"}
@@ -381,23 +374,13 @@ CONTRACT = {
                       {**_EXTRACTION, "role_spans": {role: span}}) + "\n"})
         for role, span in [("ARG9", [1, 1]), ("P", [3, 3])]},
     # A bad command line is a usage error whether or not its input file exists.
-    "test_overlap_threshold_evaluates_against_token_surfaces": (
-        row(EVAL + " {work}/missing.jsonl --overlap-threshold 0.5", USAGE,
-            "--overlap-threshold requires --conllu"),
-        row(EVAL + " {work}/out.jsonl --overlap-threshold 0.5", USAGE,
-            "--overlap-threshold requires --conllu"),
-        # evaluate refuses an empty gold set, so exit 0 means gold tuples were scored.
-        row(EVAL + " {work}/out.jsonl --overlap-threshold 0.5 --conllu {work}/dev.conllu", OK,
-            files=["p.tsv", "r.json"])),
-    # NaN passes every comparison and -1 every overlap; none is a threshold.
-    "test_overlap_threshold_outside_zero_to_one_is_a_usage_error": {
-        value: row(f"{EVAL} missing.jsonl --conllu missing.conllu --overlap-threshold={value}",
-                   USAGE, "usage error: --overlap-threshold must be a number in (0, 1], got")
-        for value in ["nan", "-1", "0", "2"]},
-    "test_overlap_span_past_its_sentence_is_a_data_error": row(
-        EVAL + " {work}/past.jsonl --conllu {work}/dev.conllu --overlap-threshold 0.5", DATA,
-        "{work}/past.jsonl: line 1: bad record: span end 51 outside sentence",
-        inputs={"past.jsonl": _past_its_sentence}),
+    # Headword matching is eval's one matcher; the lenient overlap matcher's
+    # flags are gone, and naming one leaves no report behind.
+    "test_overlap_matcher_flag_is_an_unrecognized_argument": {
+        case: row(argv, USAGE, f"unrecognized arguments: {argv.split()[-2]}")
+        for case, argv in [
+            ("overlap-threshold", EVAL + " {work}/out.jsonl --overlap-threshold 0.5"),
+            ("conllu", EVAL + " {work}/out.jsonl --conllu missing.conllu")]},
     "test_rl_dev_gold_without_dev_conllu_is_a_usage_error": tuple(
         row(f"rl-train --model {model} --conllu {{work}}/train.conllu "
             "--dev-gold {work}/dev.gold --out {out}/r.ckpt", USAGE,
