@@ -12,7 +12,6 @@ from oiekit.core import (
     ARGUMENT_ROLES,
     Extraction,
     LABELS,
-    NoPredicateSpan,
     OiekitError,
     OUTSIDE,
     ParsedSentence,

@@ -8,6 +8,7 @@ label, with the predicate span, if any, starting exactly at the predicate
 token. The decoder's transition table and the RL sampler read it, and a
 :class:`TaggedInstance` holds only tags it allows, so every instance,
 whether labelled, read from a file or decoded, is valid from there on.
+Tags without a predicate span convert to None, not to an extraction.
 
 A value that breaks its type's rule (a parse that is not one tree, say)
 raises :class:`ValidationError`; a reader names the file and line
@@ -39,10 +40,6 @@ class OiekitError(Exception):
 
 class ValidationError(OiekitError):
     """A value violates one of its type invariants."""
-
-
-class NoPredicateSpan(OiekitError):
-    """A tag sequence contains no predicate labels."""
 
 
 class NonFiniteValue(OiekitError):
@@ -276,22 +273,15 @@ def _runs(labels: Sequence[str]) -> list[tuple[str, Span]]:
     return runs
 
 
-def _distance_to_span(start: int, span: Span) -> int:
-    if start < span[0]:
-        return span[0] - start
-    if start > span[1]:
-        return start - span[1]
-    return 0
-
-
-def spans_from_tags(instance: TaggedInstance) -> Extraction:
-    """Turn a tagged instance into an extraction.
+def spans_from_tags(instance: TaggedInstance) -> Optional[Extraction]:
+    """Turn a tagged instance into an extraction, or None when its tags
+    hold no predicate span.
 
     Each maximal B-X/I-X run becomes one span. When several runs share a
     role, the run whose start is nearest the predicate span wins (earlier
-    run on ties); the rest are dropped. The confidence is the average-log
-    confidence of the tags, their log probability divided by their length,
-    or 0.0 for tags without a log probability.
+    run on ties; runs are disjoint, so none starts inside it); the rest are
+    dropped. The confidence is the average-log confidence of the tags, their
+    log probability divided by their length, or 0.0 without one.
     """
     runs = _runs(instance.tags.labels)
     predicate_span = None
@@ -302,13 +292,10 @@ def spans_from_tags(instance: TaggedInstance) -> Extraction:
         else:
             by_role.setdefault(role, []).append(span)
     if predicate_span is None:
-        raise NoPredicateSpan(
-            f"no predicate labels for {instance.sentence.sentence_id!r}"
-        )
-    role_spans = {}
-    for role, spans in by_role.items():
-        best = min(spans, key=lambda s: (_distance_to_span(s[0], predicate_span), s[0]))
-        role_spans[role] = best
+        return None
+    first, last = predicate_span
+    role_spans = {role: min(spans, key=lambda s: (max(first - s[0], s[0] - last), s[0]))
+                  for role, spans in by_role.items()}
     tags = instance.tags
     return Extraction(
         sentence_id=instance.sentence.sentence_id,
@@ -321,11 +308,9 @@ def spans_from_tags(instance: TaggedInstance) -> Extraction:
 def span_head(sentence: ParsedSentence, span: Span) -> int:
     """Index of the first token in ``span`` whose head lies outside it.
 
-    For a span covering a dependency subtree this is the subtree root.
+    For a span covering a dependency subtree this is the subtree root. Every
+    span has one, as following heads from any token reaches the root 0.
     """
     start, end = span
-    for idx in range(start, end + 1):
-        head = sentence.token(idx).head
-        if head == 0 or head < start or head > end:
-            return idx
-    return start
+    return next(idx for idx in range(start, end + 1)
+                if not start <= sentence.token(idx).head <= end)

@@ -289,8 +289,9 @@ def read_gold(path, sentences: Optional[Mapping[str, ParsedSentence]] = None) ->
     ``sentence_id  predicate_head  role  role_head  [surface]``.
 
     Rows are grouped by (sentence_id, predicate_head), in first-seen order.
-    A role outside ``ARGUMENT_ROLES`` raises :class:`ParseError`. With ``sentences``, rows of
-    unknown sentence ids are reported and skipped, and out-of-bounds heads raise ParseError.
+    A role outside ``ARGUMENT_ROLES`` or a head below 1 raises :class:`ParseError`. With
+    ``sentences``, rows of unknown sentence ids are reported and skipped, and heads beyond
+    their sentence raise ParseError.
     """
     grouped: dict[tuple[str, int], tuple[dict, dict]] = {}  # -> (role heads, surfaces)
     for line_no, raw in _text_lines(path):
@@ -311,13 +312,16 @@ def read_gold(path, sentences: Optional[Mapping[str, ParsedSentence]] = None) ->
         if role not in ARGUMENT_ROLES:
             raise ParseError(f"unknown role {role!r}; known: {', '.join(ARGUMENT_ROLES)}",
                              line_no, path)
+        for name, head in (("predicate", pred_head), ("role", role_head)):
+            if head < 1:
+                raise ParseError(f"{name} head must be >= 1, got {head}", line_no, path)
         if sentences is not None:
             if sid not in sentences:
                 log.warning("%s: line %d references unknown sentence %r; skipped", path, line_no,
                             sid)
                 continue
             m = len(sentences[sid])
-            if not (1 <= pred_head <= m) or not (1 <= role_head <= m):
+            if pred_head > m or role_head > m:
                 raise ParseError(f"head index outside sentence {sid!r} of length {m}", line_no,
                                  path)
         role_heads, surfaces = grouped.setdefault((sid, pred_head), ({}, {}))
@@ -336,7 +340,8 @@ def write_gold(golds: Iterable[GoldTuple], path) -> None:
     keeps no other surfaces). A tuple that :func:`read_gold` would not read
     back raises ValidationError before anything is written: a tab or line
     break in a field, a sentence id starting with ``#`` (a comment), no role
-    or one outside ``ARGUMENT_ROLES``, or the key of an earlier tuple."""
+    or one outside ``ARGUMENT_ROLES``, a head below 1, or the key of an
+    earlier tuple."""
     blocks, seen = [], set()
     for gold in golds:
         key, rows = (gold.sentence_id, gold.predicate_head), len(gold.role_heads)
@@ -344,7 +349,8 @@ def write_gold(golds: Iterable[GoldTuple], path) -> None:
                         for role, head in gold.role_heads.items())
         if ("\r" in block or block.count("\n") != rows or block.count("\t") != 4 * rows
                 or not rows or key in seen or gold.sentence_id.startswith("#")
-                or not set(gold.role_heads) <= set(ARGUMENT_ROLES)):
+                or not set(gold.role_heads) <= set(ARGUMENT_ROLES)
+                or min(key[1], *gold.role_heads.values()) < 1):
             raise ValidationError(f"gold tuple {key} would not read back as written")
         seen.add(key)
         blocks.append(block)

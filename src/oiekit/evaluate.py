@@ -142,10 +142,13 @@ def evaluate(extractions: Sequence[Extraction], gold: Sequence[GoldTuple]) -> Ev
     )
 
 
-def gold_from_instance(instance: TaggedInstance) -> GoldTuple:
+def gold_from_instance(instance: TaggedInstance) -> Optional[GoldTuple]:
     """Reference tuple implied by a tagged instance: each role span's
-    syntactic head (the token whose governor lies outside the span)."""
+    syntactic head (the token whose governor lies outside the span), or
+    None when its tags hold no predicate span."""
     extraction = spans_from_tags(instance)
+    if extraction is None:
+        return None
     role_heads = {
         role: span_head(instance.sentence, span)
         for role, span in extraction.role_spans.items()

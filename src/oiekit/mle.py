@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from oiekit import evaluate, nn, tagger
-from oiekit.core import (LABEL_INDEX, NonFiniteValue, NoPredicateSpan, OiekitError,
+from oiekit.core import (LABEL_INDEX, NonFiniteValue, OiekitError,
                          TaggedInstance, ValidationError, spans_from_tags)
 from oiekit.tagger import TaggerModel
 
@@ -192,7 +192,8 @@ def pretrain(model: TaggerModel, corpus: Sequence[TaggedInstance],
 def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance]) -> tuple[float, float]:
     """(mean token-level NLL of the dev instances, best headword F1 of their
     top-1 decodes against the tuples implied by their own labels), from one
-    ``tagger.decode_best`` pass, in dev order."""
+    ``tagger.decode_best`` pass, in dev order. An instance with no gold tuple
+    (no P span) is skipped; a gold whose decode has no P span is a miss."""
     losses = [0.0] * len(dev)
     bests = [None] * len(dev)
     for i, probs, best in tagger.decode_best(_items(dev), model):
@@ -200,10 +201,10 @@ def _dev_metrics(model: TaggerModel, dev: Sequence[TaggedInstance]) -> tuple[flo
         bests[i] = best
     golds, preds = [], []
     for instance, best in zip(dev, bests):
-        try:
-            golds.append(evaluate.gold_from_instance(instance))
+        gold = evaluate.gold_from_instance(instance)
+        if gold is not None:
+            golds.append(gold)
             preds.append(spans_from_tags(
                 TaggedInstance(instance.sentence, instance.predicate_index, best)))
-        except NoPredicateSpan:
-            pass
+    preds = [pred for pred in preds if pred is not None]
     return float(np.mean(losses)), evaluate.evaluate(preds, golds).best_f1 if golds else 0.0

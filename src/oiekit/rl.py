@@ -19,7 +19,6 @@ from oiekit import evaluate, nn, tagger
 from oiekit.core import (
     Extraction,
     LABEL_INDEX,
-    NoPredicateSpan,
     OiekitError,
     ParsedSentence,
     TaggedInstance,
@@ -100,9 +99,8 @@ def candidate_reward(candidate: TagSequence, sentence: ParsedSentence, predicate
                      scorer: SemScorer, table: PatternTable = DEFAULT_TABLE) -> RewardBreakdown:
     """Reward of one candidate sequence. Candidates that decode to no
     extraction score syn=-1, sem=0."""
-    try:
-        extraction = spans_from_tags(TaggedInstance(sentence, predicate, candidate))
-    except NoPredicateSpan:
+    extraction = spans_from_tags(TaggedInstance(sentence, predicate, candidate))
+    if extraction is None:
         return combined_reward(-1, 0.0)
     return _extraction_reward(extraction, sentence, scorer, table)
 
@@ -154,8 +152,6 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
     rng = np.random.default_rng(config.rng_seed)
     optimizer = nn.Adam(model.params, step_size=config.step_size)
     corpus = list(corpus)
-    if dev is not None:
-        dev_predicates = sum(len(identify_predicates(sentence, table)) for sentence in dev[0])
     metrics: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(corpus))
@@ -177,8 +173,7 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
                "mean_sem": sum(b.sem for b in scored) / count,
                "dev_mean_reward": None, "dev_f1": None}
         if dev is not None:
-            row["dev_mean_reward"], row["dev_f1"] = _dev_metrics(model, *dev, scorer, table,
-                                                                 dev_predicates)
+            row["dev_mean_reward"], row["dev_f1"] = _dev_metrics(model, *dev, scorer, table)
         metrics.append(row)
         log.info("epoch %d: mean reward %.4f dev %s", epoch, row["mean_reward"], row["dev_f1"])
     return metrics
@@ -186,17 +181,18 @@ def train_rl(model: TaggerModel, corpus: Sequence[ParsedSentence], scorer: SemSc
 
 def _dev_metrics(model: TaggerModel, sentences: Sequence[ParsedSentence],
                  gold: Optional[Sequence[GoldTuple]], scorer: SemScorer,
-                 table: PatternTable, predicate_count: int) -> tuple[float, Optional[float]]:
-    """(mean top-1 reward over the ``predicate_count`` dev predicates, best
-    F1 against the dev gold or None), from one :func:`tagger.extract` call
-    over the dev sentences; each extraction is scored with its sentence,
-    found by ``sentence_id``. A predicate that extract drops counts with
-    reward 0, as syn = -1 times sem = 0. Like every extract call it runs
-    the float32 encoder; it only logs, so training does not depend on it."""
+                 table: PatternTable) -> tuple[float, Optional[float]]:
+    """(mean top-1 reward over every dev predicate, best F1 against the dev
+    gold or None), from one :func:`tagger.extract` call over the dev
+    sentences; each extraction is scored with its sentence, found by
+    ``sentence_id``. A predicate extract drops (no predicate span) counts
+    with reward 0, as syn = -1 times sem = 0. Like every extract call it
+    runs the float32 encoder; it only logs, so training does not depend on it."""
     by_id = {sentence.sentence_id: sentence for sentence in sentences}
     preds = tagger.extract(sentences, model, table)
     total = 0.0
     for e in preds:
         total += _extraction_reward(e, by_id[e.sentence_id], scorer, table).total
+    predicate_count = sum(len(identify_predicates(sentence, table)) for sentence in sentences)
     f1 = evaluate.evaluate(preds, gold).best_f1 if gold else None
     return (total / predicate_count if predicate_count else 0.0), f1

@@ -48,7 +48,6 @@ from oiekit.core import (
     LABEL_INDEX,
     LABELS,
     NonFiniteValue,
-    NoPredicateSpan,
     OUTSIDE,
     ParsedSentence,
     TaggedInstance,
@@ -456,11 +455,7 @@ def extract(sentences: Sequence[ParsedSentence], model: TaggerModel,
              for predicate in identify_predicates(sentence, table)]
     found: list[Optional[Extraction]] = [None] * len(items)
     for i, _, best in decode_best(items, float32_encoder(model)):
-        sentence, predicate = items[i]
-        try:
-            found[i] = spans_from_tags(TaggedInstance(sentence, predicate, best))
-        except NoPredicateSpan:
-            pass
+        found[i] = spans_from_tags(TaggedInstance(*items[i], best))
     return [extraction for extraction in found if extraction is not None]
 
 

@@ -328,13 +328,37 @@ CONTRACT = {
             ("integer-sentence-id", _sentence("sentence_id", 7),
              "bad record: sentence sentence_id must be of type str, got 7"),
             ("list-text", _sentence("text", ["x"]),
-             "bad record: sentence text must be of type str, got ['x']")]},
+             "bad record: sentence text must be of type str, got ['x']"),
+            ("no-tokens", lambda record: record["sentence"].update(sentence_id="a", tokens=[]),
+             "bad record: sentence 'a': no tokens"),
+            ("predicate-outside", lambda record: record.update(
+                sentence={"sentence_id": "a", "tokens": [_TOKEN]}, predicate_index=3,
+                labels=["O"]), "bad record: predicate index 3 outside sentence 'a'")]},
+    # An ID or HEAD that is not an integer, or one that Token or
+    # ParsedSentence refuses.
     "test_conllu_id_or_head_that_is_not_an_integer_is_a_data_error": {
         case: row("label --conllu {work}/noint.conllu --out {out}/l.inst", DATA,
-                  f"{{work}}/noint.conllu: line {line}", inputs={"noint.conllu": rows})
-        for case, rows, line in [
-            ("head", "1\ta\t_\tVERB\t_\t_\tx\troot\t_\t_\n", 1),
-            ("id", "1\ta\t_\tVERB\t_\t_\t0\troot\t_\t_\nb\tb\t_\tNOUN\t_\t_\t1\tobj\t_\t_\n", 2)]},
+                  f"{{work}}/noint.conllu: line {line}{message}", inputs={"noint.conllu": rows})
+        for case, rows, line, message in [
+            ("head", "1\ta\t_\tVERB\t_\t_\tx\troot\t_\t_\n", 1, ""),
+            ("id", "1\ta\t_\tVERB\t_\t_\t0\troot\t_\t_\nb\tb\t_\tNOUN\t_\t_\t1\tobj\t_\t_\n", 2,
+             ""),
+            ("index-zero", "0\ta\t_\tVERB\t_\t_\t0\troot\t_\t_\n", 1,
+             ": token index must be >= 1, got 0"),
+            ("negative-head", "1\ta\t_\tVERB\t_\t_\t-1\troot\t_\t_\n", 1,
+             ": token head must be >= 0, got -1"),
+            ("head-beyond", "# sent_id = s1\n1\ta\t_\tVERB\t_\t_\t5\troot\t_\t_\n", 2,
+             ": sentence 's1': token 1 has head 5 beyond sentence length 1"),
+            ("index-skipped", "# sent_id = s1\n1\ta\t_\tVERB\t_\t_\t0\troot\t_\t_\n"
+             "3\tb\t_\tNOUN\t_\t_\t1\tobj\t_\t_\n", 3,
+             ": sentence 's1': token index 3 at position 2 (indices must be 1..2 in order)")]},
+    "test_empty_corpus_is_a_data_error": {
+        "pretrain": row(INSTANCES + " {work}/empty.inst", DATA,
+                        "pretraining needs a non-empty corpus", inputs={"empty.inst": ""}),
+        "rl-train": row("rl-train --model {work}/mle.ckpt --conllu {work}/empty.conllu "
+                        "--out {out}/r.ckpt", DATA,
+                        "reinforcement learning needs a non-empty corpus",
+                        inputs={"empty.conllu": ""})},
     "test_repeated_sentence_id_is_a_data_error": row(
         "extract --model {work}/rl.ckpt --conllu {work}/twice.conllu --out {out}/o.jsonl", DATA,
         "repeats", inputs={"twice.conllu": lambda work, path: path.write_text(
@@ -350,6 +374,9 @@ CONTRACT = {
             ("repeated-role", "a\t2\tARG1\t1\na\t2\tARG1\t3\n", "duplicate role 'ARG1'", 2),
             ("lower-case-role", "a\t2\tARG2\t3\na\t2\targ1\t1\n", "unknown role 'arg1'", 2),
             ("predicate-role", "a\t2\tP\t2\n", "unknown role 'P'", 1),
+            ("predicate-head-zero", "a\t0\tARG1\t1\n", "predicate head must be >= 1, got 0", 1),
+            ("negative-role-head", "a\t2\tARG1\t1\na\t2\tARG2\t-3\n",
+             "role head must be >= 1, got -3", 2),
             ("not-utf8", "a\t2\tARG1\t1\na\t2\tARG2\t3\tm\udcfcde\n",
              "not UTF-8 text: byte 0xfc at column 13", 2)]},
     "test_extraction_record_of_the_wrong_type_names_its_field": {

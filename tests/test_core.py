@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from oiekit.core import (
     LABELS,
     Extraction,
-    NoPredicateSpan,
     TaggedInstance,
     TagSequence,
     Token,
@@ -80,8 +79,7 @@ class TestSpansFromTags:
 
     def test_all_outside(self, parragon):
         tags = TagSequence(tuple(["O"] * 11))
-        with pytest.raises(NoPredicateSpan):
-            spans_from_tags(TaggedInstance(parragon, 2, tags))
+        assert spans_from_tags(TaggedInstance(parragon, 2, tags)) is None
 
     def test_duplicate_role_keeps_run_nearest_predicate(self):
         sentence = flat_sentence(6)
@@ -225,9 +223,10 @@ def test_valid_sequences_with_predicate_convert_cleanly(labels):
     starts = [i + 1 for i, lab in enumerate(labels) if lab == "B-P"]
     sentence = flat_sentence(len(labels), "prop")
     instance = TaggedInstance(sentence, starts[0] if starts else 1, TagSequence(labels))
-    if not starts:
-        return
     extraction = spans_from_tags(instance)
+    if not starts:
+        assert extraction is None
+        return
     spans = [extraction.predicate_span] + list(extraction.role_spans.values())
     for i, a in enumerate(spans):
         for b in spans[i + 1:]:

@@ -392,10 +392,11 @@ def parsed_sentences(draw, field):
 
 
 @st.composite
-def gold_tuples(draw, field, sentence_id, role=st.sampled_from(ARGUMENT_ROLES)):
-    roles = draw(st.dictionaries(role, st.integers(-5, 50), min_size=1, max_size=3))
+def gold_tuples(draw, field, sentence_id, role=st.sampled_from(ARGUMENT_ROLES),
+                role_head=st.integers(-5, 50), predicate_head=st.integers(0, 50)):
+    roles = draw(st.dictionaries(role, role_head, min_size=1, max_size=3))
     surfaces = draw(st.dictionaries(st.sampled_from(sorted(roles)) | field, field, max_size=3))
-    return GoldTuple(draw(sentence_id), draw(st.integers(0, 50)), roles, surfaces)
+    return GoldTuple(draw(sentence_id), draw(predicate_head), roles, surfaces)
 
 
 @st.composite
@@ -448,8 +449,9 @@ class TestRoundTrips:
         back = _written_or_refused(write_conllu, read_conllu, sentences)
         assert back is None or back == sentences
 
-    @given(st.lists(gold_tuples(SAFE_FIELD, SAFE_FIELD.map("s{}".format)), max_size=3)
-           .filter(_unique_keys))
+    @given(st.lists(gold_tuples(SAFE_FIELD, SAFE_FIELD.map("s{}".format),
+                                role_head=st.integers(1, 50), predicate_head=st.integers(1, 50)),
+                    max_size=3).filter(_unique_keys))
     @ROUND_TRIPS
     def test_gold_round_trip(self, golds):
         assert (_written_or_refused(write_gold, read_gold, golds)

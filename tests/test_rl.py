@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from oiekit import nn, tagger
-from oiekit.core import LABELS, TaggedInstance, TagSequence, ValidationError
+from oiekit.core import LABELS, OiekitError, TaggedInstance, TagSequence, ValidationError
 from oiekit.corpus_io import gen_synthetic
 from oiekit.evaluate import evaluate
-from oiekit.patterns import identify_predicates
-from oiekit.reward import SemScorer
+from oiekit.mle import TrainConfig, pretrain
+from oiekit.patterns import generate_instances, identify_predicates
+from oiekit.reward import SemScorer, combined_reward, syn_score
 from oiekit.rl import (
     RLConfig,
     _sample_sequences,
@@ -150,6 +151,18 @@ class TestReinforceStep:
         assert norm > 0.0
         assert not params_equal(before, model.params)
 
+    @pytest.mark.parametrize("beam,rewards", [(2, [1.0]), (1, [1.0, -1.0]), (0, [])])
+    def test_unequal_or_empty_candidates_and_rewards_are_refused(self, beam, rewards):
+        sentence = flat_sentence(3)
+        model = init_model(TINY, build_vocab([sentence]))
+        optimizer = nn.Adam(model.params)
+        before = params_snapshot(model)
+        probs, cache = forward([(sentence, 2)], model, backprop=True)
+        candidates = explore(probs[:, 0], 2, beam) if beam else []
+        with pytest.raises(OiekitError, match="^need equally many candidates and rewards"):
+            reinforce_step(model, optimizer, sentence, cache, candidates, rewards)
+        assert params_equal(before, model.params)
+
 
 class TestExpectedRewardOracle:
     # Distribution (O .2, B-P .5, I-P .3, every argument role 0) at both
@@ -238,6 +251,42 @@ class TestTrainRl:
         assert set(row) == {"epoch", "mean_reward", "mean_syn", "mean_sem",
                             "dev_mean_reward", "dev_f1"}
         assert -1.0 <= row["mean_reward"] <= 1.0
+
+    def test_empty_corpus_rejected(self):
+        model, _ = self.small_pretrained()
+        with pytest.raises(OiekitError,
+                           match="^reinforcement learning needs a non-empty corpus$"):
+            train_rl(model, [], SemScorer())
+
+    def test_dev_mean_reward_divides_by_every_dev_predicate(self, monkeypatch):
+        # extract drops the first dev extraction, as it drops a decode
+        # without a predicate span; the dropped predicate still counts.
+        model, sentences = self.small_pretrained()
+        pretrain(model, [inst for s in sentences for inst in generate_instances(s)],
+                 TrainConfig(epochs=4, step_size=0.1))
+        dev_sentences, dev_gold = gen_synthetic(("svo", "coord_vp"), 8, seed=77)
+        real_extract = tagger.extract
+        kept = []
+
+        def dropping_extract(*args):
+            found = real_extract(*args)
+            assert found
+            kept.append(found[1:])
+            return found[1:]
+
+        monkeypatch.setattr(tagger, "extract", dropping_extract)
+        metrics = train_rl(model, sentences, SemScorer(), RLConfig(epochs=1, rng_seed=3),
+                           dev=(dev_sentences, dev_gold))
+        by_id = {sentence.sentence_id: sentence for sentence in dev_sentences}
+        total = 0.0
+        for e in kept[0]:
+            sentence = by_id[e.sentence_id]
+            total += combined_reward(syn_score(e, sentence),
+                                     SemScorer().score(e, sentence)).total
+        predicates = sum(len(identify_predicates(sentence)) for sentence in dev_sentences)
+        assert len(kept) == 1 and total != 0.0
+        assert len(kept[0]) < predicates
+        assert metrics[0]["dev_mean_reward"] == total / predicates
 
     def test_dev_metrics_when_gold_given(self):
         model, sentences = self.small_pretrained()
