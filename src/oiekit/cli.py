@@ -13,9 +13,9 @@ Each training setting has one way in: pretrain's optional ``key = value``
 config file (an unknown key is a data error) or rl-train's flags (a value
 RLConfig refuses is a usage error that names the flag); what is left out
 keeps its TaggerConfig, TrainConfig or RLConfig default. Both trainers raise
-NonFiniteValue, the one numeric failure (exit 3). They write the
-per-epoch metrics rows as JSON lines to ``--metrics``, by default
-``<--out>.metrics.jsonl``: the commands, not the stages, write files.
+NonFiniteValue, the one numeric failure (exit 3). The commands, not the
+stages, write files: the trainers' metrics rows go to ``--metrics`` (default
+``<--out>.metrics.jsonl``) and eval's report to ``--report``, as JSON lines.
 ``--scorer`` alone picks the semantic scorer (default ``surrogate``; a spec
 ``reward.make_sem_scorer`` refuses is a usage error). extract takes it only
 with ``--rerank sem`` or ``combined``; ``--scorer-cache`` needs an adapter
@@ -149,7 +149,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="score extractions against gold tuples by headword matching")
     p.add_argument("--extractions", required=True)
-    p.add_argument("--gold", required=True)
+    p.add_argument("--gold", required=True, help="gold TSV; a head beyond its sentence is "
+                   "not checked (rl-train --dev-gold checks it)")
     p.add_argument("--report", required=True)
     p.add_argument("--pr-out", required=True)
 
@@ -277,7 +278,7 @@ def cmd_extract(args) -> int:
 def cmd_eval(args) -> int:
     extractions = corpus_io.read_extractions(args.extractions)
     report = evaluate.evaluate(extractions, corpus_io.read_gold(args.gold))
-    evaluate.write_report(report, args.report)
+    corpus_io.write_jsonl([report], args.report)
     evaluate.write_pr_points(report.pr_points, args.pr_out)
     print(f"AUC: {report.auc * 100.0:.2f}")
     print(f"best F1: {report.best_f1 * 100.0:.2f}")

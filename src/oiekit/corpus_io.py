@@ -3,7 +3,7 @@ parses, gold tuples (TSV), JSON-lines records, ``key = value`` files, and a
 deterministic synthetic corpus generator.
 
 JSON-lines files (extractions, tagged instances, training metrics, the
-semantic scorer's cache) hold one JSON object per line with sorted keys,
+scorer cache, the eval report) hold one JSON object per line with sorted keys,
 written by :func:`write_jsonl` and read by :func:`read_jsonl`. ``key = value``
 files (command configs and pattern tables) are read by :func:`read_key_values`.
 Every text reader decodes its lines in one place, so a file that is not
@@ -131,8 +131,8 @@ def _field_values(value) -> dict:
 
 
 def write_jsonl(records: Iterable, path) -> None:
-    """One JSON object per line, keys sorted at every level. A record, or a
-    value in one, may be a dataclass: it is written as its fields."""
+    """One JSON object per line, keys sorted at every level; a file may hold one
+    record (the eval report). A dataclass record or value is written as its fields."""
     with atomic_write(path) as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True, default=_field_values))
@@ -289,9 +289,10 @@ def read_gold(path, sentences: Optional[Mapping[str, ParsedSentence]] = None) ->
     ``sentence_id  predicate_head  role  role_head  [surface]``.
 
     Rows are grouped by (sentence_id, predicate_head), in first-seen order.
-    A role outside ``ARGUMENT_ROLES`` or a head below 1 raises :class:`ParseError`. With
-    ``sentences``, rows of unknown sentence ids are reported and skipped, and heads beyond
-    their sentence raise ParseError.
+    A role outside ``ARGUMENT_ROLES``, a head below 1 or a role head equal to the predicate
+    head raises :class:`ParseError`. A head beyond its sentence needs the sentences: with
+    ``sentences`` it raises ParseError and rows of unknown sentence ids are reported and
+    skipped; without them it is read, and its tuple can never match.
     """
     grouped: dict[tuple[str, int], tuple[dict, dict]] = {}  # -> (role heads, surfaces)
     for line_no, raw in _text_lines(path):
@@ -315,6 +316,8 @@ def read_gold(path, sentences: Optional[Mapping[str, ParsedSentence]] = None) ->
         for name, head in (("predicate", pred_head), ("role", role_head)):
             if head < 1:
                 raise ParseError(f"{name} head must be >= 1, got {head}", line_no, path)
+        if role_head == pred_head:
+            raise ParseError(f"role head {role_head} is the predicate head", line_no, path)
         if sentences is not None:
             if sid not in sentences:
                 log.warning("%s: line %d references unknown sentence %r; skipped", path, line_no,
@@ -340,8 +343,8 @@ def write_gold(golds: Iterable[GoldTuple], path) -> None:
     keeps no other surfaces). A tuple that :func:`read_gold` would not read
     back raises ValidationError before anything is written: a tab or line
     break in a field, a sentence id starting with ``#`` (a comment), no role
-    or one outside ``ARGUMENT_ROLES``, a head below 1, or the key of an
-    earlier tuple."""
+    or one outside ``ARGUMENT_ROLES``, a head below 1, a role head equal to the
+    predicate head, or the key of an earlier tuple."""
     blocks, seen = [], set()
     for gold in golds:
         key, rows = (gold.sentence_id, gold.predicate_head), len(gold.role_heads)
@@ -350,7 +353,8 @@ def write_gold(golds: Iterable[GoldTuple], path) -> None:
         if ("\r" in block or block.count("\n") != rows or block.count("\t") != 4 * rows
                 or not rows or key in seen or gold.sentence_id.startswith("#")
                 or not set(gold.role_heads) <= set(ARGUMENT_ROLES)
-                or min(key[1], *gold.role_heads.values()) < 1):
+                or min(key[1], *gold.role_heads.values()) < 1
+                or key[1] in gold.role_heads.values()):
             raise ValidationError(f"gold tuple {key} would not read back as written")
         seen.add(key)
         blocks.append(block)

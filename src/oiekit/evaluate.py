@@ -1,10 +1,10 @@
 """Headword-match scoring against gold tuples, precision-recall curves over
-confidence-ranked extractions, area under the curve, and best F1."""
+confidence-ranked extractions, area under the curve, and best F1; ``eval``
+writes the :class:`EvalReport` as one record with ``corpus_io.write_jsonl``."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from oiekit.core import (
@@ -74,19 +74,18 @@ def assign_matches(extractions: Sequence[Extraction], gold: Sequence[GoldTuple]
     taken = [False] * len(gold)
     decisions = []
     for pred in _sorted_predictions(extractions):
-        matched_idx = None
+        gold_head = None
         for idx in by_sentence.get(pred.sentence_id, ()):
             if not taken[idx] and match(pred, gold[idx]):
-                matched_idx = idx
+                taken[idx] = True
+                gold_head = gold[idx].predicate_head
                 break
-        if matched_idx is not None:
-            taken[matched_idx] = True
         decisions.append(MatchDecision(
             sentence_id=pred.sentence_id,
             predicate_span=pred.predicate_span,
             confidence=pred.confidence,
-            matched=matched_idx is not None,
-            gold_predicate_head=gold[matched_idx].predicate_head if matched_idx is not None else None,
+            matched=gold_head is not None,
+            gold_predicate_head=gold_head,
         ))
     return decisions
 
@@ -94,15 +93,13 @@ def assign_matches(extractions: Sequence[Extraction], gold: Sequence[GoldTuple]
 def _pr_points(decisions: Sequence[MatchDecision], num_gold: int) -> list[tuple[float, float]]:
     points = []
     true_positives = 0
-    total = 0
     for i, decision in enumerate(decisions):
         true_positives += decision.matched
-        total += 1
         is_last_at_threshold = (
             i + 1 == len(decisions) or decisions[i + 1].confidence != decision.confidence
         )
         if is_last_at_threshold:
-            points.append((true_positives / num_gold, true_positives / total))
+            points.append((true_positives / num_gold, true_positives / (i + 1)))
     return points
 
 
@@ -111,10 +108,9 @@ def auc(pr_points: Sequence[tuple[float, float]]) -> float:
     extended flat back to recall zero; the result lives in [0, 1]."""
     if not pr_points:
         return 0.0
-    points = list(pr_points)
-    first_recall, first_precision = points[0]
+    first_recall, first_precision = pr_points[0]
     area = first_recall * first_precision
-    for (r_prev, p_prev), (r_next, p_next) in zip(points, points[1:]):
+    for (r_prev, p_prev), (r_next, p_next) in zip(pr_points, pr_points[1:]):
         area += (r_next - r_prev) * (p_prev + p_next) / 2.0
     return area
 
@@ -158,22 +154,6 @@ def gold_from_instance(instance: TaggedInstance) -> Optional[GoldTuple]:
         predicate_head=instance.predicate_index,
         role_heads=role_heads,
     )
-
-
-def write_report(report: EvalReport, path) -> None:
-    payload = {
-        "auc": report.auc,
-        "auc_x100": report.auc * 100.0,
-        "best_f1": report.best_f1,
-        "best_f1_x100": report.best_f1 * 100.0,
-        "num_gold": report.num_gold,
-        "num_predictions": report.num_predictions,
-        "pr_points": report.pr_points,
-        "decisions": [asdict(d) for d in report.decisions],
-    }
-    with atomic_write(path) as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def write_pr_points(pr_points: Sequence[tuple[float, float]], path) -> None:

@@ -377,6 +377,9 @@ CONTRACT = {
             ("predicate-head-zero", "a\t0\tARG1\t1\n", "predicate head must be >= 1, got 0", 1),
             ("negative-role-head", "a\t2\tARG1\t1\na\t2\tARG2\t-3\n",
              "role head must be >= 1, got -3", 2),
+            # A role span never overlaps its predicate span, so this tuple never matches.
+            ("role-head-is-predicate-head", "a\t2\tARG2\t3\na\t3\tARG1\t3\n",
+             "role head 3 is the predicate head", 2),
             ("not-utf8", "a\t2\tARG1\t1\na\t2\tARG2\t3\tm\udcfcde\n",
              "not UTF-8 text: byte 0xfc at column 13", 2)]},
     "test_extraction_record_of_the_wrong_type_names_its_field": {

@@ -159,7 +159,7 @@ class TestGold:
 
     def test_unknown_sentence_skipped(self, tmp_path, parragon):
         path = tmp_path / "gold.tsv"
-        path.write_text("parragon\t2\tARG1\t1\t\nnope\t1\tARG1\t1\t\n", encoding="utf-8")
+        path.write_text("parragon\t2\tARG1\t1\t\nnope\t1\tARG1\t2\t\n", encoding="utf-8")
         golds = read_gold(path, {"parragon": parragon})
         assert [g.sentence_id for g in golds] == ["parragon"]
 
@@ -436,6 +436,10 @@ def _unique_keys(golds):
     return len({(g.sentence_id, g.predicate_head) for g in golds}) == len(golds)
 
 
+def _no_role_head_at_its_predicate(golds):
+    return all(g.predicate_head not in g.role_heads.values() for g in golds)
+
+
 class TestRoundTrips:
     @given(st.lists(parsed_sentences(SAFE_FIELD), max_size=3,
                     unique_by=lambda sentence: sentence.sentence_id))
@@ -451,7 +455,7 @@ class TestRoundTrips:
 
     @given(st.lists(gold_tuples(SAFE_FIELD, SAFE_FIELD.map("s{}".format),
                                 role_head=st.integers(1, 50), predicate_head=st.integers(1, 50)),
-                    max_size=3).filter(_unique_keys))
+                    max_size=3).filter(_unique_keys).filter(_no_role_head_at_its_predicate))
     @ROUND_TRIPS
     def test_gold_round_trip(self, golds):
         assert (_written_or_refused(write_gold, read_gold, golds)
@@ -507,6 +511,11 @@ class TestWriterRefusals:
     def test_gold_role_outside_the_argument_roles(self, tmp_path, role):
         with pytest.raises(ValidationError):
             write_gold([GoldTuple("s1", 2, {"ARG1": 1, role: 3})], tmp_path / "gold.tsv")
+        assert not (tmp_path / "gold.tsv").exists()
+
+    def test_gold_role_head_at_its_predicate_head(self, tmp_path):
+        with pytest.raises(ValidationError):
+            write_gold([GoldTuple("s1", 2, {"ARG1": 1, "ARG2": 2})], tmp_path / "gold.tsv")
         assert not (tmp_path / "gold.tsv").exists()
 
     def test_gold_tuple_without_roles(self, tmp_path):

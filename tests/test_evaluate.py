@@ -1,8 +1,22 @@
+import json
+from dataclasses import asdict, fields
+
 import pytest
 
-from oiekit.core import Extraction, ValidationError
-from oiekit.corpus_io import GoldTuple
-from oiekit.evaluate import MatchDecision, auc, best_f1, evaluate, match
+from oiekit import cli
+from oiekit.core import Extraction, TaggedInstance, TagSequence, ValidationError
+from oiekit.corpus_io import GoldTuple, read_extractions, read_gold, write_extractions, write_gold
+from oiekit.evaluate import (
+    EvalReport,
+    MatchDecision,
+    auc,
+    best_f1,
+    evaluate,
+    gold_from_instance,
+    match,
+)
+
+from conftest import build_sentence
 
 GOLD = [
     GoldTuple("s1", 2, {"ARG1": 1, "ARG2": 3}),
@@ -64,3 +78,31 @@ def test_headword_matching_asks_for_the_head_word_not_the_shared_words():
     assert not match(Extraction("s", (2, 2), {"ARG1": (1, 1), "ARG2": (3, 3)}), gold)
     # "cats" holds the head word but only half of the words.
     assert match(Extraction("s", (2, 2), {"ARG1": (1, 1), "ARG2": (4, 4)}), gold)
+
+
+def test_gold_from_tags_without_a_predicate_span_is_none():
+    sentence = build_sentence("s", [("dogs", "NOUN", 2, "nsubj"), ("ran", "VERB", 0, "root")])
+    assert gold_from_instance(TaggedInstance(sentence, 2, TagSequence(("B-ARG1", "O")))) is None
+    assert (gold_from_instance(TaggedInstance(sentence, 2, TagSequence(("B-ARG1", "B-P"))))
+            == GoldTuple("s", 2, {"ARG1": 1}))
+
+
+def test_eval_report_is_one_sorted_json_line_holding_the_report(tmp_path):
+    extractions, gold = tmp_path / "ex.jsonl", tmp_path / "gold.tsv"
+    write_extractions(PREDICTIONS, extractions)
+    write_gold(GOLD, gold)
+    assert cli.main(["eval", "--extractions", str(extractions), "--gold", str(gold),
+                     "--report", str(tmp_path / "report.json"),
+                     "--pr-out", str(tmp_path / "pr.tsv")]) == cli.EXIT_OK
+    text = (tmp_path / "report.json").read_text(encoding="utf-8")
+    parsed = json.loads(text)
+    assert text == json.dumps(parsed, sort_keys=True) + "\n"
+    expected = evaluate(read_extractions(extractions), read_gold(gold))
+    assert sorted(parsed) == sorted(f.name for f in fields(EvalReport))
+    assert parsed["auc"] == expected.auc
+    assert parsed["best_f1"] == expected.best_f1
+    assert parsed["num_gold"] == expected.num_gold
+    assert parsed["num_predictions"] == expected.num_predictions
+    assert parsed["pr_points"] == [list(point) for point in expected.pr_points]
+    assert parsed["decisions"] == [{**asdict(d), "predicate_span": list(d.predicate_span)}
+                                   for d in expected.decisions]

@@ -9,6 +9,7 @@ from oiekit.corpus_io import gen_synthetic
 from oiekit.patterns import generate_instances
 from oiekit.reward import (
     SemScorer,
+    _attachment_targets,
     combined_reward,
     make_sem_scorer,
     sem_score_surrogate,
@@ -84,6 +85,13 @@ class TestSynScoreHandSuite:
             for instance in generate_instances(sentence):
                 extraction = spans_from_tags(instance)
                 assert syn_score(extraction, sentence) == 1
+
+    def test_conj_chain_stops_at_the_root(self):
+        # A root labelled conj has no conjunction head above it to inherit from.
+        sentence = build_sentence("rootconj", [("dogs", "NOUN", 2, "nsubj"),
+                                               ("ran", "VERB", 0, "conj")])
+        assert _attachment_targets(sentence, 2) == {2}
+        assert syn_score(ex("rootconj", (2, 2), {"ARG1": (1, 1)}), sentence) == 1
 
 
 class TestVerbalize:
