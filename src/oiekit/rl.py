@@ -4,8 +4,8 @@ syntactic-semantic reward, and apply likelihood-ratio updates. The update
 is taken on the P(Y|x) that produced the candidates, so :func:`explore`
 and :func:`reinforce_step` share one forward pass per step.
 
-Updates follow ``tagger``'s one rule, each candidate a row at weight b - R_k
-and scale 1; ``tagger.descent_step`` raises a non-finite gradient."""
+Updates follow ``tagger``'s one rule, each candidate a row at weight
+b - R_k; ``tagger.descent_step`` raises a non-finite gradient."""
 
 from __future__ import annotations
 
@@ -128,7 +128,7 @@ def reinforce_step(model: TaggerModel, optimizer: nn.Adam, sentence: ParsedSente
     weights = [baseline - r for r in rewards]
     if all(weight == 0.0 for weight in weights):
         return 0.0
-    dlogits = tagger.weighted_dlogits(cache["probs"], [(list(zip(candidates, weights)), 1.0)])
+    dlogits = tagger.weighted_dlogits(cache["probs"], [list(zip(candidates, weights))])
     return tagger.descent_step(model, cache, dlogits, optimizer,
                                f"on sentence {sentence.sentence_id!r}")
 

@@ -19,10 +19,10 @@ float64. :func:`extract` and each pretraining batch run the encoder in
 float32 on a :func:`float32_encoder` copy (see there and ``mle.pretrain``
 for the measured differences); RL training runs in float64.
 
-Both trainers take one update rule: :func:`weighted_dlogits` (``mle``: the
-pattern label at weight -1, scale 1/m; ``rl``: each candidate at weight
-b - R_k, scale 1), then :func:`descent_step`, the one place that raises
-``NonFiniteValue`` for a non-finite gradient.
+Both trainers take one update rule, a sum of w·∇log P(Y) over (sequence,
+weight) rows: :func:`weighted_dlogits` (``mle``: each pattern label at
+-1/(m·B); ``rl``: each candidate at b - R_k), then :func:`descent_step`,
+the one place that raises ``NonFiniteValue`` for a non-finite gradient.
 
 A checkpoint is a JSON header line (``config``, ``format``, ``vocab``),
 then the float64 bytes of every array in the order of :func:`_param_shapes`,
@@ -263,32 +263,26 @@ def backward_from_dlogits(model: TaggerModel, cache, dlogits: np.ndarray) -> dic
 
 
 def weighted_dlogits(probs: np.ndarray, items) -> np.ndarray:
-    """(m, B, L) logit gradient of sum_b scale_b sum_k w_bk log P(Y_bk) over
-    a batched :func:`forward` pass's ``probs``, zero at padding, for items
-    (rows, scale_b) of (TagSequence, weight) rows: the rows' w (onehot - p)
-    summed in order, zero weights skipped, then scaled."""
+    """(m, B, L) logit gradient of sum_b sum_k w_bk log P(Y_bk) over a
+    batched :func:`forward` pass's ``probs``, zero at padding, for items
+    that are lists of (TagSequence, weight) rows: the rows' w (onehot - p),
+    summed in order."""
     dlogits = np.zeros_like(probs)
-    for b, (rows, scale) in enumerate(items):
+    for b, rows in enumerate(items):
         for sequence, weight in rows:
-            if weight != 0.0:
-                m = len(sequence)
-                term = probs[:m, b] * -weight
-                term[np.arange(m), [LABEL_INDEX[label] for label in sequence.labels]] += weight
-                dlogits[:m, b] += term
-        dlogits[:, b] *= scale
+            m = len(sequence)
+            term = probs[:m, b] * -weight
+            term[np.arange(m), [LABEL_INDEX[label] for label in sequence.labels]] += weight
+            dlogits[:m, b] += term
     return dlogits
 
 
 def descent_step(model: TaggerModel, cache, dlogits: np.ndarray, optimizer: nn.Adam,
                  where: str) -> float:
     """``optimizer.step`` down the gradient of ``dlogits`` through ``model``'s
-    pass, averaged over its B items when B > 1; returns the squared norm,
-    and one that is not finite raises ``non-finite gradient {where}``."""
-    grads = backward_from_dlogits(model, cache, dlogits)
-    if dlogits.shape[1] > 1:
-        for grad in grads.values():
-            grad /= dlogits.shape[1]
-    norm = optimizer.step(grads)
+    pass; returns the squared norm, and one that is not finite raises
+    ``non-finite gradient {where}``."""
+    norm = optimizer.step(backward_from_dlogits(model, cache, dlogits))
     if not np.isfinite(norm):
         raise NonFiniteValue(f"non-finite gradient {where}")
     return norm

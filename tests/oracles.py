@@ -6,10 +6,10 @@ written for plain reading rather than speed.
   :func:`valid_sequences` lists what it accepts by brute force. They pin
   ``tagger.beam_decode`` (through :func:`oracle_rank`) and the constrained
   sampler ``rl._sample_sequences``.
-- :func:`pattern_label_dlogits` and :func:`candidate_dlogits` state the
-  logit gradients of both trainers in plain numpy, (p - onehot) / m for a
-  pattern label and sum_k w_k (onehot_k - p) for weighted candidates; they
-  pin ``tagger.weighted_dlogits`` bit for bit.
+- :func:`candidate_dlogits` states the logit gradient of both trainers
+  in plain numpy, sum_k w_k (onehot_k - p) over (labels, weight) rows (a
+  pattern label is one row at weight -1/m per item); it pins
+  ``tagger.weighted_dlogits`` bit for bit.
 - :func:`exact_policy_gradient` runs the package's
   ``tagger.weighted_dlogits`` and backward pass over every valid sequence.
   Central differences of :func:`expected_reward_oracle`, which runs forward
@@ -79,12 +79,6 @@ def _onehot(labels, num_labels):
     return onehot
 
 
-def pattern_label_dlogits(probs, labels):
-    """(p - onehot) / m: the logit gradient of the token-mean negative
-    log-likelihood of ``labels`` under one item's (m, L) ``probs``."""
-    return (probs - _onehot(labels, probs.shape[1])) * (1.0 / len(labels))
-
-
 def candidate_dlogits(probs, rows):
     """sum_k w_k (onehot_k - p), in row order: the logit gradient of sum_k
     w_k log P(Y_k) over one item's (m, L) ``probs`` for (labels, weight)
@@ -113,7 +107,7 @@ def exact_policy_gradient(model, sentence, predicate, reward_fn):
     own logit-gradient builder and backward pass."""
     cache, weighted = _sequences_with_probs(model, sentence, predicate)
     rows = [(seq, p * reward_fn(seq)) for seq, p in weighted]
-    dlogits = tagger.weighted_dlogits(cache["probs"], [(rows, 1.0)])
+    dlogits = tagger.weighted_dlogits(cache["probs"], [rows])
     return tagger.backward_from_dlogits(model, cache, dlogits)
 
 

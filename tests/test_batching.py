@@ -348,33 +348,54 @@ def test_inference_pass_is_bit_identical_to_backprop_pass(kind, lengths):
     assert np.array_equal(probs, trained)
 
 
-def pretrain_step_and_oracle(monkeypatch):
-    """(the gradients one full-batch pretraining step hands Adam, the mean
-    of the float64 per-item token-mean gradients it should follow)."""
-    items = items_of([3, 5, 2, 8])
-    labels = {3: ("B-P", "O", "B-ARG1"), 5: ("B-ARG1", "I-ARG1", "B-P", "O", "O"),
-              2: ("B-P", "B-ARG2"), 8: ("O",) * 5 + ("B-P", "B-ARG2", "I-ARG2")}
-    corpus = [TaggedInstance(sentence, labels[len(sentence)].index("B-P") + 1,
-                             TagSequence(labels[len(sentence)]))
+LABELS_BY_LENGTH = {3: ("B-P", "O", "B-ARG1"), 5: ("B-ARG1", "I-ARG1", "B-P", "O", "O"),
+                    2: ("B-P", "B-ARG2"), 8: ("O",) * 5 + ("B-P", "B-ARG2", "I-ARG2"),
+                    4: ("B-ARG1", "B-P", "I-P", "B-ARG2")}
+
+
+def labelled_corpus(lengths):
+    """(tagged instances of the given lengths, a model over their words)."""
+    items = items_of(lengths)
+    corpus = [TaggedInstance(sentence, LABELS_BY_LENGTH[len(sentence)].index("B-P") + 1,
+                             TagSequence(LABELS_BY_LENGTH[len(sentence)]))
               for sentence, _ in items]
-    model = model_for(items)
+    return corpus, model_for(items)
+
+
+def mean_token_mean_grads(model, instances):
+    """The mean of the float64 per-item token-mean gradients."""
     expected = {}
-    for instance in corpus:
+    for instance in instances:
         _, grads = instance_grads(model, instance, scale=1.0 / len(instance.tags))
         for name, grad in grads.items():
-            expected[name] = expected.get(name, 0.0) + grad / len(corpus)
+            expected[name] = expected.get(name, 0.0) + grad / len(instances)
+    return expected
+
+
+def recorded_steps(monkeypatch, model):
+    """Record (gradients, the parameters they were taken at) of each Adam step."""
     steps = []
     original = nn.Adam.step
 
     def recording_step(self, grads):
-        steps.append({name: grad.copy() for name, grad in grads.items()})
+        steps.append(({name: grad.copy() for name, grad in grads.items()},
+                      {name: arr.copy() for name, arr in model.params.items()}))
         return original(self, grads)
 
     monkeypatch.setattr(nn.Adam, "step", recording_step)
+    return steps
+
+
+def pretrain_step_and_oracle(monkeypatch):
+    """(the gradients one full-batch pretraining step hands Adam, the mean
+    of the float64 per-item token-mean gradients it should follow)."""
+    corpus, model = labelled_corpus([3, 5, 2, 8])
+    expected = mean_token_mean_grads(model, corpus)
+    steps = recorded_steps(monkeypatch, model)
     pretrain(model, corpus, TrainConfig(epochs=1, batch_size=len(corpus)), dev=corpus[:1])
     assert len(steps) == 1
-    assert set(steps[0]) == set(expected)
-    return steps[0], expected
+    assert set(steps[0][0]) == set(expected)
+    return steps[0][0], expected
 
 
 def test_pretrain_step_is_the_mean_of_token_mean_instance_gradients(monkeypatch):
@@ -394,3 +415,30 @@ def test_float32_pretrain_step_is_near_the_float64_oracle(monkeypatch):
     for name in expected:
         assert step[name].dtype == np.float64, name
         assert 0.0 < relative_error(step[name], expected[name]) <= 1e-5, name
+
+
+def test_short_last_batch_is_averaged_over_its_own_size(monkeypatch):
+    # Five instances in batches of 3: the last step holds two, and its
+    # gradient is their mean, not their sum over batch_size. On the float64
+    # path, at the parameters the first step left.
+    monkeypatch.setattr(tagger, "float32_encoder", lambda model: model)
+    corpus, model = labelled_corpus([3, 5, 2, 8, 4])
+    batches = []
+    original_forward = tagger.forward
+
+    def recording_forward(items, model, *, backprop=False):
+        if backprop:
+            batches.append([sentence for sentence, _ in items])
+        return original_forward(items, model, backprop=backprop)
+
+    monkeypatch.setattr(tagger, "forward", recording_forward)
+    steps = recorded_steps(monkeypatch, model)
+    pretrain(model, corpus, TrainConfig(epochs=1, batch_size=3), dev=corpus[:1])
+    assert [len(batch) for batch in batches] == [3, 2]
+    grads, params = steps[-1]
+    last = [instance for sentence in batches[-1] for instance in corpus
+            if instance.sentence is sentence]
+    expected = mean_token_mean_grads(tagger.TaggerModel(model.config, model.vocab, params), last)
+    assert set(grads) == set(expected)
+    for name in expected:
+        assert relative_error(grads[name], expected[name]) <= TOLERANCE, name

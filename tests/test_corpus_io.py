@@ -223,7 +223,7 @@ class TestAtomicWrite:
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
         received = []
-        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True)
         reader.start()
         write_jsonl([{"a": 1}], fifo)
         reader.join(timeout=5)

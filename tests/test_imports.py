@@ -128,5 +128,5 @@ def test_cli_import_leaves_the_http_stack_unloaded():
               "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run([sys.executable, "-c", script], env=env,
-                            capture_output=True, text=True, check=True)
+                            capture_output=True, encoding="utf-8", check=True)
     assert result.stdout.strip() == "[]"

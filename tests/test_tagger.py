@@ -28,8 +28,7 @@ from oiekit.tagger import (
 )
 
 from conftest import build_sentence, decode_alone, flat_sentence
-from oracles import (candidate_dlogits, oracle_rank, oracle_valid, pattern_label_dlogits,
-                     valid_sequences)
+from oracles import candidate_dlogits, oracle_rank, oracle_valid, valid_sequences
 
 TINY = TaggerConfig(embedding_dim=6, indicator_dim=3, hidden_dim=5,
                     num_encoder_layers=2, rng_seed=3)
@@ -468,9 +467,9 @@ def test_config_field_that_is_not_an_integer_in_range_is_refused(field, value, l
 
 @pytest.mark.parametrize("batched", [True, False], ids=["one-batch", "one-at-a-time"])
 def test_weighted_dlogits_is_the_plain_oracle_bit_for_bit(batched):
-    # Pattern labels at weight -1 and scale 1/m (pretraining), and beam
-    # candidates plus the pattern label at free weights and scale 1 (RL),
-    # one of them zero. Bytes compare the signs of zero too.
+    # Pattern labels at weight -1/m (pretraining, one item per batch), and
+    # beam candidates plus the pattern label at free weights (RL), one of
+    # them zero. Bytes compare the signs of zero too.
     sentences, _ = gen_synthetic(n=30, seed=4)
     instances = [inst for s in sentences for inst in generate_instances(s)]
     model = init_model(TINY, build_vocab(sentences))
@@ -478,18 +477,18 @@ def test_weighted_dlogits_is_the_plain_oracle_bit_for_bit(batched):
     for group in [instances] if batched else [[inst] for inst in instances]:
         probs, _ = forward([(inst.sentence, inst.predicate_index) for inst in group], model)
         labels = tagger.weighted_dlogits(
-            probs, [([(inst.tags, -1.0)], 1.0 / len(inst.tags)) for inst in group])
+            probs, [[(inst.tags, -1.0 / len(inst.tags))] for inst in group])
         beams = tagger.beam_decode(probs, [len(inst.tags) for inst in group],
                                    [inst.predicate_index for inst in group], 3)
         rows = [[(seq, float(w)) for seq, w in zip(beam + [inst.tags],
                                                    rng.normal(size=len(beam) + 1))]
                 for beam, inst in zip(beams, group)]
         rows[0][-1] = (group[0].tags, 0.0)
-        candidates = tagger.weighted_dlogits(probs, [(item, 1.0) for item in rows])
+        candidates = tagger.weighted_dlogits(probs, rows)
         for b, inst in enumerate(group):
             m = len(inst.tags)
-            assert (labels[:m, b].tobytes()
-                    == pattern_label_dlogits(probs[:m, b], inst.tags.labels).tobytes())
+            expected = candidate_dlogits(probs[:m, b], [(inst.tags.labels, -1.0 / m)])
+            assert labels[:m, b].tobytes() == expected.tobytes()
             expected = candidate_dlogits(probs[:m, b], [(seq.labels, w) for seq, w in rows[b]])
             assert candidates[:m, b].tobytes() == expected.tobytes()
             assert not labels[m:, b].any() and not candidates[m:, b].any()
